@@ -81,7 +81,7 @@ def umb_scheme(scores, B: int) -> BinningScheme:
     n_e = scores.size
     if n_e < 2 * B:
         raise ValueError(f"need n_e >= 2B samples for UMB, got n_e={n_e}, B={B}")
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     sorted_scores = np.sort(scores)
     ranks = (np.arange(1, B) * n_e) // B  # 1-indexed order statistics
@@ -105,7 +105,7 @@ def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     Intervals are right-closed; a score of exactly 0 maps to bin 1.
     """
     arr = np.asarray(score, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     idx = np.searchsorted(scheme.edges, arr, side="left")
     idx = np.maximum(idx, 1)

@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .binning import UMB, UWB
 
 __all__ = [
+    "BOUNDS",
     "BoundReport",
     "stat_bias_bound",
     "binning_bias_bound",
@@ -40,6 +43,7 @@ class BoundReport:
     vacuous: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value) or self.value < 0.0:
             raise ValueError(f"bound value must be finite and nonnegative: {self.value}")
         object.__setattr__(self, "vacuous", self.value > 1.0)
@@ -54,19 +58,35 @@ class BoundReport:
         }
 
 
+def _at_least_one(**values: int) -> None:
+    if any(v < 1 for v in values.values()):
+        raise ValueError(f"{' and '.join(values)} must be at least 1")
+
+
+def _nonnegative(what: str, *values: float) -> None:
+    if any(v < 0 for v in values):
+        raise ValueError(f"{what} must be nonnegative")
+
+
 def _check_bn(B: int, n: int, variant: str) -> None:
-    if B < 1:
-        raise ValueError("B must be at least 1")
+    _at_least_one(B=B)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
-    if variant == UWB and n < 1:
-        raise ValueError("n must be at least 1")
-    if variant == UMB and n <= B:
+    if variant == UWB:
+        _at_least_one(n=n)
+    elif n <= B:
         raise ValueError("uniform-mass bounds require n > B")
 
 
-def _umb_stat_term(B: int, n: int) -> float:
-    return math.sqrt(2.0 * B * _LN2 / (n - B)) + 2.0 * B / (n - B)
+def _umb_stat_term(B, n):
+    return np.sqrt(2.0 * B * _LN2 / (n - B)) + 2.0 * B / (n - B)
+
+
+def _total_bias(B, n: int, L: float, variant: str):
+    """The total-bias formula, unchecked; B may be an integer array of bin counts."""
+    if variant == UWB:
+        return (1.0 + L) / B + np.sqrt(2.0 * B * _LN2 / n)
+    return (1.0 + L) / B + (2.0 + L) * _umb_stat_term(B, n)
 
 
 def stat_bias_bound(B: int, n: int, variant: str) -> BoundReport:
@@ -90,8 +110,7 @@ def binning_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     (1+L) * (1/B + sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
     _check_bn(B, n, variant)
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    _nonnegative("L", L)
     if variant == UWB:
         value = (1.0 + L) / B
     else:
@@ -106,12 +125,8 @@ def total_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     (1+L)/B + (2+L) * (sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
     _check_bn(B, n, variant)
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    if variant == UWB:
-        value = (1.0 + L) / B + math.sqrt(2.0 * B * _LN2 / n)
-    else:
-        value = (1.0 + L) / B + (2.0 + L) * _umb_stat_term(B, n)
+    _nonnegative("L", L)
+    value = _total_bias(B, n, L, variant)
     return BoundReport("total_bias", value, {"B": B, "n": n, "L": L}, variant)
 
 
@@ -120,8 +135,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 
     sqrt(2 (B ln2 + ln(1/delta)) / n).
     """
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
+    _at_least_one(B=B, n=n)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     value = math.sqrt(2.0 * (B * _LN2 + math.log(1.0 / delta)) / n)
@@ -130,10 +144,8 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 
 def gen_ece_bound(ecmi: float, B: int, n: int) -> BoundReport:
     """Expected train/test calibration-error gap: sqrt(8 (eCMI + B ln2) / n)."""
-    if ecmi < 0:
-        raise ValueError("ecmi must be nonnegative")
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
+    _nonnegative("ecmi", ecmi)
+    _at_least_one(B=B, n=n)
     value = math.sqrt(8.0 * (ecmi + B * _LN2) / n)
     return BoundReport("gen_ece", value, {"eCMI": ecmi, "B": B, "n": n})
 
@@ -147,12 +159,9 @@ def gen_tce_bound(
     (1+L) * sqrt(2 (fCMI + B ln2) / n) and requires fCMI (a tighter
     statistic-level MI may be substituted in that slot).
     """
-    if ecmi < 0:
-        raise ValueError("ecmi must be nonnegative")
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    _nonnegative("ecmi", ecmi)
+    _at_least_one(B=B, n=n)
+    _nonnegative("L", L)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
     value = (1.0 + L) / B + math.sqrt(8.0 * (ecmi + B * _LN2) / n)
@@ -160,8 +169,7 @@ def gen_tce_bound(
     if variant == UMB:
         if fcmi is None:
             raise ValueError("the uniform-mass variant requires fcmi")
-        if fcmi < 0:
-            raise ValueError("fcmi must be nonnegative")
+        _nonnegative("fcmi", fcmi)
         value += (1.0 + L) * math.sqrt(2.0 * (fcmi + B * _LN2) / n)
         inputs["fCMI"] = fcmi
     return BoundReport("gen_tce", value, inputs, variant)
@@ -174,14 +182,11 @@ def metric_entropy_bound(B: int, n: int, L: float, delta: float, logN: float) ->
     supplies logN = log of the covering number of the class at radius
     delta / B in the sup norm. Requires 0 < delta <= 1/B.
     """
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    _at_least_one(B=B, n=n)
+    _nonnegative("L", L)
     if not (0.0 < delta <= 1.0 / B):
         raise ValueError("delta must lie in (0, 1/B]")
-    if logN < 0:
-        raise ValueError("logN must be nonnegative")
+    _nonnegative("logN", logN)
     value = (1.0 + L) / B + (2.0 + L) * delta + math.sqrt(8.0 * B * (_LN2 + logN) / n)
     return BoundReport(
         "metric_entropy",
@@ -199,12 +204,9 @@ def metric_entropy_bound_parametric(
     (3+2L)/B + sqrt(8 d B ln(2 L0 B^2) / n) for a d-dimensional,
     L0-Lipschitz class; requires 2 L0 B^2 > 1 so the log is positive.
     """
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    _at_least_one(B=B, n=n)
+    _nonnegative("L", L)
+    _at_least_one(d=d)
     if L0 <= 0:
         raise ValueError("L0 must be positive")
     if 2.0 * L0 * B * B <= 1.0:
@@ -228,10 +230,8 @@ def recalib_reuse_bound(i_delta1: float, i_delta2: float, B: int, n: int) -> Bou
     statistics. Passing the model-level fCMI to both slots recovers the
     looser 2 * sqrt(2 (fCMI + B ln2) / n) form.
     """
-    if i_delta1 < 0 or i_delta2 < 0:
-        raise ValueError("mutual-information inputs must be nonnegative")
-    if B < 1 or n < 1:
-        raise ValueError("B and n must be at least 1")
+    _nonnegative("mutual-information inputs", i_delta1, i_delta2)
+    _at_least_one(B=B, n=n)
     value = math.sqrt(2.0 * (i_delta1 + B * _LN2) / n) + math.sqrt(
         2.0 * (i_delta2 + B * _LN2) / n
     )
@@ -245,9 +245,23 @@ def recalib_holdout_bound(B: int, n_re: int) -> BoundReport:
 
     sqrt(2 B ln2 / (n_re - B)) + 2B / (n_re - B); requires n_re > B.
     """
-    if B < 1:
-        raise ValueError("B must be at least 1")
+    _at_least_one(B=B)
     if n_re <= B:
         raise ValueError("n_re must exceed B")
-    value = math.sqrt(2.0 * B * _LN2 / (n_re - B)) + 2.0 * B / (n_re - B)
-    return BoundReport("recalib_holdout", value, {"B": B, "n_re": n_re}, UMB)
+    return BoundReport("recalib_holdout", _umb_stat_term(B, n_re), {"B": B, "n_re": n_re}, UMB)
+
+
+# Command-line name -> bound. Each function's signature and docstring are the
+# bound's only declaration; ``calbounds bounds`` derives its flags from them.
+BOUNDS = {
+    "stat-bias": stat_bias_bound,
+    "binning-bias": binning_bias_bound,
+    "total-bias": total_bias_bound,
+    "high-prob": high_prob_bound,
+    "gen-ece": gen_ece_bound,
+    "gen-tce": gen_tce_bound,
+    "metric-entropy": metric_entropy_bound,
+    "metric-entropy-parametric": metric_entropy_bound_parametric,
+    "recalib-reuse": recalib_reuse_bound,
+    "recalib-holdout": recalib_holdout_bound,
+}

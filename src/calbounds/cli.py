@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: ``ece`` (binned calibration error of a score file), ``gap``
-(train/test ECE difference of two files), ``bounds`` (evaluate any named
-closed-form bound), ``synthetic`` (scaling-law experiment), ``recalibrate``
+(train/test ECE difference of two files), ``bounds <name>`` (evaluate a
+named closed-form bound; its flags are the bound function's parameters),
+``synthetic`` (scaling-law experiment), ``recalibrate``
 (histogram recalibration with its bound), and ``cmi`` (supersample
 mask-information experiment over an n-grid).
 
@@ -15,25 +16,16 @@ floats carry 6 significant digits; data files keep full precision.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .binning import UMB, UWB, uwb_scheme, umb_scheme
-from .bounds import (
-    binning_bias_bound,
-    gen_ece_bound,
-    gen_tce_bound,
-    high_prob_bound,
-    metric_entropy_bound,
-    metric_entropy_bound_parametric,
-    recalib_holdout_bound,
-    recalib_reuse_bound,
-    stat_bias_bound,
-    total_bias_bound,
-)
+from .bounds import BOUNDS, gen_ece_bound
 from .data import RunRecord, load_scores
 from .experiments import run_recalibration, run_synthetic_experiment, scored_synthetic_dataset
 from .metrics import cube_root_bins, ece, ece_gap, optimal_bins
@@ -116,80 +108,47 @@ def _cmd_gap(args) -> int:
     return 0
 
 
-_BOUND_NAMES = (
-    "stat-bias",
-    "binning-bias",
-    "total-bias",
-    "high-prob",
-    "gen-ece",
-    "gen-tce",
-    "metric-entropy",
-    "metric-entropy-parametric",
-    "recalib-reuse",
-    "recalib-holdout",
-)
+# Bound parameter -> (flag, extra argparse keywords). A parameter is a
+# required flag unless its function or this table gives it a default.
+_BOUND_FLAGS = {
+    "B": ("--bins", {}),
+    "n": ("--n", {}),
+    "n_re": ("--n-re", {}),
+    "L": ("--lipschitz", {}),
+    "delta": ("--delta", {}),
+    "ecmi": ("--ecmi", {}),
+    "fcmi": ("--fcmi", {"default": None}),
+    "i_delta1": ("--i1", {}),
+    "i_delta2": ("--i2", {}),
+    "logN": ("--log-n", {"help": "log covering number at radius delta/B"}),
+    "d": ("--dim", {"help": "parametric class dimension"}),
+    "L0": ("--l0", {"help": "parametric class Lipschitz constant"}),
+    "variant": ("--variant", {"choices": [UWB, UMB], "default": UWB}),
+}
 
 
-def _evaluate_bound(args):
-    name = args.name
-    variant = args.variant
-
-    def need(attr, flag):
-        value = getattr(args, attr)
-        if value is None:
-            raise ValueError(f"bound {name} requires {flag}")
-        return value
-
-    if name == "stat-bias":
-        return stat_bias_bound(need("bins", "--bins"), need("n", "--n"), variant)
-    if name == "binning-bias":
-        return binning_bias_bound(
-            need("bins", "--bins"), need("n", "--n"), need("lipschitz", "--lipschitz"), variant
-        )
-    if name == "total-bias":
-        return total_bias_bound(
-            need("bins", "--bins"), need("n", "--n"), need("lipschitz", "--lipschitz"), variant
-        )
-    if name == "high-prob":
-        return high_prob_bound(need("bins", "--bins"), need("n", "--n"), need("delta", "--delta"))
-    if name == "gen-ece":
-        return gen_ece_bound(need("ecmi", "--ecmi"), need("bins", "--bins"), need("n", "--n"))
-    if name == "gen-tce":
-        return gen_tce_bound(
-            need("ecmi", "--ecmi"),
-            args.fcmi,
-            need("bins", "--bins"),
-            need("n", "--n"),
-            need("lipschitz", "--lipschitz"),
-            variant,
-        )
-    if name == "metric-entropy":
-        return metric_entropy_bound(
-            need("bins", "--bins"),
-            need("n", "--n"),
-            need("lipschitz", "--lipschitz"),
-            need("delta", "--delta"),
-            need("log_n", "--log-n"),
-        )
-    if name == "metric-entropy-parametric":
-        return metric_entropy_bound_parametric(
-            need("bins", "--bins"),
-            need("n", "--n"),
-            need("lipschitz", "--lipschitz"),
-            need("dim", "--dim"),
-            need("l0", "--l0"),
-        )
-    if name == "recalib-reuse":
-        return recalib_reuse_bound(
-            need("i1", "--i1"), need("i2", "--i2"), need("bins", "--bins"), need("n", "--n")
-        )
-    if name == "recalib-holdout":
-        return recalib_holdout_bound(need("bins", "--bins"), need("n_re", "--n-re"))
-    raise ValueError(f"unknown bound name: {name}")
+def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
+    """A ``bounds <name>`` parser whose flags are the bound's parameters."""
+    p = by_name.add_parser(
+        name, help=inspect.getdoc(fn).splitlines()[0], description=inspect.getdoc(fn),
+        formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+    )
+    for param in inspect.signature(fn, eval_str=True).parameters.values():
+        flag, extra = _BOUND_FLAGS[param.name]
+        kwargs = dict(extra)
+        if param.default is not param.empty:
+            kwargs.setdefault("default", param.default)
+        # `float | None` takes floats; None stays reachable only as a default.
+        types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
+        kwargs["type"] = types[0] if types else param.annotation
+        p.add_argument(flag, dest=param.name, required="default" not in kwargs, **kwargs)
+    p.set_defaults(func=_cmd_bounds, bound=fn)
+    return p
 
 
 def _cmd_bounds(args) -> int:
-    report = _evaluate_bound(args)
+    params = inspect.signature(args.bound).parameters
+    report = args.bound(**{p: getattr(args, p) for p in params})
     print(json.dumps(report.to_dict(), sort_keys=True))
     record = RunRecord({"subcommand": "bounds", "name": args.name})
     record.add(report.name, report.value, **report.inputs, variant=report.variant)
@@ -381,23 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.set_defaults(func=_cmd_gap)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named closed-form bound")
-    p_bounds.add_argument("name", choices=_BOUND_NAMES)
-    p_bounds.add_argument("--bins", type=int, default=None)
-    p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--n-re", dest="n_re", type=int, default=None)
-    p_bounds.add_argument("--lipschitz", type=float, default=None)
-    p_bounds.add_argument("--delta", type=float, default=None)
-    p_bounds.add_argument("--ecmi", type=float, default=None)
-    p_bounds.add_argument("--fcmi", type=float, default=None)
-    p_bounds.add_argument("--i1", type=float, default=None)
-    p_bounds.add_argument("--i2", type=float, default=None)
-    p_bounds.add_argument("--log-n", dest="log_n", type=float, default=None,
-                          help="log covering number at radius delta/B")
-    p_bounds.add_argument("--dim", type=int, default=None, help="parametric class dimension")
-    p_bounds.add_argument("--l0", type=float, default=None, help="parametric class Lipschitz constant")
-    p_bounds.add_argument("--variant", choices=[UWB, UMB], default=UWB)
-    add_common(p_bounds)
-    p_bounds.set_defaults(func=_cmd_bounds)
+    by_name = p_bounds.add_subparsers(dest="name", required=True, metavar="name")
+    for name, fn in BOUNDS.items():
+        add_common(_add_bound_parser(by_name, name, fn))
 
     p_syn = sub.add_parser("synthetic", help="TCE-gap scaling experiment on the synthetic family")
     p_syn.add_argument("--beta0", type=float, default=0.5)
@@ -450,7 +395,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, TypeError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure

@@ -57,7 +57,7 @@ class ScoredDataset:
     def __init__(self, scores, labels, provenance: str = "") -> None:
         # Copy before freezing so callers' arrays keep their writability.
         scores = np.array(scores, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
+        labels = np.asarray(labels)  # checked before the int64 cast truncates 0.9 to 0
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValueError("scores and labels must be one-dimensional")
         if scores.shape != labels.shape:
@@ -72,6 +72,7 @@ class ScoredDataset:
         if not np.all((labels == 0) | (labels == 1)):
             bad = int(np.argmax((labels != 0) & (labels != 1)))
             raise ValueError(f"label must be 0 or 1 at index {bad}: {labels[bad]}")
+        labels = labels.astype(np.int64)
         scores.setflags(write=False)
         labels.setflags(write=False)
         self.scores = scores
@@ -157,10 +158,14 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
             raise ValueError(f"{p}: expected a JSON array of records")
         scores, labels = [], []
         for i, rec in enumerate(records):
-            if not isinstance(rec, dict) or "score" not in rec or "label" not in rec:
-                raise ValueError(f"{p}: malformed record at position {i}")
-            scores.append(float(rec["score"]))
-            labels.append(int(rec["label"]))
+            try:
+                score, label = float(rec["score"]), rec["label"]
+            except (TypeError, KeyError, ValueError):
+                raise ValueError(f"{p}: malformed record at position {i}") from None
+            if isinstance(label, bool) or not isinstance(label, (int, float)):
+                raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
+            scores.append(score)
+            labels.append(label)
     if not scores:
         raise ValueError(f"{p}: empty dataset")
     return ScoredDataset(scores, labels, provenance=str(p))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import UMB, UWB, BinningScheme, assign, bin_stats
-from .bounds import total_bias_bound
+from .bounds import _total_bias
 from .models import CalibrationOracle, McEstimate, logistic_predict, mc_tce, sample_synthetic
 from .rng import stream
 
@@ -162,19 +162,20 @@ def optimal_bins(n: int, L: float, variant: str) -> int:
 
     Uniform-width: the stationary point of (1+L)/B + sqrt(2 B ln2 / n),
     which is floor((2 n (1+L)^2 / ln 2)^(1/3)). Uniform-mass: the bound has
-    no clean stationary point, so the integer argmin over B in [1, n//2]
-    is found by direct scan. Both results are clamped to [1, n//2].
+    no clean stationary point, so the first integer argmin over B in
+    [1, n//2] is taken over the whole range at once. Both results are
+    clamped to [1, n//2].
     """
     if n < 8:
         raise ValueError("n must be at least 8")
     if L < 0:
         raise ValueError("L must be nonnegative")
+    if not math.isfinite(L):
+        raise ValueError("L must be finite")
     b_max = n // 2
     if variant == UWB:
         b = _floor_cbrt(2.0 * n * (1.0 + L) ** 2 / math.log(2.0))
         return int(min(max(b, 1), b_max))
     if variant == UMB:
-        candidates = np.arange(1, b_max + 1)
-        values = [total_bias_bound(int(b), n, L, UMB).value for b in candidates]
-        return int(candidates[int(np.argmin(values))])
+        return int(np.argmin(_total_bias(np.arange(1, b_max + 1), n, L, UMB))) + 1
     raise ValueError(f"unknown variant: {variant}")

@@ -46,6 +46,10 @@ class TestUmbScheme:
         with pytest.raises(ValueError, match="2B"):
             umb_scheme(np.linspace(0.1, 0.9, 10), B=6)
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            umb_scheme([0.1, np.nan, 0.3, 0.4], B=2)
+
     def test_duplicate_interior_edges_merge(self):
         scores = [0.1, 0.5, 0.5, 0.5, 0.5, 0.9]
         with pytest.warns(UserWarning, match="collapsed"):
@@ -89,6 +93,14 @@ class TestAssign:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             assign(uwb_scheme(2), 1.5)
+
+    @pytest.mark.parametrize("score", [np.nan, [np.nan, 0.5], [0.5, np.nan]])
+    def test_nan_rejected(self, score):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            assign(uwb_scheme(5), score)
+
+    def test_empty_input(self):
+        assert assign(uwb_scheme(5), []).shape == (0,)
 
     def test_total_function_on_grid(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, and byte-level determinism."""
 
 import json
+import re
 
 import pytest
 
+import calbounds
 from calbounds.cli import main
 
 
@@ -90,6 +92,79 @@ class TestBoundsCommand:
 
     def test_unknown_bound_exits_2(self, tmp_path):
         assert main(["bounds", "not-a-bound", "--out", str(tmp_path / "o")]) == 2
+
+
+# Every bound: its flags with values, and the library call they stand for.
+BOUND_CASES = {
+    "stat-bias": (["--bins", "15", "--n", "100", "--variant", "umb"],
+                  lambda: calbounds.stat_bias_bound(15, 100, "umb")),
+    "binning-bias": (["--bins", "15", "--n", "4000", "--lipschitz", "1", "--variant", "umb"],
+                     lambda: calbounds.binning_bias_bound(15, 4000, 1.0, "umb")),
+    "total-bias": (["--bins", "35", "--n", "4000", "--lipschitz", "1", "--variant", "uwb"],
+                   lambda: calbounds.total_bias_bound(35, 4000, 1.0, "uwb")),
+    "high-prob": (["--bins", "15", "--n", "4000", "--delta", "0.05"],
+                  lambda: calbounds.high_prob_bound(15, 4000, 0.05)),
+    "gen-ece": (["--ecmi", "0.3", "--bins", "15", "--n", "4000"],
+                lambda: calbounds.gen_ece_bound(0.3, 15, 4000)),
+    "gen-tce": (["--ecmi", "0.1", "--fcmi", "0.2", "--bins", "15", "--n", "4000",
+                 "--lipschitz", "1", "--variant", "umb"],
+                lambda: calbounds.gen_tce_bound(0.1, 0.2, 15, 4000, 1.0, "umb")),
+    "metric-entropy": (["--bins", "10", "--n", "4000", "--lipschitz", "0.5", "--delta", "0.1",
+                        "--log-n", "2"],
+                       lambda: calbounds.metric_entropy_bound(10, 4000, 0.5, 0.1, 2.0)),
+    "metric-entropy-parametric": (["--bins", "15", "--n", "4000", "--lipschitz", "1",
+                                   "--dim", "2", "--l0", "1"],
+                                  lambda: calbounds.metric_entropy_bound_parametric(
+                                      15, 4000, 1.0, 2, 1.0)),
+    "recalib-reuse": (["--i1", "0.1", "--i2", "0.2", "--bins", "27", "--n", "20000"],
+                      lambda: calbounds.recalib_reuse_bound(0.1, 0.2, 27, 20000)),
+    "recalib-holdout": (["--bins", "15", "--n-re", "100"],
+                        lambda: calbounds.recalib_holdout_bound(15, 100)),
+}
+
+
+class TestBoundTable:
+    def test_every_bound_has_a_case(self):
+        assert set(BOUND_CASES) == set(calbounds.bounds.BOUNDS)
+
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_json_equals_library_report(self, name, tmp_path, capsys):
+        flags, call = BOUND_CASES[name]
+        assert main(["bounds", name, *flags, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out) == call().to_dict()
+
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_help_lists_only_own_flags(self, name, capsys):
+        assert main(["bounds", name, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        listed = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", options, re.M)
+        own = {f for f in BOUND_CASES[name][0] if f.startswith("--")}
+        assert sorted(listed) == sorted(own | {"--help", "--out", "--seed"})
+
+    def test_flag_set_unchanged(self):
+        flags = {f for argv, _ in BOUND_CASES.values() for f in argv if f.startswith("--")}
+        assert flags == {"--bins", "--n", "--n-re", "--lipschitz", "--delta", "--ecmi", "--fcmi",
+                         "--i1", "--i2", "--log-n", "--dim", "--l0", "--variant"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stat-bias", "--bins", "15", "--n", "100", "--lipschitz", "3"],
+            ["high-prob", "--bins", "15", "--n", "4000", "--delta", "0.05", "--variant", "umb"],
+            # No prefix matching: --n must not be read as --n-re.
+            ["recalib-holdout", "--bins", "15", "--n-re", "100", "--n", "500"],
+        ],
+    )
+    def test_inapplicable_flag_exits_2(self, argv, tmp_path, capsys):
+        assert main(["bounds", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_optional_fcmi_for_uniform_width(self, tmp_path, capsys):
+        argv = ["bounds", "gen-tce", "--ecmi", "0", "--bins", "15", "--n", "4000",
+                "--lipschitz", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == calbounds.gen_tce_bound(0.0, None, 15, 4000, 1.0, "uwb").to_dict()
 
 
 class TestSyntheticCommand:
@@ -208,6 +283,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "internal error" in err
+
+    def test_type_error_is_internal(self, score_file, tmp_path, monkeypatch, capsys):
+        import calbounds.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli_mod, "ece", boom)
+        code = main(["ece", str(score_file), "--bins", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "internal error" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["ece"]) == 2  # missing positional argument

@@ -54,6 +54,17 @@ class TestScoredDataset:
         with pytest.raises(ValueError):
             d.scores[0] = 0.2
 
+    @pytest.mark.parametrize("labels", [[0.9, 1], [1, 0.5], np.array([0.0, 1e-9]), [1, -0.1]])
+    def test_fractional_label_rejected(self, labels):
+        with pytest.raises(ValueError, match="label must be 0 or 1 at index"):
+            ScoredDataset([0.5, 0.6], labels)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [False, True], np.array([0, 1], np.int8)])
+    def test_integral_labels_stored_as_int64(self, labels):
+        d = ScoredDataset([0.5, 0.6], labels)
+        assert d.labels.dtype == np.int64
+        assert tuple(d.labels) == (0, 1)
+
 
 class TestLoadScores:
     def test_csv_two_rows(self, tmp_path):
@@ -102,6 +113,35 @@ class TestLoadScores:
         p.write_text(json.dumps([{"score": 0.25, "label": 3}]))
         with pytest.raises(ValueError):
             load_scores(p)
+
+    @pytest.mark.parametrize(
+        "label, match",
+        [
+            (0.9, "label must be 0 or 1 at index 1"),
+            (True, "label must be 0 or 1 at position 1"),
+            (False, "label must be 0 or 1 at position 1"),
+            (None, "label must be 0 or 1 at position 1"),
+            ("1", "label must be 0 or 1 at position 1"),
+        ],
+    )
+    def test_json_label_not_truncated(self, tmp_path, label, match):
+        p = tmp_path / "scores.json"
+        p.write_text(json.dumps([{"score": 0.25, "label": 0}, {"score": 0.75, "label": label}]))
+        with pytest.raises(ValueError, match=match):
+            load_scores(p)
+
+    @pytest.mark.parametrize("record", [{"score": None, "label": 1}, {"score": "x", "label": 1},
+                                        {"label": 1}, [0.5, 1]])
+    def test_json_malformed_record_reports_position(self, tmp_path, record):
+        p = tmp_path / "scores.json"
+        p.write_text(json.dumps([{"score": 0.25, "label": 0}, record]))
+        with pytest.raises(ValueError, match="malformed record at position 1"):
+            load_scores(p)
+
+    def test_json_integral_float_label_accepted(self, tmp_path):
+        p = tmp_path / "scores.json"
+        p.write_text(json.dumps([{"score": 0.25, "label": 0.0}, {"score": 0.75, "label": 1}]))
+        assert tuple(load_scores(p).labels) == (0, 1)
 
 
 class TestRoundTrip:

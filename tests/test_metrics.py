@@ -178,3 +178,16 @@ class TestOptimalBins:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             optimal_bins(7, 1.0, "uwb")
+
+    @given(st.integers(min_value=8, max_value=3000), st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_umb_equals_first_argmin_of_scalar_loop(self, n, L):
+        # Reference: the scalar bound evaluated bin count by bin count.
+        values = [total_bias_bound(b, n, L, "umb").value for b in range(1, n // 2 + 1)]
+        assert optimal_bins(n, L, "umb") == values.index(min(values)) + 1
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("variant", ["uwb", "umb"])
+    def test_non_finite_lipschitz_rejected(self, L, variant):
+        with pytest.raises(ValueError, match="L must be finite"):
+            optimal_bins(100, L, variant)
