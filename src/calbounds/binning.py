@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_stats"]
+__all__ = [
+    "BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_sums", "bin_stats",
+]
 
 UWB = "uwb"
 UMB = "umb"
@@ -49,12 +51,14 @@ class BinningScheme:
         return int(self.edges.size - 1)
 
     def to_json(self) -> str:
-        return json.dumps({"method": self.method, "edges": self.edges.tolist()})
+        return json.dumps(
+            {"method": self.method, "edges": self.edges.tolist(), "collapsed": self.collapsed}
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "BinningScheme":
         obj = json.loads(text)
-        return cls(np.asarray(obj["edges"], dtype=np.float64), obj["method"])
+        return cls(obj["edges"], obj["method"], collapsed=obj.get("collapsed", False))
 
 
 def uwb_scheme(B: int) -> BinningScheme:
@@ -108,10 +112,20 @@ def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     idx = np.searchsorted(scheme.edges, arr, side="left")
-    idx = np.maximum(idx, 1)
     if arr.ndim == 0:
-        return int(idx)
-    return idx
+        return max(int(idx), 1)
+    return np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
+
+
+def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:
+    """``(counts, *sums)``: per-bin score count (int64) and per-bin sum of each weight array.
+
+    Every binned estimator reduces through here.
+    """
+    idx = assign(scheme, scores)
+    idx -= 1  # in place, as in assign
+    counts = np.bincount(idx, minlength=scheme.B).astype(np.int64)
+    return (counts, *(np.bincount(idx, weights=w, minlength=scheme.B) for w in weights))
 
 
 @dataclass(frozen=True)
@@ -137,15 +151,9 @@ def bin_stats(scheme: BinningScheme, dataset) -> BinStats:
     """Counts and per-bin score/label means of a dataset under a scheme."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    idx = assign(scheme, dataset.scores) - 1
-    B = scheme.B
-    counts = np.bincount(idx, minlength=B).astype(np.int64)
-    sum_scores = np.bincount(idx, weights=dataset.scores, minlength=B)
-    sum_labels = np.bincount(idx, weights=dataset.labels, minlength=B)
+    counts, sum_scores, sum_labels = bin_sums(scheme, dataset.scores, dataset.scores, dataset.labels)
     nonempty = counts > 0
-    mean_scores = np.full(B, np.nan)
-    mean_labels = np.full(B, np.nan)
-    mean_scores[nonempty] = sum_scores[nonempty] / counts[nonempty]
-    mean_labels[nonempty] = sum_labels[nonempty] / counts[nonempty]
+    mean_scores = np.divide(sum_scores, counts, out=np.full(scheme.B, np.nan), where=nonempty)
+    mean_labels = np.divide(sum_labels, counts, out=np.full(scheme.B, np.nan), where=nonempty)
     masses = counts / len(dataset)
     return BinStats(counts, mean_scores, mean_labels, masses, n=len(dataset))

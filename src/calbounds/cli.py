@@ -127,6 +127,16 @@ _BOUND_FLAGS = {
 }
 
 
+class _LeafParser(argparse.ArgumentParser):
+    """Reports unknown flags itself, with its own usage line, not the root parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
     """A ``bounds <name>`` parser whose flags are the bound's parameters."""
     p = by_name.add_parser(
@@ -340,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.set_defaults(func=_cmd_gap)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named closed-form bound")
-    by_name = p_bounds.add_subparsers(dest="name", required=True, metavar="name")
+    by_name = p_bounds.add_subparsers(
+        dest="name", required=True, metavar="name", parser_class=_LeafParser
+    )
     for name, fn in BOUNDS.items():
         add_common(_add_bound_parser(by_name, name, fn))
 

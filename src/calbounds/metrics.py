@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UMB, UWB, BinningScheme, assign, bin_stats
+from .binning import UMB, UWB, BinningScheme, bin_stats, bin_sums
 from .bounds import _total_bias
 from .models import CalibrationOracle, McEstimate, logistic_predict, mc_tce, sample_synthetic
 from .rng import stream
@@ -65,17 +65,18 @@ class GapStatistic:
             raise ValueError("gap value must equal |component1 - component2| exactly")
 
 
+def _binned_error(masses, predicted, observed) -> float:
+    """Sum over nonempty bins of mass * |predicted - observed|, capped at 1 (roundoff)."""
+    nonempty = masses > 0
+    value = float(np.sum(masses[nonempty] * np.abs(predicted[nonempty] - observed[nonempty])))
+    return min(value, 1.0)
+
+
 def ece(d, s: BinningScheme) -> EceValue:
     """Mass-weighted per-bin calibration error of a dataset under a scheme."""
     stats = bin_stats(s, d)
-    nonempty = stats.counts > 0
-    value = float(
-        np.sum(
-            stats.masses[nonempty]
-            * np.abs(stats.mean_scores[nonempty] - stats.mean_labels[nonempty])
-        )
-    )
-    return EceValue(min(value, 1.0), s, n_e=len(d))  # sum roundoff guard
+    value = _binned_error(stats.masses, stats.mean_scores, stats.mean_labels)
+    return EceValue(value, s, n_e=len(d))
 
 
 def ece_reformulated(d, s: BinningScheme) -> EceValue:
@@ -84,8 +85,7 @@ def ece_reformulated(d, s: BinningScheme) -> EceValue:
     Algebraically identical to ``ece``; computed without forming per-bin
     means so the two paths cross-check each other.
     """
-    idx = assign(s, d.scores) - 1
-    residual_sums = np.bincount(idx, weights=d.labels - d.scores, minlength=s.B)
+    _, residual_sums = bin_sums(s, d.scores, d.labels - d.scores)
     value = float(np.sum(np.abs(residual_sums)) / len(d))
     return EceValue(min(value, 1.0), s, n_e=len(d))
 
@@ -103,17 +103,13 @@ def binned_tce(o: CalibrationOracle, s: BinningScheme, n_mc: int, seed: int) -> 
     rng = stream(seed)
     x, y = sample_synthetic(n_mc, seed, rng=rng)
     z = logistic_predict(o.model, x)
-    idx = assign(s, np.clip(z, 0.0, 1.0)) - 1
     resid = y - z
-    sums = np.bincount(idx, weights=resid, minlength=s.B)
+    np.clip(z, 0.0, 1.0, out=z)  # in place, after resid, which takes the unclipped z
+    _, sums, sq_sums = bin_sums(s, z, resid, resid * resid)
     value = float(np.sum(np.abs(sums)) / n_mc)
-    if n_mc > 1:
-        sq_sums = np.bincount(idx, weights=resid * resid, minlength=s.B)
-        # Per-bin variance of (y - z) * indicator around its mean sums/n.
-        variances = sq_sums / n_mc - (sums / n_mc) ** 2
-        se = float(np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc)))
-    else:
-        se = 0.0
+    # Per-bin variance of (y - z) * indicator around its mean sums/n (exactly 0 at n_mc = 1).
+    variances = sq_sums / n_mc - (sums / n_mc) ** 2
+    se = float(np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc)))
     return McEstimate(value, se, n_mc)
 
 

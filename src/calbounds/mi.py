@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import digamma
 
-from .binning import UMB, UWB, assign, umb_scheme, uwb_scheme
+from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
 from .data import ScoredDataset, Supersample
-from .metrics import ece
+from .metrics import ece_gap
 from .models import TrainerConfig, logistic_predict, sample_synthetic, train_logistic
 from .rng import child_seed, stream
 
@@ -180,41 +180,32 @@ def _make_fit_fn(trainer):
     raise TypeError("trainer must be a TrainerConfig or a fit(x, y) -> predict callable")
 
 
-def _cell_statistics(s: Supersample, fit_fn, method: str, B: int, with_deltas: bool = True):
-    """Train on the masked half; return (ece gap, delta1, delta2).
-
-    Uniform-mass edges always come from the training-half scores (the
-    scheme is part of the trained model); the deltas use uniform-mass
-    edges regardless of the gap's scheme method and are None when skipped.
-    """
+def _fit_halves(s: Supersample, fit_fn) -> tuple[ScoredDataset, ScoredDataset]:
+    """Train on the masked half; return (training, complement) halves scored in [0, 1]."""
     x_tr, y_tr = s.split(flipped=False)
     x_te, y_te = s.split(flipped=True)
     predict = fit_fn(x_tr, y_tr)
     scores_tr = np.clip(np.asarray(predict(x_tr), dtype=np.float64), 0.0, 1.0)
     scores_te = np.clip(np.asarray(predict(x_te), dtype=np.float64), 0.0, 1.0)
-    n = s.n
+    return (
+        ScoredDataset(scores_tr, y_tr, provenance="supersample-train"),
+        ScoredDataset(scores_te, y_te, provenance="supersample-test"),
+    )
 
-    umb = umb_scheme(scores_tr, B) if (method == UMB or with_deltas) else None
-    scheme = uwb_scheme(B) if method == UWB else umb
 
-    d_tr = ScoredDataset(scores_tr, y_tr, provenance="supersample-train")
-    d_te = ScoredDataset(scores_te, y_te, provenance="supersample-test")
-    gap = abs(ece(d_te, scheme).value - ece(d_tr, scheme).value)
+def _deltas(d_tr: ScoredDataset, d_te: ScoredDataset, umb) -> tuple[float, float]:
+    """(delta1, delta2): sums over bins of |test - train| label sums and counts, over n."""
+    (c_tr, y_tr), (c_te, y_te) = (bin_sums(umb, d.scores, d.labels) for d in (d_tr, d_te))
+    n = len(d_tr)
+    return float(np.sum(np.abs((y_te - y_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
 
-    if not with_deltas:
-        return gap, None, None
-    idx_tr = assign(umb, scores_tr) - 1
-    idx_te = assign(umb, scores_te) - 1
-    t1 = (
-        np.bincount(idx_te, weights=y_te, minlength=umb.B)
-        - np.bincount(idx_tr, weights=y_tr, minlength=umb.B)
-    ) / n
-    t2 = (
-        np.bincount(idx_te, minlength=umb.B) - np.bincount(idx_tr, minlength=umb.B)
-    ) / n
-    delta1 = float(np.sum(np.abs(t1)))
-    delta2 = float(np.sum(np.abs(t2)))
-    return gap, delta1, delta2
+
+def _cell_statistics(s: Supersample, fit_fn, method: str, B: int):
+    """(ece gap, delta1, delta2) of one cell; uniform-mass edges from the training half."""
+    d_tr, d_te = _fit_halves(s, fit_fn)
+    umb = umb_scheme(d_tr.scores, B)
+    gap = ece_gap(d_tr, d_te, umb if method == UMB else uwb_scheme(B)).value
+    return (gap, *_deltas(d_tr, d_te, umb))
 
 
 def ecmi_statistic(s: Supersample, trainer, method: str, B: int) -> float:
@@ -225,8 +216,9 @@ def ecmi_statistic(s: Supersample, trainer, method: str, B: int) -> float:
     """
     if method not in (UWB, UMB):
         raise ValueError(f"unknown scheme method: {method}")
-    gap, _, _ = _cell_statistics(s, _make_fit_fn(trainer), method, B, with_deltas=False)
-    return gap
+    d_tr, d_te = _fit_halves(s, _make_fit_fn(trainer))
+    scheme = uwb_scheme(B) if method == UWB else umb_scheme(d_tr.scores, B)
+    return ece_gap(d_tr, d_te, scheme).value
 
 
 def delta_statistics(s: Supersample, trainer, B: int) -> tuple[float, float]:
@@ -236,8 +228,8 @@ def delta_statistics(s: Supersample, trainer, B: int) -> tuple[float, float]:
     minus the same on the training half|; delta2 does the same with the
     indicator alone. Bins are uniform-mass from the training half.
     """
-    _, delta1, delta2 = _cell_statistics(s, _make_fit_fn(trainer), UMB, B)
-    return delta1, delta2
+    d_tr, d_te = _fit_halves(s, _make_fit_fn(trainer))
+    return _deltas(d_tr, d_te, umb_scheme(d_tr.scores, B))
 
 
 @dataclass(frozen=True)

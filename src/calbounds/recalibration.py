@@ -9,13 +9,12 @@ is what the held-out and training-reuse bounds control.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import UMB, BinningScheme, assign, bin_stats, umb_scheme
-from .metrics import EceValue
+from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
 
@@ -33,7 +32,7 @@ class Recalibrator:
         mu = np.array(self.mu, dtype=np.float64)
         if mu.shape != (self.scheme.B,):
             raise ValueError("mu must hold exactly one value per bin")
-        if np.any(mu < 0.0) or np.any(mu > 1.0):
+        if not np.all((mu >= 0.0) & (mu <= 1.0)):  # NaN fails too
             raise ValueError("per-bin label means must lie in [0, 1]")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -45,13 +44,14 @@ class Recalibrator:
                 "mu": self.mu.tolist(),
                 "fit_size": self.fit_size,
                 "reused_training": self.reused_training,
+                "collapsed": self.scheme.collapsed,
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Recalibrator":
         obj = json.loads(text)
-        scheme = BinningScheme(np.asarray(obj["edges"], dtype=np.float64), UMB)
+        scheme = BinningScheme(obj["edges"], UMB, collapsed=obj.get("collapsed", False))
         return cls(scheme, np.asarray(obj["mu"]), obj["fit_size"], obj["reused_training"])
 
 
@@ -60,26 +60,20 @@ def fit_recalibrator(d_fit, B: int, reused_training: bool = False) -> Recalibrat
 
     Uniform-mass edges come from the fit scores (tied scores may collapse
     bins, down to a single bin, with a warning); the per-bin values are the
-    fit set's empirical label means. Requires at least 2B fit samples.
+    fit set's empirical label means. Every bin of a scheme built from the fit
+    scores holds at least one of them, so every mean is defined. Requires
+    at least 2B fit samples.
     """
     if len(d_fit) < 2 * B:
         raise ValueError(f"too few samples: need at least {2 * B}, have {len(d_fit)}")
     scheme = umb_scheme(d_fit.scores, B)
-    stats = bin_stats(scheme, d_fit)
-    mu = stats.mean_labels.copy()
-    empty = stats.counts == 0
-    if np.any(empty):
-        # Unreachable for schemes built from these scores (collapse removes
-        # empty bins), kept as a graceful fallback.
-        warnings.warn("empty recalibration bins filled with the global label mean")
-        mu[empty] = float(np.mean(d_fit.labels))
+    mu = bin_stats(scheme, d_fit).mean_labels
     return Recalibrator(scheme, mu, fit_size=len(d_fit), reused_training=reused_training)
 
 
 def apply_recalibrator(r: Recalibrator, scores) -> np.ndarray:
     """Map each score to its bin's stored label mean."""
-    idx = assign(r.scheme, np.asarray(scores, dtype=np.float64)) - 1
-    return r.mu[idx]
+    return r.mu[assign(r.scheme, scores) - 1]
 
 
 def recalibrated_tce(r: Recalibrator, d_test) -> float:
@@ -92,9 +86,5 @@ def recalibrated_tce(r: Recalibrator, d_test) -> float:
     function's true calibration error (the caller guarantees disjointness).
     """
     stats = bin_stats(r.scheme, d_test)
-    nonempty = stats.counts > 0
-    value = float(
-        np.sum(stats.masses[nonempty] * np.abs(r.mu[nonempty] - stats.mean_labels[nonempty]))
-    )
-    # Range check via EceValue's invariant; min() sheds summation roundoff.
-    return EceValue(min(value, 1.0), r.scheme, n_e=len(d_test)).value
+    value = _binned_error(stats.masses, r.mu, stats.mean_labels)
+    return EceValue(value, r.scheme, n_e=len(d_test)).value  # range check via EceValue

@@ -1,11 +1,30 @@
 """Binning scheme construction, assignment, and per-bin statistics."""
 
+import functools
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calbounds import BinningScheme, ScoredDataset, assign, bin_stats, umb_scheme, uwb_scheme
+from calbounds import (
+    BinningScheme,
+    ScoredDataset,
+    assign,
+    bin_stats,
+    bin_sums,
+    umb_scheme,
+    uwb_scheme,
+)
+
+
+def quiet_umb(scores, B):
+    """umb_scheme with its tied-score collapse warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return umb_scheme(scores, B)
 
 
 class TestUwbScheme:
@@ -58,6 +77,21 @@ class TestUmbScheme:
         # Every remaining bin holds at least one construction score.
         idx = assign(s, np.asarray(scores)) - 1
         assert set(idx) == set(range(s.B))
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=80),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 2, 3, 6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_bin_holds_a_construction_score(self, ticks, B, grid):
+        # Heavily tied scores on a coarse grid that includes exact 0s and 1s.
+        scores = np.minimum(np.asarray(ticks, dtype=np.float64), grid) / grid
+        B = min(B, scores.size // 2)
+        s = quiet_umb(scores, B)
+        counts, = bin_sums(s, scores)
+        assert counts.min() >= 1
+        assert s.collapsed == (s.B < B)
 
     def test_umb_mass_counts_formula(self):
         rng = np.random.default_rng(0)
@@ -116,6 +150,51 @@ class TestAssign:
             assert np.all(grid[positive] > s.edges[idx[positive] - 1])
 
 
+def mask_loop_sums(edges, scores, weights):
+    """Per-bin counts and sequential weight sums from explicit interval masks."""
+    counts, sums = [], [[] for _ in weights]
+    for i in range(1, edges.size):
+        inside = (edges[i - 1] < scores) & (scores <= edges[i])
+        if i == 1:
+            inside |= scores == 0.0
+        counts.append(int(np.count_nonzero(inside)))
+        for j, w in enumerate(weights):
+            sums[j].append(functools.reduce(operator.add, w[inside].tolist(), 0.0))
+    return counts, sums
+
+
+class TestBinSums:
+    def test_hand_example(self):
+        counts, label_sums = bin_sums(uwb_scheme(4), [0.0, 0.25, 0.3, 1.0], [1, 0, 1, 1])
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [2, 1, 0, 1]
+        assert label_sums.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+    @given(
+        st.one_of(st.sampled_from([1, 2, 3, 10, 35, 49]), st.integers(min_value=1, max_value=60)),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60),
+        st.sampled_from(["uwb", "umb"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_mask_loop(self, B, extra, method, seed):
+        # Every exact edge i/B (twice, so UMB has 2B scores), plus 0, 1 and
+        # arbitrary scores. At B = 35, (29/35)*35 rounds above 29.
+        grid = np.arange(B + 1, dtype=np.float64) / B
+        scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
+        s = uwb_scheme(B) if method == "uwb" else quiet_umb(scores, B)
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=scores.size)
+        noise = rng.normal(size=scores.size)
+        counts, label_sums, noise_sums = bin_sums(s, scores, labels, noise)
+        want_counts, (want_labels, want_noise) = mask_loop_sums(
+            s.edges, scores, [labels.astype(np.float64), noise]
+        )
+        assert counts.tolist() == want_counts
+        assert label_sums.tolist() == want_labels
+        assert noise_sums.tolist() == want_noise
+
+
 class TestBinStats:
     def test_single_bin_means(self):
         d = ScoredDataset([0.3, 0.3, 0.3], [0, 0, 1])
@@ -164,6 +243,15 @@ class TestSchemeSerialization:
         back = BinningScheme.from_json(s.to_json())
         assert back.method == s.method
         assert np.array_equal(back.edges, s.edges)
+        assert back.collapsed is False
+        with pytest.warns(UserWarning, match="collapsed"):
+            tied = umb_scheme([0.2, 0.2, 0.2, 0.2, 0.7, 0.7], B=3)
+        back = BinningScheme.from_json(tied.to_json())
+        assert back.collapsed is True
+        assert np.array_equal(back.edges, tied.edges)
+        # Files written before the flag was stored still load, as not collapsed.
+        legacy = BinningScheme.from_json('{"method": "umb", "edges": [0.0, 0.5, 1.0]}')
+        assert legacy.collapsed is False
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):

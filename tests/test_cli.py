@@ -157,7 +157,9 @@ class TestBoundTable:
     )
     def test_inapplicable_flag_exits_2(self, argv, tmp_path, capsys):
         assert main(["bounds", *argv, "--out", str(tmp_path / "o")]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert f"usage: calbounds bounds {argv[0]} " in err
 
     def test_optional_fcmi_for_uniform_width(self, tmp_path, capsys):
         argv = ["bounds", "gen-tce", "--ecmi", "0", "--bins", "15", "--n", "4000",

@@ -97,6 +97,14 @@ class TestBinnedTce:
         se_direct = np.std(y - z, ddof=1) / np.sqrt(y.size)
         assert abs(est.value - direct) < 3 * (est.std_error + se_direct)
 
+    @pytest.mark.parametrize("B", [1, 5, 35])
+    def test_single_draw_has_zero_std_error(self, B):
+        o = CalibrationOracle(SyntheticModel(0.5, -1.5))
+        for seed in range(20):
+            est = binned_tce(o, uwb_scheme(B), n_mc=1, seed=seed)
+            assert est.std_error == 0.0
+            assert est.n_samples == 1
+
     def test_deterministic(self):
         o = CalibrationOracle(SyntheticModel(0.5, -1.5))
         a = binned_tce(o, uwb_scheme(5), n_mc=10_000, seed=7)

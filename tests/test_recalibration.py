@@ -1,5 +1,7 @@
 """Histogram recalibration: fit identity, application, and test-set behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,9 +138,33 @@ class TestSerialization:
         assert np.array_equal(back.mu, r.mu)
         assert back.fit_size == r.fit_size
         assert back.reused_training is True
+        assert back.scheme.collapsed is False
+
+    def test_json_round_trip_keeps_collapsed(self):
+        d = ScoredDataset([0.5] * 6 + [0.9, 0.9], [0, 1, 0, 1, 1, 0, 1, 1])
+        with pytest.warns(UserWarning, match="collapsed"):
+            r = fit_recalibrator(d, B=4)
+        assert r.scheme.collapsed
+        back = Recalibrator.from_json(r.to_json())
+        assert back.scheme.collapsed is True
+        assert np.array_equal(back.scheme.edges, r.scheme.edges)
+
+    def test_json_without_collapsed_field_loads(self):
+        text = json.dumps({"edges": [0.0, 0.5, 1.0], "mu": [0.2, 0.7], "fit_size": 8,
+                           "reused_training": False})
+        r = Recalibrator.from_json(text)
+        assert r.scheme.collapsed is False
+        assert np.array_equal(r.mu, [0.2, 0.7])
 
     def test_mu_range_validated(self):
         d = ScoredDataset([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
         r = fit_recalibrator(d, B=2)
         with pytest.raises(ValueError):
             Recalibrator(r.scheme, np.array([0.5, 1.5]), 4, False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mu_rejected(self, bad):
+        text = json.dumps({"edges": [0.0, 0.5, 1.0], "mu": [bad, 0.3], "fit_size": 4,
+                           "reused_training": False})
+        with pytest.raises(ValueError, match=r"label means must lie in \[0, 1\]"):
+            Recalibrator.from_json(text)
