@@ -155,9 +155,9 @@ def gen_tce_bound(
 ) -> BoundReport:
     """Training-data total-bias bound for the true calibration error.
 
-    Uniform-width: (1+L)/B + sqrt(8 (eCMI + B ln2) / n). Uniform-mass adds
-    (1+L) * sqrt(2 (fCMI + B ln2) / n) and requires fCMI (a tighter
-    statistic-level MI may be substituted in that slot).
+    Uniform-width, given no fCMI: (1+L)/B + sqrt(8 (eCMI + B ln2) / n).
+    Uniform-mass adds (1+L) * sqrt(2 (fCMI + B ln2) / n) and requires fCMI
+    (a tighter statistic-level MI may be substituted in that slot).
     """
     _nonnegative("ecmi", ecmi)
     _at_least_one(B=B, n=n)
@@ -172,6 +172,8 @@ def gen_tce_bound(
         _nonnegative("fcmi", fcmi)
         value += (1.0 + L) * math.sqrt(2.0 * (fcmi + B * _LN2) / n)
         inputs["fCMI"] = fcmi
+    elif fcmi is not None:
+        raise ValueError("fcmi applies only to the uniform-mass variant")
     return BoundReport("gen_tce", value, inputs, variant)
 
 

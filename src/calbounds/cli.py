@@ -7,8 +7,9 @@ named closed-form bound; its flags are the bound function's parameters),
 (histogram recalibration with its bound), and ``cmi`` (supersample
 mask-information experiment over an n-grid).
 
-Every run writes one run-record JSON (and any CSV data files) under the
-output directory (flag ``--out``, else $CALBOUNDS_OUT, else ./runs). Exit
+Every successful run writes one run-record JSON (and any CSV data files)
+under the output directory (flag ``--out``, else $CALBOUNDS_OUT, else
+./runs); the record's config is the parsed command line minus ``--out``. Exit
 codes: 0 success, 1 internal error, 2 usage or precondition error. Printed
 floats carry 6 significant digits; data files keep full precision.
 """
@@ -53,59 +54,39 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _scheme_for(args, dataset):
     if args.bins == "auto":
-        n = len(dataset)
-        lipschitz = args.lipschitz
-        if lipschitz is None:
+        if args.lipschitz is None:
             raise ValueError("--bins auto requires --lipschitz")
-        B = optimal_bins(n, lipschitz, args.method)
+        B = optimal_bins(len(dataset), args.lipschitz, args.method)
     else:
         B = int(args.bins)
-    if args.method == UWB:
-        return uwb_scheme(B)
-    return umb_scheme(dataset.scores, B)
+    return uwb_scheme(B) if args.method == UWB else umb_scheme(dataset.scores, B)
 
 
-def _cmd_ece(args) -> int:
+# Each _cmd_* runs one subcommand and adds its results to the run record;
+# `main` builds the record from the parsed flags and saves it.
+
+
+def _cmd_ece(args, record: RunRecord) -> None:
     dataset = load_scores(args.input, format=args.input_format)
     scheme = _scheme_for(args, dataset)
     value = ece(dataset, scheme)
     print(f"ece {_fmt(value.value)} bins {scheme.B} method {scheme.method}")
-    record = RunRecord(
-        {
-            "subcommand": "ece",
-            "input": str(args.input),
-            "bins": args.bins,
-            "method": args.method,
-            "lipschitz": args.lipschitz,
-        }
-    )
     record.add(
         "ece", value.value, B=scheme.B, method=scheme.method, n_e=value.n_e,
         edges=scheme.edges,
     )
-    record.save(_out_dir(args))
-    return 0
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args, record: RunRecord) -> None:
     d_train = load_scores(args.train, format=args.input_format)
     d_test = load_scores(args.test, format=args.input_format)
-    if args.bins == "auto":
-        raise ValueError("gap requires an explicit --bins count")
-    B = int(args.bins)
-    scheme = uwb_scheme(B) if args.method == UWB else umb_scheme(d_train.scores, B)
+    scheme = _scheme_for(args, d_train)
     gap = ece_gap(d_train, d_test, scheme)
     print(
         f"ece_gap {_fmt(gap.value)} test {_fmt(gap.components[0])} "
         f"train {_fmt(gap.components[1])} bins {scheme.B} method {scheme.method}"
     )
-    record = RunRecord(
-        {"subcommand": "gap", "train": str(args.train), "test": str(args.test),
-         "bins": B, "method": args.method}
-    )
     record.add("ece_gap", gap.value, components=list(gap.components), B=scheme.B)
-    record.save(_out_dir(args))
-    return 0
 
 
 # Bound parameter -> (flag, extra argparse keywords). A parameter is a
@@ -156,34 +137,32 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, record: RunRecord) -> None:
     params = inspect.signature(args.bound).parameters
     report = args.bound(**{p: getattr(args, p) for p in params})
     print(json.dumps(report.to_dict(), sort_keys=True))
-    record = RunRecord({"subcommand": "bounds", "name": args.name})
     record.add(report.name, report.value, **report.inputs, variant=report.variant)
-    record.save(_out_dir(args))
-    return 0
 
 
 def _parse_grid(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _cmd_synthetic(args) -> int:
+def _cmd_synthetic(args, record: RunRecord) -> None:
     if args.b_rule.startswith("fixed:"):
         b_rule = ("fixed", int(args.b_rule.split(":", 1)[1]))
     elif args.b_rule in ("optimal", "cube_root"):
         b_rule = args.b_rule
     else:
         raise ValueError(f"unknown bin rule: {args.b_rule}")
-    n_grid = _parse_grid(args.n_grid)
     result = run_synthetic_experiment(
-        args.beta0, args.beta1, n_grid, args.reps, b_rule, args.seed, n_mc=args.n_mc
+        args.beta0, args.beta1, args.n_grid, args.reps, b_rule, args.seed, n_mc=args.n_mc
     )
-    out = _out_dir(args)
     _write_csv(
-        out / "synthetic_gaps.csv",
+        _out_dir(args) / "synthetic_gaps.csv",
         ["n", "rep", "B", "ece", "tce", "tce_gap", "bound"],
         ([r["n"], r["rep"], r["B"], r["ece"], r["tce"], r["tce_gap"], r["bound"]] for r in result.rows),
     )
@@ -191,29 +170,15 @@ def _cmd_synthetic(args) -> int:
         f"slope {_fmt(result.slope)} tce {_fmt(result.tce.value)} "
         f"lipschitz {_fmt(result.lipschitz)}"
     )
-    record = RunRecord(
-        {
-            "subcommand": "synthetic",
-            "beta0": args.beta0,
-            "beta1": args.beta1,
-            "n_grid": n_grid,
-            "reps": args.reps,
-            "b_rule": args.b_rule,
-            "seed": args.seed,
-            "n_mc": args.n_mc,
-        }
-    )
-    record.add("loglog_slope", result.slope, n_grid=n_grid, reps=args.reps)
+    record.add("loglog_slope", result.slope, n_grid=args.n_grid, reps=args.reps)
     record.add(
         "tce_mc", result.tce.value, std_error=result.tce.std_error, n_mc=args.n_mc,
         beta0=args.beta0, beta1=args.beta1,
     )
     record.add("lipschitz", result.lipschitz, grid=1000)
-    record.save(out)
-    return 0
 
 
-def _cmd_recalibrate(args) -> int:
+def _cmd_recalibrate(args, record: RunRecord) -> None:
     if args.input:
         pool = load_scores(args.input, format=args.input_format)
     else:
@@ -233,21 +198,6 @@ def _cmd_recalibrate(args) -> int:
         f"variant {result.variant} bins {result.B} tce_recal {_fmt(result.tce_recalibrated)} "
         f"ece_raw {_fmt(result.ece_raw)} bound {_fmt(result.bound)}"
     )
-    record = RunRecord(
-        {
-            "subcommand": "recalibrate",
-            "variant": args.variant,
-            "bins": args.bins,
-            "eval_split": args.eval_split,
-            "n_re": args.n_re,
-            "seed": args.seed,
-            "input": str(args.input) if args.input else None,
-            "beta0": args.beta0,
-            "beta1": args.beta1,
-            "n_total": args.n_total,
-            "test_disjoint_from_fit": True,
-        }
-    )
     record.add(
         "tce_recalibrated", result.tce_recalibrated,
         B=result.B, n_fit=result.n_fit, n_test=result.n_test, variant=result.variant,
@@ -258,16 +208,13 @@ def _cmd_recalibrate(args) -> int:
         n_re=args.n_re if args.variant == "holdout" else result.n_fit,
         i_delta1=args.i1, i_delta2=args.i2, variant=args.variant,
     )
-    record.save(_out_dir(args))
-    return 0
 
 
-def _cmd_cmi(args) -> int:
+def _cmd_cmi(args, record: RunRecord) -> None:
     trainer = TrainerConfig(args.lr, args.epochs, args.seed)
-    n_grid = _parse_grid(args.n_grid)
     out = _out_dir(args)
     summary_rows = []
-    for n in n_grid:
+    for n in args.n_grid:
         B = args.bins if args.bins is not None else cube_root_bins(n)
         cfg = CmiExperimentConfig(
             n=n,
@@ -295,28 +242,10 @@ def _cmd_cmi(args) -> int:
             f"n {n} bins {B} mean_gap {_fmt(result.mean_gap)} "
             f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound)}"
         )
+        record.add("mean_gap", result.mean_gap, n=n, B=B)
+        record.add("ecmi_est", result.ecmi_est.value, n=n, B=B, k=args.k)
+        record.add("gen_ece_bound", bound, n=n, B=B, ecmi=max(result.ecmi_est.value, 0.0))
     _write_csv(out / "cmi_summary.csv", ["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
-    record = RunRecord(
-        {
-            "subcommand": "cmi",
-            "n_grid": n_grid,
-            "bins": args.bins,
-            "n_supersamples": args.n_supersamples,
-            "n_masks": args.n_masks,
-            "k": args.k,
-            "method": args.method,
-            "exhaustive": args.exhaustive,
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "seed": args.seed,
-        }
-    )
-    for n, B, mean_gap, ecmi_value, bound in summary_rows:
-        record.add("mean_gap", mean_gap, n=n, B=B)
-        record.add("ecmi_est", ecmi_value, n=n, B=B, k=args.k)
-        record.add("gen_ece_bound", bound, n=n, B=B, ecmi=max(ecmi_value, 0.0))
-    record.save(out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="output directory (default $CALBOUNDS_OUT or ./runs)")
-        p.add_argument("--seed", type=int, default=0)
 
     p_ece = sub.add_parser("ece", help="binned calibration error of a score file")
     p_ece.add_argument("input", help="CSV or JSON score file")
@@ -343,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap = sub.add_parser("gap", help="ECE gap between a train and a test score file")
     p_gap.add_argument("train")
     p_gap.add_argument("test")
-    p_gap.add_argument("--bins", required=True)
+    p_gap.add_argument("--bins", type=int, required=True)
     p_gap.add_argument("--method", choices=[UWB, UMB], default=UWB)
     p_gap.add_argument("--input-format", choices=["csv", "json"], default=None)
     add_common(p_gap)
@@ -359,11 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthetic", help="TCE-gap scaling experiment on the synthetic family")
     p_syn.add_argument("--beta0", type=float, default=0.5)
     p_syn.add_argument("--beta1", type=float, default=-1.5)
-    p_syn.add_argument("--n-grid", default="1000,3162,10000,31623,100000",
+    p_syn.add_argument("--n-grid", type=_parse_grid, default="1000,3162,10000,31623,100000",
                        help="comma-separated test-set sizes")
     p_syn.add_argument("--reps", type=int, default=20)
     p_syn.add_argument("--b-rule", default="optimal", help="optimal | cube_root | fixed:K")
     p_syn.add_argument("--n-mc", type=int, default=10**6, help="Monte-Carlo draws for the TCE oracle")
+    p_syn.add_argument("--seed", type=int, default=0)
     add_common(p_syn)
     p_syn.set_defaults(func=_cmd_synthetic)
 
@@ -379,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--eval-split", type=float, default=0.5)
     p_rec.add_argument("--i1", type=float, default=0.0)
     p_rec.add_argument("--i2", type=float, default=0.0)
+    p_rec.add_argument("--seed", type=int, default=0)
     add_common(p_rec)
     p_rec.set_defaults(func=_cmd_recalibrate)
 
     p_cmi = sub.add_parser("cmi", help="supersample mask-information experiment")
-    p_cmi.add_argument("--n-grid", default="100,500,2000")
+    p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
     p_cmi.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
     p_cmi.add_argument("--n-supersamples", type=int, default=5)
     p_cmi.add_argument("--n-masks", type=int, default=10)
@@ -393,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate all 2^n masks (n <= 12) and use the plug-in estimator")
     p_cmi.add_argument("--lr", type=float, default=0.5)
     p_cmi.add_argument("--epochs", type=int, default=300)
+    p_cmi.add_argument("--seed", type=int, default=0)
     add_common(p_cmi)
     p_cmi.set_defaults(func=_cmd_cmi)
 
@@ -405,8 +336,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
+    record = RunRecord({k: v for k, v in vars(args).items() if k not in ("func", "bound", "out")})
     try:
-        return args.func(args)
+        args.func(args, record)
+        record.save(_out_dir(args))
+        return 0
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

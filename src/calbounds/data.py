@@ -9,6 +9,7 @@ the train/test information-theoretic experiments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -159,9 +160,11 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
         scores, labels = [], []
         for i, rec in enumerate(records):
             try:
-                score, label = float(rec["score"]), rec["label"]
-            except (TypeError, KeyError, ValueError):
+                score, label = rec["score"], rec["label"]
+            except (TypeError, KeyError):
                 raise ValueError(f"{p}: malformed record at position {i}") from None
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise ValueError(f"{p}: malformed record at position {i}")
             if isinstance(label, bool) or not isinstance(label, (int, float)):
                 raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
             scores.append(score)
@@ -326,7 +329,7 @@ class RunRecord:
     def to_dict(self) -> dict:
         return {
             "config": _jsonable(self.config),
-            "results": self.results,
+            "results": _jsonable(self.results),
             "timestamp": self.timestamp,
         }
 
@@ -334,7 +337,7 @@ class RunRecord:
         out_dir = Path(directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         out = out_dir / name
-        out.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        out.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         return out
 
 
@@ -344,7 +347,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # strict JSON has no NaN or infinity
     return obj

@@ -59,6 +59,8 @@ def _as_points(values) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError("values must be scalars or fixed-length vectors")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("values must be finite")
     return pts
 
 
@@ -140,6 +142,8 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1:
         raise ValueError("plug-in estimator takes scalar values")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
     codes = _label_codes(labels)
     n = vals.size
     if codes.shape[0] != n:

@@ -136,6 +136,10 @@ class TestGenTceBound:
         with pytest.raises(ValueError):
             gen_tce_bound(0.0, None, 15, 4000, 1.0, "umb")
 
+    def test_uwb_rejects_fcmi(self):
+        with pytest.raises(ValueError, match="fcmi applies only to the uniform-mass variant"):
+            gen_tce_bound(0.1, 5.0, 10, 1000, 1.0, "uwb")
+
 
 class TestMetricEntropyBound:
     def test_zero_entropy_reduction(self):

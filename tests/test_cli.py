@@ -139,7 +139,7 @@ class TestBoundTable:
         options = capsys.readouterr().out.split("options:")[1]
         listed = re.findall(r"^\s+(?:-h, )?(--[\w-]+)", options, re.M)
         own = {f for f in BOUND_CASES[name][0] if f.startswith("--")}
-        assert sorted(listed) == sorted(own | {"--help", "--out", "--seed"})
+        assert sorted(listed) == sorted(own | {"--help", "--out"})
 
     def test_flag_set_unchanged(self):
         flags = {f for argv, _ in BOUND_CASES.values() for f in argv if f.startswith("--")}
@@ -168,6 +168,13 @@ class TestBoundTable:
         report = json.loads(capsys.readouterr().out)
         assert report == calbounds.gen_tce_bound(0.0, None, 15, 4000, 1.0, "uwb").to_dict()
 
+    def test_fcmi_under_uniform_width_exits_2(self, tmp_path, capsys):
+        argv = ["bounds", "gen-tce", "--ecmi", "0.1", "--fcmi", "5", "--bins", "10", "--n", "1000",
+                "--lipschitz", "1", "--variant", "uwb", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "fcmi applies only to the uniform-mass variant" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "run_record.json").exists()
+
 
 class TestSyntheticCommand:
     def test_emits_csv_and_slope(self, tmp_path, capsys):
@@ -190,6 +197,19 @@ class TestSyntheticCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "synthetic_gaps.csv").read_bytes() == (out2 / "synthetic_gaps.csv").read_bytes()
+
+    def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
+        # One grid point has no log-log slope: the NaN is written as null.
+        out = tmp_path / "syn"
+        assert main(["synthetic", "--n-grid", "1000", "--reps", "1", "--n-mc", "1000",
+                     "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        record = json.loads((out / "run_record.json").read_text(), parse_constant=reject)
+        slope = next(r for r in record["results"] if r["name"] == "loglog_slope")
+        assert slope["value"] is None
 
 
 class TestRecalibrateCommand:
@@ -300,3 +320,83 @@ class TestExitCodes:
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["ece"]) == 2  # missing positional argument
         capsys.readouterr()
+
+
+class TestRunRecordConfig:
+    """The record's config is the whole parsed command line except --out."""
+
+    @pytest.fixture()
+    def scores(self, tmp_path):
+        p = tmp_path / "varied.csv"
+        p.write_text("".join(f"{(i % 97) / 97:.4f},{i % 3 == 0:d}\n" for i in range(600)))
+        return str(p)
+
+    def _config(self, argv, tmp_path):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads((out / "run_record.json").read_text())["config"]
+
+    def test_ece(self, scores, tmp_path, capsys):
+        argv = ["ece", scores, "--bins", "auto", "--method", "umb", "--lipschitz", "2",
+                "--input-format", "csv"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "ece", "input": scores, "bins": "auto", "method": "umb",
+            "lipschitz": 2.0, "input_format": "csv",
+        }
+
+    def test_gap(self, scores, tmp_path, capsys):
+        argv = ["gap", scores, scores, "--bins", "7", "--method", "umb", "--input-format", "csv"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "gap", "train": scores, "test": scores, "bins": 7, "method": "umb",
+            "input_format": "csv",
+        }
+
+    def test_bounds_leaf(self, tmp_path, capsys):
+        argv = ["bounds", "gen-tce", "--ecmi", "0.1", "--fcmi", "0.2", "--bins", "15",
+                "--n", "4000", "--lipschitz", "1.5", "--variant", "umb"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "bounds", "name": "gen-tce", "ecmi": 0.1, "fcmi": 0.2, "B": 15,
+            "n": 4000, "L": 1.5, "variant": "umb",
+        }
+
+    def test_synthetic(self, tmp_path, capsys):
+        argv = ["synthetic", "--beta0", "0.25", "--beta1", "-1", "--n-grid", "200,400",
+                "--reps", "2", "--b-rule", "fixed:5", "--n-mc", "5000", "--seed", "9"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "synthetic", "beta0": 0.25, "beta1": -1.0, "n_grid": [200, 400],
+            "reps": 2, "b_rule": "fixed:5", "n_mc": 5000, "seed": 9,
+        }
+
+    def test_recalibrate(self, scores, tmp_path, capsys):
+        argv = ["recalibrate", "--input", scores, "--input-format", "csv", "--beta0", "0.25",
+                "--beta1", "-1", "--n-total", "900", "--variant", "holdout", "--bins", "5",
+                "--n-re", "100", "--eval-split", "0.4", "--i1", "0.1", "--i2", "0.2",
+                "--seed", "3"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "recalibrate", "input": scores, "input_format": "csv", "beta0": 0.25,
+            "beta1": -1.0, "n_total": 900, "variant": "holdout", "bins": 5, "n_re": 100,
+            "eval_split": 0.4, "i1": 0.1, "i2": 0.2, "seed": 3,
+        }
+
+    def test_cmi(self, tmp_path, capsys):
+        argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1",
+                "--n-masks", "3", "--k", "2", "--method", "uwb", "--exhaustive",
+                "--lr", "0.25", "--epochs", "20", "--seed", "4"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 3,
+            "k": 2, "method": "uwb", "exhaustive": True, "lr": 0.25, "epochs": 20, "seed": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ece", "{scores}", "--bins", "3", "--seed", "1"],
+            ["gap", "{scores}", "{scores}", "--bins", "3", "--seed", "1"],
+            ["bounds", "stat-bias", "--bins", "15", "--n", "100", "--seed", "1"],
+            ["gap", "{scores}", "{scores}", "--bins", "auto"],
+        ],
+    )
+    def test_rejected_flags_exit_2_without_record(self, argv, scores, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([a.format(scores=scores) for a in argv] + ["--out", str(out)]) == 2
+        assert not (out / "run_record.json").exists()

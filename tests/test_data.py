@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calbounds import (
+    RunRecord,
     ScoredDataset,
     ScoredSample,
     Supersample,
@@ -131,7 +132,8 @@ class TestLoadScores:
             load_scores(p)
 
     @pytest.mark.parametrize("record", [{"score": None, "label": 1}, {"score": "x", "label": 1},
-                                        {"label": 1}, [0.5, 1]])
+                                        {"label": 1}, [0.5, 1],
+                                        {"score": True, "label": 1}, {"score": "0.25", "label": 0}])
     def test_json_malformed_record_reports_position(self, tmp_path, record):
         p = tmp_path / "scores.json"
         p.write_text(json.dumps([{"score": 0.25, "label": 0}, record]))
@@ -276,3 +278,14 @@ class TestSupersample:
     def test_mask_length_invariant(self):
         with pytest.raises(ValueError, match="mask"):
             Supersample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 1]), seed=0)
+
+
+class TestRunRecord:
+    def test_non_finite_floats_saved_as_null(self, tmp_path):
+        record = RunRecord({"seed": 0})
+        record.add("slope", float("nan"), grid=np.array([1.0, np.inf]), bias=np.float64(-np.inf))
+        text = record.save(tmp_path).read_text()
+        saved = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+        assert saved["results"] == [
+            {"name": "slope", "value": None, "inputs": {"grid": [1.0, None], "bias": None}}
+        ]

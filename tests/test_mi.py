@@ -84,6 +84,13 @@ class TestKsgMixedMi:
         with pytest.raises(ValueError, match="insufficient pairs"):
             ksg_mixed_mi([0.1, 0.2, 0.3], [0, 1, 0], k=3)
 
+    def test_non_finite_values_rejected(self):
+        rng = np.random.default_rng(0)
+        values, labels = rng.uniform(size=200), rng.integers(0, 4, size=200)
+        values[:20] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            ksg_mixed_mi(values, labels, k=3)
+
     def test_clamped_copy(self):
         rng = np.random.default_rng(11)
         est = ksg_mixed_mi(rng.uniform(size=500), rng.integers(0, 2, size=500), k=3)
@@ -142,6 +149,12 @@ class TestPluginMi:
         with pytest.warns(UserWarning):
             est = plugin_mi(np.linspace(0, 1, 40), np.ones(40, dtype=int), bins=4)
         assert est.value == 0.0
+
+    def test_non_finite_values_rejected(self):
+        values = np.linspace(0, 1, 40)
+        values[[3, 17]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="values must be finite"):
+            plugin_mi(values, np.tile([0, 1], 20), bins=4)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
