@@ -26,12 +26,9 @@ from .bounds import (
 from .data import (
     RunRecord,
     ScoredDataset,
-    ScoredSample,
     Supersample,
     load_scores,
-    make_supersample,
     save_scores,
-    select_by_mask,
     top_label_reduce,
 )
 from .metrics import (
@@ -49,8 +46,6 @@ from .mi import (
     CmiExperimentConfig,
     CmiExperimentResult,
     MiEstimate,
-    delta_statistics,
-    ecmi_statistic,
     ksg_mixed_mi,
     plugin_mi,
     run_cmi_experiment,
@@ -81,12 +76,12 @@ __all__ = [
     "BoundReport", "binning_bias_bound", "gen_ece_bound", "gen_tce_bound",
     "high_prob_bound", "metric_entropy_bound", "metric_entropy_bound_parametric",
     "recalib_holdout_bound", "recalib_reuse_bound", "stat_bias_bound", "total_bias_bound",
-    "RunRecord", "ScoredDataset", "ScoredSample", "Supersample", "load_scores",
-    "make_supersample", "save_scores", "select_by_mask", "top_label_reduce",
+    "RunRecord", "ScoredDataset", "Supersample", "load_scores", "save_scores",
+    "top_label_reduce",
     "EceValue", "GapStatistic", "binned_tce", "cube_root_bins", "ece", "ece_gap",
     "ece_reformulated", "optimal_bins", "tce_gap",
-    "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "delta_statistics",
-    "ecmi_statistic", "ksg_mixed_mi", "plugin_mi", "run_cmi_experiment",
+    "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",
+    "plugin_mi", "run_cmi_experiment",
     "CalibrationOracle", "McEstimate", "SyntheticModel", "TrainerConfig",
     "canonical_calibration", "calibration_slope", "estimate_lipschitz",
     "logistic_predict", "mc_tce", "sample_synthetic", "train_logistic",

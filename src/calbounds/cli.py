@@ -146,9 +146,12 @@ def _cmd_bounds(args, record: RunRecord) -> None:
 
 def _parse_grid(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        grid = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if not grid:
+        raise argparse.ArgumentTypeError(f"expected at least one size, got {text!r}")
+    return grid
 
 
 def _cmd_synthetic(args, record: RunRecord) -> None:
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binned calibration error, bias bounds, recalibration, and CMI experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_LeafParser)
 
     def add_common(p):
         p.add_argument("--out", default=None, help="output directory (default $CALBOUNDS_OUT or ./runs)")
@@ -278,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.set_defaults(func=_cmd_gap)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named closed-form bound")
-    by_name = p_bounds.add_subparsers(
-        dest="name", required=True, metavar="name", parser_class=_LeafParser
-    )
+    by_name = p_bounds.add_subparsers(dest="name", required=True, metavar="name")
     for name, fn in BOUNDS.items():
         add_common(_add_bound_parser(by_name, name, fn))
 

@@ -13,37 +13,17 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .rng import stream
-
 __all__ = [
-    "ScoredSample",
     "ScoredDataset",
     "Supersample",
     "RunRecord",
     "load_scores",
     "save_scores",
     "top_label_reduce",
-    "make_supersample",
-    "select_by_mask",
 ]
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    """One (model confidence, binary label) pair."""
-
-    score: float
-    label: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score out of range: {self.score}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 class ScoredDataset:
@@ -82,10 +62,6 @@ class ScoredDataset:
 
     def __len__(self) -> int:
         return int(self.scores.size)
-
-    def __iter__(self) -> Iterator[ScoredSample]:
-        for s, y in zip(self.scores, self.labels):
-            yield ScoredSample(float(s), int(y))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoredDataset):
@@ -264,49 +240,6 @@ class Supersample:
         cols = (1 - self.mask) if flipped else self.mask
         rows = np.arange(self.n)
         return self.values[rows, cols], self.labels[rows, cols]
-
-
-def make_supersample(source, n: int, seed: int) -> Supersample:
-    """Build a supersample of n rows from a dataset or a raw generator.
-
-    ``source`` is either a ScoredDataset holding at least 2n samples (a
-    seeded permutation fills the rows, so each sample of a 2n-sized source
-    appears exactly once), or a callable ``(count, rng) -> (values, labels)``
-    producing fresh draws. The mask is sampled uniformly from {0,1}^n.
-    Deterministic given (source, n, seed).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng_rows = stream(seed, 0)
-    rng_mask = stream(seed, 1)
-    if callable(source):
-        values, labels = source(2 * n, rng_rows)
-        values = np.asarray(values, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if values.shape != (2 * n,) or labels.shape != (2 * n,):
-            raise ValueError("generator must return 2n values and 2n labels")
-    else:
-        if len(source) < 2 * n:
-            raise ValueError(
-                f"insufficient source size: need {2 * n} samples, have {len(source)}"
-            )
-        perm = rng_rows.permutation(len(source))[: 2 * n]
-        values = source.scores[perm]
-        labels = source.labels[perm]
-    mask = rng_mask.integers(0, 2, size=n)
-    return Supersample(
-        values.reshape(n, 2), labels.reshape(n, 2), mask, seed=int(seed)
-    )
-
-
-def select_by_mask(s: Supersample, flipped: bool = False) -> ScoredDataset:
-    """Dataset of row m's entry at column U_m (or 1 - U_m when flipped).
-
-    Requires the supersample to hold scored data (values in [0, 1]); the
-    union of the flipped and unflipped selections is the full 2n entries.
-    """
-    values, labels = s.split(flipped)
-    return ScoredDataset(values, labels, provenance=f"supersample(seed={s.seed})")
 
 
 class RunRecord:

@@ -29,8 +29,6 @@ __all__ = [
     "CmiExperimentResult",
     "ksg_mixed_mi",
     "plugin_mi",
-    "ecmi_statistic",
-    "delta_statistics",
     "run_cmi_experiment",
 ]
 
@@ -65,7 +63,7 @@ def _as_points(values) -> np.ndarray:
 
 
 def _label_codes(labels) -> np.ndarray:
-    # Labels may be arbitrary hashables (e.g. mask patterns as big ints).
+    # Labels may be arbitrary hashables (e.g. mask patterns as bytes).
     table: dict = {}
     codes = np.empty(len(labels), dtype=np.int64)
     for i, lab in enumerate(labels):
@@ -170,18 +168,14 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     return MiEstimate(value, "plugin", 0, n)
 
 
-def _make_fit_fn(trainer):
-    """Normalize a trainer argument into ``fit(x, y) -> predict`` form."""
-    if isinstance(trainer, TrainerConfig):
+def _make_fit_fn(cfg: TrainerConfig):
+    """``fit(x, y) -> predict`` closure that trains a logistic model with ``cfg``."""
 
-        def fit(x, y, cfg=trainer):
-            model = train_logistic((x, y), cfg)
-            return lambda xs: logistic_predict(model, xs)
+    def fit(x, y):
+        model = train_logistic((x, y), cfg)
+        return lambda xs: logistic_predict(model, xs)
 
-        return fit
-    if callable(trainer):
-        return trainer
-    raise TypeError("trainer must be a TrainerConfig or a fit(x, y) -> predict callable")
+    return fit
 
 
 def _fit_halves(s: Supersample, fit_fn) -> tuple[ScoredDataset, ScoredDataset]:
@@ -210,30 +204,6 @@ def _cell_statistics(s: Supersample, fit_fn, method: str, B: int):
     umb = umb_scheme(d_tr.scores, B)
     gap = ece_gap(d_tr, d_te, umb if method == UMB else uwb_scheme(B)).value
     return (gap, *_deltas(d_tr, d_te, umb))
-
-
-def ecmi_statistic(s: Supersample, trainer, method: str, B: int) -> float:
-    """|ECE on the complement half - ECE on the training half| for one mask.
-
-    The model is trained on the mask-selected half; with uniform-mass
-    binning, the edges come from the training half's scores.
-    """
-    if method not in (UWB, UMB):
-        raise ValueError(f"unknown scheme method: {method}")
-    d_tr, d_te = _fit_halves(s, _make_fit_fn(trainer))
-    scheme = uwb_scheme(B) if method == UWB else umb_scheme(d_tr.scores, B)
-    return ece_gap(d_tr, d_te, scheme).value
-
-
-def delta_statistics(s: Supersample, trainer, B: int) -> tuple[float, float]:
-    """Per-bin label-mass and mass differences between the two halves.
-
-    delta1 sums |per-bin mean of label * indicator on the complement half
-    minus the same on the training half|; delta2 does the same with the
-    indicator alone. Bins are uniform-mass from the training half.
-    """
-    d_tr, d_te = _fit_halves(s, _make_fit_fn(trainer))
-    return _deltas(d_tr, d_te, umb_scheme(d_tr.scores, B))
 
 
 @dataclass(frozen=True)
@@ -287,13 +257,6 @@ class CmiExperimentResult:
     cells: list = field(default_factory=list)
 
 
-def _mask_pattern(mask: np.ndarray) -> int:
-    value = 0
-    for bit in np.asarray(mask, dtype=np.int64):
-        value = (value << 1) | int(bit)
-    return value
-
-
 def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentResult:
     """Run the supersample grid and estimate mask information per statistic.
 
@@ -303,13 +266,9 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
     and per-bin difference statistics. Mask information is estimated per
     supersample between statistic values and mask bit patterns, then
     averaged; ``mean_gap`` averages the gap over every cell. Deterministic
-    given the config: every cell seeds its own substream.
+    given the config: every cell seeds its own substream. A ``fit_fn(x, y)
+    -> predict`` callable, when given, replaces the per-cell trainer.
     """
-    if fit_fn is None:
-        base_trainer = cfg.trainer
-    else:
-        base_trainer = None
-
     gaps_all: list[float] = []
     mi_gap: list[float] = []
     mi_d1: list[float] = []
@@ -333,21 +292,17 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
             masks = rng_masks.integers(0, 2, size=(n_masks_used, cfg.n))
 
         stats = np.empty((n_masks_used, 3))
-        pattern_labels: list[int] = []
+        pattern_labels: list[bytes] = []
         for m_idx in range(n_masks_used):
             super_s = Supersample(
                 values, labels, masks[m_idx], seed=child_seed(cfg.seed, s_idx, m_idx)
             )
-            if base_trainer is not None:
-                cell_trainer = replace(
-                    base_trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2)
-                )
-                cell_fit = _make_fit_fn(cell_trainer)
-            else:
-                cell_fit = fit_fn
+            cell_fit = fit_fn if fit_fn is not None else _make_fit_fn(
+                replace(cfg.trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2))
+            )
             gap, d1, d2 = _cell_statistics(super_s, cell_fit, cfg.method, cfg.B)
             stats[m_idx] = (gap, d1, d2)
-            pattern_labels.append(_mask_pattern(masks[m_idx]))
+            pattern_labels.append(masks[m_idx].tobytes())  # equal masks share a label
             for name, value in (("ecmi_gap", gap), ("delta1", d1), ("delta2", d2)):
                 cells.append(
                     {

@@ -149,17 +149,26 @@ class TestBoundTable:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["stat-bias", "--bins", "15", "--n", "100", "--lipschitz", "3"],
-            ["high-prob", "--bins", "15", "--n", "4000", "--delta", "0.05", "--variant", "umb"],
+            ["bounds", "stat-bias", "--bins", "15", "--n", "100", "--lipschitz", "3"],
+            ["bounds", "high-prob", "--bins", "15", "--n", "4000", "--delta", "0.05",
+             "--variant", "umb"],
             # No prefix matching: --n must not be read as --n-re.
-            ["recalib-holdout", "--bins", "15", "--n-re", "100", "--n", "500"],
+            ["bounds", "recalib-holdout", "--bins", "15", "--n-re", "100", "--n", "500"],
+            # Every subcommand reports its own unknown flags.
+            ["ece", "x.csv", "--bogus", "1"],
+            ["gap", "a.csv", "b.csv", "--bins", "3", "--bogus", "1"],
+            ["synthetic", "--bogus", "1"],
+            ["recalibrate", "--variant", "holdout", "--bins", "3", "--bogus", "1"],
+            ["cmi", "--bogus", "1"],
         ],
     )
     def test_inapplicable_flag_exits_2(self, argv, tmp_path, capsys):
-        assert main(["bounds", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
-        assert f"usage: calbounds bounds {argv[0]} " in err
+        command = argv[:2] if argv[0] == "bounds" else argv[:1]
+        assert f"usage: calbounds {' '.join(command)} " in err
+        assert not (tmp_path / "o").exists()
 
     def test_optional_fcmi_for_uniform_width(self, tmp_path, capsys):
         argv = ["bounds", "gen-tce", "--ecmi", "0", "--bins", "15", "--n", "4000",
@@ -320,6 +329,12 @@ class TestExitCodes:
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["ece"]) == 2  # missing positional argument
         capsys.readouterr()
+
+    @pytest.mark.parametrize("subcommand", ["synthetic", "cmi"])
+    def test_empty_grid_exits_2(self, subcommand, tmp_path, capsys):
+        assert main([subcommand, "--n-grid", ",", "--out", str(tmp_path / "o")]) == 2
+        assert "argument --n-grid: expected at least one size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunRecordConfig:

@@ -12,39 +12,35 @@ from hypothesis import strategies as st
 from calbounds import (
     RunRecord,
     ScoredDataset,
-    ScoredSample,
     Supersample,
     load_scores,
-    make_supersample,
     save_scores,
-    select_by_mask,
     top_label_reduce,
 )
-
-
-class TestScoredSample:
-    def test_valid(self):
-        s = ScoredSample(0.7, 1)
-        assert s.score == 0.7 and s.label == 1
-
-    def test_endpoints_accepted(self):
-        ScoredSample(0.0, 0)
-        ScoredSample(1.0, 1)
-
-    @pytest.mark.parametrize("score", [-0.1, 1.3, float("nan")])
-    def test_score_out_of_range(self, score):
-        with pytest.raises(ValueError):
-            ScoredSample(score, 0)
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            ScoredSample(0.5, 2)
 
 
 class TestScoredDataset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ScoredDataset([], [])
+
+    def test_endpoints_accepted(self):
+        d = ScoredDataset([0.0, 1.0], [0, 1])
+        assert tuple(d.scores) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "score, message",
+        [(-0.1, "score out of range at index 1"), (1.3, "score out of range at index 1"),
+         (float("nan"), "scores must be finite")],
+        ids=["-0.1", "1.3", "nan"],
+    )
+    def test_score_out_of_range(self, score, message):
+        with pytest.raises(ValueError, match=message):
+            ScoredDataset([0.5, score], [0, 1])
+
+    def test_bad_label(self):
+        with pytest.raises(ValueError, match="label must be 0 or 1 at index 0: 2"):
+            ScoredDataset([0.5], [2])
 
     def test_order_preserved(self):
         d = ScoredDataset([0.9, 0.1, 0.5], [1, 0, 1])
@@ -221,26 +217,7 @@ class TestTopLabelReduce:
 
 
 class TestSupersample:
-    def test_deterministic(self):
-        d = ScoredDataset(np.linspace(0.05, 0.95, 10), [0, 1] * 5)
-        a = make_supersample(d, 3, seed=7)
-        b = make_supersample(d, 3, seed=7)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.mask, b.mask)
-
-    def test_partition_from_exact_source(self):
-        d = ScoredDataset(np.linspace(0.1, 0.8, 8), [0, 1] * 4)
-        s = make_supersample(d, 4, seed=1)
-        used = sorted(s.values.ravel().tolist())
-        assert used == sorted(d.scores.tolist())
-
-    def test_insufficient_source(self):
-        d = ScoredDataset(np.linspace(0.1, 0.6, 6), [0, 1] * 3)
-        with pytest.raises(ValueError, match="insufficient source size"):
-            make_supersample(d, 4, seed=1)
-
-    def test_select_by_mask_indexing(self):
+    def test_split_indexing(self):
         # rows ((a,b),(c,d)), mask (0,1) -> (a,d); flipped -> (b,c)
         s = Supersample(
             values=np.array([[0.1, 0.2], [0.3, 0.4]]),
@@ -248,32 +225,21 @@ class TestSupersample:
             mask=np.array([0, 1]),
             seed=0,
         )
-        sel = select_by_mask(s, flipped=False)
-        assert tuple(sel.scores) == (0.1, 0.4)
-        flipped = select_by_mask(s, flipped=True)
-        assert tuple(flipped.scores) == (0.2, 0.3)
-        both = sorted(list(sel.scores) + list(flipped.scores))
-        assert both == [0.1, 0.2, 0.3, 0.4]
+        values, labels = s.split(flipped=False)
+        assert tuple(values) == (0.1, 0.4) and tuple(labels) == (0, 0)
+        values, labels = s.split(flipped=True)
+        assert tuple(values) == (0.2, 0.3) and tuple(labels) == (1, 1)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_mask_partition_property(self, n, seed):
         rng = np.random.default_rng(seed)
-        d = ScoredDataset(rng.uniform(size=2 * n), rng.integers(0, 2, size=2 * n))
-        s = make_supersample(d, n, seed=seed)
-        a = select_by_mask(s, flipped=False)
-        b = select_by_mask(s, flipped=True)
-        combined = sorted(list(a.scores) + list(b.scores))
-        assert combined == sorted(d.scores.tolist())
-
-    def test_generator_source(self):
-        def gen(count, rng):
-            return rng.uniform(size=count), rng.integers(0, 2, size=count)
-
-        s = make_supersample(gen, 5, seed=3)
-        assert s.values.shape == (5, 2)
-        t = make_supersample(gen, 5, seed=3)
-        assert np.array_equal(s.values, t.values)
+        values = rng.uniform(size=(n, 2))
+        labels = rng.integers(0, 2, size=(n, 2))
+        s = Supersample(values, labels, rng.integers(0, 2, size=n), seed=seed)
+        (a, la), (b, lb) = s.split(flipped=False), s.split(flipped=True)
+        combined = sorted(zip(np.concatenate([a, b]).tolist(), np.concatenate([la, lb]).tolist()))
+        assert combined == sorted(zip(values.ravel().tolist(), labels.ravel().tolist()))
 
     def test_mask_length_invariant(self):
         with pytest.raises(ValueError, match="mask"):

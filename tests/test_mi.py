@@ -1,22 +1,22 @@
 """Mutual-information estimators and the supersample mask experiment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from calbounds import (
     CmiExperimentConfig,
-    ScoredDataset,
     Supersample,
     TrainerConfig,
-    delta_statistics,
-    ecmi_statistic,
     ksg_mixed_mi,
-    make_supersample,
     plugin_mi,
     run_cmi_experiment,
+    sample_synthetic,
 )
+from calbounds.mi import _cell_statistics, _make_fit_fn
+from calbounds.rng import stream
 
 LN2 = math.log(2.0)
 
@@ -186,33 +186,46 @@ def hand_supersample():
     return Supersample(values, labels, mask, seed=0)
 
 
+def random_supersample(rng, n, seed=0):
+    """Scored supersample of n rows with uniform scores, labels and mask."""
+    return Supersample(
+        rng.uniform(size=(n, 2)), rng.integers(0, 2, size=(n, 2)),
+        rng.integers(0, 2, size=n), seed=seed,
+    )
+
+
+def synthetic_supersample(n, seed):
+    """Raw supersample of 2n synthetic draws with a uniform mask."""
+    x, y = sample_synthetic(2 * n, 0, rng=stream(seed, 0))
+    mask = stream(seed, 1).integers(0, 2, size=n)
+    return Supersample(x.reshape(n, 2), y.reshape(n, 2), mask, seed=seed)
+
+
 class TestEcmiStatistic:
+    """The cell's ECE gap: |ECE on the complement half - ECE on the training half|."""
+
     def test_hand_example_umb(self):
         # UMB edges from the training half: u_1 = f_(2) = 0.4.
         # Train: bins {0.1,0.4 | y 0,0} and {0.6,0.9 | y 1,1} -> ECE = 0.25.
         # Test: bins {0.2,0.3 | y 0,1} and {0.7,0.8 | y 1,0} -> ECE = 0.25.
-        s = hand_supersample()
-        gap = ecmi_statistic(s, identity_fitter(), "umb", B=2)
+        gap, _, _ = _cell_statistics(hand_supersample(), identity_fitter(), "umb", B=2)
         assert gap == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetry_under_mask_flip_with_stub(self):
         # A data-independent trainer makes the statistic symmetric in the
         # mask and its complement.
-        rng = np.random.default_rng(19)
-        d = ScoredDataset(rng.uniform(size=40), rng.integers(0, 2, size=40))
-        s = make_supersample(d, 20, seed=4)
+        s = random_supersample(np.random.default_rng(19), 20, seed=4)
         flipped = Supersample(s.values, s.labels, 1 - s.mask, seed=s.seed)
         fit = constant_fitter()
-        assert ecmi_statistic(s, fit, "uwb", B=4) == pytest.approx(
-            ecmi_statistic(flipped, fit, "uwb", B=4), abs=1e-15
+        assert _cell_statistics(s, fit, "uwb", B=4)[0] == pytest.approx(
+            _cell_statistics(flipped, fit, "uwb", B=4)[0], abs=1e-15
         )
 
     def test_bounded_by_two(self):
         rng = np.random.default_rng(23)
         for seed in range(10):
-            d = ScoredDataset(rng.uniform(size=60), rng.integers(0, 2, size=60))
-            s = make_supersample(d, 30, seed=seed)
-            gap = ecmi_statistic(s, constant_fitter(0.4), "uwb", B=5)
+            s = random_supersample(rng, 30, seed=seed)
+            gap, _, _ = _cell_statistics(s, constant_fitter(0.4), "uwb", B=5)
             assert 0.0 <= gap <= 2.0
 
     def test_shrinks_with_n(self):
@@ -221,33 +234,25 @@ class TestEcmiStatistic:
         for n in (100, 1000):
             gaps = []
             for seed in range(20):
-                sup = _synthetic_supersample(n, seed)
-                gaps.append(ecmi_statistic(sup, cfg, "uwb", B=4))
+                sup = synthetic_supersample(n, seed)
+                gaps.append(_cell_statistics(sup, _make_fit_fn(cfg), "uwb", B=4)[0])
             means.append(np.mean(gaps))
         assert means[1] < means[0]
 
     def test_deterministic(self):
-        sup = _synthetic_supersample(200, seed=9)
-        cfg = TrainerConfig(learning_rate=0.5, epochs=100, seed=5)
-        assert ecmi_statistic(sup, cfg, "umb", B=4) == ecmi_statistic(sup, cfg, "umb", B=4)
-
-
-def _synthetic_supersample(n, seed):
-    from calbounds import sample_synthetic
-
-    def gen(count, rng):
-        return sample_synthetic(count, 0, rng=rng)
-
-    return make_supersample(gen, n, seed=seed)
+        sup = synthetic_supersample(200, seed=9)
+        fit = _make_fit_fn(TrainerConfig(learning_rate=0.5, epochs=100, seed=5))
+        assert _cell_statistics(sup, fit, "umb", B=4) == _cell_statistics(sup, fit, "umb", B=4)
 
 
 class TestDeltaStatistics:
+    """The cell's delta1/delta2: per-bin label-sum and count differences over n."""
+
     def test_hand_example(self):
         # Same 4-row supersample, UMB B=2 from the training half.
         # delta1 bins: |(0+1) - (0+0)|/4 + |(1+0) - (1+1)|/4 = 0.5.
         # delta2 bins: counts match (2 vs 2 in each bin) -> 0.
-        s = hand_supersample()
-        d1, d2 = delta_statistics(s, identity_fitter(), B=2)
+        _, d1, d2 = _cell_statistics(hand_supersample(), identity_fitter(), "umb", B=2)
         assert d1 == pytest.approx(0.5, abs=1e-15)
         assert d2 == pytest.approx(0.0, abs=1e-15)
 
@@ -255,15 +260,14 @@ class TestDeltaStatistics:
         values = np.column_stack([np.linspace(0.1, 0.9, 8)] * 2)
         labels = np.column_stack([np.tile([0, 1], 4)] * 2)
         s = Supersample(values, labels, np.zeros(8, dtype=int), seed=0)
-        d1, d2 = delta_statistics(s, identity_fitter(), B=2)
-        assert d1 == 0.0 and d2 == 0.0
+        gap, d1, d2 = _cell_statistics(s, identity_fitter(), "umb", B=2)
+        assert gap == 0.0 and d1 == 0.0 and d2 == 0.0
 
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)
         for seed in range(10):
-            d = ScoredDataset(rng.uniform(size=48), rng.integers(0, 2, size=48))
-            s = make_supersample(d, 24, seed=seed)
-            _, d2 = delta_statistics(s, identity_fitter(), B=3)
+            s = random_supersample(rng, 24, seed=seed)
+            _, _, d2 = _cell_statistics(s, identity_fitter(), "umb", B=3)
             assert d2 <= 2.0
 
 
@@ -307,6 +311,17 @@ class TestRunCmiExperiment:
         result = run_cmi_experiment(cfg)
         assert result.ecmi_est.method == "plugin"
         assert result.ecmi_est.n_pairs == 2 * 2**5
+        assert math.isfinite(result.ecmi_est.value)
+
+    def test_repeated_masks_share_a_label(self):
+        # Only 2^3 = 8 masks exist, so 10 draws repeat one: equal masks must
+        # share a label, or every label is a singleton and the estimate a silent 0.
+        cfg = CmiExperimentConfig(
+            n=3, B=1, trainer=TrainerConfig(seed=0), seed=4, n_supersamples=2, n_masks=10,
+        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="all labels are singletons")
+            result = run_cmi_experiment(cfg, fit_fn=identity_fitter())
         assert math.isfinite(result.ecmi_est.value)
 
     def test_config_validation(self):

@@ -15,7 +15,6 @@ from calbounds import (
     sample_synthetic,
     train_logistic,
 )
-from calbounds.models import log_loss
 
 
 class TestSampleSynthetic:
@@ -169,7 +168,8 @@ class TestTrainLogistic:
         losses = []
         for epochs in (1, 5, 20, 80):
             m = train_logistic((x, y), TrainerConfig(learning_rate=0.2, epochs=epochs, seed=0))
-            losses.append(log_loss(m, x, y))
+            p = logistic_predict(m, x)
+            losses.append(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_deterministic(self):
@@ -190,6 +190,13 @@ class TestTrainLogistic:
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
             train_logistic([], TrainerConfig())
+
+    @pytest.mark.parametrize("bad", ["x", "y"])
+    def test_non_finite_input_rejected(self, bad):
+        data = {"x": np.array([0.5, -0.5]), "y": np.array([1.0, 0.0])}
+        data[bad][0] = np.nan
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            train_logistic((data["x"], data["y"]), TrainerConfig(epochs=3))
 
     def test_divergence_reports_epoch(self):
         # One prediction saturates wrong whichever way the init points, so
