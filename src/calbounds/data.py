@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -82,6 +83,13 @@ class ScoredDataset:
         )
 
 
+_CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
+
+
+def _is_header(raw: str) -> bool:
+    return [p.strip() for p in raw.strip().split(",")] == ["score", "label"]
+
+
 def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
     scores: list[float] = []
     labels: list[int] = []
@@ -92,7 +100,7 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed row at line {lineno}: {raw!r}")
-        if lineno == 1 and parts == ["score", "label"]:
+        if lineno == 1 and _is_header(raw):
             continue  # optional header
         try:
             score = float(parts[0])
@@ -106,6 +114,27 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
         scores.append(score)
         labels.append(label)
     return scores, labels
+
+
+def _load_csv_fast(text: str, path: str) -> ScoredDataset | None:
+    """The whole CSV in one numpy pass, or None when `_parse_csv` must decide.
+
+    numpy takes a subset of what `_parse_csv` takes (no ``0_5``, non-ASCII
+    digits or whitespace-only lines) and parses it to the same bits. A file
+    it rejects or warns on, or whose rows `ScoredDataset` refuses, goes back
+    to the line-by-line parser for the exact message and line number.
+    """
+    lines = text.splitlines()
+    skip = 1 if lines and _is_header(lines[0]) else 0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            rows = np.loadtxt(
+                lines, delimiter=",", comments=None, skiprows=skip, dtype=_CSV_ROW, ndmin=1
+            )
+        return ScoredDataset(rows["score"], rows["label"], provenance=path)
+    except (ValueError, Warning):
+        return None
 
 
 def load_scores(path, format: str | None = None) -> ScoredDataset:
@@ -125,6 +154,9 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
         raise ValueError(f"unknown format: {format}")
     text = p.read_text()
     if format == "csv":
+        fast = _load_csv_fast(text, str(p))
+        if fast is not None:
+            return fast
         scores, labels = _parse_csv(text, str(p))
     else:
         try:
@@ -141,6 +173,10 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
                 raise ValueError(f"{p}: malformed record at position {i}") from None
             if isinstance(score, bool) or not isinstance(score, (int, float)):
                 raise ValueError(f"{p}: malformed record at position {i}")
+            try:
+                score = float(score)
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ValueError(f"{p}: malformed record at position {i}") from None
             if isinstance(label, bool) or not isinstance(label, (int, float)):
                 raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
             scores.append(score)
@@ -211,7 +247,6 @@ class Supersample:
     values: np.ndarray
     labels: np.ndarray
     mask: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)

@@ -294,9 +294,7 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
         stats = np.empty((n_masks_used, 3))
         pattern_labels: list[bytes] = []
         for m_idx in range(n_masks_used):
-            super_s = Supersample(
-                values, labels, masks[m_idx], seed=child_seed(cfg.seed, s_idx, m_idx)
-            )
+            super_s = Supersample(values, labels, masks[m_idx])
             cell_fit = fit_fn if fit_fn is not None else _make_fit_fn(
                 replace(cfg.trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2))
             )

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from calbounds import (
     save_scores,
     top_label_reduce,
 )
+from calbounds.data import _parse_csv
 
 
 class TestScoredDataset:
@@ -95,6 +97,21 @@ class TestLoadScores:
         with pytest.raises(ValueError, match="line 2"):
             load_scores(p)
 
+    def test_header_only_file_is_empty_without_warning(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("score,label\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="empty dataset"):
+                load_scores(p)
+        assert caught == []
+
+    def test_fractional_label_reports_line(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("0.7,1\n0.5,1.0\n")
+        with pytest.raises(ValueError, match="malformed row at line 2: '0.5,1.0'"):
+            load_scores(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scores(tmp_path / "nope.csv")
@@ -129,7 +146,8 @@ class TestLoadScores:
 
     @pytest.mark.parametrize("record", [{"score": None, "label": 1}, {"score": "x", "label": 1},
                                         {"label": 1}, [0.5, 1],
-                                        {"score": True, "label": 1}, {"score": "0.25", "label": 0}])
+                                        {"score": True, "label": 1}, {"score": "0.25", "label": 0},
+                                        {"score": 10**400, "label": 1}])
     def test_json_malformed_record_reports_position(self, tmp_path, record):
         p = tmp_path / "scores.json"
         p.write_text(json.dumps([{"score": 0.25, "label": 0}, record]))
@@ -140,6 +158,55 @@ class TestLoadScores:
         p = tmp_path / "scores.json"
         p.write_text(json.dumps([{"score": 0.25, "label": 0.0}, {"score": 0.75, "label": 1}]))
         assert tuple(load_scores(p).labels) == (0, 1)
+
+
+# Tokens on which a vectorized parser and Python's float()/int() may disagree.
+_SCORE_TOKENS = ["nan", "inf", "-0.0", "1e400", "1.5", "-0.1", "0_5", "\u0660.5", " 0.5 ",
+                 "0.5\xa0", "0.5\x00", "0x1p-1", "", "score"]
+_LABEL_TOKENS = ["0", "1", "+1", "01", "-0", " 1 ", "1.0", "2", "-1", "9223372036854775808",
+                 "1_0", "\u0661", "", "label"]
+_LINE_TOKENS = ["", "   ", "\t", "score,label", "0.5", "0.5,1,", ",", "0.5,1 # c"]
+_LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c"]
+
+
+def _csv_texts():
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    score = st.one_of(unit.map(repr), unit.map(lambda v: "%.3f" % v), unit.map(lambda v: "%e" % v))
+    good = st.builds(lambda s, y: f"{s},{y}", score, st.sampled_from(["0", "1"]))
+    tricky = st.builds(lambda s, y: f"{s},{y}", st.one_of(score, st.sampled_from(_SCORE_TOKENS)),
+                       st.sampled_from(_LABEL_TOKENS))
+    special = st.sampled_from(_LINE_TOKENS)
+    line = st.integers(0, 9).flatmap(lambda k: tricky if k == 0 else special if k == 1 else good)
+    ended = st.tuples(line, st.sampled_from(_LINE_ENDS)).map("".join)
+    header = st.sampled_from(["", "score,label\n", " score , label\r\n"])
+    return st.builds(lambda h, body, tail: h + "".join(body) + tail,
+                     header, st.lists(ended, max_size=6), st.sampled_from(["", "0.25,0"]))
+
+
+class TestCsvFastPath:
+    """load_scores parses most CSVs with numpy; the result must be the line-by-line parser's."""
+
+    @given(_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            read = path.read_text()
+            try:
+                scores, labels = _parse_csv(read, str(path))
+                if not scores:
+                    raise ValueError(f"{path}: empty dataset")
+                expected = ScoredDataset(scores, labels, provenance=str(path))
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    load_scores(path)
+                assert str(got.value) == str(e)
+                return
+            d = load_scores(path)
+        assert d.scores.tobytes() == expected.scores.tobytes()
+        assert d.labels.tobytes() == expected.labels.tobytes()
+        assert d.labels.dtype == expected.labels.dtype and d.provenance == expected.provenance
 
 
 class TestRoundTrip:
@@ -223,7 +290,6 @@ class TestSupersample:
             values=np.array([[0.1, 0.2], [0.3, 0.4]]),
             labels=np.array([[0, 1], [1, 0]]),
             mask=np.array([0, 1]),
-            seed=0,
         )
         values, labels = s.split(flipped=False)
         assert tuple(values) == (0.1, 0.4) and tuple(labels) == (0, 0)
@@ -236,14 +302,14 @@ class TestSupersample:
         rng = np.random.default_rng(seed)
         values = rng.uniform(size=(n, 2))
         labels = rng.integers(0, 2, size=(n, 2))
-        s = Supersample(values, labels, rng.integers(0, 2, size=n), seed=seed)
+        s = Supersample(values, labels, rng.integers(0, 2, size=n))
         (a, la), (b, lb) = s.split(flipped=False), s.split(flipped=True)
         combined = sorted(zip(np.concatenate([a, b]).tolist(), np.concatenate([la, lb]).tolist()))
         assert combined == sorted(zip(values.ravel().tolist(), labels.ravel().tolist()))
 
     def test_mask_length_invariant(self):
         with pytest.raises(ValueError, match="mask"):
-            Supersample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 1]), seed=0)
+            Supersample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 1]))
 
 
 class TestRunRecord:

@@ -183,14 +183,14 @@ def hand_supersample():
     values = np.array([[0.1, 0.2], [0.4, 0.3], [0.6, 0.7], [0.9, 0.8]])
     labels = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
     mask = np.zeros(4, dtype=int)
-    return Supersample(values, labels, mask, seed=0)
+    return Supersample(values, labels, mask)
 
 
-def random_supersample(rng, n, seed=0):
+def random_supersample(rng, n):
     """Scored supersample of n rows with uniform scores, labels and mask."""
     return Supersample(
         rng.uniform(size=(n, 2)), rng.integers(0, 2, size=(n, 2)),
-        rng.integers(0, 2, size=n), seed=seed,
+        rng.integers(0, 2, size=n),
     )
 
 
@@ -198,7 +198,7 @@ def synthetic_supersample(n, seed):
     """Raw supersample of 2n synthetic draws with a uniform mask."""
     x, y = sample_synthetic(2 * n, 0, rng=stream(seed, 0))
     mask = stream(seed, 1).integers(0, 2, size=n)
-    return Supersample(x.reshape(n, 2), y.reshape(n, 2), mask, seed=seed)
+    return Supersample(x.reshape(n, 2), y.reshape(n, 2), mask)
 
 
 class TestEcmiStatistic:
@@ -214,8 +214,8 @@ class TestEcmiStatistic:
     def test_symmetry_under_mask_flip_with_stub(self):
         # A data-independent trainer makes the statistic symmetric in the
         # mask and its complement.
-        s = random_supersample(np.random.default_rng(19), 20, seed=4)
-        flipped = Supersample(s.values, s.labels, 1 - s.mask, seed=s.seed)
+        s = random_supersample(np.random.default_rng(19), 20)
+        flipped = Supersample(s.values, s.labels, 1 - s.mask)
         fit = constant_fitter()
         assert _cell_statistics(s, fit, "uwb", B=4)[0] == pytest.approx(
             _cell_statistics(flipped, fit, "uwb", B=4)[0], abs=1e-15
@@ -223,8 +223,8 @@ class TestEcmiStatistic:
 
     def test_bounded_by_two(self):
         rng = np.random.default_rng(23)
-        for seed in range(10):
-            s = random_supersample(rng, 30, seed=seed)
+        for _ in range(10):
+            s = random_supersample(rng, 30)
             gap, _, _ = _cell_statistics(s, constant_fitter(0.4), "uwb", B=5)
             assert 0.0 <= gap <= 2.0
 
@@ -259,14 +259,14 @@ class TestDeltaStatistics:
     def test_identical_halves_give_zero(self):
         values = np.column_stack([np.linspace(0.1, 0.9, 8)] * 2)
         labels = np.column_stack([np.tile([0, 1], 4)] * 2)
-        s = Supersample(values, labels, np.zeros(8, dtype=int), seed=0)
+        s = Supersample(values, labels, np.zeros(8, dtype=int))
         gap, d1, d2 = _cell_statistics(s, identity_fitter(), "umb", B=2)
         assert gap == 0.0 and d1 == 0.0 and d2 == 0.0
 
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)
-        for seed in range(10):
-            s = random_supersample(rng, 24, seed=seed)
+        for _ in range(10):
+            s = random_supersample(rng, 24)
             _, _, d2 = _cell_statistics(s, identity_fitter(), "umb", B=3)
             assert d2 <= 2.0
 
