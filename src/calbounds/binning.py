@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
 
 UWB = "uwb"
 UMB = "umb"
+_BLOCK = 1 << 14  # scores per block of the arithmetic index: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,14 @@ class BinningScheme:
 
     ``collapsed`` is set when uniform-mass construction had to merge bins
     because of tied scores (the requested bin count could not be realized).
+    ``_uniform_width`` is set when the edges are exactly i/B, whatever the
+    method label; ``assign`` then computes indices arithmetically.
     """
 
     edges: np.ndarray
     method: str
     collapsed: bool = False
+    _uniform_width: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         edges = np.array(self.edges, dtype=np.float64)
@@ -39,12 +43,13 @@ class BinningScheme:
             raise ValueError("edges must hold at least two values")
         if edges[0] != 0.0 or edges[-1] != 1.0:
             raise ValueError("edges must start at 0 and end at 1")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):  # a NaN edge fails too
             raise ValueError("edges must be strictly increasing")
         if self.method not in (UWB, UMB):
             raise ValueError(f"unknown binning method: {self.method}")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_uniform_width", np.array_equal(edges, _uniform_edges(edges.size - 1)))
 
     @property
     def B(self) -> int:
@@ -61,13 +66,16 @@ class BinningScheme:
         return cls(obj["edges"], obj["method"], collapsed=obj.get("collapsed", False))
 
 
+def _uniform_edges(B: int) -> np.ndarray:
+    """The edges i/B for i = 0..B, each the correctly rounded quotient."""
+    return np.arange(B + 1, dtype=np.float64) / B
+
+
 def uwb_scheme(B: int) -> BinningScheme:
     """Uniform-width scheme with edges exactly i/B for i = 0..B."""
     if B < 1:
         raise ValueError("B must be at least 1")
-    edges = np.arange(B + 1, dtype=np.float64) / B
-    edges[-1] = 1.0
-    return BinningScheme(edges, UWB)
+    return BinningScheme(_uniform_edges(B), UWB)
 
 
 def umb_scheme(scores, B: int) -> BinningScheme:
@@ -107,14 +115,40 @@ def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     """Bin index in [1, B] for a score (or array of scores) in [0, 1].
 
     Intervals are right-closed; a score of exactly 0 maps to bin 1.
+    Uniform-width edges are indexed arithmetically, other edges by binary
+    search; both give ``max(searchsorted(edges, score, "left"), 1)``.
     """
     arr = np.asarray(score, dtype=np.float64)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
-    idx = np.searchsorted(scheme.edges, arr, side="left")
-    if arr.ndim == 0:
-        return max(int(idx), 1)
-    return np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
+    flat = arr.reshape(-1)
+    if scheme._uniform_width:
+        idx = _uniform_index(scheme.edges, flat)
+    else:
+        idx = np.searchsorted(scheme.edges, flat, side="left")
+        np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
+    return int(idx[0]) if arr.ndim == 0 else idx.reshape(arr.shape)
+
+
+def _uniform_index(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Bin indices of 1-d scores in [0, 1] under the edges i/B.
+
+    g = floor(s*B) is the 0-based bin or one above it, never below: the edge
+    for k/B is the double nearest k/B, so a score above that edge is above
+    k/B, and its rounded product is at least k. It is one above for a score
+    on an edge, as bins are right-closed, and for one just under an edge
+    whose product rounds up to k (the double below 5/6, times 6, is 5.0).
+    So the 1-based bin is g + 1 if the score lies above edge g, else g: one
+    exact comparison. Blocks keep the temporaries small.
+    """
+    B = edges.size - 1
+    idx = np.empty(scores.size, dtype=np.intp)
+    for lo in range(0, scores.size, _BLOCK):
+        s, j = scores[lo:lo + _BLOCK], idx[lo:lo + _BLOCK]
+        np.multiply(s, B, out=j, casting="unsafe")  # the cast truncates, which is floor for s >= 0
+        j += s > edges[j]
+        np.maximum(j, 1, out=j)  # a score of 0 stays in bin 1
+    return idx
 
 
 def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:

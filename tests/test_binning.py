@@ -18,6 +18,7 @@ from calbounds import (
     umb_scheme,
     uwb_scheme,
 )
+from calbounds.binning import _BLOCK, _uniform_edges
 
 
 def quiet_umb(scores, B):
@@ -149,6 +150,29 @@ class TestAssign:
             positive = grid > 0
             assert np.all(grid[positive] > s.edges[idx[positive] - 1])
 
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from(["uwb", "umb"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_index_equals_searchsorted(self, B, method, seed):
+        # Every edge i/B and its float neighbours on both sides, 0 and 1, then
+        # random scores up to a length of more than two blocks, not a multiple
+        # of the block size. The uniform edges take the arithmetic index under
+        # either label.
+        s = uwb_scheme(B) if method == "uwb" else BinningScheme(_uniform_edges(B), "umb")
+        assert s._uniform_width
+        edges = s.edges
+        special = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0), [0.0, 1.0]])
+        special = special[(special >= 0.0) & (special <= 1.0)]
+        rng = np.random.default_rng(seed)
+        n = 2 * _BLOCK + 1_000
+        scores = rng.permutation(np.concatenate([special, rng.uniform(size=n - special.size)]))
+        want = np.maximum(np.searchsorted(edges, scores, "left"), 1)
+        assert np.array_equal(assign(s, scores), want)
+        assert np.array_equal(assign(s, scores.reshape(2, -1)), want.reshape(2, -1))
+
 
 def mask_loop_sums(edges, scores, weights):
     """Per-bin counts and sequential weight sums from explicit interval masks."""
@@ -252,6 +276,10 @@ class TestSchemeSerialization:
         # Files written before the flag was stored still load, as not collapsed.
         legacy = BinningScheme.from_json('{"method": "umb", "edges": [0.0, 0.5, 1.0]}')
         assert legacy.collapsed is False
+
+    def test_nan_interior_edge_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BinningScheme.from_json('{"method": "umb", "edges": [0.0, NaN, 1.0]}')
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):

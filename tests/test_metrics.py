@@ -1,5 +1,7 @@
 """Calibration-error estimators, gap statistics, and bin-count selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,20 @@ class TestEceReformulated:
         d = ScoredDataset([p[0] for p in pairs], [p[1] for p in pairs])
         s = uwb_scheme(B)
         assert abs(ece(d, s).value - ece_reformulated(d, s).value) < 1e-12
+
+    def test_peak_memory_two_arrays_of_n(self):
+        # The residuals and the bin indices: 2 * 8 bytes a score (15.26 MiB at
+        # n = 1e6), plus half a MiB for the arithmetic index's block temporaries.
+        n = 1_000_000
+        rng = np.random.default_rng(29)
+        d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
+        tracemalloc.start()
+        try:
+            ece_reformulated(d, uwb_scheme(200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n + 2**19
 
 
 class TestBinnedTce:

@@ -156,6 +156,11 @@ class TestSerialization:
         assert r.scheme.collapsed is False
         assert np.array_equal(r.mu, [0.2, 0.7])
 
+    def test_nan_interior_edge_rejected(self):
+        text = '{"edges": [0.0, NaN, 1.0], "mu": [0.1, 0.9], "fit_size": 4, "reused_training": false}'
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Recalibrator.from_json(text)
+
     def test_mu_range_validated(self):
         d = ScoredDataset([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
         r = fit_recalibrator(d, B=2)
