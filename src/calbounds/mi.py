@@ -12,7 +12,8 @@ how much information those statistics carry about the mask.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import digamma
@@ -20,7 +21,7 @@ from scipy.special import digamma
 from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
 from .data import ScoredDataset, Supersample
 from .metrics import ece_gap
-from .models import TrainerConfig, logistic_predict, sample_synthetic, train_logistic
+from .models import TrainerConfig, _descend, _init_beta, logistic_predict, sample_synthetic
 from .rng import child_seed, stream
 
 __all__ = [
@@ -168,16 +169,6 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     return MiEstimate(value, "plugin", 0, n)
 
 
-def _make_fit_fn(cfg: TrainerConfig):
-    """``fit(x, y) -> predict`` closure that trains a logistic model with ``cfg``."""
-
-    def fit(x, y):
-        model = train_logistic((x, y), cfg)
-        return lambda xs: logistic_predict(model, xs)
-
-    return fit
-
-
 def _fit_halves(s: Supersample, fit_fn) -> tuple[ScoredDataset, ScoredDataset]:
     """Train on the masked half; return (training, complement) halves scored in [0, 1]."""
     x_tr, y_tr = s.split(flipped=False)
@@ -262,12 +253,14 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
 
     For each supersample draw, the configured number of masks is sampled
     (or all 2^n masks enumerated in exhaustive mode); each (supersample,
-    mask) cell trains on the selected half and records the calibration-gap
-    and per-bin difference statistics. Mask information is estimated per
-    supersample between statistic values and mask bit patterns, then
-    averaged; ``mean_gap`` averages the gap over every cell. Deterministic
-    given the config: every cell seeds its own substream. A ``fit_fn(x, y)
-    -> predict`` callable, when given, replaces the per-cell trainer.
+    mask) cell trains a logistic model on the selected half and records the
+    calibration-gap and per-bin difference statistics. The models of one
+    supersample train together, in one batched gradient descent over its
+    masks; each equals the model trained on its cell alone. Mask information
+    is estimated per supersample between statistic values and mask bit
+    patterns, then averaged; ``mean_gap`` averages the gap over every cell.
+    Deterministic given the config: every cell seeds its own substream. A
+    ``fit_fn(x, y) -> predict`` callable, when given, replaces the trainer.
     """
     gaps_all: list[float] = []
     mi_gap: list[float] = []
@@ -291,12 +284,19 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
             rng_masks = stream(cfg.seed, s_idx, 1)
             masks = rng_masks.integers(0, 2, size=(n_masks_used, cfg.n))
 
+        if fit_fn is None:
+            rows = np.arange(cfg.n)
+            inits = [_init_beta(child_seed(cfg.seed, s_idx, m, 2)) for m in range(n_masks_used)]
+            models = _descend(
+                np.array(inits), values[rows, masks], labels[rows, masks], cfg.trainer,
+                where=lambda m: f" (supersample {s_idx}, mask {m})",
+            )
         stats = np.empty((n_masks_used, 3))
         pattern_labels: list[bytes] = []
         for m_idx in range(n_masks_used):
             super_s = Supersample(values, labels, masks[m_idx])
-            cell_fit = fit_fn if fit_fn is not None else _make_fit_fn(
-                replace(cfg.trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2))
+            cell_fit = fit_fn if fit_fn is not None else (
+                lambda x, y, m=models[m_idx]: partial(logistic_predict, m)
             )
             gap, d1, d2 = _cell_statistics(super_s, cell_fit, cfg.method, cfg.B)
             stats[m_idx] = (gap, d1, d2)

@@ -6,6 +6,10 @@ true posterior P(Y=1 | X=x) = 1/(1+exp(2x)). Predictors are the logistic
 family f(x) = sigmoid(beta0 + beta1*x); for any member the conditional
 label mean given the prediction has a closed form, which makes the true
 calibration error of the model estimable by plain Monte Carlo.
+
+The trainer is one full-batch gradient-descent kernel over a stack of
+training sets: ``train_logistic`` runs it on one, and the supersample
+experiment on every mask of a supersample at once.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
 # open interval where the calibration oracle is defined.
 _OPEN_LO = 1e-15
 _OPEN_HI = 1.0 - 2.0 ** -53
+_BLOCK = 1 << 16  # x elements per block of the batched descent: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,10 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
 
@@ -163,42 +170,51 @@ def estimate_lipschitz(o: CalibrationOracle, grid: int, eps: float = 1e-4) -> fl
     return float(np.max(np.abs(calibration_slope(o, zs))))
 
 
+def _init_beta(seed: int) -> np.ndarray:
+    """The trainer's starting (beta0, beta1), drawn from ``seed``."""
+    return stream(seed).normal(0.0, 0.01, size=2)
+
+
+def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> list[SyntheticModel]:
+    """Full-batch gradient descent from each row of ``beta`` (M, 2) on the rows of x, y (M, n).
+
+    Every row runs the ufunc sequence of a lone 1-d descent, so it equals
+    training that row alone bit for bit. Rows go in blocks of at most
+    ``_BLOCK`` elements (one row at least), which bounds the temporaries.
+    A row whose parameters go non-finite raises with its epoch and ``where(row)``.
+    """
+    out = np.empty_like(beta)
+    step = max(1, _BLOCK // x.shape[1])
+    for lo in range(0, len(beta), step):
+        b, xb, yb = beta[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
+        for epoch in range(cfg.epochs + 1):
+            # With finite x and y, the loss goes non-finite exactly when beta does.
+            if not np.isfinite(b).all():
+                row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
+                raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
+            if epoch == cfg.epochs:
+                break
+            resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
+            grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
+            b = b - cfg.learning_rate * grad
+        out[lo:lo + step] = b
+    out[out[:, 1] == 0.0, 1] = np.finfo(np.float64).tiny  # keep each model valid; slope ~ 0
+    return [SyntheticModel(float(b0), float(b1)) for b0, b1 in out]
+
+
 def train_logistic(train, cfg: TrainerConfig) -> SyntheticModel:
     """Fit (beta0, beta1) by full-batch gradient descent on the logistic log-loss.
 
-    ``train`` is an (x, y) pair of arrays or a sequence of (x, y) tuples.
-    Initialization is drawn from the config seed, so the result is
-    deterministic given (train, cfg). Non-finite x or y are rejected; if the
-    loss goes non-finite, the error reports the epoch.
+    ``train`` is an (x, y) pair of equal-shape arrays. Initialization is
+    drawn from the config seed, so the result is deterministic given
+    (train, cfg). Non-finite x or y are rejected; if the loss goes
+    non-finite, the error reports the epoch.
     """
-    if isinstance(train, tuple) and len(train) == 2:
-        x = np.asarray(train[0], dtype=np.float64)
-        y = np.asarray(train[1], dtype=np.float64)
-    else:
-        pairs = list(train)
-        if not pairs:
-            raise ValueError("empty training set")
-        x = np.asarray([p[0] for p in pairs], dtype=np.float64)
-        y = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    x, y = (np.asarray(a, dtype=np.float64) for a in train)
     if x.size == 0:
         raise ValueError("empty training set")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
-
-    rng = stream(cfg.seed)
-    beta = rng.normal(0.0, 0.01, size=2)
-    for epoch in range(cfg.epochs):
-        # With finite x and y, the loss goes non-finite exactly when beta does.
-        if not np.all(np.isfinite(beta)):
-            raise ValueError(f"non-finite loss at epoch {epoch}")
-        resid = expit(beta[0] + beta[1] * x) - y
-        beta = beta - cfg.learning_rate * np.array(
-            [np.mean(resid), np.mean(resid * x)]
-        )
-    if not np.all(np.isfinite(beta)):
-        raise ValueError(f"non-finite parameters after epoch {cfg.epochs - 1}")
-    if beta[1] == 0.0:
-        beta[1] = np.finfo(np.float64).tiny  # keep the model valid; slope ~ 0
-    return SyntheticModel(float(beta[0]), float(beta[1]))
+    return _descend(_init_beta(cfg.seed)[None], x.reshape(1, -1), y.reshape(1, -1), cfg)[0]

@@ -330,6 +330,12 @@ class TestExitCodes:
         assert main(["ece"]) == 2  # missing positional argument
         capsys.readouterr()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, lr, tmp_path, capsys):
+        assert main(["cmi", "--n-grid", "20", "--lr", lr, "--out", str(tmp_path / "o")]) == 2
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand", ["synthetic", "cmi"])
     def test_empty_grid_exits_2(self, subcommand, tmp_path, capsys):
         assert main([subcommand, "--n-grid", ",", "--out", str(tmp_path / "o")]) == 2

@@ -1,7 +1,10 @@
 """Mutual-information estimators and the supersample mask experiment."""
 
+import itertools
 import math
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ from calbounds import (
     Supersample,
     TrainerConfig,
     ksg_mixed_mi,
+    logistic_predict,
     plugin_mi,
     run_cmi_experiment,
     sample_synthetic,
+    train_logistic,
 )
-from calbounds.mi import _cell_statistics, _make_fit_fn
-from calbounds.rng import stream
+from calbounds.mi import _cell_statistics
+from calbounds.rng import child_seed, stream
 
 LN2 = math.log(2.0)
 
@@ -35,6 +40,28 @@ def identity_fitter():
 
     def fit(x, y):
         return lambda xs: np.asarray(xs, dtype=float)
+
+    return fit
+
+
+def logistic_fitter(cfg):
+    """Trains a logistic model with ``cfg`` on each cell's training half."""
+
+    def fit(x, y):
+        return partial(logistic_predict, train_logistic((x, y), cfg))
+
+    return fit
+
+
+def per_cell_fitter(cfg):
+    """The experiment's trainer, one cell at a time: each cell seeds its own substream."""
+    n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
+    cells = itertools.product(range(cfg.n_supersamples), range(n_masks))
+
+    def fit(x, y):
+        s_idx, m_idx = next(cells)
+        seed = child_seed(cfg.seed, s_idx, m_idx, 2)
+        return logistic_fitter(replace(cfg.trainer, seed=seed))(x, y)
 
     return fit
 
@@ -235,13 +262,13 @@ class TestEcmiStatistic:
             gaps = []
             for seed in range(20):
                 sup = synthetic_supersample(n, seed)
-                gaps.append(_cell_statistics(sup, _make_fit_fn(cfg), "uwb", B=4)[0])
+                gaps.append(_cell_statistics(sup, logistic_fitter(cfg), "uwb", B=4)[0])
             means.append(np.mean(gaps))
         assert means[1] < means[0]
 
     def test_deterministic(self):
         sup = synthetic_supersample(200, seed=9)
-        fit = _make_fit_fn(TrainerConfig(learning_rate=0.5, epochs=100, seed=5))
+        fit = logistic_fitter(TrainerConfig(learning_rate=0.5, epochs=100, seed=5))
         assert _cell_statistics(sup, fit, "umb", B=4) == _cell_statistics(sup, fit, "umb", B=4)
 
 
@@ -323,6 +350,43 @@ class TestRunCmiExperiment:
             warnings.filterwarnings("error", message="all labels are singletons")
             result = run_cmi_experiment(cfg, fit_fn=identity_fitter())
         assert math.isfinite(result.ecmi_est.value)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=40, B=3, n_supersamples=2, n_masks=6),
+            dict(n=2, B=1, n_supersamples=3, n_masks=5, method="uwb"),
+            dict(n=6, B=2, n_supersamples=2, n_masks=2, exhaustive=True),
+        ],
+    )
+    def test_batched_training_equals_per_cell_training(self, kwargs):
+        cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60, seed=1), seed=21, **kwargs)
+        batched = run_cmi_experiment(cfg)
+        per_cell = run_cmi_experiment(cfg, fit_fn=per_cell_fitter(cfg))
+        assert batched.cells == per_cell.cells
+        assert batched.mean_gap == per_cell.mean_gap
+        for name in ("ecmi_est", "i_delta1", "i_delta2"):
+            assert getattr(batched, name) == getattr(per_cell, name)
+
+    def test_divergent_cell_reports_epoch_and_cell(self, monkeypatch):
+        # The odd masks put the infinite covariate in the training half, so
+        # their rows of the batch go non-finite in the first update and the
+        # even ones train normally; the first of them is reported.
+        cfg = CmiExperimentConfig(
+            n=4, B=1, trainer=TrainerConfig(epochs=3, seed=0), seed=0,
+            n_supersamples=1, n_masks=2, exhaustive=True,
+        )
+        x = np.array([[0.5, np.inf], [0.25, -0.25], [0.5, -0.5], [0.75, -0.75]])
+        y = np.ones((4, 2), dtype=np.int64)
+
+        def fake_sample(n, seed, rng=None):
+            return x.ravel(), y.ravel()
+
+        import calbounds.mi as mi_mod
+
+        monkeypatch.setattr(mi_mod, "sample_synthetic", fake_sample)
+        with pytest.raises(ValueError, match=r"epoch 1 \(supersample 0, mask 1\)"):
+            run_cmi_experiment(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

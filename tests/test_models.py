@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
+import calbounds.models as models_mod
 from calbounds import (
     CalibrationOracle,
     SyntheticModel,
@@ -189,7 +193,7 @@ class TestTrainLogistic:
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
-            train_logistic([], TrainerConfig())
+            train_logistic((np.array([]), np.array([])), TrainerConfig())
 
     @pytest.mark.parametrize("bad", ["x", "y"])
     def test_non_finite_input_rejected(self, bad):
@@ -211,3 +215,92 @@ class TestTrainLogistic:
             TrainerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainerConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, True, "3"])
+    def test_non_integer_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainerConfig(epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        assert TrainerConfig(epochs=np.int64(3)).epochs == 3
+
+
+def reference_descent(x, y, cfg):
+    """The trainer as a lone 1-d loop over one training set."""
+    beta = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(cfg.seed))
+    ).normal(0.0, 0.01, size=2)
+    for _ in range(cfg.epochs):
+        resid = expit(beta[0] + beta[1] * x) - y
+        beta = beta - cfg.learning_rate * np.array([np.mean(resid), np.mean(resid * x)])
+    return beta[0], beta[1]
+
+
+def masked_stack(n_masks, n, seed):
+    """Training halves of ``n_masks`` random masks over one n x 2 supersample."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 2))
+    labels = rng.integers(0, 2, size=(n, 2))
+    masks = rng.integers(0, 2, size=(n_masks, n))
+    rows = np.arange(n)
+    return values[rows, masks], labels[rows, masks]
+
+
+class TestBatchedDescent:
+    """``_descend`` trains each row of a stack as ``train_logistic`` trains it alone."""
+
+    @given(
+        n_masks=st.integers(1, 6),
+        n=st.integers(1, 40),
+        epochs=st.integers(1, 30),
+        lr=st.sampled_from([0.05, 0.5, 2.0]),
+        block=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_lone_training(self, n_masks, n, epochs, lr, block, seed):
+        x, y = masked_stack(n_masks, n, seed)
+        seeds = [seed + m for m in range(n_masks)]
+        inits = np.array([models_mod._init_beta(s) for s in seeds])
+        cfg = TrainerConfig(learning_rate=lr, epochs=epochs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models_mod, "_BLOCK", block)  # n_masks * n > block splits the stack
+            batched = models_mod._descend(inits, x, y, cfg)
+        for m, model in enumerate(batched):
+            lone_cfg = TrainerConfig(learning_rate=lr, epochs=epochs, seed=seeds[m])
+            lone = train_logistic((x[m], y[m]), lone_cfg)
+            assert (model.beta0, model.beta1) == (lone.beta0, lone.beta1)
+            assert (lone.beta0, lone.beta1) == reference_descent(x[m], y[m], lone_cfg)
+
+    def test_block_split_at_the_element_cap(self):
+        n = models_mod._BLOCK // 2 + 1  # one row per block
+        x, y = masked_stack(3, n, seed=4)
+        cfg = TrainerConfig(epochs=3)
+        inits = np.array([models_mod._init_beta(s) for s in range(3)])
+        batched = models_mod._descend(inits, x, y, cfg)
+        for m in range(3):
+            lone = reference_descent(x[m], y[m], TrainerConfig(epochs=3, seed=m))
+            assert (batched[m].beta0, batched[m].beta1) == lone
+
+    def test_divergent_row_reports_epoch_and_row(self):
+        # Only row 2 holds the wrong-saturating pair of test_divergence_reports_epoch;
+        # the moderate rows stay finite at this step size for three epochs.
+        x = np.tile([-0.5, 0.5], (4, 1))
+        x[2] = (1e200, -1e200)
+        y = np.ones_like(x)
+        inits = np.array([models_mod._init_beta(s) for s in range(4)])
+        cfg = TrainerConfig(learning_rate=1e109, epochs=3)
+        for block in (models_mod._BLOCK, 2):  # one batch, then one row per block
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(
+                ValueError, match=r"^non-finite loss at epoch 1 in row 2$"
+            ):
+                mp.setattr(models_mod, "_BLOCK", block)
+                models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
+        rest = [0, 1, 3]
+        models = models_mod._descend(inits[rest], x[rest], y[rest], cfg)
+        assert np.isfinite([(m.beta0, m.beta1) for m in models]).all()
