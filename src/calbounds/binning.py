@@ -7,6 +7,7 @@ bin 1 so the bins cover all of [0, 1] and masses always sum to one.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +20,8 @@ __all__ = [
 
 UWB = "uwb"
 UMB = "umb"
-_BLOCK = 1 << 14  # scores per block of the arithmetic index: bounds its temporaries
+_BLOCK = 1 << 14  # scores per block of the table index: bounds its temporaries
+_MAX_CELLS = 1 << 14  # bounds the table at 2 * (2**14 + 1) * 8 bytes, ~256 KiB
 
 
 @dataclass(frozen=True)
@@ -28,28 +30,53 @@ class BinningScheme:
 
     ``collapsed`` is set when uniform-mass construction had to merge bins
     because of tied scores (the requested bin count could not be realized).
-    ``_uniform_width`` is set when the edges are exactly i/B, whatever the
-    method label; ``assign`` then computes indices arithmetically.
+    ``_cells`` is G, the smallest power of two with G * min(diff(edges)) > 1,
+    or 0 if that exceeds ``_MAX_CELLS``; whatever the method label, a nonzero
+    G lets ``assign`` index through the cached ``_table``.
     """
 
     edges: np.ndarray
     method: str
     collapsed: bool = False
-    _uniform_width: bool = field(init=False, repr=False, compare=False)
+    _cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        edges = np.array(self.edges, dtype=np.float64)
+        edges = np.asarray(self.edges)
+        if edges.dtype.kind not in "iuf":  # no strings, bools or None parsed as numbers
+            raise ValueError("edges must be numbers")
+        edges = edges.astype(np.float64)  # a copy, which the scheme owns
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("edges must hold at least two values")
         if edges[0] != 0.0 or edges[-1] != 1.0:
             raise ValueError("edges must start at 0 and end at 1")
-        if not np.all(np.diff(edges) > 0):  # a NaN edge fails too
+        gap = np.diff(edges).min()
+        if not gap > 0:  # a NaN edge fails too
             raise ValueError("edges must be strictly increasing")
         if self.method not in (UWB, UMB):
             raise ValueError(f"unknown binning method: {self.method}")
+        if not isinstance(self.collapsed, (bool, np.bool_)):
+            raise ValueError("collapsed must be a bool")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_uniform_width", np.array_equal(edges, _uniform_edges(edges.size - 1)))
+        object.__setattr__(self, "collapsed", bool(self.collapsed))
+        # G * gap is exact for a power of two G, and rounding is monotone, so a
+        # computed gap above 1/G means a true one above it too. gap <= 1 rules out G = 1.
+        cells = 2
+        while cells * gap <= 1.0 and cells <= _MAX_CELLS:
+            cells *= 2
+        object.__setattr__(self, "_cells", cells if cells <= _MAX_CELLS else 0)
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(base, cand) over the cells c = 0..G: the number of edges below c/G,
+        and the edge in cell c, or 2.0 (above every score) if none. Edge 0 is
+        stored as -1, so that every score in cell 0, 0 included, lands in bin 1."""
+        G = self._cells
+        base = np.searchsorted(self.edges, np.arange(G + 1) / G, side="left")
+        cand = np.full(G + 1, 2.0)
+        cand[(self.edges * G).astype(np.intp)] = self.edges
+        cand[0] = -1.0
+        return base, cand
 
     @property
     def B(self) -> int:
@@ -71,10 +98,16 @@ def _uniform_edges(B: int) -> np.ndarray:
     return np.arange(B + 1, dtype=np.float64) / B
 
 
-def uwb_scheme(B: int) -> BinningScheme:
-    """Uniform-width scheme with edges exactly i/B for i = 0..B."""
+def _check_bins(B) -> None:
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)):
+        raise ValueError(f"B must be an integer, got {B!r}")
     if B < 1:
         raise ValueError("B must be at least 1")
+
+
+def uwb_scheme(B: int) -> BinningScheme:
+    """Uniform-width scheme with edges exactly i/B for i = 0..B."""
+    _check_bins(B)
     return BinningScheme(_uniform_edges(B), UWB)
 
 
@@ -88,8 +121,9 @@ def umb_scheme(scores, B: int) -> BinningScheme:
     the returned scheme contains at least one of the construction scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if B < 1:
-        raise ValueError("B must be at least 1")
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be a 1-d array, got shape {scores.shape}")
+    _check_bins(B)
     n_e = scores.size
     if n_e < 2 * B:
         raise ValueError(f"need n_e >= 2B samples for UMB, got n_e={n_e}, B={B}")
@@ -114,40 +148,36 @@ def umb_scheme(scores, B: int) -> BinningScheme:
 def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     """Bin index in [1, B] for a score (or array of scores) in [0, 1].
 
-    Intervals are right-closed; a score of exactly 0 maps to bin 1.
-    Uniform-width edges are indexed arithmetically, other edges by binary
-    search; both give ``max(searchsorted(edges, score, "left"), 1)``.
+    Intervals are right-closed; a score of exactly 0 maps to bin 1. The
+    result is ``max(searchsorted(edges, score, "left"), 1)``, read from the
+    scheme's cell table given at least G scores (the table is built on the
+    first such call), else found by binary search.
     """
     arr = np.asarray(score, dtype=np.float64)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     flat = arr.reshape(-1)
-    if scheme._uniform_width:
-        idx = _uniform_index(scheme.edges, flat)
+    if 0 < scheme._cells <= flat.size:
+        idx = _table_index(scheme, flat)
     else:
         idx = np.searchsorted(scheme.edges, flat, side="left")
         np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
     return int(idx[0]) if arr.ndim == 0 else idx.reshape(arr.shape)
 
 
-def _uniform_index(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Bin indices of 1-d scores in [0, 1] under the edges i/B.
+def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
+    """Bin indices of 1-d scores in [0, 1] from the scheme's table.
 
-    g = floor(s*B) is the 0-based bin or one above it, never below: the edge
-    for k/B is the double nearest k/B, so a score above that edge is above
-    k/B, and its rounded product is at least k. It is one above for a score
-    on an edge, as bins are right-closed, and for one just under an edge
-    whose product rounds up to k (the double below 5/6, times 6, is 5.0).
-    So the 1-based bin is g + 1 if the score lies above edge g, else g: one
-    exact comparison. Blocks keep the temporaries small.
+    Each cell [c/G, (c+1)/G) holds at most one edge, and c = floor(s*G) is
+    exact for a power of two G, so the index is base[c], plus one if s lies
+    above cand[c]: one exact comparison. Blocks keep the temporaries small.
     """
-    B = edges.size - 1
+    base, cand = scheme._table
     idx = np.empty(scores.size, dtype=np.intp)
     for lo in range(0, scores.size, _BLOCK):
         s, j = scores[lo:lo + _BLOCK], idx[lo:lo + _BLOCK]
-        np.multiply(s, B, out=j, casting="unsafe")  # the cast truncates, which is floor for s >= 0
-        j += s > edges[j]
-        np.maximum(j, 1, out=j)  # a score of 0 stays in bin 1
+        np.multiply(s, scheme._cells, out=j, casting="unsafe")  # exact; the cast truncates, i.e. floors
+        np.add(s > cand[j], base[j], out=j)  # this order keeps one gathered block alive at a time
     return idx
 
 

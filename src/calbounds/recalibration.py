@@ -34,8 +34,15 @@ class Recalibrator:
             raise ValueError("mu must hold exactly one value per bin")
         if not np.all((mu >= 0.0) & (mu <= 1.0)):  # NaN fails too
             raise ValueError("per-bin label means must lie in [0, 1]")
+        n, B = self.fit_size, self.scheme.B
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 * B:
+            raise ValueError(f"fit_size must be an integer of at least 2B = {2 * B}, got {n!r}")
+        if not isinstance(self.reused_training, (bool, np.bool_)):
+            raise ValueError("reused_training must be a bool")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "fit_size", int(n))
+        object.__setattr__(self, "reused_training", bool(self.reused_training))
 
     def to_json(self) -> str:
         return json.dumps(

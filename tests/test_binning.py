@@ -1,6 +1,7 @@
 """Binning scheme construction, assignment, and per-bin statistics."""
 
 import functools
+import json
 import operator
 import warnings
 
@@ -18,7 +19,7 @@ from calbounds import (
     umb_scheme,
     uwb_scheme,
 )
-from calbounds.binning import _BLOCK, _uniform_edges
+from calbounds.binning import _BLOCK, _MAX_CELLS, _uniform_edges
 
 
 def quiet_umb(scores, B):
@@ -26,6 +27,14 @@ def quiet_umb(scores, B):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return umb_scheme(scores, B)
+
+
+def tight_pair(floats):
+    """Edges 3/8 and 3/8 + 1/cap, the upper one moved up (+) or down (-) by that many floats."""
+    upper = 0.375 + 1.0 / _MAX_CELLS
+    for _ in range(abs(floats)):
+        upper = np.nextafter(upper, 2.0 if floats > 0 else 0.0)
+    return [0.375, float(upper)]
 
 
 class TestUwbScheme:
@@ -40,6 +49,14 @@ class TestUwbScheme:
     def test_zero_bins(self):
         with pytest.raises(ValueError):
             uwb_scheme(0)
+
+    @pytest.mark.parametrize("B", [2.5, 4.0, True, "4", None])
+    def test_non_integer_bins_rejected(self, B):
+        with pytest.raises(ValueError, match="B must be an integer"):
+            uwb_scheme(B)
+
+    def test_numpy_integer_bins_accepted(self):
+        assert np.array_equal(uwb_scheme(np.int64(4)).edges, uwb_scheme(4).edges)
 
     @given(st.integers(min_value=1, max_value=500))
     @settings(max_examples=50, deadline=None)
@@ -65,6 +82,25 @@ class TestUmbScheme:
     def test_requires_2b_samples(self):
         with pytest.raises(ValueError, match="2B"):
             umb_scheme(np.linspace(0.1, 0.9, 10), B=6)
+
+    @pytest.mark.parametrize("B", [2.5, 4.0, True, "4", None])
+    def test_non_integer_bins_rejected(self, B):
+        with pytest.raises(ValueError, match="B must be an integer"):
+            umb_scheme(np.linspace(0.0, 1.0, 1000), B)
+
+    @pytest.mark.parametrize("shape", [(10, 100), (1000, 1), ()])
+    def test_non_1d_scores_rejected(self, shape):
+        scores = np.linspace(0.0, 1.0, 1000)[:1 if shape == () else None].reshape(shape)
+        with pytest.raises(ValueError, match="scores must be a 1-d array"):
+            umb_scheme(scores, 4)
+
+    def test_numpy_integer_bins_accepted(self):
+        scores = np.linspace(0.0, 1.0, 1000)
+        s = umb_scheme(scores, np.int32(4))
+        assert np.array_equal(s.edges, umb_scheme(scores, 4).edges)
+        assert s.collapsed is False
+        with pytest.warns(UserWarning, match="collapsed"):
+            assert umb_scheme(np.full(8, 0.5), np.int64(2)).collapsed is True
 
     def test_nan_score_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -159,10 +195,8 @@ class TestAssign:
     def test_uniform_index_equals_searchsorted(self, B, method, seed):
         # Every edge i/B and its float neighbours on both sides, 0 and 1, then
         # random scores up to a length of more than two blocks, not a multiple
-        # of the block size. The uniform edges take the arithmetic index under
-        # either label.
+        # of the block size.
         s = uwb_scheme(B) if method == "uwb" else BinningScheme(_uniform_edges(B), "umb")
-        assert s._uniform_width
         edges = s.edges
         special = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0), [0.0, 1.0]])
         special = special[(special >= 0.0) & (special <= 1.0)]
@@ -172,6 +206,64 @@ class TestAssign:
         want = np.maximum(np.searchsorted(edges, scores, "left"), 1)
         assert np.array_equal(assign(s, scores), want)
         assert np.array_equal(assign(s, scores.reshape(2, -1)), want.reshape(2, -1))
+
+
+    @given(
+        st.one_of(
+            st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                     max_size=40, unique=True),
+            st.tuples(
+                st.integers(min_value=1, max_value=14),
+                st.sets(st.integers(min_value=1, max_value=2**14), max_size=40),
+            ).map(lambda p: [k / 2**p[0] for k in p[1] if k < 2**p[0]]),
+        ),
+        st.sampled_from([None, -1, 0, 1]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_index_equals_searchsorted(self, interior, tight, seed):
+        # Arbitrary interior edges: random, or dyadic k/2**p, which lie exactly
+        # on cell boundaries c/G. `tight` adds the edges 3/8 and 3/8 + 1/cap,
+        # the latter moved by that many floats, so the smallest gap can sit on
+        # either side of 1/cap and both the table and binary search run.
+        if tight is not None:
+            interior = [*interior, *tight_pair(tight)]
+        s = BinningScheme(np.unique(np.concatenate(([0.0], interior, [1.0]))), "umb")
+        edges = s.edges
+        special = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0), [0.0, 1.0]])
+        special = special[(special >= 0.0) & (special <= 1.0)]
+        rng = np.random.default_rng(seed)
+        n = 2 * _BLOCK + 1_000
+        scores = rng.permutation(np.concatenate([special, rng.uniform(size=n - special.size)]))
+        want = np.maximum(np.searchsorted(edges, scores, "left"), 1)
+        assert np.array_equal(assign(s, scores), want)
+        assert np.array_equal(assign(s, scores.reshape(2, -1)), want.reshape(2, -1))
+        # Lengths either side of G (the table only runs from G scores on) and of the block.
+        G = s._cells
+        for m in {G - 1, G, G + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1}:
+            if 0 <= m <= n:
+                assert np.array_equal(assign(s, scores[:m]), want[:m])
+        for x in special:
+            assert assign(s, x) == max(np.searchsorted(edges, x, "left"), 1)
+
+    def test_cell_count(self):
+        # The smallest power of two G with G * min gap > 1, or 0 past the cap.
+        assert uwb_scheme(1)._cells == 2
+        assert uwb_scheme(15)._cells == 16
+        assert uwb_scheme(16)._cells == 32  # a gap of exactly 1/16 needs G = 32
+        for tight, G in [(1, _MAX_CELLS), (0, 0), (-1, 0)]:
+            assert BinningScheme([0.0, *tight_pair(tight), 1.0], "umb")._cells == G
+
+    def test_short_input_builds_no_table(self):
+        s = uwb_scheme(15)
+        assert assign(s, 0.3) == 5
+        assert assign(s, np.linspace(0.0, 1.0, s._cells - 1)).shape == (15,)
+        assert "_table" not in vars(s)
+        assign(s, np.linspace(0.0, 1.0, s._cells))
+        assert "_table" in vars(s)
+        far = BinningScheme([0.0, 0.5, 0.5 + 1e-9, 1.0], "umb")
+        assign(far, np.linspace(0.0, 1.0, 2 * _MAX_CELLS))
+        assert far._cells == 0 and "_table" not in vars(far)
 
 
 def mask_loop_sums(edges, scores, weights):
@@ -280,6 +372,21 @@ class TestSchemeSerialization:
     def test_nan_interior_edge_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             BinningScheme.from_json('{"method": "umb", "edges": [0.0, NaN, 1.0]}')
+
+    @pytest.mark.parametrize("edges", [["0", "0.5", "1"], [False, True], [0.0, None, 1.0]])
+    def test_non_numeric_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="edges must be numbers"):
+            BinningScheme(edges, "umb")
+        with pytest.raises(ValueError, match="edges must be numbers"):
+            BinningScheme.from_json(json.dumps({"method": "umb", "edges": edges}))
+
+    @pytest.mark.parametrize("collapsed", ["no", 0, 1, None])
+    def test_non_bool_collapsed_rejected(self, collapsed):
+        with pytest.raises(ValueError, match="collapsed must be a bool"):
+            BinningScheme([0.0, 0.5, 1.0], "umb", collapsed=collapsed)
+        text = json.dumps({"method": "umb", "edges": [0, 0.5, 1], "collapsed": collapsed})
+        with pytest.raises(ValueError, match="collapsed must be a bool"):
+            BinningScheme.from_json(text)
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):

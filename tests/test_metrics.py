@@ -19,8 +19,10 @@ from calbounds import (
     optimal_bins,
     tce_gap,
     total_bias_bound,
+    umb_scheme,
     uwb_scheme,
 )
+from calbounds.binning import _MAX_CELLS
 from calbounds.experiments import scored_synthetic_dataset
 
 
@@ -80,7 +82,7 @@ class TestEceReformulated:
 
     def test_peak_memory_two_arrays_of_n(self):
         # The residuals and the bin indices: 2 * 8 bytes a score (15.26 MiB at
-        # n = 1e6), plus half a MiB for the arithmetic index's block temporaries.
+        # n = 1e6), plus half a MiB for the table index's block temporaries.
         n = 1_000_000
         rng = np.random.default_rng(29)
         d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
@@ -90,6 +92,23 @@ class TestEceReformulated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 2 * 8 * n + 2**19
+
+    def test_peak_memory_two_arrays_of_n_largest_table(self):
+        # The same bound with uniform-mass edges close enough to need the
+        # largest table the cap allows (~256 KiB), built inside the call.
+        n = 1_000_000
+        rng = np.random.default_rng(29)
+        d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
+        scheme = umb_scheme(d.scores, 8000)
+        assert scheme._cells == _MAX_CELLS
+        tracemalloc.start()
+        try:
+            ece_reformulated(d, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "_table" in vars(scheme)
         assert peak <= 2 * 8 * n + 2**19
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calbounds import (
+    BinningScheme,
     Recalibrator,
     ScoredDataset,
     SyntheticModel,
@@ -160,6 +161,31 @@ class TestSerialization:
         text = '{"edges": [0.0, NaN, 1.0], "mu": [0.1, 0.9], "fit_size": 4, "reused_training": false}'
         with pytest.raises(ValueError, match="strictly increasing"):
             Recalibrator.from_json(text)
+
+    @pytest.mark.parametrize("fit_size", [-5, 0, 3, 4.0, "8", True, None])
+    def test_bad_fit_size_rejected(self, fit_size):
+        scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
+        with pytest.raises(ValueError, match=r"fit_size must be an integer of at least 2B = 4"):
+            Recalibrator(scheme, [0.2, 0.7], fit_size, False)
+        text = json.dumps({"edges": [0.0, 0.5, 1.0], "mu": [0.2, 0.7], "fit_size": fit_size,
+                           "reused_training": False})
+        with pytest.raises(ValueError, match=r"fit_size must be an integer of at least 2B = 4"):
+            Recalibrator.from_json(text)
+
+    @pytest.mark.parametrize("reused", ["no", 0, 1, None])
+    def test_non_bool_reused_training_rejected(self, reused):
+        scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
+        with pytest.raises(ValueError, match="reused_training must be a bool"):
+            Recalibrator(scheme, [0.2, 0.7], 4, reused)
+        text = json.dumps({"edges": [0.0, 0.5, 1.0], "mu": [0.2, 0.7], "fit_size": 4,
+                           "reused_training": reused})
+        with pytest.raises(ValueError, match="reused_training must be a bool"):
+            Recalibrator.from_json(text)
+
+    def test_numpy_fit_size_and_flag_stored_as_python_types(self):
+        r = Recalibrator(BinningScheme([0.0, 0.5, 1.0], "umb"), [0.2, 0.7], np.int64(4), np.bool_(True))
+        assert type(r.fit_size) is int and r.reused_training is True
+        assert Recalibrator.from_json(r.to_json()).fit_size == 4
 
     def test_mu_range_validated(self):
         d = ScoredDataset([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
