@@ -40,7 +40,6 @@ from .metrics import (
     ece_gap,
     ece_reformulated,
     optimal_bins,
-    tce_gap,
 )
 from .mi import (
     CmiExperimentConfig,
@@ -79,7 +78,7 @@ __all__ = [
     "RunRecord", "ScoredDataset", "Supersample", "load_scores", "save_scores",
     "top_label_reduce",
     "EceValue", "GapStatistic", "binned_tce", "cube_root_bins", "ece", "ece_gap",
-    "ece_reformulated", "optimal_bins", "tce_gap",
+    "ece_reformulated", "optimal_bins",
     "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",
     "plugin_mi", "run_cmi_experiment",
     "CalibrationOracle", "McEstimate", "SyntheticModel", "TrainerConfig",

@@ -8,7 +8,6 @@ bin 1 so the bins cover all of [0, 1] and masses always sum to one.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ _BLOCK = 1 << 14  # scores per block of the table index: bounds its temporaries
 _MAX_CELLS = 1 << 14  # bounds the table at 2 * (2**14 + 1) * 8 bytes, ~256 KiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinningScheme:
     """Ordered bin edges over [0, 1] plus the method that produced them.
 
@@ -32,13 +31,14 @@ class BinningScheme:
     because of tied scores (the requested bin count could not be realized).
     ``_cells`` is G, the smallest power of two with G * min(diff(edges)) > 1,
     or 0 if that exceeds ``_MAX_CELLS``; whatever the method label, a nonzero
-    G lets ``assign`` index through the cached ``_table``.
+    G lets ``assign`` index through the cached ``_table``. Schemes compare
+    and hash by identity.
     """
 
     edges: np.ndarray
     method: str
     collapsed: bool = False
-    _cells: int = field(init=False, repr=False, compare=False)
+    _cells: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges)
@@ -81,16 +81,6 @@ class BinningScheme:
     @property
     def B(self) -> int:
         return int(self.edges.size - 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"method": self.method, "edges": self.edges.tolist(), "collapsed": self.collapsed}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinningScheme":
-        obj = json.loads(text)
-        return cls(obj["edges"], obj["method"], collapsed=obj.get("collapsed", False))
 
 
 def _uniform_edges(B: int) -> np.ndarray:
@@ -192,12 +182,13 @@ def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:
     return (counts, *(np.bincount(idx, weights=w, minlength=scheme.B) for w in weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinStats:
     """Per-bin counts, mean scores, mean labels, and masses for one dataset.
 
     Empty bins carry count 0, mass 0, and NaN means; the NaNs mark the
     means as undefined and are never folded into downstream estimates.
+    Stats compare and hash by identity.
     """
 
     counts: np.ndarray

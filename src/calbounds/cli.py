@@ -155,14 +155,8 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _cmd_synthetic(args, record: RunRecord) -> None:
-    if args.b_rule.startswith("fixed:"):
-        b_rule = ("fixed", int(args.b_rule.split(":", 1)[1]))
-    elif args.b_rule in ("optimal", "cube_root"):
-        b_rule = args.b_rule
-    else:
-        raise ValueError(f"unknown bin rule: {args.b_rule}")
     result = run_synthetic_experiment(
-        args.beta0, args.beta1, args.n_grid, args.reps, b_rule, args.seed, n_mc=args.n_mc
+        args.beta0, args.beta1, args.n_grid, args.reps, args.b_rule, args.seed, n_mc=args.n_mc
     )
     _write_csv(
         _out_dir(args) / "synthetic_gaps.csv",

@@ -301,10 +301,10 @@ class RunRecord:
             "timestamp": self.timestamp,
         }
 
-    def save(self, directory, name: str = "run_record.json") -> Path:
+    def save(self, directory) -> Path:
         out_dir = Path(directory)
         out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / name
+        out = out_dir / "run_record.json"
         out.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         return out
 

@@ -37,20 +37,21 @@ __all__ = [
 
 def scored_synthetic_dataset(model: SyntheticModel, n: int, seed: int, *path: int) -> ScoredDataset:
     """Draw n synthetic points and score them with the model."""
-    rng = stream(seed, *path)
-    x, y = sample_synthetic(n, seed, rng=rng)
+    x, y = sample_synthetic(n, stream(seed, *path))
     scores = np.clip(logistic_predict(model, x), 0.0, 1.0)
     return ScoredDataset(scores, y, provenance=f"synthetic(seed={seed}, path={path})")
 
 
-def _resolve_bins(rule, n: int, L: float) -> int:
+def _bin_rule(rule: str):
+    """``(n, L) -> B`` for the rule ``optimal``, ``cube_root`` or ``fixed:K`` (K >= 1)."""
     if rule == "optimal":
-        return optimal_bins(n, L, UWB)
+        return lambda n, L: optimal_bins(n, L, UWB)
     if rule == "cube_root":
-        return cube_root_bins(n)
-    if isinstance(rule, tuple) and rule[0] == "fixed":
-        return int(rule[1])
-    raise ValueError(f"unknown bin rule: {rule!r}")
+        return lambda n, L: cube_root_bins(n)
+    kind, _, k = str(rule).partition(":")
+    if kind == "fixed" and k.strip().isdecimal() and int(k) >= 1:
+        return lambda n, L: int(k)
+    raise ValueError(f"unknown bin rule {rule!r}: expected optimal, cube_root or fixed:K with K >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def run_synthetic_experiment(
     beta1: float,
     n_grid,
     reps: int,
-    b_rule,
+    b_rule: str,
     seed: int,
     n_mc: int = 10**6,
 ) -> SyntheticExperimentResult:
@@ -80,13 +81,15 @@ def run_synthetic_experiment(
     scored, the uniform-width ECE is computed at the rule-selected bin
     count, and the gap to the oracle TCE plus the matching total-bias
     bound are recorded. The log-log slope of the mean gap against n is
-    fitted by least squares.
+    fitted by least squares. ``b_rule`` is ``optimal``, ``cube_root`` or
+    ``fixed:K``; a bad rule fails before any draw.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(n < 8 for n in n_grid):
         raise ValueError("grid sizes must be at least 8")
+    bins_for = _bin_rule(b_rule)
     model = SyntheticModel(beta0, beta1)
     oracle = CalibrationOracle(model)
     L = estimate_lipschitz(oracle, grid=1000)
@@ -95,7 +98,7 @@ def run_synthetic_experiment(
     rows = []
     mean_gaps = []
     for i, n in enumerate(n_grid):
-        B = _resolve_bins(b_rule, n, L)
+        B = bins_for(n, L)
         scheme = uwb_scheme(B)
         bound = total_bias_bound(B, n, L, UWB).value
         gaps = []

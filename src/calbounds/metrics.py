@@ -1,4 +1,4 @@
-"""Binned calibration-error estimators, gap statistics, and bin-count selection.
+"""Binned calibration-error estimators, the ECE gap, and bin-count selection.
 
 The expected calibration error of a dataset under a scheme is the
 mass-weighted sum of per-bin |mean score - mean label| deviations; empty
@@ -17,7 +17,7 @@ import numpy as np
 
 from .binning import UMB, UWB, BinningScheme, bin_stats, bin_sums
 from .bounds import _total_bias
-from .models import CalibrationOracle, McEstimate, logistic_predict, mc_tce, sample_synthetic
+from .models import CalibrationOracle, McEstimate, logistic_predict, sample_synthetic
 from .rng import stream
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ece",
     "ece_reformulated",
     "binned_tce",
-    "tce_gap",
     "ece_gap",
     "optimal_bins",
     "cube_root_bins",
@@ -51,15 +50,12 @@ class EceValue:
 
 @dataclass(frozen=True)
 class GapStatistic:
-    """Absolute difference of two named calibration quantities."""
+    """|test ECE - train ECE|, with the two ECEs as ``components`` in that order."""
 
-    kind: str
     value: float
     components: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("tce_gap", "ece_gap"):
-            raise ValueError(f"unknown gap kind: {self.kind}")
         expected = abs(self.components[0] - self.components[1])
         if not math.isclose(self.value, expected, rel_tol=0.0, abs_tol=0.0):
             raise ValueError("gap value must equal |component1 - component2| exactly")
@@ -100,8 +96,7 @@ def binned_tce(o: CalibrationOracle, s: BinningScheme, n_mc: int, seed: int) -> 
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    rng = stream(seed)
-    x, y = sample_synthetic(n_mc, seed, rng=rng)
+    x, y = sample_synthetic(n_mc, stream(seed))
     z = logistic_predict(o.model, x)
     resid = y - z
     np.clip(z, 0.0, 1.0, out=z)  # in place, after resid, which takes the unclipped z
@@ -113,15 +108,6 @@ def binned_tce(o: CalibrationOracle, s: BinningScheme, n_mc: int, seed: int) -> 
     return McEstimate(value, se, n_mc)
 
 
-def tce_gap(
-    o: CalibrationOracle, d_test, s: BinningScheme, n_mc: int, seed: int
-) -> GapStatistic:
-    """|Monte-Carlo TCE of the model - ECE on the test dataset|."""
-    tce = mc_tce(o, n_mc, seed).value
-    e = ece(d_test, s).value
-    return GapStatistic("tce_gap", abs(tce - e), (tce, e))
-
-
 def ece_gap(d_train, d_test, s: BinningScheme) -> GapStatistic:
     """|ECE on the test dataset - ECE on the training dataset| under one scheme.
 
@@ -131,7 +117,7 @@ def ece_gap(d_train, d_test, s: BinningScheme) -> GapStatistic:
     """
     e_test = ece(d_test, s).value
     e_train = ece(d_train, s).value
-    return GapStatistic("ece_gap", abs(e_test - e_train), (e_test, e_train))
+    return GapStatistic(abs(e_test - e_train), (e_test, e_train))
 
 
 def _floor_cbrt(v: float) -> int:

@@ -225,6 +225,8 @@ class CmiExperimentConfig:
             raise ValueError("need at least one supersample draw")
         if self.n_masks < 2:
             raise ValueError("need at least two mask draws per supersample")
+        if not self.exhaustive and self.k < 1:
+            raise ValueError("k must be at least 1")
         if not self.exhaustive and self.n_masks < self.k + 2:
             raise ValueError(
                 f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws"
@@ -270,8 +272,7 @@ def run_cmi_experiment(cfg: CmiExperimentConfig, fit_fn=None) -> CmiExperimentRe
     n_masks_used = 2**cfg.n if cfg.exhaustive else cfg.n_masks
 
     for s_idx in range(cfg.n_supersamples):
-        rng_rows = stream(cfg.seed, s_idx, 0)
-        x, y = sample_synthetic(2 * cfg.n, cfg.seed, rng=rng_rows)
+        x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
         values = x.reshape(cfg.n, 2)
         labels = y.reshape(cfg.n, 2)
 

@@ -87,12 +87,10 @@ class McEstimate:
     n_samples: int
 
 
-def sample_synthetic(n: int, seed: int, rng: np.random.Generator | None = None):
+def sample_synthetic(n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs from the balanced Gaussian-mixture distribution."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rng is None:
-        rng = stream(seed)
     y = rng.integers(0, 2, size=n)
     x = rng.normal(loc=np.where(y == 1, -1.0, 1.0), scale=1.0)
     return x, y
@@ -148,8 +146,7 @@ def mc_tce(o: CalibrationOracle, n_mc: int, seed: int) -> McEstimate:
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    rng = stream(seed)
-    x, _ = sample_synthetic(n_mc, seed, rng=rng)
+    x, _ = sample_synthetic(n_mc, stream(seed))
     z = np.clip(logistic_predict(o.model, x), _OPEN_LO, _OPEN_HI)
     t = np.abs(z - canonical_calibration(o, z))
     value = float(np.mean(t))

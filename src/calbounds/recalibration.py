@@ -8,20 +8,19 @@ is what the held-out and training-reuse bounds control.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UMB, BinningScheme, assign, bin_stats, umb_scheme
+from .binning import BinningScheme, assign, bin_stats, umb_scheme
 from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recalibrator:
-    """Uniform-mass scheme plus per-bin label means, fit on one dataset."""
+    """Uniform-mass scheme plus per-bin label means, fit on one dataset; compared by identity."""
 
     scheme: BinningScheme
     mu: np.ndarray
@@ -43,23 +42,6 @@ class Recalibrator:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "fit_size", int(n))
         object.__setattr__(self, "reused_training", bool(self.reused_training))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "edges": self.scheme.edges.tolist(),
-                "mu": self.mu.tolist(),
-                "fit_size": self.fit_size,
-                "reused_training": self.reused_training,
-                "collapsed": self.scheme.collapsed,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Recalibrator":
-        obj = json.loads(text)
-        scheme = BinningScheme(obj["edges"], UMB, collapsed=obj.get("collapsed", False))
-        return cls(scheme, np.asarray(obj["mu"]), obj["fit_size"], obj["reused_training"])
 
 
 def fit_recalibrator(d_fit, B: int, reused_training: bool = False) -> Recalibrator:

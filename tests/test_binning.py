@@ -1,7 +1,6 @@
 """Binning scheme construction, assignment, and per-bin statistics."""
 
 import functools
-import json
 import operator
 import warnings
 
@@ -12,10 +11,12 @@ from hypothesis import strategies as st
 
 from calbounds import (
     BinningScheme,
+    Recalibrator,
     ScoredDataset,
     assign,
     bin_stats,
     bin_sums,
+    ece,
     umb_scheme,
     uwb_scheme,
 )
@@ -354,42 +355,36 @@ class TestBinStats:
 
 
 class TestSchemeSerialization:
-    def test_json_round_trip_exact(self):
-        s = umb_scheme(np.random.default_rng(5).uniform(size=40), B=7)
-        back = BinningScheme.from_json(s.to_json())
-        assert back.method == s.method
-        assert np.array_equal(back.edges, s.edges)
-        assert back.collapsed is False
-        with pytest.warns(UserWarning, match="collapsed"):
-            tied = umb_scheme([0.2, 0.2, 0.2, 0.2, 0.7, 0.7], B=3)
-        back = BinningScheme.from_json(tied.to_json())
-        assert back.collapsed is True
-        assert np.array_equal(back.edges, tied.edges)
-        # Files written before the flag was stored still load, as not collapsed.
-        legacy = BinningScheme.from_json('{"method": "umb", "edges": [0.0, 0.5, 1.0]}')
-        assert legacy.collapsed is False
+    """Edge and flag checks of a directly constructed scheme."""
 
     def test_nan_interior_edge_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            BinningScheme.from_json('{"method": "umb", "edges": [0.0, NaN, 1.0]}')
+            BinningScheme([0.0, np.nan, 1.0], "umb")
 
     @pytest.mark.parametrize("edges", [["0", "0.5", "1"], [False, True], [0.0, None, 1.0]])
     def test_non_numeric_edges_rejected(self, edges):
         with pytest.raises(ValueError, match="edges must be numbers"):
             BinningScheme(edges, "umb")
-        with pytest.raises(ValueError, match="edges must be numbers"):
-            BinningScheme.from_json(json.dumps({"method": "umb", "edges": edges}))
 
     @pytest.mark.parametrize("collapsed", ["no", 0, 1, None])
     def test_non_bool_collapsed_rejected(self, collapsed):
         with pytest.raises(ValueError, match="collapsed must be a bool"):
             BinningScheme([0.0, 0.5, 1.0], "umb", collapsed=collapsed)
-        text = json.dumps({"method": "umb", "edges": [0, 0.5, 1], "collapsed": collapsed})
-        with pytest.raises(ValueError, match="collapsed must be a bool"):
-            BinningScheme.from_json(text)
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):
             BinningScheme(np.array([0.0, 0.5, 0.5, 1.0]), "uwb")
         with pytest.raises(ValueError):
             BinningScheme(np.array([0.1, 1.0]), "uwb")
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    s, twin = uwb_scheme(3), uwb_scheme(3)
+    d = ScoredDataset([0.2, 0.8], [0, 1])
+    assert s == s and s != twin and s != uwb_scheme(4)
+    assert len({s, twin}) == 2
+    stats = bin_stats(s, d)
+    recal = Recalibrator(s, [0.5, 0.5, 0.5], 6, False)
+    assert stats == stats and stats != bin_stats(s, d) and {stats, recal}
+    assert recal != Recalibrator(s, [0.5, 0.5, 0.5], 6, False)
+    assert ece(d, s) != ece(d, twin) and ece(d, s) == ece(d, s)

@@ -342,6 +342,18 @@ class TestExitCodes:
         assert "argument --n-grid: expected at least one size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("rule", ["bogus", "fixed:x", "fixed:0"])
+    def test_bad_bin_rule_exits_2_before_any_draw(self, rule, tmp_path, capsys, monkeypatch):
+        import calbounds.experiments as experiments_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("drew before checking the rule")
+
+        monkeypatch.setattr(experiments_mod, "mc_tce", boom)
+        assert main(["synthetic", "--b-rule", rule, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown bin rule {rule!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunRecordConfig:
     """The record's config is the whole parsed command line except --out."""

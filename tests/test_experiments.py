@@ -45,7 +45,7 @@ class TestRunSyntheticExperiment:
 
     def test_fixed_rule(self):
         res = run_synthetic_experiment(
-            0.5, -1.5, [300], reps=2, b_rule=("fixed", 9), seed=7, n_mc=10_000
+            0.5, -1.5, [300], reps=2, b_rule="fixed:9", seed=7, n_mc=10_000
         )
         assert all(row["B"] == 9 for row in res.rows)
 

@@ -17,7 +17,6 @@ from calbounds import (
     ece_gap,
     ece_reformulated,
     optimal_bins,
-    tce_gap,
     total_bias_bound,
     umb_scheme,
     uwb_scheme,
@@ -145,25 +144,6 @@ class TestBinnedTce:
         a = binned_tce(o, uwb_scheme(5), n_mc=10_000, seed=7)
         b = binned_tce(o, uwb_scheme(5), n_mc=10_000, seed=7)
         assert a.value == b.value
-
-
-class TestTceGap:
-    def test_calibrated_model_small_gap(self):
-        model = SyntheticModel(0.0, -2.0)
-        o = CalibrationOracle(model)
-        d = scored_synthetic_dataset(model, 20_000, seed=41)
-        B = optimal_bins(20_000, 1.0, "uwb")
-        gap = tce_gap(o, d, uwb_scheme(B), n_mc=200_000, seed=43)
-        assert gap.value < 0.02
-
-    def test_symmetric_and_deterministic(self):
-        model = SyntheticModel(0.5, -1.5)
-        o = CalibrationOracle(model)
-        d = scored_synthetic_dataset(model, 2000, seed=47)
-        g1 = tce_gap(o, d, uwb_scheme(10), n_mc=50_000, seed=53)
-        g2 = tce_gap(o, d, uwb_scheme(10), n_mc=50_000, seed=53)
-        assert g1.value == g2.value
-        assert g1.value == abs(g1.components[1] - g1.components[0])
 
 
 class TestEceGap:

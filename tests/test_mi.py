@@ -223,7 +223,7 @@ def random_supersample(rng, n):
 
 def synthetic_supersample(n, seed):
     """Raw supersample of 2n synthetic draws with a uniform mask."""
-    x, y = sample_synthetic(2 * n, 0, rng=stream(seed, 0))
+    x, y = sample_synthetic(2 * n, stream(seed, 0))
     mask = stream(seed, 1).integers(0, 2, size=n)
     return Supersample(x.reshape(n, 2), y.reshape(n, 2), mask)
 
@@ -379,7 +379,7 @@ class TestRunCmiExperiment:
         x = np.array([[0.5, np.inf], [0.25, -0.25], [0.5, -0.5], [0.75, -0.75]])
         y = np.ones((4, 2), dtype=np.int64)
 
-        def fake_sample(n, seed, rng=None):
+        def fake_sample(n, rng):
             return x.ravel(), y.ravel()
 
         import calbounds.mi as mi_mod
@@ -395,3 +395,7 @@ class TestRunCmiExperiment:
             CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, n_masks=1)
         with pytest.raises(ValueError):
             CmiExperimentConfig(n=20, B=2, trainer=TrainerConfig(), seed=0, exhaustive=True)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, k=0)
+        # The plug-in oracle of exhaustive mode takes no k.
+        CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, k=0, exhaustive=True)

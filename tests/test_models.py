@@ -19,21 +19,22 @@ from calbounds import (
     sample_synthetic,
     train_logistic,
 )
+from calbounds.rng import stream
 
 
 class TestSampleSynthetic:
     def test_label_frequency(self):
-        _, y = sample_synthetic(100_000, seed=11)
+        _, y = sample_synthetic(100_000, stream(11))
         assert abs(np.mean(y) - 0.5) < 0.01
 
     def test_conditional_means(self):
-        x, y = sample_synthetic(100_000, seed=12)
+        x, y = sample_synthetic(100_000, stream(12))
         assert abs(np.mean(x[y == 1]) - (-1.0)) < 0.02
         assert abs(np.mean(x[y == 0]) - 1.0) < 0.02
 
     def test_deterministic(self):
-        x1, y1 = sample_synthetic(1000, seed=3)
-        x2, y2 = sample_synthetic(1000, seed=3)
+        x1, y1 = sample_synthetic(1000, stream(3))
+        x2, y2 = sample_synthetic(1000, stream(3))
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
@@ -92,7 +93,7 @@ class TestCanonicalCalibration:
         # conditioned on the model score, up to cell width and noise.
         model = SyntheticModel(0.5, -1.5)
         o = CalibrationOracle(model)
-        x, y = sample_synthetic(400_000, seed=5)
+        x, y = sample_synthetic(400_000, stream(5))
         z = logistic_predict(model, x)
         edges = np.linspace(0.02, 0.98, 17)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -177,7 +178,7 @@ class TestTrainLogistic:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_deterministic(self):
-        x, y = sample_synthetic(200, seed=2)
+        x, y = sample_synthetic(200, stream(2))
         cfg = TrainerConfig(learning_rate=0.3, epochs=50, seed=13)
         m1 = train_logistic((x, y), cfg)
         m2 = train_logistic((x, y), cfg)
@@ -187,7 +188,7 @@ class TestTrainLogistic:
         # Data generated by the true posterior beta = (0, -2); the fitted
         # slope should land near -2 for each of five seeds.
         for seed in range(5):
-            x, y = sample_synthetic(10_000, seed=100 + seed)
+            x, y = sample_synthetic(10_000, stream(100 + seed))
             m = train_logistic((x, y), TrainerConfig(learning_rate=0.5, epochs=400, seed=seed))
             assert abs(m.beta1 - (-2.0)) < 0.2
 
