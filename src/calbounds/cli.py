@@ -240,8 +240,9 @@ def _cmd_cmi(args, record: RunRecord) -> None:
             f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound)}"
         )
         record.add("mean_gap", result.mean_gap, n=n, B=B)
-        record.add("ecmi_est", result.ecmi_est.value, n=n, B=B, k=args.k)
-        record.add("gen_ece_bound", bound, n=n, B=B, ecmi=max(result.ecmi_est.value, 0.0))
+        est = result.ecmi_est
+        record.add("ecmi_est", est.value, n=n, B=B, method=est.method, k=est.k)
+        record.add("gen_ece_bound", bound, n=n, B=B, ecmi=est.clamped)
     _write_csv(out / "cmi_summary.csv", ["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
 
 

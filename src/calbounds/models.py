@@ -172,13 +172,14 @@ def _init_beta(seed: int) -> np.ndarray:
     return stream(seed).normal(0.0, 0.01, size=2)
 
 
-def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> list[SyntheticModel]:
+def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray:
     """Full-batch gradient descent from each row of ``beta`` (M, 2) on the rows of x, y (M, n).
 
-    Every row runs the ufunc sequence of a lone 1-d descent, so it equals
-    training that row alone bit for bit. Rows go in blocks of at most
-    ``_BLOCK`` elements (one row at least), which bounds the temporaries.
-    A row whose parameters go non-finite raises with its epoch and ``where(row)``.
+    Returns the trained (M, 2) parameters. Every row runs the ufunc sequence
+    of a lone 1-d descent, so it equals training that row alone bit for bit.
+    Rows go in blocks of at most ``_BLOCK`` elements (one row at least),
+    which bounds the temporaries. A row whose parameters go non-finite
+    raises with its epoch and ``where(row)``.
     """
     out = np.empty_like(beta)
     step = max(1, _BLOCK // x.shape[1])
@@ -196,7 +197,7 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> list[Synth
             b = b - cfg.learning_rate * grad
         out[lo:lo + step] = b
     out[out[:, 1] == 0.0, 1] = np.finfo(np.float64).tiny  # keep each model valid; slope ~ 0
-    return [SyntheticModel(float(b0), float(b1)) for b0, b1 in out]
+    return out
 
 
 def train_logistic(train, cfg: TrainerConfig) -> SyntheticModel:
@@ -214,4 +215,5 @@ def train_logistic(train, cfg: TrainerConfig) -> SyntheticModel:
         raise ValueError("x and y must have equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
-    return _descend(_init_beta(cfg.seed)[None], x.reshape(1, -1), y.reshape(1, -1), cfg)[0]
+    b0, b1 = _descend(_init_beta(cfg.seed)[None], x.reshape(1, -1), y.reshape(1, -1), cfg)[0]
+    return SyntheticModel(float(b0), float(b1))

@@ -292,6 +292,20 @@ class TestCmiCommand:
         bounds = [float(r.split(",")[4]) for r in rows]
         assert bounds[1] < bounds[0]
 
+    def test_exhaustive_record_names_the_plugin_estimator(self, tmp_path):
+        # The plug-in estimator takes no k, whatever --k says.
+        out = tmp_path / "cmi"
+        assert main(["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1",
+                     "--epochs", "20", "--k", "5", "--seed", "1", "--out", str(out)]) == 0
+        results = {
+            r["name"]: r for r in json.loads((out / "run_record.json").read_text())["results"]
+        }
+        est = results["ecmi_est"]
+        assert est["inputs"] == {"n": 8, "B": 2, "method": "plugin", "k": 0}
+        bound = results["gen_ece_bound"]
+        assert bound["inputs"]["ecmi"] == max(est["value"], 0.0)
+        assert bound["value"] == calbounds.gen_ece_bound(max(est["value"], 0.0), 2, 8).value
+
 
 class TestEnvironmentDefaults:
     def test_output_dir_from_env(self, score_file, tmp_path, monkeypatch, capsys):

@@ -1,16 +1,18 @@
 """Mutual-information estimators and the supersample mask experiment."""
 
-import itertools
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logit
 
 from calbounds import (
     CmiExperimentConfig,
+    ScoredDataset,
     Supersample,
     TrainerConfig,
     ksg_mixed_mi,
@@ -20,50 +22,27 @@ from calbounds import (
     sample_synthetic,
     train_logistic,
 )
+import calbounds.mi as mi_mod
 from calbounds.mi import _cell_statistics
 from calbounds.rng import child_seed, stream
 
 LN2 = math.log(2.0)
 
 
-def constant_fitter(level=0.7):
-    """Trainer stub that ignores the data and predicts a constant."""
-
-    def fit(x, y):
-        return lambda xs: np.full(np.shape(xs), level)
-
-    return fit
+def scored_halves(s, predict=lambda x: x):
+    """(training, complement) halves of ``s`` scored by ``predict`` (default: values are scores)."""
+    return tuple(ScoredDataset(predict(x), y) for x, y in (s.split(), s.split(flipped=True)))
 
 
-def identity_fitter():
-    """Trainer stub whose predictions are the raw inputs (already scores)."""
-
-    def fit(x, y):
-        return lambda xs: np.asarray(xs, dtype=float)
-
-    return fit
+def constant(level=0.7):
+    """A predictor that ignores its input."""
+    return lambda x: np.full(np.shape(x), level)
 
 
-def logistic_fitter(cfg):
-    """Trains a logistic model with ``cfg`` on each cell's training half."""
-
-    def fit(x, y):
-        return partial(logistic_predict, train_logistic((x, y), cfg))
-
-    return fit
-
-
-def per_cell_fitter(cfg):
-    """The experiment's trainer, one cell at a time: each cell seeds its own substream."""
-    n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
-    cells = itertools.product(range(cfg.n_supersamples), range(n_masks))
-
-    def fit(x, y):
-        s_idx, m_idx = next(cells)
-        seed = child_seed(cfg.seed, s_idx, m_idx, 2)
-        return logistic_fitter(replace(cfg.trainer, seed=seed))(x, y)
-
-    return fit
+def logistic_halves(s, cfg):
+    """Train a logistic model with ``cfg`` on the training half of ``s``; score both halves."""
+    model = train_logistic(s.split(), cfg)
+    return scored_halves(s, lambda x: np.clip(logistic_predict(model, x), 0.0, 1.0))
 
 
 class TestKsgMixedMi:
@@ -189,6 +168,34 @@ class TestPluginMi:
         with pytest.raises(ValueError):
             plugin_mi(np.linspace(0, 1, 7), np.array([0, 1, 0, 1, 0, 1, 0]), bins=2)
 
+    def test_tied_values_share_a_bin(self):
+        # One value carries no information, whatever the labels.
+        assert plugin_mi(np.zeros(16), np.arange(16), bins=4).value == pytest.approx(0, abs=1e-15)
+
+    @given(
+        data=st.data(),
+        bins=st.integers(2, 6),
+        n_values=st.integers(1, 8),
+        n_labels=st.integers(2, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_by_each_plugin_entropy(self, data, bins, n_values, n_labels):
+        n = data.draw(st.integers(4 * bins, 60))
+        vals = np.array(data.draw(st.lists(st.integers(0, n_values - 1), min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a single distinct label gives 0 with a warning
+            est = plugin_mi(vals / 7.0, labels, bins=bins).value
+        # Equal-mass cells over ranks, where a value's rank is the count of smaller values.
+        vbin = (vals[None, :] < vals[:, None]).sum(axis=1) * bins // n
+
+        def entropy(codes):
+            p = np.unique(codes, return_counts=True)[1] / n
+            return float(-np.sum(p * np.log(p)))
+
+        assert est <= entropy(vbin) + 1e-12
+        assert est <= entropy(labels) + 1e-12
+
     def test_estimator_agreement_across_mixed_distributions(self):
         # Twenty seeded mixed-type distributions; the kNN estimate tracks
         # the histogram plug-in within the stated budget.
@@ -235,7 +242,7 @@ class TestEcmiStatistic:
         # UMB edges from the training half: u_1 = f_(2) = 0.4.
         # Train: bins {0.1,0.4 | y 0,0} and {0.6,0.9 | y 1,1} -> ECE = 0.25.
         # Test: bins {0.2,0.3 | y 0,1} and {0.7,0.8 | y 1,0} -> ECE = 0.25.
-        gap, _, _ = _cell_statistics(hand_supersample(), identity_fitter(), "umb", B=2)
+        gap, _, _ = _cell_statistics(*scored_halves(hand_supersample()), "umb", B=2)
         assert gap == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetry_under_mask_flip_with_stub(self):
@@ -243,16 +250,15 @@ class TestEcmiStatistic:
         # mask and its complement.
         s = random_supersample(np.random.default_rng(19), 20)
         flipped = Supersample(s.values, s.labels, 1 - s.mask)
-        fit = constant_fitter()
-        assert _cell_statistics(s, fit, "uwb", B=4)[0] == pytest.approx(
-            _cell_statistics(flipped, fit, "uwb", B=4)[0], abs=1e-15
+        assert _cell_statistics(*scored_halves(s, constant()), "uwb", B=4)[0] == pytest.approx(
+            _cell_statistics(*scored_halves(flipped, constant()), "uwb", B=4)[0], abs=1e-15
         )
 
     def test_bounded_by_two(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             s = random_supersample(rng, 30)
-            gap, _, _ = _cell_statistics(s, constant_fitter(0.4), "uwb", B=5)
+            gap, _, _ = _cell_statistics(*scored_halves(s, constant(0.4)), "uwb", B=5)
             assert 0.0 <= gap <= 2.0
 
     def test_shrinks_with_n(self):
@@ -262,14 +268,16 @@ class TestEcmiStatistic:
             gaps = []
             for seed in range(20):
                 sup = synthetic_supersample(n, seed)
-                gaps.append(_cell_statistics(sup, logistic_fitter(cfg), "uwb", B=4)[0])
+                gaps.append(_cell_statistics(*logistic_halves(sup, cfg), "uwb", B=4)[0])
             means.append(np.mean(gaps))
         assert means[1] < means[0]
 
     def test_deterministic(self):
         sup = synthetic_supersample(200, seed=9)
-        fit = logistic_fitter(TrainerConfig(learning_rate=0.5, epochs=100, seed=5))
-        assert _cell_statistics(sup, fit, "umb", B=4) == _cell_statistics(sup, fit, "umb", B=4)
+        cfg = TrainerConfig(learning_rate=0.5, epochs=100, seed=5)
+        assert _cell_statistics(*logistic_halves(sup, cfg), "umb", B=4) == _cell_statistics(
+            *logistic_halves(sup, cfg), "umb", B=4
+        )
 
 
 class TestDeltaStatistics:
@@ -279,7 +287,7 @@ class TestDeltaStatistics:
         # Same 4-row supersample, UMB B=2 from the training half.
         # delta1 bins: |(0+1) - (0+0)|/4 + |(1+0) - (1+1)|/4 = 0.5.
         # delta2 bins: counts match (2 vs 2 in each bin) -> 0.
-        _, d1, d2 = _cell_statistics(hand_supersample(), identity_fitter(), "umb", B=2)
+        _, d1, d2 = _cell_statistics(*scored_halves(hand_supersample()), "umb", B=2)
         assert d1 == pytest.approx(0.5, abs=1e-15)
         assert d2 == pytest.approx(0.0, abs=1e-15)
 
@@ -287,24 +295,29 @@ class TestDeltaStatistics:
         values = np.column_stack([np.linspace(0.1, 0.9, 8)] * 2)
         labels = np.column_stack([np.tile([0, 1], 4)] * 2)
         s = Supersample(values, labels, np.zeros(8, dtype=int))
-        gap, d1, d2 = _cell_statistics(s, identity_fitter(), "umb", B=2)
+        gap, d1, d2 = _cell_statistics(*scored_halves(s), "umb", B=2)
         assert gap == 0.0 and d1 == 0.0 and d2 == 0.0
 
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
             s = random_supersample(rng, 24)
-            _, _, d2 = _cell_statistics(s, identity_fitter(), "umb", B=3)
+            _, _, d2 = _cell_statistics(*scored_halves(s), "umb", B=3)
             assert d2 <= 2.0
 
 
 class TestRunCmiExperiment:
-    def test_constant_predictor_mi_near_zero(self):
+    def test_constant_predictor_mi_near_zero(self, monkeypatch):
         cfg = CmiExperimentConfig(
             n=50, B=3, trainer=TrainerConfig(seed=0), seed=12,
             n_supersamples=3, n_masks=8,
         )
-        result = run_cmi_experiment(cfg, fit_fn=constant_fitter())
+
+        def constant_models(beta, x, y, cfg, where):
+            return np.tile([logit(0.7), 0.0], (len(beta), 1))  # slope 0: every score 0.7
+
+        monkeypatch.setattr(mi_mod, "_descend", constant_models)
+        result = run_cmi_experiment(cfg)
         assert abs(result.ecmi_est.value) < 0.05
         assert abs(result.i_delta1.value) < 0.05
         assert abs(result.i_delta2.value) < 0.05
@@ -348,7 +361,7 @@ class TestRunCmiExperiment:
         )
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message="all labels are singletons")
-            result = run_cmi_experiment(cfg, fit_fn=identity_fitter())
+            result = run_cmi_experiment(cfg)
         assert math.isfinite(result.ecmi_est.value)
 
     @pytest.mark.parametrize(
@@ -360,13 +373,25 @@ class TestRunCmiExperiment:
         ],
     )
     def test_batched_training_equals_per_cell_training(self, kwargs):
+        # Reference: each cell's model trained alone by train_logistic on its
+        # own half, from the cell's own seed, and scored by logistic_predict.
         cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60, seed=1), seed=21, **kwargs)
+        per_cell = []
+        for s_idx in range(cfg.n_supersamples):
+            x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
+            if cfg.exhaustive:
+                masks = [[(p >> i) & 1 for i in range(cfg.n)] for p in range(2**cfg.n)]
+            else:
+                masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(cfg.n_masks, cfg.n))
+            for m_idx, mask in enumerate(masks):
+                sup = Supersample(x.reshape(cfg.n, 2), y.reshape(cfg.n, 2), mask)
+                trainer = replace(cfg.trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2))
+                stats = _cell_statistics(*logistic_halves(sup, trainer), cfg.method, cfg.B)
+                per_cell += [(s_idx, m_idx, name, value)
+                             for name, value in zip(("ecmi_gap", "delta1", "delta2"), stats)]
         batched = run_cmi_experiment(cfg)
-        per_cell = run_cmi_experiment(cfg, fit_fn=per_cell_fitter(cfg))
-        assert batched.cells == per_cell.cells
-        assert batched.mean_gap == per_cell.mean_gap
-        for name in ("ecmi_est", "i_delta1", "i_delta2"):
-            assert getattr(batched, name) == getattr(per_cell, name)
+        assert [tuple(c.values()) for c in batched.cells] == per_cell
+        assert batched.mean_gap == np.mean([c[3] for c in per_cell if c[2] == "ecmi_gap"])
 
     def test_divergent_cell_reports_epoch_and_cell(self, monkeypatch):
         # The odd masks put the infinite covariate in the training half, so
@@ -381,8 +406,6 @@ class TestRunCmiExperiment:
 
         def fake_sample(n, rng):
             return x.ravel(), y.ravel()
-
-        import calbounds.mi as mi_mod
 
         monkeypatch.setattr(mi_mod, "sample_synthetic", fake_sample)
         with pytest.raises(ValueError, match=r"epoch 1 \(supersample 0, mask 1\)"):
