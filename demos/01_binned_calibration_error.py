@@ -23,7 +23,7 @@ rng = np.random.default_rng(7)
 # A miscalibrated synthetic score file: confident scores, noisier labels.
 scores = np.clip(rng.beta(2.0, 1.2, size=400), 0.0, 1.0)
 labels = (rng.uniform(size=400) < 0.65 * scores + 0.1).astype(int)
-data = ScoredDataset(scores, labels, provenance="demo-01")
+data = ScoredDataset(scores, labels)
 
 print("dataset:", data)
 print()

@@ -50,7 +50,6 @@ from .mi import (
     run_cmi_experiment,
 )
 from .models import (
-    CalibrationOracle,
     McEstimate,
     SyntheticModel,
     TrainerConfig,
@@ -81,7 +80,7 @@ __all__ = [
     "ece_reformulated", "optimal_bins",
     "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",
     "plugin_mi", "run_cmi_experiment",
-    "CalibrationOracle", "McEstimate", "SyntheticModel", "TrainerConfig",
+    "McEstimate", "SyntheticModel", "TrainerConfig",
     "canonical_calibration", "calibration_slope", "estimate_lipschitz",
     "logistic_predict", "mc_tce", "sample_synthetic", "train_logistic",
     "Recalibrator", "apply_recalibrator", "fit_recalibrator", "recalibrated_tce",

@@ -195,7 +195,6 @@ class BinStats:
     mean_scores: np.ndarray
     mean_labels: np.ndarray
     masses: np.ndarray
-    n: int
 
     @property
     def B(self) -> int:
@@ -211,4 +210,4 @@ def bin_stats(scheme: BinningScheme, dataset) -> BinStats:
     mean_scores = np.divide(sum_scores, counts, out=np.full(scheme.B, np.nan), where=nonempty)
     mean_labels = np.divide(sum_labels, counts, out=np.full(scheme.B, np.nan), where=nonempty)
     masses = counts / len(dataset)
-    return BinStats(counts, mean_scores, mean_labels, masses, n=len(dataset))
+    return BinStats(counts, mean_scores, mean_labels, masses)

@@ -31,7 +31,7 @@ from .data import RunRecord, load_scores
 from .experiments import run_recalibration, run_synthetic_experiment, scored_synthetic_dataset
 from .metrics import cube_root_bins, ece, ece_gap, optimal_bins
 from .mi import CmiExperimentConfig, run_cmi_experiment
-from .models import SyntheticModel, TrainerConfig
+from .models import LIPSCHITZ_GRID, SyntheticModel, TrainerConfig
 
 
 def _fmt(x: float) -> str:
@@ -72,7 +72,7 @@ def _cmd_ece(args, record: RunRecord) -> None:
     value = ece(dataset, scheme)
     print(f"ece {_fmt(value.value)} bins {scheme.B} method {scheme.method}")
     record.add(
-        "ece", value.value, B=scheme.B, method=scheme.method, n_e=value.n_e,
+        "ece", value.value, B=scheme.B, method=scheme.method, n_e=len(dataset),
         edges=scheme.edges,
     )
 
@@ -172,7 +172,7 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
         "tce_mc", result.tce.value, std_error=result.tce.std_error, n_mc=args.n_mc,
         beta0=args.beta0, beta1=args.beta1,
     )
-    record.add("lipschitz", result.lipschitz, grid=1000)
+    record.add("lipschitz", result.lipschitz, grid=LIPSCHITZ_GRID)
 
 
 def _cmd_recalibrate(args, record: RunRecord) -> None:

@@ -36,7 +36,7 @@ class ScoredDataset:
     share across concurrent readers.
     """
 
-    def __init__(self, scores, labels, provenance: str = "") -> None:
+    def __init__(self, scores, labels) -> None:
         # Copy before freezing so callers' arrays keep their writability.
         scores = np.array(scores, dtype=np.float64)
         labels = np.asarray(labels)  # checked before the int64 cast truncates 0.9 to 0
@@ -59,7 +59,6 @@ class ScoredDataset:
         labels.setflags(write=False)
         self.scores = scores
         self.labels = labels
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return int(self.scores.size)
@@ -72,15 +71,11 @@ class ScoredDataset:
         )
 
     def __repr__(self) -> str:
-        return f"ScoredDataset(n={len(self)}, provenance={self.provenance!r})"
+        return f"ScoredDataset(n={len(self)})"
 
-    def subset(self, indices, provenance: str | None = None) -> "ScoredDataset":
+    def subset(self, indices) -> "ScoredDataset":
         idx = np.asarray(indices)
-        return ScoredDataset(
-            self.scores[idx],
-            self.labels[idx],
-            self.provenance if provenance is None else provenance,
-        )
+        return ScoredDataset(self.scores[idx], self.labels[idx])
 
 
 _CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
@@ -116,7 +111,7 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
     return scores, labels
 
 
-def _load_csv_fast(text: str, path: str) -> ScoredDataset | None:
+def _load_csv_fast(text: str) -> ScoredDataset | None:
     """The whole CSV in one numpy pass, or None when `_parse_csv` must decide.
 
     numpy takes a subset of what `_parse_csv` takes (no ``0_5``, non-ASCII
@@ -132,7 +127,7 @@ def _load_csv_fast(text: str, path: str) -> ScoredDataset | None:
             rows = np.loadtxt(
                 lines, delimiter=",", comments=None, skiprows=skip, dtype=_CSV_ROW, ndmin=1
             )
-        return ScoredDataset(rows["score"], rows["label"], provenance=path)
+        return ScoredDataset(rows["score"], rows["label"])
     except (ValueError, Warning):
         return None
 
@@ -154,7 +149,7 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
         raise ValueError(f"unknown format: {format}")
     text = p.read_text()
     if format == "csv":
-        fast = _load_csv_fast(text, str(p))
+        fast = _load_csv_fast(text)
         if fast is not None:
             return fast
         scores, labels = _parse_csv(text, str(p))
@@ -183,7 +178,7 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
             labels.append(label)
     if not scores:
         raise ValueError(f"{p}: empty dataset")
-    return ScoredDataset(scores, labels, provenance=str(p))
+    return ScoredDataset(scores, labels)
 
 
 def save_scores(d: ScoredDataset, path, format: str | None = None) -> None:
@@ -230,7 +225,7 @@ def top_label_reduce(probabilities, true_labels) -> ScoredDataset:
     predicted = np.argmax(probs, axis=1)  # np.argmax takes the lowest index on ties
     scores = np.clip(probs[np.arange(len(probs)), predicted], 0.0, 1.0)
     labels = (predicted == truth).astype(np.int64)
-    return ScoredDataset(scores, labels, provenance="top_label_reduce")
+    return ScoredDataset(scores, labels)
 
 
 @dataclass(frozen=True)

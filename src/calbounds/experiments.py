@@ -15,7 +15,6 @@ from .bounds import recalib_holdout_bound, recalib_reuse_bound, total_bias_bound
 from .data import ScoredDataset
 from .metrics import cube_root_bins, ece, optimal_bins
 from .models import (
-    CalibrationOracle,
     McEstimate,
     SyntheticModel,
     estimate_lipschitz,
@@ -38,8 +37,7 @@ __all__ = [
 def scored_synthetic_dataset(model: SyntheticModel, n: int, seed: int, *path: int) -> ScoredDataset:
     """Draw n synthetic points and score them with the model."""
     x, y = sample_synthetic(n, stream(seed, *path))
-    scores = np.clip(logistic_predict(model, x), 0.0, 1.0)
-    return ScoredDataset(scores, y, provenance=f"synthetic(seed={seed}, path={path})")
+    return ScoredDataset(logistic_predict(model, x), y)
 
 
 def _bin_rule(rule: str):
@@ -60,10 +58,8 @@ class SyntheticExperimentResult:
 
     rows: list  # dicts: n, rep, B, ece, tce, tce_gap, bound
     slope: float
-    intercept: float
     tce: McEstimate
     lipschitz: float
-    n_grid: list
 
 
 def run_synthetic_experiment(
@@ -91,9 +87,8 @@ def run_synthetic_experiment(
         raise ValueError("grid sizes must be at least 8")
     bins_for = _bin_rule(b_rule)
     model = SyntheticModel(beta0, beta1)
-    oracle = CalibrationOracle(model)
-    L = estimate_lipschitz(oracle, grid=1000)
-    tce = mc_tce(oracle, n_mc, child_seed(seed, 0))
+    L = estimate_lipschitz(model)
+    tce = mc_tce(model, n_mc, child_seed(seed, 0))
 
     rows = []
     mean_gaps = []
@@ -120,13 +115,10 @@ def run_synthetic_experiment(
             )
         mean_gaps.append(np.mean(gaps))
 
+    slope = float("nan")
     if len(n_grid) >= 2:
-        slope, intercept = np.polyfit(np.log(n_grid), np.log(mean_gaps), 1)
-    else:
-        slope, intercept = float("nan"), float("nan")
-    return SyntheticExperimentResult(
-        rows, float(slope), float(intercept), tce, L, n_grid
-    )
+        slope = np.polyfit(np.log(n_grid), np.log(mean_gaps), 1)[0]
+    return SyntheticExperimentResult(rows, float(slope), tce, L)
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,6 @@ class RecalibrationResult:
     ece_raw: float
     tce_recalibrated: float
     bound: float
-    collapsed: bool
 
 
 def run_recalibration(
@@ -171,7 +162,7 @@ def run_recalibration(
     if n_test < 2 * B:
         raise ValueError(f"split leaves {n_test} test rows; need at least {2 * B}")
     perm = stream(seed, 0).permutation(n_total)
-    test = pool.subset(perm[n_rest:], provenance="recalibration-test")
+    test = pool.subset(perm[n_rest:])
     rest_idx = perm[:n_rest]
 
     if variant == "holdout":
@@ -182,17 +173,15 @@ def run_recalibration(
         if n_re < 2 * B:
             raise ValueError(f"n_re={n_re} is below the 2B={2 * B} fit minimum")
         pick = stream(seed, 1).permutation(n_rest)[:n_re]
-        fit_set = pool.subset(rest_idx[pick], provenance="recalibration-fit")
-        reused = False
+        fit_set = pool.subset(rest_idx[pick])
         bound = recalib_holdout_bound(B, n_re).value
     else:
         if n_rest < 2 * B:
             raise ValueError(f"only {n_rest} fit rows; need at least {2 * B}")
-        fit_set = pool.subset(rest_idx, provenance="recalibration-fit")
-        reused = True
+        fit_set = pool.subset(rest_idx)
         bound = recalib_reuse_bound(i_delta1, i_delta2, B, len(fit_set)).value
 
-    recal = fit_recalibrator(fit_set, B, reused_training=reused)
+    recal = fit_recalibrator(fit_set, B)
     raw = ece(test, recal.scheme).value
     recal_tce = recalibrated_tce(recal, test)
     return RecalibrationResult(
@@ -203,5 +192,4 @@ def run_recalibration(
         ece_raw=raw,
         tce_recalibrated=recal_tce,
         bound=bound,
-        collapsed=recal.scheme.collapsed,
     )

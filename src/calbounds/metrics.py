@@ -17,7 +17,7 @@ import numpy as np
 
 from .binning import UMB, UWB, BinningScheme, bin_stats, bin_sums
 from .bounds import _total_bias
-from .models import CalibrationOracle, McEstimate, logistic_predict, sample_synthetic
+from .models import McEstimate, SyntheticModel, logistic_predict, sample_synthetic
 from .rng import stream
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EceValue:
-    """An expected-calibration-error value with the scheme and sample size behind it."""
+    """An expected-calibration-error value in [0, 1]."""
 
     value: float
-    scheme: BinningScheme
-    n_e: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
@@ -72,7 +70,7 @@ def ece(d, s: BinningScheme) -> EceValue:
     """Mass-weighted per-bin calibration error of a dataset under a scheme."""
     stats = bin_stats(s, d)
     value = _binned_error(stats.masses, stats.mean_scores, stats.mean_labels)
-    return EceValue(value, s, n_e=len(d))
+    return EceValue(value)
 
 
 def ece_reformulated(d, s: BinningScheme) -> EceValue:
@@ -83,10 +81,10 @@ def ece_reformulated(d, s: BinningScheme) -> EceValue:
     """
     _, residual_sums = bin_sums(s, d.scores, d.labels - d.scores)
     value = float(np.sum(np.abs(residual_sums)) / len(d))
-    return EceValue(min(value, 1.0), s, n_e=len(d))
+    return EceValue(min(value, 1.0))
 
 
-def binned_tce(o: CalibrationOracle, s: BinningScheme, n_mc: int, seed: int) -> McEstimate:
+def binned_tce(m: SyntheticModel, s: BinningScheme, n_mc: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the binned model's true calibration error.
 
     Estimates sum_i |E[(Y - f(X)) * 1{f(X) in I_i}]| on the synthetic
@@ -97,15 +95,14 @@ def binned_tce(o: CalibrationOracle, s: BinningScheme, n_mc: int, seed: int) -> 
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     x, y = sample_synthetic(n_mc, stream(seed))
-    z = logistic_predict(o.model, x)
+    z = logistic_predict(m, x)
     resid = y - z
-    np.clip(z, 0.0, 1.0, out=z)  # in place, after resid, which takes the unclipped z
     _, sums, sq_sums = bin_sums(s, z, resid, resid * resid)
     value = float(np.sum(np.abs(sums)) / n_mc)
     # Per-bin variance of (y - z) * indicator around its mean sums/n (exactly 0 at n_mc = 1).
     variances = sq_sums / n_mc - (sums / n_mc) ** 2
     se = float(np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc)))
-    return McEstimate(value, se, n_mc)
+    return McEstimate(value, se)
 
 
 def ece_gap(d_train, d_test, s: BinningScheme) -> GapStatistic:

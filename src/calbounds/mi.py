@@ -44,7 +44,6 @@ class MiEstimate:
     value: float
     method: str
     k: int
-    n_pairs: int
 
     @property
     def clamped(self) -> float:
@@ -94,13 +93,13 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     n_labels = int(codes.max()) + 1 if n else 0
     if n_labels < 2:
         warnings.warn("fewer than 2 distinct labels; mutual information is 0")
-        return MiEstimate(0.0, "knn", k, n)
+        return MiEstimate(0.0, "knn", k)
 
     counts = np.bincount(codes, minlength=n_labels)
     keep = counts[codes] > 1
     if not np.any(keep):
         warnings.warn("all labels are singletons; mutual information estimated as 0")
-        return MiEstimate(0.0, "knn", k, n)
+        return MiEstimate(0.0, "knn", k)
     pts = pts[keep]
     codes = codes[keep]
     m = pts.shape[0]
@@ -127,7 +126,7 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
         psi_nx[i] = digamma(class_sizes[codes[i]])
         psi_m[i] = digamma(max(m_i, 1))
     value = float(digamma(m) + np.mean(psi_k) - np.mean(psi_nx) - np.mean(psi_m))
-    return MiEstimate(value, "knn", k, n)
+    return MiEstimate(value, "knn", k)
 
 
 def plugin_mi(values, labels, bins: int) -> MiEstimate:
@@ -154,7 +153,7 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     n_labels = int(codes.max()) + 1
     if n_labels < 2:
         warnings.warn("fewer than 2 distinct labels; mutual information is 0")
-        return MiEstimate(0.0, "plugin", 0, n)
+        return MiEstimate(0.0, "plugin", 0)
     ranks = np.searchsorted(np.sort(vals), vals, "left")
     vbin = ranks * bins // n
     joint = np.bincount(vbin * n_labels + codes, minlength=bins * n_labels).reshape(
@@ -165,7 +164,7 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     pu = p.sum(axis=0, keepdims=True)
     nz = p > 0
     value = float(np.sum(p[nz] * np.log(p[nz] / (pv @ pu)[nz])))
-    return MiEstimate(value, "plugin", 0, n)
+    return MiEstimate(value, "plugin", 0)
 
 
 def _cell_statistics(d_tr: ScoredDataset, d_te: ScoredDataset, method: str, B: int):
@@ -250,9 +249,7 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
     given the config: every cell seeds its own substream.
     """
     gaps_all: list[float] = []
-    mi_gap: list[float] = []
-    mi_d1: list[float] = []
-    mi_d2: list[float] = []
+    estimates: list[list[MiEstimate]] = []  # per supersample: gap, delta1, delta2
     cells: list[dict] = []
     n_masks_used = 2**cfg.n if cfg.exhaustive else cfg.n_masks
 
@@ -278,13 +275,11 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
             where=lambda m: f" (supersample {s_idx}, mask {m})",
         )
         (s_tr, y_tr), (s_te, y_te) = (
-            (np.clip(expit(beta[:, :1] + beta[:, 1:] * x), 0.0, 1.0), y) for x, y in halves
+            (expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
         )
         cell_stats = [
             _cell_statistics(
-                ScoredDataset(s_tr[m], y_tr[m], provenance="supersample-train"),
-                ScoredDataset(s_te[m], y_te[m], provenance="supersample-test"),
-                cfg.method, cfg.B,
+                ScoredDataset(s_tr[m], y_tr[m]), ScoredDataset(s_te[m], y_te[m]), cfg.method, cfg.B
             )
             for m in range(n_masks_used)
         ]
@@ -299,28 +294,14 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
 
         if cfg.exhaustive:
             bins = max(2, min(8, n_masks_used // 4))
-            estimates = [
-                plugin_mi(stats[:, j], pattern_labels, bins=bins) for j in range(3)
-            ]
+            estimates.append([plugin_mi(stats[:, j], pattern_labels, bins=bins) for j in range(3)])
         else:
-            estimates = [
-                ksg_mixed_mi(stats[:, j], pattern_labels, k=cfg.k) for j in range(3)
-            ]
-        mi_gap.append(estimates[0].value)
-        mi_d1.append(estimates[1].value)
-        mi_d2.append(estimates[2].value)
+            estimates.append([ksg_mixed_mi(stats[:, j], pattern_labels, k=cfg.k) for j in range(3)])
 
-    method = "plugin" if cfg.exhaustive else "knn"
-    k = 0 if cfg.exhaustive else cfg.k
-    total_pairs = cfg.n_supersamples * n_masks_used
-
-    def _avg(values: list[float]) -> MiEstimate:
-        return MiEstimate(float(np.mean(values)), method, k, total_pairs)
-
+    ecmi_est, i_delta1, i_delta2 = (
+        MiEstimate(float(np.mean([e.value for e in per_stat])), per_stat[0].method, per_stat[0].k)
+        for per_stat in zip(*estimates)
+    )
     return CmiExperimentResult(
-        ecmi_est=_avg(mi_gap),
-        i_delta1=_avg(mi_d1),
-        i_delta2=_avg(mi_d2),
-        mean_gap=float(np.mean(gaps_all)),
-        cells=cells,
+        ecmi_est, i_delta1, i_delta2, mean_gap=float(np.mean(gaps_all)), cells=cells
     )

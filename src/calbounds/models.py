@@ -1,4 +1,4 @@
-"""Synthetic logistic family, its closed-form calibration oracle, and a trainer.
+"""Synthetic logistic family, its closed-form calibration map, and a trainer.
 
 The data distribution is a balanced two-class Gaussian mixture: Y is a fair
 coin, X | Y=1 ~ Normal(-1, 1) and X | Y=0 ~ Normal(+1, 1), for which the
@@ -23,7 +23,6 @@ from .rng import stream
 
 __all__ = [
     "SyntheticModel",
-    "CalibrationOracle",
     "TrainerConfig",
     "McEstimate",
     "sample_synthetic",
@@ -36,10 +35,12 @@ __all__ = [
 ]
 
 # Guard for Monte-Carlo loops only: keeps saturated predictions inside the
-# open interval where the calibration oracle is defined.
+# open interval where the calibration map is defined.
 _OPEN_LO = 1e-15
 _OPEN_HI = 1.0 - 2.0 ** -53
 _BLOCK = 1 << 16  # x elements per block of the batched descent: bounds its temporaries
+LIPSCHITZ_GRID = 1000  # points of the estimate_lipschitz grid
+_LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,6 @@ class SyntheticModel:
     def __post_init__(self) -> None:
         if self.beta1 == 0.0:
             raise ValueError("beta1 must be nonzero")
-
-
-@dataclass(frozen=True)
-class CalibrationOracle:
-    """Closed-form conditional label mean for a synthetic logistic model."""
-
-    model: SyntheticModel
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,6 @@ class McEstimate:
 
     value: float
     std_error: float
-    n_samples: int
 
 
 def sample_synthetic(n: int, rng: np.random.Generator):
@@ -106,7 +99,7 @@ def _check_open_unit(z: np.ndarray) -> None:
         raise ValueError("scores must lie strictly inside (0, 1)")
 
 
-def canonical_calibration(o: CalibrationOracle, z1):
+def canonical_calibration(m: SyntheticModel, z1):
     """Conditional label mean given the model outputs z1, in closed form.
 
     pi_1(z) = sigmoid(2 * (beta0 - logit(z)) / beta1), defined on the open
@@ -116,7 +109,6 @@ def canonical_calibration(o: CalibrationOracle, z1):
     """
     z = np.asarray(z1, dtype=np.float64)
     _check_open_unit(z)
-    m = o.model
     # logit(z) = beta0 + beta1 * x  =>  x = (logit(z) - beta0) / beta1,
     # and the true posterior is sigmoid(-2x).
     out = expit(2.0 * (m.beta0 - logit(z)) / m.beta1)
@@ -125,11 +117,10 @@ def canonical_calibration(o: CalibrationOracle, z1):
     return out
 
 
-def calibration_slope(o: CalibrationOracle, z1):
+def calibration_slope(m: SyntheticModel, z1):
     """Analytic derivative of the canonical calibration map at z1."""
     z = np.asarray(z1, dtype=np.float64)
     _check_open_unit(z)
-    m = o.model
     p = expit(2.0 * (m.beta0 - logit(z)) / m.beta1)
     out = -2.0 * p * (1.0 - p) / (m.beta1 * z * (1.0 - z))
     if out.ndim == 0:
@@ -137,7 +128,7 @@ def calibration_slope(o: CalibrationOracle, z1):
     return out
 
 
-def mc_tce(o: CalibrationOracle, n_mc: int, seed: int) -> McEstimate:
+def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the model's true calibration error.
 
     Draws (x, y) from the synthetic distribution, evaluates |z - pi_1(z)|
@@ -147,24 +138,25 @@ def mc_tce(o: CalibrationOracle, n_mc: int, seed: int) -> McEstimate:
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     x, _ = sample_synthetic(n_mc, stream(seed))
-    z = np.clip(logistic_predict(o.model, x), _OPEN_LO, _OPEN_HI)
-    t = np.abs(z - canonical_calibration(o, z))
+    z = np.clip(logistic_predict(m, x), _OPEN_LO, _OPEN_HI)
+    t = np.abs(z - canonical_calibration(m, z))
     value = float(np.mean(t))
     se = float(np.std(t, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return McEstimate(value, se, n_mc)
+    return McEstimate(value, se)
 
 
-def estimate_lipschitz(o: CalibrationOracle, grid: int, eps: float = 1e-4) -> float:
-    """Max |d pi_1 / dz| over a uniform grid on (eps, 1 - eps).
+def estimate_lipschitz(m: SyntheticModel) -> float:
+    """Max |d pi_1 / dz| over ``LIPSCHITZ_GRID`` uniform points on [1e-4, 1 - 1e-4].
 
-    The derivative can blow up only at the open endpoints, so the grid is
-    clipped away from them; moderate overestimates are safe where this
-    constant is consumed (bias bounds).
+    A grid maximum, not a bound. For |beta1| <= 2 it slightly undershoots
+    the true Lipschitz constant (1.5222634 against 1.5222647 at
+    beta = (0.5, -1.5)). For |beta1| > 2, pi_1 is not Lipschitz at all: the
+    slope grows without limit towards the endpoints (it passes 1.3e5 near
+    z = 1 at (1, -3), where this returns 27.7). Bias bounds built on it
+    carry both errors; see ROADMAP item 2.
     """
-    if grid < 3:
-        raise ValueError("grid must have at least 3 points")
-    zs = np.linspace(eps, 1.0 - eps, grid)
-    return float(np.max(np.abs(calibration_slope(o, zs))))
+    zs = np.linspace(_LIPSCHITZ_EPS, 1.0 - _LIPSCHITZ_EPS, LIPSCHITZ_GRID)
+    return float(np.max(np.abs(calibration_slope(m, zs))))
 
 
 def _init_beta(seed: int) -> np.ndarray:

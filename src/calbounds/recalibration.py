@@ -24,8 +24,6 @@ class Recalibrator:
 
     scheme: BinningScheme
     mu: np.ndarray
-    fit_size: int
-    reused_training: bool
 
     def __post_init__(self) -> None:
         mu = np.array(self.mu, dtype=np.float64)
@@ -33,18 +31,11 @@ class Recalibrator:
             raise ValueError("mu must hold exactly one value per bin")
         if not np.all((mu >= 0.0) & (mu <= 1.0)):  # NaN fails too
             raise ValueError("per-bin label means must lie in [0, 1]")
-        n, B = self.fit_size, self.scheme.B
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 * B:
-            raise ValueError(f"fit_size must be an integer of at least 2B = {2 * B}, got {n!r}")
-        if not isinstance(self.reused_training, (bool, np.bool_)):
-            raise ValueError("reused_training must be a bool")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "fit_size", int(n))
-        object.__setattr__(self, "reused_training", bool(self.reused_training))
 
 
-def fit_recalibrator(d_fit, B: int, reused_training: bool = False) -> Recalibrator:
+def fit_recalibrator(d_fit, B: int) -> Recalibrator:
     """Build a histogram recalibrator from a fit set.
 
     Uniform-mass edges come from the fit scores (tied scores may collapse
@@ -57,7 +48,7 @@ def fit_recalibrator(d_fit, B: int, reused_training: bool = False) -> Recalibrat
         raise ValueError(f"too few samples: need at least {2 * B}, have {len(d_fit)}")
     scheme = umb_scheme(d_fit.scores, B)
     mu = bin_stats(scheme, d_fit).mean_labels
-    return Recalibrator(scheme, mu, fit_size=len(d_fit), reused_training=reused_training)
+    return Recalibrator(scheme, mu)
 
 
 def apply_recalibrator(r: Recalibrator, scores) -> np.ndarray:
@@ -76,4 +67,4 @@ def recalibrated_tce(r: Recalibrator, d_test) -> float:
     """
     stats = bin_stats(r.scheme, d_test)
     value = _binned_error(stats.masses, r.mu, stats.mean_labels)
-    return EceValue(value, r.scheme, n_e=len(d_test)).value  # range check via EceValue
+    return EceValue(value).value  # range check via EceValue

@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 
 from calbounds import (
-    CalibrationOracle,
     CmiExperimentConfig,
     ScoredDataset,
     SyntheticModel,
@@ -140,7 +139,6 @@ def test_criterion_04_umb_mass_property():
 def test_criterion_05_overestimation_inequality():
     """Mean ECE across fresh test sets is at least the binned TCE - 3 sigma."""
     model = SyntheticModel(0.5, -1.5)
-    oracle = CalibrationOracle(model)
     scheme = uwb_scheme(cube_root_bins(500))
     eces = [
         ece(scored_synthetic_dataset(model, 500, 555, 0, rep), scheme).value
@@ -148,7 +146,7 @@ def test_criterion_05_overestimation_inequality():
     ]
     mean_ece = float(np.mean(eces))
     se_ece = float(np.std(eces, ddof=1) / np.sqrt(len(eces)))
-    oracle_est = binned_tce(oracle, scheme, n_mc=10**6, seed=556)
+    oracle_est = binned_tce(model, scheme, n_mc=10**6, seed=556)
     sigma = math.hypot(se_ece, oracle_est.std_error)
     ok = mean_ece >= oracle_est.value - 3 * sigma
     _report(
@@ -240,10 +238,10 @@ def test_criterion_09_recalibrator_identity():
 
 def test_criterion_10_calibrated_model_zero():
     """The true-posterior model has identity calibration and near-zero TCE."""
-    oracle = CalibrationOracle(SyntheticModel(0.0, -2.0))
+    model = SyntheticModel(0.0, -2.0)
     z = np.linspace(1e-6, 1 - 1e-6, 10_001)
-    pointwise = float(np.max(np.abs(canonical_calibration(oracle, z) - z)))
-    tce = mc_tce(oracle, 10**6, seed=1010)
+    pointwise = float(np.max(np.abs(canonical_calibration(model, z) - z)))
+    tce = mc_tce(model, 10**6, seed=1010)
     ok = pointwise < 1e-12 and tce.value < 0.005
     _report(
         10,

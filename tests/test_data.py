@@ -197,7 +197,7 @@ class TestCsvFastPath:
                 scores, labels = _parse_csv(read, str(path))
                 if not scores:
                     raise ValueError(f"{path}: empty dataset")
-                expected = ScoredDataset(scores, labels, provenance=str(path))
+                expected = ScoredDataset(scores, labels)
             except ValueError as e:
                 with pytest.raises(ValueError) as got:
                     load_scores(path)
@@ -206,7 +206,7 @@ class TestCsvFastPath:
             d = load_scores(path)
         assert d.scores.tobytes() == expected.scores.tobytes()
         assert d.labels.tobytes() == expected.labels.tobytes()
-        assert d.labels.dtype == expected.labels.dtype and d.provenance == expected.provenance
+        assert d.labels.dtype == expected.labels.dtype
 
 
 class TestRoundTrip:

@@ -307,20 +307,24 @@ class TestDeltaStatistics:
 
 
 class TestRunCmiExperiment:
-    def test_constant_predictor_mi_near_zero(self, monkeypatch):
+    def test_constant_predictor_leaks_the_mask_through_labels(self, monkeypatch):
+        # A constant score 0.7 collapses UMB to one bin. Each half then holds n
+        # scores there (delta2 = 0 for every mask), but the half's label sum,
+        # which the mask picks, still moves the ECE gap and delta1.
         cfg = CmiExperimentConfig(
-            n=50, B=3, trainer=TrainerConfig(seed=0), seed=12,
-            n_supersamples=3, n_masks=8,
+            n=8, B=2, trainer=TrainerConfig(seed=0), seed=12, n_supersamples=3, exhaustive=True,
         )
 
         def constant_models(beta, x, y, cfg, where):
             return np.tile([logit(0.7), 0.0], (len(beta), 1))  # slope 0: every score 0.7
 
         monkeypatch.setattr(mi_mod, "_descend", constant_models)
-        result = run_cmi_experiment(cfg)
-        assert abs(result.ecmi_est.value) < 0.05
-        assert abs(result.i_delta1.value) < 0.05
-        assert abs(result.i_delta2.value) < 0.05
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
+            result = run_cmi_experiment(cfg)
+        assert result.i_delta2.value == 0.0
+        assert result.ecmi_est.value > 0.0
+        assert result.i_delta1.value > 0.0
 
     def test_deterministic(self):
         cfg = CmiExperimentConfig(
@@ -350,7 +354,8 @@ class TestRunCmiExperiment:
         )
         result = run_cmi_experiment(cfg)
         assert result.ecmi_est.method == "plugin"
-        assert result.ecmi_est.n_pairs == 2 * 2**5
+        assert result.ecmi_est.k == 0
+        assert len(result.cells) == 2 * 2**5 * 3
         assert math.isfinite(result.ecmi_est.value)
 
     def test_repeated_masks_share_a_label(self):

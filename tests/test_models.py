@@ -1,4 +1,4 @@
-"""Synthetic family, calibration oracle, Monte-Carlo TCE, and the trainer."""
+"""Synthetic family, calibration map, Monte-Carlo TCE, and the trainer."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from scipy.special import expit
 
 import calbounds.models as models_mod
 from calbounds import (
-    CalibrationOracle,
     SyntheticModel,
     TrainerConfig,
     calibration_slope,
@@ -68,31 +67,30 @@ class TestLogisticPredict:
 
 class TestCanonicalCalibration:
     def test_identity_for_true_model(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -2.0))
+        m = SyntheticModel(0.0, -2.0)
         z = np.linspace(1e-6, 1 - 1e-6, 1001)
-        assert np.max(np.abs(canonical_calibration(o, z) - z)) < 1e-12
+        assert np.max(np.abs(canonical_calibration(m, z) - z)) < 1e-12
 
     def test_identity_point(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -2.0))
-        assert canonical_calibration(o, 0.3) == pytest.approx(0.3, abs=1e-12)
+        m = SyntheticModel(0.0, -2.0)
+        assert canonical_calibration(m, 0.3) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_boundary_domain_error(self, z):
-        o = CalibrationOracle(SyntheticModel(0.5, -1.5))
+        m = SyntheticModel(0.5, -1.5)
         with pytest.raises(ValueError):
-            canonical_calibration(o, z)
+            canonical_calibration(m, z)
 
     def test_range(self):
-        o = CalibrationOracle(SyntheticModel(0.7, -1.2))
+        m = SyntheticModel(0.7, -1.2)
         z = np.linspace(1e-4, 1 - 1e-4, 501)
-        p = canonical_calibration(o, z)
+        p = canonical_calibration(m, z)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
     def test_matches_empirical_conditional_mean(self):
         # The closed form should agree with the simulated label frequency
         # conditioned on the model score, up to cell width and noise.
         model = SyntheticModel(0.5, -1.5)
-        o = CalibrationOracle(model)
         x, y = sample_synthetic(400_000, stream(5))
         z = logistic_predict(model, x)
         edges = np.linspace(0.02, 0.98, 17)
@@ -100,7 +98,7 @@ class TestCanonicalCalibration:
             cell = (z > lo) & (z <= hi)
             if cell.sum() > 2000:
                 empirical = np.mean(y[cell])
-                closed = canonical_calibration(o, (lo + hi) / 2)
+                closed = canonical_calibration(model, (lo + hi) / 2)
                 assert abs(empirical - closed) < 0.02
 
 
@@ -112,37 +110,42 @@ class TestCalibrationSlope:
         for _ in range(10):
             beta0 = rng.uniform(-2.0, 2.0)
             beta1 = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
-            o = CalibrationOracle(SyntheticModel(beta0, beta1))
-            analytic = calibration_slope(o, zs)
-            numeric = (canonical_calibration(o, zs + h) - canonical_calibration(o, zs - h)) / (2 * h)
+            m = SyntheticModel(beta0, beta1)
+            analytic = calibration_slope(m, zs)
+            numeric = (canonical_calibration(m, zs + h) - canonical_calibration(m, zs - h)) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1e-9)
             assert np.max(rel) < 1e-5
 
 
 class TestEstimateLipschitz:
     def test_identity_slope_is_one(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -2.0))
-        assert estimate_lipschitz(o, 100) == pytest.approx(1.0, abs=1e-9)
+        m = SyntheticModel(0.0, -2.0)
+        assert estimate_lipschitz(m) == pytest.approx(1.0, abs=1e-9)
 
     def test_steeper_map_exceeds_one(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -1.0))
-        assert estimate_lipschitz(o, 500) > 1.0
+        m = SyntheticModel(0.0, -1.0)
+        assert estimate_lipschitz(m) > 1.0
 
-    def test_grid_too_small(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -1.0))
-        with pytest.raises(ValueError):
-            estimate_lipschitz(o, 2)
+    def test_grid_maximum_is_not_a_bound(self):
+        # |beta1| <= 2: the grid misses the true maximum slope, slightly.
+        m = SyntheticModel(0.5, -1.5)
+        zs = np.linspace(1e-6, 1 - 1e-6, 2_000_001)
+        assert estimate_lipschitz(m) < np.max(np.abs(calibration_slope(m, zs)))
+        # |beta1| > 2: pi_1 is not Lipschitz, yet a finite number comes back.
+        m = SyntheticModel(1.0, -3.0)
+        assert estimate_lipschitz(m) == pytest.approx(27.7, abs=0.05)
+        assert abs(calibration_slope(m, 1 - 1e-15)) > 1e5
 
 
 class TestMcTce:
     def test_calibrated_model_is_zero(self):
-        o = CalibrationOracle(SyntheticModel(0.0, -2.0))
-        est = mc_tce(o, 10_000, seed=5)
+        m = SyntheticModel(0.0, -2.0)
+        est = mc_tce(m, 10_000, seed=5)
         assert est.value < 0.005
 
     def test_miscalibrated_model_stable_across_seeds(self):
-        o = CalibrationOracle(SyntheticModel(0.5, -1.5))
-        estimates = [mc_tce(o, 200_000, seed=s) for s in (1, 2, 3)]
+        m = SyntheticModel(0.5, -1.5)
+        estimates = [mc_tce(m, 200_000, seed=s) for s in (1, 2, 3)]
         values = [e.value for e in estimates]
         assert min(values) > 0.0
         spread = max(values) - min(values)
@@ -150,19 +153,19 @@ class TestMcTce:
         assert spread < budget
 
     def test_single_draw(self):
-        o = CalibrationOracle(SyntheticModel(0.5, -1.5))
-        est = mc_tce(o, 1, seed=9)
-        assert est.n_samples == 1 and est.std_error == 0.0 and est.value >= 0.0
+        m = SyntheticModel(0.5, -1.5)
+        est = mc_tce(m, 1, seed=9)
+        assert est.std_error == 0.0 and est.value >= 0.0
 
     def test_deterministic(self):
-        o = CalibrationOracle(SyntheticModel(0.5, -1.5))
-        assert mc_tce(o, 5000, seed=4).value == mc_tce(o, 5000, seed=4).value
+        m = SyntheticModel(0.5, -1.5)
+        assert mc_tce(m, 5000, seed=4).value == mc_tce(m, 5000, seed=4).value
 
     def test_error_shrinks_with_samples(self):
         # Root-n decay of the Monte-Carlo error for the calibrated model.
-        o = CalibrationOracle(SyntheticModel(0.0, -2.0))
-        small = mc_tce(o, 1000, seed=8)
-        large = mc_tce(o, 100_000, seed=8)
+        m = SyntheticModel(0.0, -2.0)
+        small = mc_tce(m, 1000, seed=8)
+        large = mc_tce(m, 100_000, seed=8)
         assert large.std_error < small.std_error
 
 

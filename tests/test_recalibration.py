@@ -132,32 +132,16 @@ class TestSerialization:
 
     def test_nan_interior_edge_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Recalibrator(BinningScheme([0.0, np.nan, 1.0], "umb"), [0.1, 0.9], 4, False)
-
-    @pytest.mark.parametrize("fit_size", [-5, 0, 3, 4.0, "8", True, None])
-    def test_bad_fit_size_rejected(self, fit_size):
-        scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
-        with pytest.raises(ValueError, match=r"fit_size must be an integer of at least 2B = 4"):
-            Recalibrator(scheme, [0.2, 0.7], fit_size, False)
-
-    @pytest.mark.parametrize("reused", ["no", 0, 1, None])
-    def test_non_bool_reused_training_rejected(self, reused):
-        scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
-        with pytest.raises(ValueError, match="reused_training must be a bool"):
-            Recalibrator(scheme, [0.2, 0.7], 4, reused)
-
-    def test_numpy_fit_size_and_flag_stored_as_python_types(self):
-        r = Recalibrator(BinningScheme([0.0, 0.5, 1.0], "umb"), [0.2, 0.7], np.int64(4), np.bool_(True))
-        assert type(r.fit_size) is int and r.reused_training is True
+            Recalibrator(BinningScheme([0.0, np.nan, 1.0], "umb"), [0.1, 0.9])
 
     def test_mu_range_validated(self):
         d = ScoredDataset([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
         r = fit_recalibrator(d, B=2)
         with pytest.raises(ValueError):
-            Recalibrator(r.scheme, np.array([0.5, 1.5]), 4, False)
+            Recalibrator(r.scheme, np.array([0.5, 1.5]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_mu_rejected(self, bad):
         scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
         with pytest.raises(ValueError, match=r"label means must lie in \[0, 1\]"):
-            Recalibrator(scheme, [bad, 0.3], 4, False)
+            Recalibrator(scheme, [bad, 0.3])

@@ -1,0 +1,121 @@
+"""Seeded CLI outputs stay byte-identical: one sha256 per output file.
+
+Each run goes through ``cli.main`` in-process from a fresh working directory
+with relative input paths, so no absolute path reaches the run record. The
+digests cover stdout, every CSV, and ``run_record.json`` without its
+``timestamp``. A change that moves an output updates its digest here and
+states in CHANGES.md which outputs moved and why. The digests hold for one
+numpy/scipy build; another BLAS or numpy release may move the last bits of a
+float, and then they are re-derived, not loosened.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from calbounds.cli import main
+
+TRAIN_CSV = """score,label
+0.05,0
+0.12,0
+0.2,1
+0.31,0
+0.38,1
+0.45,0
+0.52,1
+0.6,1
+0.68,0
+0.77,1
+0.85,1
+0.93,1
+"""
+TEST_CSV = """score,label
+0.08,0
+0.15,1
+0.22,0
+0.3,0
+0.41,1
+0.47,1
+0.55,0
+0.63,1
+0.7,1
+0.79,1
+0.88,0
+0.97,1
+"""
+RECAL = ["recalibrate", "--bins", "15", "--n-re", "100", "--n-total", "8100", "--seed", "1"]
+RUNS = {
+    "ece": ["ece", "train.csv", "--bins", "3", "--method", "umb"],
+    "gap": ["gap", "train.csv", "test.csv", "--bins", "3", "--method", "umb"],
+    "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000", "--seed", "1"],
+    "cmi": ["cmi", "--n-grid", "40,100", "--seed", "1"],
+    "cmi-exhaustive": ["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--seed", "1"],
+    "recalibrate-holdout": [*RECAL, "--variant", "holdout"],
+    "recalibrate-reuse": [*RECAL, "--variant", "reuse"],
+}
+DIGESTS = {
+    "ece": {
+        "stdout": "dd82e383bca3ab1c35c18970ef55357a6471177328e4cfabad23a03769824526",
+        "run_record.json": "be3bd4c38bdc4f854f49108ddb61749bf91b474e243ae6c6618241908bcd8316",
+    },
+    "gap": {
+        "stdout": "56dddbd700b49817f57b55d4d5e3cbf1e73d2e809e8633a827fc67adc0c11b2a",
+        "run_record.json": "4636d7ae8fad7b42f9030766442f4f336a1f97dee7d0ce06d94e15be50852a4d",
+    },
+    "synthetic": {
+        "stdout": "e27e34bbe8ed1502643598fed4490f20b301948ec8e52e655e002910d188548f",
+        "run_record.json": "0a317bb617d304177a111601ca6d5f42eefd061d73da17fd975652f8556b79f6",
+        "synthetic_gaps.csv": "83cd44e33659fd07588caf3b1d49763374328da66b1854e9e17d3d8381b22b8d",
+    },
+    "cmi": {
+        "stdout": "171ab2aae9322132fb2435e23ffb8a6e70ac8682c07988ebc09269635936a712",
+        "run_record.json": "246ad4ccfddd610d331c3561685c28d32dc7767415ebe1ce1dee3d1c8e698a7e",
+        "cmi_cells_n100.csv": "6f66277bb5998ab2eaa97297027a3614873891902ba6e03e5746a5903e6573bf",
+        "cmi_cells_n40.csv": "f6559406eeca01b3fdee368958aaace3be05ab9725ea2413e2a869aa0d390049",
+        "cmi_summary.csv": "e76046247a496b53cc508a0e16189a258d9f67991015e9814c4653653a500ec3",
+    },
+    "cmi-exhaustive": {
+        "stdout": "fe6eb182a4596be59b33894be1cbe51678107a2c48bb8c5bb79fb1d213bf7655",
+        "run_record.json": "e0024336ac75273ea4f27d3f04b03c1a5bc2c9f035701d05bd83ab6f56a258c8",
+        "cmi_cells_n8.csv": "c7e96de32b261628e440e14e035cd637307ae52269b9c7501f457a54f68a5d7b",
+        "cmi_summary.csv": "acb043d09d0298a8b9c5746907e28aad645287e7040f3594811ffe3cd7c3611c",
+    },
+    "recalibrate-holdout": {
+        "stdout": "ddb264f94befd2915963177af2c6ce62389637badea41d101797ca69ccbc8119",
+        "run_record.json": "ad412526b0c5bdbe5ec2473af2fd4af6c0cc4fe27bc3e54b6d3f5783e80d04db",
+    },
+    "recalibrate-reuse": {
+        "stdout": "2f6c3d60b32e638f297940621213ea23ad681bd44d1064fc2fe254016ea25dfb",
+        "run_record.json": "d91cfd64cc80f256a5aa2d73a129d8b4ccb5cbbc812579b1252fd4f3c684ea71",
+    },
+}
+
+
+def run_digests(name: str, workdir, monkeypatch) -> dict:
+    """File name -> sha256 of stdout, the record minus ``timestamp``, and each CSV of one run."""
+    monkeypatch.chdir(workdir)
+    (workdir / "train.csv").write_text(TRAIN_CSV)
+    (workdir / "test.csv").write_text(TEST_CSV)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*RUNS[name], "--out", "out"])
+    assert code == 0, f"{name}: exit code {code}"
+    out = workdir / "out"
+    record = json.loads((out / "run_record.json").read_text())
+    record.pop("timestamp")
+    files = {
+        "stdout": stdout.getvalue().encode(),
+        "run_record.json": json.dumps(record, indent=2, sort_keys=True).encode(),
+    }
+    files.update((p.name, p.read_bytes()) for p in sorted(out.glob("*.csv")))
+    return {f: hashlib.sha256(data).hexdigest() for f, data in files.items()}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
+    got, want = run_digests(name, tmp_path, monkeypatch), DIGESTS[name]
+    changed = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+    assert not changed, f"{name}: output changed in {changed}"
