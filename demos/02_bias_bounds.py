@@ -50,4 +50,4 @@ for B, n_tr in ((15, 4000), (27, 20_000)):
         f"training reuse on {n_tr} -> {reuse.value:.4f}"
     )
 print()
-print("every report carries its inputs, e.g.:", recalib_holdout_bound(15, 100).to_dict())
+print("every report carries its inputs, e.g.:", recalib_holdout_bound(15, 100))

@@ -27,10 +27,10 @@ print("== held-out vs training-reuse on the same pool ==")
 hold = run_recalibration(pool, "holdout", B=15, eval_split=0.49, seed=11, n_re=100)
 reuse = run_recalibration(pool, "reuse", B=15, eval_split=0.49, seed=11)
 print(f"{'variant':>8} {'fit size':>9} {'raw ECE':>9} {'recal ECE':>10} {'bound':>8}")
-for r in (hold, reuse):
+for variant, r in (("holdout", hold), ("reuse", reuse)):
     print(
-        f"{r.variant:>8} {r.n_fit:>9} {r.ece_raw:>9.4f} "
-        f"{r.tce_recalibrated:>10.4f} {r.bound:>8.4f}"
+        f"{variant:>8} {r.n_fit:>9} {r.ece_raw:>9.4f} "
+        f"{r.tce_recalibrated:>10.4f} {r.bound.value:>8.4f}"
     )
 print()
 print("the held-out bound pays dearly for its 100-sample fit set (and exceeds 1")

@@ -40,7 +40,7 @@ print("== supersample experiment, sampled masks (the production protocol) ==")
 cfg = CmiExperimentConfig(
     n=500,
     B=7,
-    trainer=TrainerConfig(learning_rate=0.5, epochs=150, seed=0),
+    trainer=TrainerConfig(learning_rate=0.5, epochs=150),
     seed=99,
     n_supersamples=5,
     n_masks=10,
@@ -59,7 +59,7 @@ print("== exhaustive mode at tiny n: every mask, plug-in estimate (at most ln 8 
 cfg_small = CmiExperimentConfig(
     n=8,
     B=2,
-    trainer=TrainerConfig(learning_rate=0.5, epochs=60, seed=0),
+    trainer=TrainerConfig(learning_rate=0.5, epochs=60),
     seed=17,
     n_supersamples=3,
     n_masks=2,

@@ -48,15 +48,6 @@ class BoundReport:
             raise ValueError(f"bound value must be finite and nonnegative: {self.value}")
         object.__setattr__(self, "vacuous", self.value > 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "inputs": dict(self.inputs),
-            "variant": self.variant,
-            "vacuous": self.vacuous,
-        }
-
 
 def _at_least_one(**values: int) -> None:
     if any(v < 1 for v in values.values()):

@@ -9,14 +9,17 @@ mask-information experiment over an n-grid).
 
 Every successful run writes one run-record JSON (and any CSV data files)
 under the output directory (flag ``--out``, else $CALBOUNDS_OUT, else
-./runs); the record's config is the parsed command line minus ``--out``. Exit
-codes: 0 success, 1 internal error, 2 usage or precondition error. Printed
-floats carry 6 significant digits; data files keep full precision.
+./runs); the record's config is the parsed command line minus ``--out`` (and
+the synthetic-pool flags for ``recalibrate --input``). Exit codes: 0 success,
+1 internal error, 2 usage or precondition error, such as a flag the run cannot
+use. Printed floats carry 6 significant digits; data files keep full
+precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -67,6 +70,8 @@ def _scheme_for(args, dataset):
 
 
 def _cmd_ece(args, record: RunRecord) -> None:
+    if args.lipschitz is not None and args.bins != "auto":
+        raise ValueError("--lipschitz applies only to --bins auto")
     dataset = load_scores(args.input, format=args.input_format)
     scheme = _scheme_for(args, dataset)
     value = ece(dataset, scheme)
@@ -140,7 +145,7 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
 def _cmd_bounds(args, record: RunRecord) -> None:
     params = inspect.signature(args.bound).parameters
     report = args.bound(**{p: getattr(args, p) for p in params})
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     record.add(report.name, report.value, **report.inputs, variant=report.variant)
 
 
@@ -178,6 +183,10 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
 def _cmd_recalibrate(args, record: RunRecord) -> None:
     if args.input:
         pool = load_scores(args.input, format=args.input_format)
+        for unused in ("beta0", "beta1", "n_total"):  # no synthetic pool is drawn
+            del record.config[unused]
+    elif args.input_format:
+        raise ValueError("--input-format applies only with --input")
     else:
         model = SyntheticModel(args.beta0, args.beta1)
         pool = scored_synthetic_dataset(model, args.n_total, args.seed, 7)
@@ -191,24 +200,21 @@ def _cmd_recalibrate(args, record: RunRecord) -> None:
         i_delta1=args.i1,
         i_delta2=args.i2,
     )
+    bound = result.bound
     print(
-        f"variant {result.variant} bins {result.B} tce_recal {_fmt(result.tce_recalibrated)} "
-        f"ece_raw {_fmt(result.ece_raw)} bound {_fmt(result.bound)}"
+        f"variant {args.variant} bins {args.bins} tce_recal {_fmt(result.tce_recalibrated)} "
+        f"ece_raw {_fmt(result.ece_raw)} bound {_fmt(bound.value)}"
     )
     record.add(
         "tce_recalibrated", result.tce_recalibrated,
-        B=result.B, n_fit=result.n_fit, n_test=result.n_test, variant=result.variant,
+        B=args.bins, n_fit=result.n_fit, n_test=result.n_test, variant=args.variant,
     )
-    record.add("ece_raw", result.ece_raw, B=result.B, n_test=result.n_test)
-    record.add(
-        "bound", result.bound, B=result.B,
-        n_re=args.n_re if args.variant == "holdout" else result.n_fit,
-        i_delta1=args.i1, i_delta2=args.i2, variant=args.variant,
-    )
+    record.add("ece_raw", result.ece_raw, B=args.bins, n_test=result.n_test)
+    record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
 
 
 def _cmd_cmi(args, record: RunRecord) -> None:
-    trainer = TrainerConfig(args.lr, args.epochs, args.seed)
+    trainer = TrainerConfig(args.lr, args.epochs)
     out = _out_dir(args)
     summary_rows = []
     for n in args.n_grid:
@@ -225,8 +231,8 @@ def _cmd_cmi(args, record: RunRecord) -> None:
             exhaustive=args.exhaustive,
         )
         result = run_cmi_experiment(cfg)
-        bound = gen_ece_bound(result.ecmi_est.clamped, B, n).value
-        summary_rows.append([n, B, result.mean_gap, result.ecmi_est.value, bound])
+        bound = gen_ece_bound(result.ecmi_est.clamped, B, n)
+        summary_rows.append([n, B, result.mean_gap, result.ecmi_est.value, bound.value])
         _write_csv(
             out / f"cmi_cells_n{n}.csv",
             ["supersample_idx", "mask_idx", "statistic_name", "value"],
@@ -237,12 +243,12 @@ def _cmd_cmi(args, record: RunRecord) -> None:
         )
         print(
             f"n {n} bins {B} mean_gap {_fmt(result.mean_gap)} "
-            f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound)}"
+            f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound.value)}"
         )
         record.add("mean_gap", result.mean_gap, n=n, B=B)
         est = result.ecmi_est
         record.add("ecmi_est", est.value, n=n, B=B, method=est.method, k=est.k)
-        record.add("gen_ece_bound", bound, n=n, B=B, ecmi=est.clamped)
+        record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
     _write_csv(out / "cmi_summary.csv", ["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
 
 
@@ -300,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--n-total", type=int, default=8000)
     p_rec.add_argument("--variant", choices=["holdout", "reuse"], required=True)
     p_rec.add_argument("--bins", type=int, required=True)
-    p_rec.add_argument("--n-re", dest="n_re", type=int, default=None)
+    p_rec.add_argument("--n-re", dest="n_re", type=int, default=None, help="holdout variant only")
     p_rec.add_argument("--eval-split", type=float, default=0.5)
-    p_rec.add_argument("--i1", type=float, default=0.0)
-    p_rec.add_argument("--i2", type=float, default=0.0)
+    p_rec.add_argument("--i1", type=float, default=None, help="reuse variant only (default 0)")
+    p_rec.add_argument("--i2", type=float, default=None, help="reuse variant only (default 0)")
     p_rec.add_argument("--seed", type=int, default=0)
     add_common(p_rec)
     p_rec.set_defaults(func=_cmd_recalibrate)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import UWB, uwb_scheme
-from .bounds import recalib_holdout_bound, recalib_reuse_bound, total_bias_bound
+from .bounds import BoundReport, recalib_holdout_bound, recalib_reuse_bound, total_bias_bound
 from .data import ScoredDataset
 from .metrics import cube_root_bins, ece, optimal_bins
 from .models import (
@@ -125,13 +125,11 @@ def run_synthetic_experiment(
 class RecalibrationResult:
     """Recalibrated/raw test ECE and the matching closed-form bound."""
 
-    variant: str
-    B: int
     n_fit: int
     n_test: int
     ece_raw: float
     tce_recalibrated: float
-    bound: float
+    bound: BoundReport
 
 
 def run_recalibration(
@@ -141,8 +139,8 @@ def run_recalibration(
     eval_split: float,
     seed: int,
     n_re: int | None = None,
-    i_delta1: float = 0.0,
-    i_delta2: float = 0.0,
+    i_delta1: float | None = None,
+    i_delta2: float | None = None,
 ) -> RecalibrationResult:
     """Split a scored pool, fit a histogram recalibrator, and report its bound.
 
@@ -150,7 +148,8 @@ def run_recalibration(
     the test set. The held-out variant fits on ``n_re`` samples drawn from
     the remainder; the reuse variant fits on the entire remainder, standing
     in for the training set, and its bound takes the caller's (possibly
-    estimated) mask-information values for the two difference statistics.
+    estimated) mask-information values for the two difference statistics,
+    0 where not given. Each variant rejects the other's inputs.
     """
     if variant not in ("holdout", "reuse"):
         raise ValueError(f"unknown variant: {variant}")
@@ -166,6 +165,8 @@ def run_recalibration(
     rest_idx = perm[:n_rest]
 
     if variant == "holdout":
+        if i_delta1 is not None or i_delta2 is not None:
+            raise ValueError("i_delta1 and i_delta2 apply only to the reuse variant")
         if n_re is None:
             raise ValueError("holdout variant requires n_re")
         if n_re > n_rest:
@@ -174,19 +175,19 @@ def run_recalibration(
             raise ValueError(f"n_re={n_re} is below the 2B={2 * B} fit minimum")
         pick = stream(seed, 1).permutation(n_rest)[:n_re]
         fit_set = pool.subset(rest_idx[pick])
-        bound = recalib_holdout_bound(B, n_re).value
+        bound = recalib_holdout_bound(B, n_re)
     else:
+        if n_re is not None:
+            raise ValueError("n_re applies only to the holdout variant")
         if n_rest < 2 * B:
             raise ValueError(f"only {n_rest} fit rows; need at least {2 * B}")
         fit_set = pool.subset(rest_idx)
-        bound = recalib_reuse_bound(i_delta1, i_delta2, B, len(fit_set)).value
+        bound = recalib_reuse_bound(i_delta1 or 0.0, i_delta2 or 0.0, B, len(fit_set))
 
     recal = fit_recalibrator(fit_set, B)
     raw = ece(test, recal.scheme).value
     recal_tce = recalibrated_tce(recal, test)
     return RecalibrationResult(
-        variant=variant,
-        B=B,
         n_fit=len(fit_set),
         n_test=len(test),
         ece_raw=raw,

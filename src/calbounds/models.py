@@ -57,11 +57,10 @@ class SyntheticModel:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Full-batch gradient-descent settings; ``seed`` is the algorithm randomness."""
+    """Full-batch gradient-descent settings."""
 
     learning_rate: float = 0.5
     epochs: int = 300
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < np.inf:
@@ -192,12 +191,12 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     return out
 
 
-def train_logistic(train, cfg: TrainerConfig) -> SyntheticModel:
+def train_logistic(train, cfg: TrainerConfig, seed: int = 0) -> SyntheticModel:
     """Fit (beta0, beta1) by full-batch gradient descent on the logistic log-loss.
 
     ``train`` is an (x, y) pair of equal-shape arrays. Initialization is
-    drawn from the config seed, so the result is deterministic given
-    (train, cfg). Non-finite x or y are rejected; if the loss goes
+    drawn from ``seed``, so the result is deterministic given
+    (train, cfg, seed). Non-finite x or y are rejected; if the loss goes
     non-finite, the error reports the epoch.
     """
     x, y = (np.asarray(a, dtype=np.float64) for a in train)
@@ -207,5 +206,5 @@ def train_logistic(train, cfg: TrainerConfig) -> SyntheticModel:
         raise ValueError("x and y must have equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("x and y must be finite")
-    b0, b1 = _descend(_init_beta(cfg.seed)[None], x.reshape(1, -1), y.reshape(1, -1), cfg)[0]
+    b0, b1 = _descend(_init_beta(seed)[None], x.reshape(1, -1), y.reshape(1, -1), cfg)[0]
     return SyntheticModel(float(b0), float(b1))

@@ -203,7 +203,7 @@ def test_criterion_08_cmi_bound_validity():
     cfg = CmiExperimentConfig(
         n=2000,
         B=cube_root_bins(2000),
-        trainer=TrainerConfig(learning_rate=0.5, epochs=300, seed=0),
+        trainer=TrainerConfig(learning_rate=0.5, epochs=300),
         seed=4242,
         n_supersamples=5,
         n_masks=10,

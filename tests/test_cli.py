@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestBoundTable:
     def test_json_equals_library_report(self, name, tmp_path, capsys):
         flags, call = BOUND_CASES[name]
         assert main(["bounds", name, *flags, "--out", str(tmp_path / "o")]) == 0
-        assert json.loads(capsys.readouterr().out) == call().to_dict()
+        assert json.loads(capsys.readouterr().out) == asdict(call())
 
     @pytest.mark.parametrize("name", sorted(BOUND_CASES))
     def test_help_lists_only_own_flags(self, name, capsys):
@@ -175,7 +176,7 @@ class TestBoundTable:
                 "--lipschitz", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report == calbounds.gen_tce_bound(0.0, None, 15, 4000, 1.0, "uwb").to_dict()
+        assert report == asdict(calbounds.gen_tce_bound(0.0, None, 15, 4000, 1.0, "uwb"))
 
     def test_fcmi_under_uniform_width_exits_2(self, tmp_path, capsys):
         argv = ["bounds", "gen-tce", "--ecmi", "0.1", "--fcmi", "5", "--bins", "10", "--n", "1000",
@@ -302,8 +303,8 @@ class TestCmiCommand:
         }
         est = results["ecmi_est"]
         assert est["inputs"] == {"n": 8, "B": 2, "method": "plugin", "k": 0}
-        bound = results["gen_ece_bound"]
-        assert bound["inputs"]["ecmi"] == max(est["value"], 0.0)
+        bound = results["gen_ece"]
+        assert bound["inputs"]["eCMI"] == max(est["value"], 0.0)
         assert bound["value"] == calbounds.gen_ece_bound(max(est["value"], 0.0), 2, 8).value
 
 
@@ -354,6 +355,27 @@ class TestExitCodes:
     def test_empty_grid_exits_2(self, subcommand, tmp_path, capsys):
         assert main([subcommand, "--n-grid", ",", "--out", str(tmp_path / "o")]) == 2
         assert "argument --n-grid: expected at least one size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["recalibrate", "--variant", "reuse", "--bins", "5", "--n-re", "100"],
+             "n_re applies only to the holdout variant"),
+            (["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100", "--i1", "0"],
+             "i_delta1 and i_delta2 apply only to the reuse variant"),
+            (["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100", "--i2", "0.2"],
+             "i_delta1 and i_delta2 apply only to the reuse variant"),
+            (["recalibrate", "--variant", "reuse", "--bins", "5", "--input-format", "csv"],
+             "--input-format applies only with --input"),
+            (["ece", "{scores}", "--bins", "3", "--lipschitz", "1"],
+             "--lipschitz applies only to --bins auto"),
+        ],
+    )
+    def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys):
+        argv = [a.format(scores=score_file) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("rule", ["bogus", "fixed:x", "fixed:0"])
@@ -415,13 +437,22 @@ class TestRunRecordConfig:
         }
 
     def test_recalibrate(self, scores, tmp_path, capsys):
-        argv = ["recalibrate", "--input", scores, "--input-format", "csv", "--beta0", "0.25",
-                "--beta1", "-1", "--n-total", "900", "--variant", "holdout", "--bins", "5",
-                "--n-re", "100", "--eval-split", "0.4", "--i1", "0.1", "--i2", "0.2",
-                "--seed", "3"]
+        # No synthetic pool is drawn, so its flags stay out of the config.
+        argv = ["recalibrate", "--input", scores, "--input-format", "csv", "--variant", "holdout",
+                "--bins", "5", "--n-re", "100", "--eval-split", "0.4", "--seed", "3"]
         assert self._config(argv, tmp_path) == {
-            "subcommand": "recalibrate", "input": scores, "input_format": "csv", "beta0": 0.25,
-            "beta1": -1.0, "n_total": 900, "variant": "holdout", "bins": 5, "n_re": 100,
+            "subcommand": "recalibrate", "input": scores, "input_format": "csv",
+            "variant": "holdout", "bins": 5, "n_re": 100, "eval_split": 0.4, "i1": None,
+            "i2": None, "seed": 3,
+        }
+
+    def test_recalibrate_synthetic(self, tmp_path, capsys):
+        argv = ["recalibrate", "--beta0", "0.25", "--beta1", "-1", "--n-total", "900",
+                "--variant", "reuse", "--bins", "5", "--eval-split", "0.4", "--i1", "0.1",
+                "--i2", "0.2", "--seed", "3"]
+        assert self._config(argv, tmp_path) == {
+            "subcommand": "recalibrate", "input": None, "input_format": None, "beta0": 0.25,
+            "beta1": -1.0, "n_total": 900, "variant": "reuse", "bins": 5, "n_re": None,
             "eval_split": 0.4, "i1": 0.1, "i2": 0.2, "seed": 3,
         }
 

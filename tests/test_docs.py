@@ -1,14 +1,17 @@
-"""The README's code runs, every exported name exists, and no module has an unused import."""
+"""README code and command lines run, every exported name exists, no module has an unused import."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import calbounds
+from calbounds.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(calbounds.__file__).resolve().parent
@@ -20,6 +23,21 @@ def test_readme_python_blocks_run_in_order(capsys):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+    capsys.readouterr()
+
+
+def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["calbounds"]]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    for name in ("scores.csv", "train_scores.csv", "test_scores.csv"):
+        scores = rng.uniform(size=300)
+        calbounds.save_scores(calbounds.ScoredDataset(scores, rng.uniform(size=300) < scores), name)
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--out", str(tmp_path / f"out{i}")]) == 0, shlex.join(argv)
     capsys.readouterr()
 
 

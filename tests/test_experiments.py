@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calbounds import SyntheticModel
+from calbounds import SyntheticModel, recalib_holdout_bound, recalib_reuse_bound
 from calbounds.experiments import (
     run_recalibration,
     run_synthetic_experiment,
@@ -65,18 +65,15 @@ class TestRunRecalibration:
             self._pool(), "holdout", B=15, eval_split=0.49, seed=3, n_re=100
         )
         assert res.n_fit == 100
-        assert res.bound == pytest.approx(0.8475523180496052, abs=1e-12)
+        assert res.bound == recalib_holdout_bound(15, 100)
+        assert res.bound.value == pytest.approx(0.8475523180496052, abs=1e-12)
 
     def test_reuse_uses_whole_remainder(self):
         pool = self._pool()
         res = run_recalibration(pool, "reuse", B=15, eval_split=0.49, seed=3)
         assert res.n_fit == len(pool) - res.n_test
         # Zero-MI reuse bound at the realized fit size.
-        from calbounds import recalib_reuse_bound
-
-        assert res.bound == pytest.approx(
-            recalib_reuse_bound(0.0, 0.0, 15, res.n_fit).value
-        )
+        assert res.bound == recalib_reuse_bound(0.0, 0.0, 15, res.n_fit)
 
     def test_recalibration_improves_on_raw(self):
         improved = 0
@@ -101,3 +98,17 @@ class TestRunRecalibration:
             run_recalibration(pool, "holdout", B=5, eval_split=0.5, seed=1, n_re=150)
         with pytest.raises(ValueError, match="n_re"):
             run_recalibration(pool, "holdout", B=20, eval_split=0.5, seed=1, n_re=30)
+
+    def test_other_variants_inputs_rejected(self):
+        pool = self._pool(1000)
+        with pytest.raises(ValueError, match="^n_re applies only to the holdout variant$"):
+            run_recalibration(pool, "reuse", B=5, eval_split=0.4, seed=9, n_re=50)
+        for given in ({"i_delta1": 0.0}, {"i_delta2": 0.3}):
+            with pytest.raises(ValueError, match="^i_delta1 and i_delta2 apply only to the reuse"):
+                run_recalibration(pool, "holdout", B=5, eval_split=0.4, seed=9, n_re=50, **given)
+
+    def test_reuse_bound_takes_given_mask_information(self):
+        res = run_recalibration(
+            self._pool(1000), "reuse", B=5, eval_split=0.4, seed=9, i_delta1=0.1, i_delta2=0.2
+        )
+        assert res.bound == recalib_reuse_bound(0.1, 0.2, 5, res.n_fit)

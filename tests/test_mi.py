@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +38,9 @@ def constant(level=0.7):
     return lambda x: np.full(np.shape(x), level)
 
 
-def logistic_halves(s, cfg):
-    """Train a logistic model with ``cfg`` on the training half of ``s``; score both halves."""
-    model = train_logistic(s.split(), cfg)
+def logistic_halves(s, cfg, seed=0):
+    """Train with ``cfg`` from ``seed`` on the training half of ``s``; score both halves."""
+    model = train_logistic(s.split(), cfg, seed)
     return scored_halves(s, lambda x: np.clip(logistic_predict(model, x), 0.0, 1.0))
 
 
@@ -262,7 +261,7 @@ class TestEcmiStatistic:
             assert 0.0 <= gap <= 2.0
 
     def test_shrinks_with_n(self):
-        cfg = TrainerConfig(learning_rate=0.5, epochs=150, seed=0)
+        cfg = TrainerConfig(learning_rate=0.5, epochs=150)
         means = []
         for n in (100, 1000):
             gaps = []
@@ -274,9 +273,9 @@ class TestEcmiStatistic:
 
     def test_deterministic(self):
         sup = synthetic_supersample(200, seed=9)
-        cfg = TrainerConfig(learning_rate=0.5, epochs=100, seed=5)
-        assert _cell_statistics(*logistic_halves(sup, cfg), "umb", B=4) == _cell_statistics(
-            *logistic_halves(sup, cfg), "umb", B=4
+        cfg = TrainerConfig(learning_rate=0.5, epochs=100)
+        assert _cell_statistics(*logistic_halves(sup, cfg, 5), "umb", B=4) == _cell_statistics(
+            *logistic_halves(sup, cfg, 5), "umb", B=4
         )
 
 
@@ -312,7 +311,7 @@ class TestRunCmiExperiment:
         # scores there (delta2 = 0 for every mask), but the half's label sum,
         # which the mask picks, still moves the ECE gap and delta1.
         cfg = CmiExperimentConfig(
-            n=8, B=2, trainer=TrainerConfig(seed=0), seed=12, n_supersamples=3, exhaustive=True,
+            n=8, B=2, trainer=TrainerConfig(), seed=12, n_supersamples=3, exhaustive=True,
         )
 
         def constant_models(beta, x, y, cfg, where):
@@ -328,7 +327,7 @@ class TestRunCmiExperiment:
 
     def test_deterministic(self):
         cfg = CmiExperimentConfig(
-            n=40, B=3, trainer=TrainerConfig(epochs=60, seed=1), seed=21,
+            n=40, B=3, trainer=TrainerConfig(epochs=60), seed=21,
             n_supersamples=2, n_masks=6,
         )
         a = run_cmi_experiment(cfg)
@@ -339,7 +338,7 @@ class TestRunCmiExperiment:
 
     def test_finite_estimates_at_default_protocol(self):
         cfg = CmiExperimentConfig(
-            n=500, B=7, trainer=TrainerConfig(epochs=80, seed=3), seed=33,
+            n=500, B=7, trainer=TrainerConfig(epochs=80), seed=33,
         )
         result = run_cmi_experiment(cfg)
         assert math.isfinite(result.mean_gap)
@@ -349,7 +348,7 @@ class TestRunCmiExperiment:
 
     def test_exhaustive_mode_plugin_oracle(self):
         cfg = CmiExperimentConfig(
-            n=5, B=2, trainer=TrainerConfig(epochs=40, seed=2), seed=8,
+            n=5, B=2, trainer=TrainerConfig(epochs=40), seed=8,
             n_supersamples=2, n_masks=2, exhaustive=True,
         )
         result = run_cmi_experiment(cfg)
@@ -362,7 +361,7 @@ class TestRunCmiExperiment:
         # Only 2^3 = 8 masks exist, so 10 draws repeat one: equal masks must
         # share a label, or every label is a singleton and the estimate a silent 0.
         cfg = CmiExperimentConfig(
-            n=3, B=1, trainer=TrainerConfig(seed=0), seed=4, n_supersamples=2, n_masks=10,
+            n=3, B=1, trainer=TrainerConfig(), seed=4, n_supersamples=2, n_masks=10,
         )
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message="all labels are singletons")
@@ -380,7 +379,7 @@ class TestRunCmiExperiment:
     def test_batched_training_equals_per_cell_training(self, kwargs):
         # Reference: each cell's model trained alone by train_logistic on its
         # own half, from the cell's own seed, and scored by logistic_predict.
-        cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60, seed=1), seed=21, **kwargs)
+        cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60), seed=21, **kwargs)
         per_cell = []
         for s_idx in range(cfg.n_supersamples):
             x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
@@ -390,8 +389,8 @@ class TestRunCmiExperiment:
                 masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(cfg.n_masks, cfg.n))
             for m_idx, mask in enumerate(masks):
                 sup = Supersample(x.reshape(cfg.n, 2), y.reshape(cfg.n, 2), mask)
-                trainer = replace(cfg.trainer, seed=child_seed(cfg.seed, s_idx, m_idx, 2))
-                stats = _cell_statistics(*logistic_halves(sup, trainer), cfg.method, cfg.B)
+                seed = child_seed(cfg.seed, s_idx, m_idx, 2)
+                stats = _cell_statistics(*logistic_halves(sup, cfg.trainer, seed), cfg.method, cfg.B)
                 per_cell += [(s_idx, m_idx, name, value)
                              for name, value in zip(("ecmi_gap", "delta1", "delta2"), stats)]
         batched = run_cmi_experiment(cfg)
@@ -403,7 +402,7 @@ class TestRunCmiExperiment:
         # their rows of the batch go non-finite in the first update and the
         # even ones train normally; the first of them is reported.
         cfg = CmiExperimentConfig(
-            n=4, B=1, trainer=TrainerConfig(epochs=3, seed=0), seed=0,
+            n=4, B=1, trainer=TrainerConfig(epochs=3), seed=0,
             n_supersamples=1, n_masks=2, exhaustive=True,
         )
         x = np.array([[0.5, np.inf], [0.25, -0.25], [0.5, -0.5], [0.75, -0.75]])

@@ -175,16 +175,16 @@ class TestTrainLogistic:
         y = np.array([1, 0])
         losses = []
         for epochs in (1, 5, 20, 80):
-            m = train_logistic((x, y), TrainerConfig(learning_rate=0.2, epochs=epochs, seed=0))
+            m = train_logistic((x, y), TrainerConfig(learning_rate=0.2, epochs=epochs))
             p = logistic_predict(m, x)
             losses.append(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_deterministic(self):
         x, y = sample_synthetic(200, stream(2))
-        cfg = TrainerConfig(learning_rate=0.3, epochs=50, seed=13)
-        m1 = train_logistic((x, y), cfg)
-        m2 = train_logistic((x, y), cfg)
+        cfg = TrainerConfig(learning_rate=0.3, epochs=50)
+        m1 = train_logistic((x, y), cfg, seed=13)
+        m2 = train_logistic((x, y), cfg, seed=13)
         assert (m1.beta0, m1.beta1) == (m2.beta0, m2.beta1)
 
     def test_recovers_generating_slope(self):
@@ -192,7 +192,7 @@ class TestTrainLogistic:
         # slope should land near -2 for each of five seeds.
         for seed in range(5):
             x, y = sample_synthetic(10_000, stream(100 + seed))
-            m = train_logistic((x, y), TrainerConfig(learning_rate=0.5, epochs=400, seed=seed))
+            m = train_logistic((x, y), TrainerConfig(learning_rate=0.5, epochs=400), seed=seed)
             assert abs(m.beta1 - (-2.0)) < 0.2
 
     def test_empty_training_set(self):
@@ -212,7 +212,7 @@ class TestTrainLogistic:
         x = np.array([1e200, -1e200])
         y = np.array([1, 1])
         with pytest.raises(ValueError, match="epoch"):
-            train_logistic((x, y), TrainerConfig(learning_rate=1e109, epochs=3, seed=0))
+            train_logistic((x, y), TrainerConfig(learning_rate=1e109, epochs=3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -234,10 +234,10 @@ class TestTrainLogistic:
         assert TrainerConfig(epochs=np.int64(3)).epochs == 3
 
 
-def reference_descent(x, y, cfg):
-    """The trainer as a lone 1-d loop over one training set."""
+def reference_descent(x, y, cfg, seed):
+    """The trainer as a lone 1-d loop over one training set, started from ``seed``."""
     beta = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(cfg.seed))
+        np.random.Philox(np.random.SeedSequence(seed))
     ).normal(0.0, 0.01, size=2)
     for _ in range(cfg.epochs):
         resid = expit(beta[0] + beta[1] * x) - y
@@ -277,10 +277,9 @@ class TestBatchedDescent:
             batched = models_mod._descend(inits, x, y, cfg)
         assert batched.shape == (n_masks, 2)
         for m, (b0, b1) in enumerate(batched):
-            lone_cfg = TrainerConfig(learning_rate=lr, epochs=epochs, seed=seeds[m])
-            lone = train_logistic((x[m], y[m]), lone_cfg)
+            lone = train_logistic((x[m], y[m]), cfg, seed=seeds[m])
             assert (b0, b1) == (lone.beta0, lone.beta1)
-            assert (lone.beta0, lone.beta1) == reference_descent(x[m], y[m], lone_cfg)
+            assert (lone.beta0, lone.beta1) == reference_descent(x[m], y[m], cfg, seeds[m])
 
     def test_block_split_at_the_element_cap(self):
         n = models_mod._BLOCK // 2 + 1  # one row per block
@@ -289,7 +288,7 @@ class TestBatchedDescent:
         inits = np.array([models_mod._init_beta(s) for s in range(3)])
         batched = models_mod._descend(inits, x, y, cfg)
         for m in range(3):
-            lone = reference_descent(x[m], y[m], TrainerConfig(epochs=3, seed=m))
+            lone = reference_descent(x[m], y[m], cfg, m)
             assert tuple(batched[m]) == lone
 
     def test_divergent_row_reports_epoch_and_row(self):

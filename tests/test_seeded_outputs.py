@@ -7,15 +7,20 @@ digests cover stdout, every CSV, and ``run_record.json`` without its
 states in CHANGES.md which outputs moved and why. The digests hold for one
 numpy/scipy build; another BLAS or numpy release may move the last bits of a
 float, and then they are re-derived, not loosened.
+
+The same runs also show that every bound a record holds is its bound
+function's report, and recomputes exactly from the recorded inputs.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 
 import pytest
 
+from calbounds.bounds import BOUNDS
 from calbounds.cli import main
 
 TRAIN_CSV = """score,label
@@ -46,14 +51,14 @@ TEST_CSV = """score,label
 0.88,0
 0.97,1
 """
-RECAL = ["recalibrate", "--bins", "15", "--n-re", "100", "--n-total", "8100", "--seed", "1"]
+RECAL = ["recalibrate", "--bins", "15", "--n-total", "8100", "--seed", "1"]
 RUNS = {
     "ece": ["ece", "train.csv", "--bins", "3", "--method", "umb"],
     "gap": ["gap", "train.csv", "test.csv", "--bins", "3", "--method", "umb"],
     "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000", "--seed", "1"],
     "cmi": ["cmi", "--n-grid", "40,100", "--seed", "1"],
     "cmi-exhaustive": ["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--seed", "1"],
-    "recalibrate-holdout": [*RECAL, "--variant", "holdout"],
+    "recalibrate-holdout": [*RECAL, "--n-re", "100", "--variant", "holdout"],
     "recalibrate-reuse": [*RECAL, "--variant", "reuse"],
 }
 DIGESTS = {
@@ -72,36 +77,47 @@ DIGESTS = {
     },
     "cmi": {
         "stdout": "171ab2aae9322132fb2435e23ffb8a6e70ac8682c07988ebc09269635936a712",
-        "run_record.json": "246ad4ccfddd610d331c3561685c28d32dc7767415ebe1ce1dee3d1c8e698a7e",
+        "run_record.json": "d13d6bed994ecb2b6c2396a227210af7ebc3af9136f75c737e65ac81c3d18ed0",
         "cmi_cells_n100.csv": "6f66277bb5998ab2eaa97297027a3614873891902ba6e03e5746a5903e6573bf",
         "cmi_cells_n40.csv": "f6559406eeca01b3fdee368958aaace3be05ab9725ea2413e2a869aa0d390049",
         "cmi_summary.csv": "e76046247a496b53cc508a0e16189a258d9f67991015e9814c4653653a500ec3",
     },
     "cmi-exhaustive": {
         "stdout": "fe6eb182a4596be59b33894be1cbe51678107a2c48bb8c5bb79fb1d213bf7655",
-        "run_record.json": "e0024336ac75273ea4f27d3f04b03c1a5bc2c9f035701d05bd83ab6f56a258c8",
+        "run_record.json": "f04d614dad72e09746e1a653d03598617c89677522cabb033e35ca8db438ed2c",
         "cmi_cells_n8.csv": "c7e96de32b261628e440e14e035cd637307ae52269b9c7501f457a54f68a5d7b",
         "cmi_summary.csv": "acb043d09d0298a8b9c5746907e28aad645287e7040f3594811ffe3cd7c3611c",
     },
     "recalibrate-holdout": {
         "stdout": "ddb264f94befd2915963177af2c6ce62389637badea41d101797ca69ccbc8119",
-        "run_record.json": "ad412526b0c5bdbe5ec2473af2fd4af6c0cc4fe27bc3e54b6d3f5783e80d04db",
+        "run_record.json": "a66b4bba818bfbd076d749304df4b6c274d7d28b89aa2fd1d0d2e3b725c88edc",
     },
     "recalibrate-reuse": {
         "stdout": "2f6c3d60b32e638f297940621213ea23ad681bd44d1064fc2fe254016ea25dfb",
-        "run_record.json": "d91cfd64cc80f256a5aa2d73a129d8b4ccb5cbbc812579b1252fd4f3c684ea71",
+        "run_record.json": "e0468d4a03c94844d2a921b4aa96c00b925b2dcb267ba053c83b3531f8508aaa",
     },
 }
 
 
-def run_digests(name: str, workdir, monkeypatch) -> dict:
-    """File name -> sha256 of stdout, the record minus ``timestamp``, and each CSV of one run."""
-    monkeypatch.chdir(workdir)
-    (workdir / "train.csv").write_text(TRAIN_CSV)
-    (workdir / "test.csv").write_text(TEST_CSV)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main([*RUNS[name], "--out", "out"])
+# Run -> the bound its record holds.
+BOUND_OF = {
+    "cmi": "gen_ece",
+    "cmi-exhaustive": "gen_ece",
+    "recalibrate-holdout": "recalib_holdout",
+    "recalibrate-reuse": "recalib_reuse",
+}
+
+
+def run(name: str, workdir) -> tuple[dict, dict]:
+    """One run's (file name -> sha256 of stdout, each CSV and the record minus
+    ``timestamp``) and its parsed record."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        (workdir / "train.csv").write_text(TRAIN_CSV)
+        (workdir / "test.csv").write_text(TEST_CSV)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*RUNS[name], "--out", "out"])
     assert code == 0, f"{name}: exit code {code}"
     out = workdir / "out"
     record = json.loads((out / "run_record.json").read_text())
@@ -111,11 +127,41 @@ def run_digests(name: str, workdir, monkeypatch) -> dict:
         "run_record.json": json.dumps(record, indent=2, sort_keys=True).encode(),
     }
     files.update((p.name, p.read_bytes()) for p in sorted(out.glob("*.csv")))
-    return {f: hashlib.sha256(data).hexdigest() for f, data in files.items()}
+    return {f: hashlib.sha256(data).hexdigest() for f, data in files.items()}, record
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Run name -> ``run(name)``, each run made once for the module."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            done[name] = run(name, tmp_path_factory.mktemp(name))
+        return done[name]
+
+    return get
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
-    got, want = run_digests(name, tmp_path, monkeypatch), DIGESTS[name]
+def test_outputs_match_pinned_digests(name, runs):
+    got, want = runs(name)[0], DIGESTS[name]
     changed = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
     assert not changed, f"{name}: output changed in {changed}"
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_recorded_bounds_recompute_exactly(name, runs):
+    entries = [r for r in runs(name)[1]["results"] if r["name"].replace("_", "-") in BOUNDS]
+    assert {r["name"] for r in entries} == ({BOUND_OF[name]} if name in BOUND_OF else set())
+    for entry in entries:
+        fn = BOUNDS[entry["name"].replace("_", "-")]
+        # Report input keys spell the parameter names in the formula's case (eCMI, I_Delta1).
+        given = {key.lower(): value for key, value in entry["inputs"].items()}
+        params = inspect.signature(fn).parameters
+        report = fn(**{p: given[p.lower()] for p in params if p.lower() in given})
+        assert entry == {
+            "name": report.name,
+            "value": report.value,
+            "inputs": {**report.inputs, "variant": report.variant},
+        }
