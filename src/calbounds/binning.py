@@ -188,7 +188,7 @@ class BinStats:
 
     Empty bins carry count 0, mass 0, and NaN means; the NaNs mark the
     means as undefined and are never folded into downstream estimates.
-    Stats compare and hash by identity.
+    The arrays are read-only copies. Stats compare and hash by identity.
     """
 
     counts: np.ndarray
@@ -196,16 +196,41 @@ class BinStats:
     mean_labels: np.ndarray
     masses: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("counts", "mean_scores", "mean_labels", "masses"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def B(self) -> int:
         return int(self.counts.size)
 
 
+def _dataset_sums(scheme: BinningScheme, dataset) -> tuple[np.ndarray, ...]:
+    """``bin_sums(scheme, scores, scores, labels)`` of a ``ScoredDataset``, read-only.
+
+    Computed on the first call for a (dataset, scheme) pair and kept on the
+    dataset, keyed weakly by the scheme, so the entry lives while both do.
+    """
+    sums = dataset._sums_by_scheme.get(scheme)
+    if sums is None:
+        sums = bin_sums(scheme, dataset.scores, dataset.scores, dataset.labels)
+        for arr in sums:
+            arr.setflags(write=False)  # every later caller shares these arrays
+        dataset._sums_by_scheme[scheme] = sums
+    return sums
+
+
 def bin_stats(scheme: BinningScheme, dataset) -> BinStats:
-    """Counts and per-bin score/label means of a dataset under a scheme."""
+    """Counts and per-bin score/label means of a dataset under a scheme.
+
+    The per-bin sums are computed once per (dataset, scheme) pair; each call
+    still returns a new ``BinStats``.
+    """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    counts, sum_scores, sum_labels = bin_sums(scheme, dataset.scores, dataset.scores, dataset.labels)
+    counts, sum_scores, sum_labels = _dataset_sums(scheme, dataset)
     nonempty = counts > 0
     mean_scores = np.divide(sum_scores, counts, out=np.full(scheme.B, np.nan), where=nonempty)
     mean_labels = np.divide(sum_labels, counts, out=np.full(scheme.B, np.nan), where=nonempty)

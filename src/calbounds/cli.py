@@ -10,7 +10,8 @@ mask-information experiment over an n-grid).
 Every successful run writes one run-record JSON (and any CSV data files)
 under the output directory (flag ``--out``, else $CALBOUNDS_OUT, else
 ./runs); the record's config is the parsed command line minus ``--out`` (and
-the synthetic-pool flags for ``recalibrate --input``). Exit codes: 0 success,
+the synthetic-pool flags for ``recalibrate --input``; without ``--input`` they
+carry the values the pool was drawn with). Exit codes: 0 success,
 1 internal error, 2 usage or precondition error, such as a flag the run cannot
 use. Printed floats carry 6 significant digits; data files keep full
 precision.
@@ -53,6 +54,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _bins_arg(text: str) -> str:
+    """``auto`` or a positive integer, returned as given."""
+    if text == "auto" or (text.isascii() and text.isdigit() and int(text) >= 1):
+        return text
+    raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {text!r}")
 
 
 def _scheme_for(args, dataset):
@@ -180,16 +188,27 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
     record.add("lipschitz", result.lipschitz, grid=LIPSCHITZ_GRID)
 
 
+# The synthetic pool's flags and their defaults, applied only when no --input is given.
+_POOL_DEFAULTS = {"beta0": 0.5, "beta1": -1.5, "n_total": 8000}
+
+
 def _cmd_recalibrate(args, record: RunRecord) -> None:
     if args.input:
-        pool = load_scores(args.input, format=args.input_format)
-        for unused in ("beta0", "beta1", "n_total"):  # no synthetic pool is drawn
+        given = [f"--{k.replace('_', '-')}" for k in _POOL_DEFAULTS if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"synthetic-pool flags apply only without --input: {', '.join(given)}")
+        for unused in _POOL_DEFAULTS:  # no synthetic pool is drawn
             del record.config[unused]
+        pool = load_scores(args.input, format=args.input_format)
     elif args.input_format:
         raise ValueError("--input-format applies only with --input")
     else:
-        model = SyntheticModel(args.beta0, args.beta1)
-        pool = scored_synthetic_dataset(model, args.n_total, args.seed, 7)
+        config = record.config
+        for k, default in _POOL_DEFAULTS.items():
+            if config[k] is None:
+                config[k] = default
+        model = SyntheticModel(config["beta0"], config["beta1"])
+        pool = scored_synthetic_dataset(model, config["n_total"], args.seed, 7)
     result = run_recalibration(
         pool,
         variant=args.variant,
@@ -265,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ece = sub.add_parser("ece", help="binned calibration error of a score file")
     p_ece.add_argument("input", help="CSV or JSON score file")
-    p_ece.add_argument("--bins", default="auto", help="bin count, or 'auto' for the optimal rule")
+    p_ece.add_argument("--bins", type=_bins_arg, default="auto",
+                       help="bin count, or 'auto' for the optimal rule")
     p_ece.add_argument("--method", choices=[UWB, UMB], default=UWB)
     p_ece.add_argument("--lipschitz", type=float, default=None, help="L for the auto bin rule")
     p_ece.add_argument("--input-format", choices=["csv", "json"], default=None)
@@ -301,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recalibrate", help="histogram recalibration with its bound")
     p_rec.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
     p_rec.add_argument("--input-format", choices=["csv", "json"], default=None)
-    p_rec.add_argument("--beta0", type=float, default=0.5)
-    p_rec.add_argument("--beta1", type=float, default=-1.5)
-    p_rec.add_argument("--n-total", type=int, default=8000)
+    p_rec.add_argument("--beta0", type=float, default=None, help="synthetic pool (default 0.5)")
+    p_rec.add_argument("--beta1", type=float, default=None, help="synthetic pool (default -1.5)")
+    p_rec.add_argument("--n-total", type=int, default=None, help="synthetic pool (default 8000)")
     p_rec.add_argument("--variant", choices=["holdout", "reuse"], required=True)
     p_rec.add_argument("--bins", type=int, required=True)
     p_rec.add_argument("--n-re", dest="n_re", type=int, default=None, help="holdout variant only")

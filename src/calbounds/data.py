@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,7 +34,9 @@ class ScoredDataset:
     Scores live in [0, 1] (endpoints included: saturated deep-net outputs
     are accepted), labels in {0, 1}. Order is preserved across save/load
     round trips. Instances are immutable after construction and safe to
-    share across concurrent readers.
+    share across concurrent readers. Each keeps its per-bin sums for every
+    scheme still alive that it was binned under (see ``binning.bin_stats``);
+    two readers racing on a new scheme compute equal sums twice.
     """
 
     def __init__(self, scores, labels) -> None:
@@ -59,6 +62,7 @@ class ScoredDataset:
         labels.setflags(write=False)
         self.scores = scores
         self.labels = labels
+        self._sums_by_scheme = weakref.WeakKeyDictionary()  # scheme -> frozen bin sums
 
     def __len__(self) -> int:
         return int(self.scores.size)

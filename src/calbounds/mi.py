@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, expit
 
-from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
+from .binning import UMB, UWB, _dataset_sums, umb_scheme, uwb_scheme
 from .data import ScoredDataset
 from .metrics import ece_gap
 from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
@@ -172,10 +172,11 @@ def _cell_statistics(d_tr: ScoredDataset, d_te: ScoredDataset, method: str, B: i
 
     Uniform-mass edges come from the training half. delta1 and delta2 sum
     over those bins the |complement - training| label sums and counts, over n.
+    Under UMB they reuse the sums ``ece_gap`` computed.
     """
     umb = umb_scheme(d_tr.scores, B)
     gap = ece_gap(d_tr, d_te, umb if method == UMB else uwb_scheme(B)).value
-    (c_tr, y_tr), (c_te, y_te) = (bin_sums(umb, d.scores, d.labels) for d in (d_tr, d_te))
+    (c_tr, _, y_tr), (c_te, _, y_te) = (_dataset_sums(umb, d) for d in (d_tr, d_te))
     n = len(d_tr)
     return gap, float(np.sum(np.abs((y_te - y_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
 

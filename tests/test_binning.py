@@ -1,6 +1,7 @@
 """Binning scheme construction, assignment, and per-bin statistics."""
 
 import functools
+import gc
 import operator
 import warnings
 
@@ -17,10 +18,12 @@ from calbounds import (
     bin_stats,
     bin_sums,
     ece,
+    ece_gap,
+    ece_reformulated,
     umb_scheme,
     uwb_scheme,
 )
-from calbounds.binning import _BLOCK, _MAX_CELLS, _uniform_edges
+from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _uniform_edges
 
 
 def quiet_umb(scores, B):
@@ -345,13 +348,58 @@ class TestBinStats:
             max_size=200,
         ),
         st.integers(min_value=1, max_value=30),
+        st.sampled_from(["uwb", "umb"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_masses_sum_to_one_counts_to_n(self, pairs, B):
+    def test_masses_sum_to_one_counts_to_n(self, pairs, B, method):
         d = ScoredDataset([p[0] for p in pairs], [p[1] for p in pairs])
-        stats = bin_stats(uwb_scheme(B), d)
+        if method == "uwb":
+            scheme = uwb_scheme(B)
+        else:  # each score taken twice meets UMB's n_e >= 2B for every B <= n
+            scheme = quiet_umb(np.repeat(d.scores, 2), min(B, len(d)))
+        stats = bin_stats(scheme, d)
         assert stats.counts.sum() == len(d)
         assert abs(stats.masses.sum() - 1.0) < 1e-12
+        again = bin_stats(scheme, d)
+        fresh = bin_sums(scheme, d.scores.copy(), d.scores.copy(), d.labels.copy())
+        for kept, computed in zip(_dataset_sums(scheme, d), fresh):
+            assert kept.tobytes() == computed.tobytes()
+        for name in ("counts", "mean_scores", "mean_labels", "masses"):
+            assert getattr(again, name).tobytes() == getattr(stats, name).tobytes()
+
+    def test_arrays_are_read_only(self):
+        d = ScoredDataset([0.2, 0.8], [0, 1])
+        stats = bin_stats(uwb_scheme(2), d)
+        for arr in (stats.counts, stats.mean_scores, stats.mean_labels, stats.masses):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            _dataset_sums(uwb_scheme(2), d)[0][0] = 1
+
+
+class TestBinOnce:
+    """A dataset is binned once per scheme; the cross-check paths bin every time."""
+
+    def test_each_dataset_scheme_pair_binned_once(self, assign_calls):
+        d = ScoredDataset(np.linspace(0.0, 1.0, 50), np.arange(50) % 2)
+        d2 = ScoredDataset(np.linspace(0.1, 0.9, 30), np.arange(30) % 3 == 0)
+        s = uwb_scheme(5)
+        ece(d, s)
+        ece_gap(d2, d, s)
+        bin_stats(s, d)
+        assert [n for _, n in assign_calls] == [50, 30]
+        ece_reformulated(d, s)
+        bin_sums(s, d.scores, d.labels)
+        assert [n for _, n in assign_calls] == [50, 30, 50, 50]
+
+    def test_entry_dies_with_its_scheme(self):
+        d = ScoredDataset([0.2, 0.4, 0.8], [0, 1, 1])
+        scheme = uwb_scheme(3)
+        ece(d, scheme)
+        assert len(d._sums_by_scheme) == 1
+        del scheme
+        gc.collect()
+        assert len(d._sums_by_scheme) == 0
 
 
 class TestSchemeSerialization:

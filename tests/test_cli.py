@@ -26,6 +26,19 @@ class TestEceCommand:
         assert "bins 1" in out
         assert "method uwb" in out
 
+    @pytest.mark.parametrize("bins", ["abc", "2.0", "0", "-3", ""])
+    def test_bad_bins_exit_2_before_loading(self, bins, score_file, tmp_path, capsys, monkeypatch):
+        import calbounds.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("loaded the score file before checking --bins")
+
+        monkeypatch.setattr(cli_mod, "load_scores", boom)
+        assert main(["ece", str(score_file), "--bins", bins, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: calbounds ece")
+        assert f"argument --bins: expected 'auto' or a positive integer, got {bins!r}" in err
+
     def test_auto_bins_uses_optimal_rule(self, tmp_path, capsys):
         rows = "\n".join(f"0.{i % 9 + 1},{i % 2}" for i in range(4000))
         p = tmp_path / "big.csv"
@@ -370,6 +383,12 @@ class TestExitCodes:
              "--input-format applies only with --input"),
             (["ece", "{scores}", "--bins", "3", "--lipschitz", "1"],
              "--lipschitz applies only to --bins auto"),
+            (["recalibrate", "--input", "{scores}", "--variant", "reuse", "--bins", "1",
+              "--beta0", "3", "--n-total", "50"],
+             "synthetic-pool flags apply only without --input: --beta0, --n-total"),
+            (["recalibrate", "--input", "{scores}", "--variant", "reuse", "--bins", "1",
+              "--beta1", "-1.5"],
+             "synthetic-pool flags apply only without --input: --beta1"),
         ],
     )
     def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys):
@@ -455,6 +474,11 @@ class TestRunRecordConfig:
             "beta1": -1.0, "n_total": 900, "variant": "reuse", "bins": 5, "n_re": None,
             "eval_split": 0.4, "i1": 0.1, "i2": 0.2, "seed": 3,
         }
+
+    def test_recalibrate_synthetic_defaults(self, tmp_path, capsys):
+        argv = ["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100"]
+        config = self._config(argv, tmp_path)
+        assert (config["beta0"], config["beta1"], config["n_total"]) == (0.5, -1.5, 8000)
 
     def test_cmi(self, tmp_path, capsys):
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1",

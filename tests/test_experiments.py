@@ -84,6 +84,11 @@ class TestRunRecalibration:
             improved += res.tce_recalibrated < res.ece_raw
         assert improved >= 8
 
+    def test_test_set_binned_once(self, assign_calls):
+        run_recalibration(self._pool(1000), "holdout", B=5, eval_split=0.4, seed=9, n_re=50)
+        (fit_scheme, n_fit), (test_scheme, n_test) = assign_calls
+        assert (n_fit, n_test) == (50, 400) and test_scheme is fit_scheme
+
     def test_split_disjointness_and_sizes(self):
         pool = self._pool(1000)
         res = run_recalibration(pool, "holdout", B=5, eval_split=0.4, seed=9, n_re=50)

@@ -297,6 +297,10 @@ class TestDeltaStatistics:
         gap, d1, d2 = _cell_statistics(*scored_halves(s), "umb", B=2)
         assert gap == 0.0 and d1 == 0.0 and d2 == 0.0
 
+    def test_umb_bins_each_half_once(self, assign_calls):
+        _cell_statistics(*scored_halves(random_supersample(np.random.default_rng(3), 24)), "umb", B=3)
+        assert [n for _, n in assign_calls] == [24, 24]
+
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
