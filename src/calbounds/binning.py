@@ -228,8 +228,6 @@ def bin_stats(scheme: BinningScheme, dataset) -> BinStats:
     The per-bin sums are computed once per (dataset, scheme) pair; each call
     still returns a new ``BinStats``.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     counts, sum_scores, sum_labels = _dataset_sums(scheme, dataset)
     nonempty = counts > 0
     mean_scores = np.divide(sum_scores, counts, out=np.full(scheme.B, np.nan), where=nonempty)

@@ -188,7 +188,8 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
     record.add("lipschitz", result.lipschitz, grid=LIPSCHITZ_GRID)
 
 
-# The synthetic pool's flags and their defaults, applied only when no --input is given.
+# The synthetic pool's flags and their defaults: `synthetic` takes its betas from here,
+# and `recalibrate` applies all three only when no --input is given.
 _POOL_DEFAULTS = {"beta0": 0.5, "beta1": -1.5, "n_total": 8000}
 
 
@@ -307,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(_add_bound_parser(by_name, name, fn))
 
     p_syn = sub.add_parser("synthetic", help="TCE-gap scaling experiment on the synthetic family")
-    p_syn.add_argument("--beta0", type=float, default=0.5)
-    p_syn.add_argument("--beta1", type=float, default=-1.5)
+    p_syn.add_argument("--beta0", type=float, default=_POOL_DEFAULTS["beta0"])
+    p_syn.add_argument("--beta1", type=float, default=_POOL_DEFAULTS["beta1"])
     p_syn.add_argument("--n-grid", type=_parse_grid, default="1000,3162,10000,31623,100000",
                        help="comma-separated test-set sizes")
     p_syn.add_argument("--reps", type=int, default=20)
@@ -321,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recalibrate", help="histogram recalibration with its bound")
     p_rec.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
     p_rec.add_argument("--input-format", choices=["csv", "json"], default=None)
-    p_rec.add_argument("--beta0", type=float, default=None, help="synthetic pool (default 0.5)")
-    p_rec.add_argument("--beta1", type=float, default=None, help="synthetic pool (default -1.5)")
-    p_rec.add_argument("--n-total", type=int, default=None, help="synthetic pool (default 8000)")
+    for name, kind in (("beta0", float), ("beta1", float), ("n_total", int)):
+        p_rec.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
+                           help=f"synthetic pool (default {_POOL_DEFAULTS[name]})")
     p_rec.add_argument("--variant", choices=["holdout", "reuse"], required=True)
     p_rec.add_argument("--bins", type=int, required=True)
     p_rec.add_argument("--n-re", dest="n_re", type=int, default=None, help="holdout variant only")
@@ -337,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmi = sub.add_parser("cmi", help="supersample mask-information experiment")
     p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
     p_cmi.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
-    p_cmi.add_argument("--n-supersamples", type=int, default=5)
-    p_cmi.add_argument("--n-masks", type=int, default=10)
-    p_cmi.add_argument("--k", type=int, default=3)
-    p_cmi.add_argument("--method", choices=[UWB, UMB], default=UMB)
+    p_cmi.add_argument("--n-supersamples", type=int, default=CmiExperimentConfig.n_supersamples)
+    p_cmi.add_argument("--n-masks", type=int, default=CmiExperimentConfig.n_masks)
+    p_cmi.add_argument("--k", type=int, default=CmiExperimentConfig.k)
+    p_cmi.add_argument("--method", choices=[UWB, UMB], default=CmiExperimentConfig.method)
     p_cmi.add_argument("--exhaustive", action="store_true",
                        help="enumerate all 2^n masks (n <= 12) and use the plug-in estimator")
-    p_cmi.add_argument("--lr", type=float, default=0.5)
-    p_cmi.add_argument("--epochs", type=int, default=300)
+    p_cmi.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
+    p_cmi.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
     p_cmi.add_argument("--seed", type=int, default=0)
     add_common(p_cmi)
     p_cmi.set_defaults(func=_cmd_cmi)

@@ -283,10 +283,10 @@ class RunRecord:
     number in the record is recomputable.
     """
 
-    def __init__(self, config: dict, timestamp: str | None = None) -> None:
+    def __init__(self, config: dict) -> None:
         self.config = dict(config)
         self.results: list[dict] = []
-        self.timestamp = timestamp or datetime.now(timezone.utc).isoformat()
+        self.timestamp = datetime.now(timezone.utc).isoformat()
 
     def add(self, name: str, value, **inputs) -> None:
         self.results.append(

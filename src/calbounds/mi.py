@@ -32,6 +32,8 @@ __all__ = [
     "run_cmi_experiment",
 ]
 
+_ROWS = 1 << 8  # points per block of the neighbor search: bounds its temporaries
+
 
 @dataclass(frozen=True)
 class MiEstimate:
@@ -80,6 +82,9 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     radius feeds the digamma combination. Points whose label appears only
     once are dropped (their radius is undefined); if every label is unique,
     or only one distinct label exists, the estimate is 0 with a warning.
+
+    One pass per label over blocks of at most ``_ROWS`` of its points keeps
+    the temporaries at O(_ROWS * m * d) for m kept d-dimensional points.
     """
     pts = _as_points(values)
     codes = _label_codes(labels)
@@ -90,7 +95,7 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
         raise ValueError("k must be at least 1")
     if n < k + 2:
         raise ValueError(f"insufficient pairs: need at least {k + 2}, have {n}")
-    n_labels = int(codes.max()) + 1 if n else 0
+    n_labels = int(codes.max()) + 1
     if n_labels < 2:
         warnings.warn("fewer than 2 distinct labels; mutual information is 0")
         return MiEstimate(0.0, "knn", k)
@@ -104,28 +109,22 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     codes = codes[keep]
     m = pts.shape[0]
 
-    # Pairwise max-norm distances; n stays at desk scale so O(n^2) is fine.
-    dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-
-    psi_k = np.empty(m)
-    psi_nx = np.empty(m)
-    psi_m = np.empty(m)
     class_sizes = np.bincount(codes)
-    idx_all = np.arange(m)
-    for i in range(m):
-        same = idx_all[(codes == codes[i]) & (idx_all != i)]
-        k_i = min(k, same.size)
-        order = same[np.lexsort((same, dist[i, same]))]
-        kth = order[k_i - 1]
-        radius = dist[i, kth]
-        d_row = dist[i]
-        within = (d_row < radius) | ((d_row == radius) & (idx_all <= kth))
-        within[i] = False
-        m_i = int(np.count_nonzero(within))
-        psi_k[i] = digamma(k_i)
-        psi_nx[i] = digamma(class_sizes[codes[i]])
-        psi_m[i] = digamma(max(m_i, 1))
-    value = float(digamma(m) + np.mean(psi_k) - np.mean(psi_nx) - np.mean(psi_m))
+    k_c = np.minimum(k, class_sizes - 1)  # neighbors sought per label
+    m_i = np.empty(m, dtype=np.int64)  # points of any label within each point's radius
+    for label in np.flatnonzero(class_sizes):
+        members = np.flatnonzero(codes == label)  # ascending: stable sorts favor smaller indices
+        for lo in range(0, members.size, _ROWS):
+            rows = members[lo:lo + _ROWS]
+            dist = np.max(np.abs(pts[rows, None, :] - pts[None, :, :]), axis=2)
+            dist[np.arange(rows.size), rows] = np.nan  # sorts last and compares false: not a neighbor
+            order = np.argsort(dist[:, members], axis=1, kind="stable")
+            kth = members[order[:, k_c[label] - 1, None]]
+            radius = np.take_along_axis(dist, kth, axis=1)
+            within = (dist < radius) | ((dist == radius) & (np.arange(m) <= kth))
+            m_i[rows] = np.count_nonzero(within, axis=1)  # >= 1: the k-th neighbor counts
+    psi_k, psi_nx, psi_m = (np.mean(digamma(a)) for a in (k_c[codes], class_sizes[codes], m_i))
+    value = float(digamma(m) + psi_k - psi_nx - psi_m)
     return MiEstimate(value, "knn", k)
 
 

@@ -7,7 +7,8 @@ from dataclasses import asdict
 import pytest
 
 import calbounds
-from calbounds.cli import main
+from calbounds import CmiExperimentConfig, TrainerConfig
+from calbounds.cli import _POOL_DEFAULTS, build_parser, main
 
 
 @pytest.fixture()
@@ -408,6 +409,22 @@ class TestExitCodes:
         assert main(["synthetic", "--b-rule", rule, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown bin rule {rule!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestParserDefaults:
+    """A flag's default is the library default it stands for, type included."""
+
+    def test_cmi_defaults_are_config_defaults(self):
+        args = build_parser().parse_args(["cmi"])
+        cfg = CmiExperimentConfig(n=1, B=1, trainer=TrainerConfig(), seed=0)
+        parsed = (args.n_supersamples, args.n_masks, args.k, args.method, args.lr, args.epochs)
+        library = (cfg.n_supersamples, cfg.n_masks, cfg.k, cfg.method,
+                   cfg.trainer.learning_rate, cfg.trainer.epochs)
+        assert [(type(v), v) for v in parsed] == [(type(v), v) for v in library]
+
+    def test_synthetic_betas_are_pool_defaults(self):
+        args = build_parser().parse_args(["synthetic"])
+        assert (args.beta0, args.beta1) == (_POOL_DEFAULTS["beta0"], _POOL_DEFAULTS["beta1"])
 
 
 class TestRunRecordConfig:

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import logit
+from scipy.spatial import cKDTree
+from scipy.special import digamma, logit
 
 from calbounds import (
     CmiExperimentConfig,
@@ -42,6 +43,60 @@ def logistic_halves(s, cfg, seed=0):
     """Train with ``cfg`` from ``seed`` on the training half of ``s``; score both halves."""
     model = train_logistic(s.split(), cfg, seed)
     return scored_halves(s, lambda x: np.clip(logistic_predict(model, x), 0.0, 1.0))
+
+
+def reference_ksg(values, labels, k):
+    """``ksg_mixed_mi``'s value, one Python loop over the points of the full m x m distance matrix."""
+    pts = mi_mod._as_points(values)
+    codes = mi_mod._label_codes(labels)
+    keep = np.bincount(codes)[codes] > 1
+    pts = pts[keep]
+    codes = codes[keep]
+    m = pts.shape[0]
+
+    dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+
+    psi_k = np.empty(m)
+    psi_nx = np.empty(m)
+    psi_m = np.empty(m)
+    class_sizes = np.bincount(codes)
+    idx_all = np.arange(m)
+    for i in range(m):
+        same = idx_all[(codes == codes[i]) & (idx_all != i)]
+        k_i = min(k, same.size)
+        order = same[np.lexsort((same, dist[i, same]))]
+        kth = order[k_i - 1]
+        radius = dist[i, kth]
+        d_row = dist[i]
+        within = (d_row < radius) | ((d_row == radius) & (idx_all <= kth))
+        within[i] = False
+        m_i = int(np.count_nonzero(within))
+        psi_k[i] = digamma(k_i)
+        psi_nx[i] = digamma(class_sizes[codes[i]])
+        psi_m[i] = digamma(max(m_i, 1))
+    return float(digamma(m) + np.mean(psi_k) - np.mean(psi_nx) - np.mean(psi_m))
+
+
+def kdtree_ksg(values, labels, k):
+    """The per-label estimator on scipy's k-d tree, for inputs without distance ties."""
+    pts = mi_mod._as_points(values)
+    codes = mi_mod._label_codes(labels)
+    keep = np.bincount(codes)[codes] > 1
+    pts = pts[keep]
+    codes = codes[keep]
+    tree = cKDTree(pts)
+    k_i, n_x, m_i = [], [], []
+    for label in np.unique(codes):
+        own = pts[codes == label]
+        k_c = min(k, own.shape[0] - 1)
+        radius = cKDTree(own).query(own, k=[k_c + 1], p=np.inf)[0][:, 0]  # the first hit is the point
+        k_i.append(np.full(own.shape[0], k_c))
+        n_x.append(np.full(own.shape[0], own.shape[0]))
+        # Points strictly inside the radius, the point itself included: untied, that is the
+        # other points inside it plus the k-th neighbor on its boundary.
+        m_i.append(tree.query_ball_point(own, np.nextafter(radius, 0), p=np.inf, return_length=True))
+    psi_k, psi_nx, psi_m = (np.mean(digamma(np.concatenate(a))) for a in (k_i, n_x, m_i))
+    return float(digamma(pts.shape[0]) + psi_k - psi_nx - psi_m)
 
 
 class TestKsgMixedMi:
@@ -135,6 +190,54 @@ class TestKsgMixedMi:
             )[0]
             # The reference clamps at 0, so compare after clamping.
             assert abs(max(mine, 0.0) - ref) < 0.01
+
+    def test_matches_kdtree_reference(self):
+        # Continuous values have no distance ties, so the tie rule never applies.
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n, dim, k = int(rng.integers(20, 400)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            labels = rng.integers(0, int(rng.integers(2, 12)), size=n)
+            values = rng.normal(0.3 * labels[:, None], 1.0, size=(n, dim))
+            assert ksg_mixed_mi(values, labels, k).value == pytest.approx(
+                kdtree_ksg(values, labels, k), abs=1e-12
+            )
+
+
+class TestKsgEqualsPerPointReference:
+    """The per-label block search returns exactly the per-point loop's float."""
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 5),
+        dim=st.integers(1, 3),
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=8),
+        decimals=st.sampled_from([0, 1, None]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, data, k, dim, sizes, decimals):
+        assume(sum(sizes) >= k + 2 and max(sizes) >= 2)  # at least one label keeps its points
+        n = sum(sizes)
+        labels = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        point = st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)
+        values = np.array(data.draw(st.lists(point, min_size=n, max_size=n)))
+        if decimals is not None:  # rounded values tie, down to zero radii
+            values = np.round(values, decimals)
+        if dim == 1 and data.draw(st.booleans()):
+            values = values[:, 0]
+        assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
+
+    def test_label_larger_than_a_block(self):
+        n = 2 * mi_mod._ROWS + 100
+        labels = (np.arange(n) % 3 == 0).astype(int)
+        assert np.count_nonzero(labels == 0) > mi_mod._ROWS  # its search runs in two blocks
+        values = np.round(np.random.default_rng(43).normal(size=(n, 2)), 1)
+        assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
+
+    def test_overflowing_distances(self):
+        # Differences of +-1e308 overflow to inf distances; no point may be its own neighbor.
+        values = np.array([1e308, 1e308, -1e308, -1e308])
+        with np.errstate(over="ignore"):
+            assert ksg_mixed_mi(values, [0, 1, 0, 1], 1).value == reference_ksg(values, [0, 1, 0, 1], 1)
 
 
 class TestPluginMi:
