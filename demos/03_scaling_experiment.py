@@ -37,13 +37,10 @@ slopes = {}
 for beta in ((0.5, -1.5), (0.0, -2.0)):
     print(f"== beta={beta}: gap vs n at the optimal bin count (10 reps per n) ==")
     result = run_synthetic_experiment(*beta, grid, reps=10, b_rule="optimal", seed=3)
-    per_n = {}
-    for row in result.rows:
-        per_n.setdefault(row["n"], []).append(row)
+    mean_gaps = np.abs(result.tce.value - result.ece).mean(axis=1)  # over the reps of each n
     print(f"{'n':>7} {'B':>4} {'mean gap':>10} {'bound':>8}")
-    for n, rows in per_n.items():
-        gaps = [r["tce_gap"] for r in rows]
-        print(f"{n:>7} {rows[0]['B']:>4} {np.mean(gaps):>10.5f} {rows[0]['bound']:>8.4f}")
+    for n, B, gap, bound in zip(result.n_grid, result.bins, mean_gaps, result.bounds):
+        print(f"{n:>7} {B:>4} {gap:>10.5f} {bound:>8.4f}")
     slopes[beta] = result.slope
     print()
 print(f"log-log slope of the mean gap: miscalibrated (0.5, -1.5) "

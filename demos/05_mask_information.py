@@ -69,4 +69,4 @@ small = run_cmi_experiment(cfg_small)
 print(f"ecmi (gap statistic):   {small.ecmi_est.value:.4f}  [{small.ecmi_est.method}]")
 print(f"I(delta1; mask):        {small.i_delta1.value:.4f}")
 print(f"I(delta2; mask):        {small.i_delta2.value:.4f}")
-print(f"cells recorded: {len(small.cells)} (3 statistics x 3 supersamples x 256 masks)")
+print(f"cells recorded: {small.stats.size} (3 statistics x 3 supersamples x 256 masks)")

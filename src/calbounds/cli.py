@@ -34,7 +34,7 @@ from .bounds import BOUNDS, gen_ece_bound
 from .data import RunRecord, load_scores
 from .experiments import run_recalibration, run_synthetic_experiment, scored_synthetic_dataset
 from .metrics import cube_root_bins, ece, ece_gap, optimal_bins
-from .mi import CmiExperimentConfig, run_cmi_experiment
+from .mi import STATISTICS, CmiExperimentConfig, run_cmi_experiment
 from .models import LIPSCHITZ_GRID, SyntheticModel, TrainerConfig
 
 
@@ -171,10 +171,13 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
     result = run_synthetic_experiment(
         args.beta0, args.beta1, args.n_grid, args.reps, args.b_rule, args.seed, n_mc=args.n_mc
     )
+    tce = result.tce.value
+    per_n = zip(result.n_grid, result.bins, result.bounds, result.ece.tolist())
     _write_csv(
         _out_dir(args) / "synthetic_gaps.csv",
         ["n", "rep", "B", "ece", "tce", "tce_gap", "bound"],
-        ([r["n"], r["rep"], r["B"], r["ece"], r["tce"], r["tce_gap"], r["bound"]] for r in result.rows),
+        ([n, rep, B, e, tce, abs(tce - e), bound]
+         for n, B, bound, row in per_n for rep, e in enumerate(row)),
     )
     print(
         f"slope {_fmt(result.slope)} tce {_fmt(result.tce.value)} "
@@ -234,21 +237,19 @@ def _cmd_recalibrate(args, record: RunRecord) -> None:
 
 
 def _cmd_cmi(args, record: RunRecord) -> None:
+    if args.exhaustive:  # the plug-in oracle enumerates every mask and takes no k
+        given = [flag for flag, key in (("--n-masks", "n_masks"), ("--k", "k"))
+                 if getattr(args, key) != getattr(CmiExperimentConfig, key)]
+        if given:
+            raise ValueError(f"flags apply only without --exhaustive: {', '.join(given)}")
     trainer = TrainerConfig(args.lr, args.epochs)
     out = _out_dir(args)
     summary_rows = []
     for n in args.n_grid:
         B = args.bins if args.bins is not None else cube_root_bins(n)
         cfg = CmiExperimentConfig(
-            n=n,
-            B=B,
-            trainer=trainer,
-            seed=args.seed,
-            n_supersamples=args.n_supersamples,
-            n_masks=args.n_masks,
-            k=args.k,
-            method=args.method,
-            exhaustive=args.exhaustive,
+            n=n, B=B, trainer=trainer, seed=args.seed, n_supersamples=args.n_supersamples,
+            n_masks=args.n_masks, k=args.k, method=args.method, exhaustive=args.exhaustive,
         )
         result = run_cmi_experiment(cfg)
         bound = gen_ece_bound(result.ecmi_est.clamped, B, n)
@@ -257,8 +258,10 @@ def _cmd_cmi(args, record: RunRecord) -> None:
             out / f"cmi_cells_n{n}.csv",
             ["supersample_idx", "mask_idx", "statistic_name", "value"],
             (
-                [c["supersample_idx"], c["mask_idx"], c["statistic_name"], c["value"]]
-                for c in result.cells
+                [s_idx, m_idx, name, value]
+                for s_idx, cells in enumerate(result.stats.tolist())
+                for m_idx, cell in enumerate(cells)
+                for name, value in zip(STATISTICS, cell)
             ),
         )
         print(

@@ -1,7 +1,8 @@
-"""Desk-scale experiment drivers: scaling law, recalibration comparison, CMI grid.
+"""Desk-scale experiments: scaling law and recalibration comparison.
 
-These produce plain rows of plot-ready numbers plus fitted summaries; the
-command-line layer only parses flags, calls a driver, and writes files.
+The scaling-law experiment returns its (n, rep) test-set ECEs as one array
+plus fitted summaries; the command-line layer only parses flags, calls an
+experiment, and writes files.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ def _bin_rule(rule: str):
     raise ValueError(f"unknown bin rule {rule!r}: expected optimal, cube_root or fixed:K with K >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticExperimentResult:
-    """Long-format rows plus the fitted log-log slope of the mean gap."""
+    """Per-n bin counts and bounds, the read-only (n, rep) ``ece`` array, and
+    the fitted log-log slope of the mean gap |tce - ece|."""
 
-    rows: list  # dicts: n, rep, B, ece, tce, tce_gap, bound
+    n_grid: tuple
+    bins: tuple
+    bounds: tuple
+    ece: np.ndarray
     slope: float
     tce: McEstimate
     lipschitz: float
@@ -74,15 +79,15 @@ def run_synthetic_experiment(
     """Measure the gap between the Monte-Carlo TCE and the test-set ECE.
 
     For each grid size n and repetition, a fresh test set is drawn and
-    scored, the uniform-width ECE is computed at the rule-selected bin
-    count, and the gap to the oracle TCE plus the matching total-bias
-    bound are recorded. The log-log slope of the mean gap against n is
-    fitted by least squares. ``b_rule`` is ``optimal``, ``cube_root`` or
-    ``fixed:K``; a bad rule fails before any draw.
+    scored, and the uniform-width ECE is computed at the rule-selected bin
+    count; each n also gets the matching total-bias bound. The log-log slope
+    of the mean gap to the oracle TCE against n is fitted by least squares.
+    ``b_rule`` is ``optimal``, ``cube_root`` or ``fixed:K``; a bad rule
+    fails before any draw.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 8 for n in n_grid):
         raise ValueError("grid sizes must be at least 8")
     bins_for = _bin_rule(b_rule)
@@ -90,35 +95,19 @@ def run_synthetic_experiment(
     L = estimate_lipschitz(model)
     tce = mc_tce(model, n_mc, child_seed(seed, 0))
 
-    rows = []
-    mean_gaps = []
-    for i, n in enumerate(n_grid):
-        B = bins_for(n, L)
+    bins = tuple(bins_for(n, L) for n in n_grid)
+    bounds = tuple(total_bias_bound(B, n, L, UWB).value for n, B in zip(n_grid, bins))
+    eces = np.empty((len(n_grid), reps))
+    for i, (n, B) in enumerate(zip(n_grid, bins)):
         scheme = uwb_scheme(B)
-        bound = total_bias_bound(B, n, L, UWB).value
-        gaps = []
         for rep in range(reps):
-            d = scored_synthetic_dataset(model, n, seed, 1, i, rep)
-            e = ece(d, scheme).value
-            gap = abs(tce.value - e)
-            gaps.append(gap)
-            rows.append(
-                {
-                    "n": n,
-                    "rep": rep,
-                    "B": B,
-                    "ece": e,
-                    "tce": tce.value,
-                    "tce_gap": gap,
-                    "bound": bound,
-                }
-            )
-        mean_gaps.append(np.mean(gaps))
+            eces[i, rep] = ece(scored_synthetic_dataset(model, n, seed, 1, i, rep), scheme).value
+    eces.setflags(write=False)
 
     slope = float("nan")
     if len(n_grid) >= 2:
-        slope = np.polyfit(np.log(n_grid), np.log(mean_gaps), 1)[0]
-    return SyntheticExperimentResult(rows, float(slope), tce, L)
+        slope = np.polyfit(np.log(n_grid), np.log(np.abs(tce.value - eces).mean(axis=1)), 1)[0]
+    return SyntheticExperimentResult(n_grid, bins, bounds, eces, float(slope), tce, L)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ information those statistics carry about the mask.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, expit
@@ -24,6 +25,7 @@ from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
 from .rng import child_seed, stream
 
 __all__ = [
+    "STATISTICS",
     "MiEstimate",
     "CmiExperimentConfig",
     "CmiExperimentResult",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 _ROWS = 1 << 8  # points per block of the neighbor search: bounds its temporaries
+
+STATISTICS = ("ecmi_gap", "delta1", "delta2")  # a CMI cell's statistics, in order
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,10 @@ def _as_points(values) -> np.ndarray:
         raise ValueError("values must be scalars or fixed-length vectors")
     if not np.all(np.isfinite(pts)):
         raise ValueError("values must be finite")
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - pts.min(axis=0)
+    if not np.all(np.isfinite(span)):
+        raise ValueError("max-norm distances overflow: some coordinate's max - min is not finite")
     return pts
 
 
@@ -166,15 +174,16 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     return MiEstimate(value, "plugin", 0)
 
 
-def _cell_statistics(d_tr: ScoredDataset, d_te: ScoredDataset, method: str, B: int):
+def _cell_statistics(d_tr: ScoredDataset, d_te: ScoredDataset, B: int, uwb=None):
     """(ece gap, delta1, delta2) of one cell's training and complement halves.
 
-    Uniform-mass edges come from the training half. delta1 and delta2 sum
-    over those bins the |complement - training| label sums and counts, over n.
-    Under UMB they reuse the sums ``ece_gap`` computed.
+    Uniform-mass edges come from the training half; the gap takes the UWB
+    scheme ``uwb`` if given, else those edges. delta1 and delta2 sum over the
+    uniform-mass bins the |complement - training| label sums and counts, over
+    n; under UMB they reuse the sums ``ece_gap`` computed.
     """
     umb = umb_scheme(d_tr.scores, B)
-    gap = ece_gap(d_tr, d_te, umb if method == UMB else uwb_scheme(B)).value
+    gap = ece_gap(d_tr, d_te, umb if uwb is None else uwb).value
     (c_tr, _, y_tr), (c_te, _, y_te) = (_dataset_sums(umb, d) for d in (d_tr, d_te))
     n = len(d_tr)
     return gap, float(np.sum(np.abs((y_te - y_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
@@ -187,7 +196,8 @@ class CmiExperimentConfig:
     Defaults mirror the desk-scale protocol: 5 supersample draws, 10 mask
     draws each, k = 3 neighbors. ``exhaustive`` switches to enumerating all
     2^n masks (n <= 12) with the histogram plug-in estimator over at most
-    8 value bins, so no estimate exceeds ln 8.
+    8 value bins, so no estimate exceeds ln 8; ``n_masks`` and ``k`` then go
+    unread.
     """
 
     n: int
@@ -223,15 +233,20 @@ class CmiExperimentConfig:
             raise ValueError("exhaustive mode needs n >= 3 for the plug-in estimator")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmiExperimentResult:
-    """Mask-information estimates, the mean gap, and the per-cell statistics."""
+    """Mask-information estimates and the mean gap, all computed from ``stats``.
+
+    ``stats`` is the read-only (supersample, mask, statistic) array of every
+    cell; its last axis follows ``STATISTICS``. Each estimate averages the
+    run's estimator over supersamples.
+    """
 
     ecmi_est: MiEstimate
     i_delta1: MiEstimate
     i_delta2: MiEstimate
     mean_gap: float
-    cells: list = field(default_factory=list)
+    stats: np.ndarray
 
 
 def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
@@ -248,28 +263,25 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
     averaged; ``mean_gap`` averages the gap over every cell. Deterministic
     given the config: every cell seeds its own substream.
     """
-    gaps_all: list[float] = []
-    estimates: list[list[MiEstimate]] = []  # per supersample: gap, delta1, delta2
-    cells: list[dict] = []
-    n_masks_used = 2**cfg.n if cfg.exhaustive else cfg.n_masks
+    n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
+    method, k = ("plugin", 0) if cfg.exhaustive else ("knn", cfg.k)
+    estimate = (functools.partial(plugin_mi, bins=max(2, min(8, n_masks // 4))) if cfg.exhaustive
+                else functools.partial(ksg_mixed_mi, k=cfg.k))
+    uwb = uwb_scheme(cfg.B) if cfg.method == UWB else None
+    stats = np.empty((cfg.n_supersamples, n_masks, len(STATISTICS)))
+    estimates = np.empty((len(STATISTICS), cfg.n_supersamples))  # per statistic, per supersample
 
     for s_idx in range(cfg.n_supersamples):
         x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
-        values = x.reshape(cfg.n, 2)
-        labels = y.reshape(cfg.n, 2)
-
+        values, labels = x.reshape(cfg.n, 2), y.reshape(cfg.n, 2)
         if cfg.exhaustive:
-            patterns = np.arange(n_masks_used, dtype=np.int64)
-            masks = (
-                (patterns[:, None] >> np.arange(cfg.n)[None, :]) & 1
-            ).astype(np.int64)
+            masks = (np.arange(n_masks)[:, None] >> np.arange(cfg.n)) & 1
         else:
-            rng_masks = stream(cfg.seed, s_idx, 1)
-            masks = rng_masks.integers(0, 2, size=(n_masks_used, cfg.n))
+            masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(n_masks, cfg.n))
 
         rows = np.arange(cfg.n)
         halves = [(values[rows, cols], labels[rows, cols]) for cols in (masks, 1 - masks)]
-        inits = [_init_beta(child_seed(cfg.seed, s_idx, m, 2)) for m in range(n_masks_used)]
+        inits = [_init_beta(child_seed(cfg.seed, s_idx, m, 2)) for m in range(n_masks)]
         beta = _descend(
             np.array(inits), *halves[0], cfg.trainer,
             where=lambda m: f" (supersample {s_idx}, mask {m})",
@@ -277,31 +289,15 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
         (s_tr, y_tr), (s_te, y_te) = (
             (expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
         )
-        cell_stats = [
-            _cell_statistics(
-                ScoredDataset(s_tr[m], y_tr[m]), ScoredDataset(s_te[m], y_te[m]), cfg.method, cfg.B
+        for m in range(n_masks):
+            stats[s_idx, m] = _cell_statistics(
+                ScoredDataset(s_tr[m], y_tr[m]), ScoredDataset(s_te[m], y_te[m]), cfg.B, uwb
             )
-            for m in range(n_masks_used)
-        ]
-        cells += [
-            {"supersample_idx": s_idx, "mask_idx": m_idx, "statistic_name": name, "value": value}
-            for m_idx, cell in enumerate(cell_stats)
-            for name, value in zip(("ecmi_gap", "delta1", "delta2"), cell)
-        ]
-        stats = np.array(cell_stats)
         pattern_labels = [mask.tobytes() for mask in masks]  # equal masks share a label
-        gaps_all.extend(stats[:, 0].tolist())
+        for j in range(len(STATISTICS)):
+            estimates[j, s_idx] = estimate(stats[s_idx, :, j], pattern_labels).value
 
-        if cfg.exhaustive:
-            bins = max(2, min(8, n_masks_used // 4))
-            estimates.append([plugin_mi(stats[:, j], pattern_labels, bins=bins) for j in range(3)])
-        else:
-            estimates.append([ksg_mixed_mi(stats[:, j], pattern_labels, k=cfg.k) for j in range(3)])
-
-    ecmi_est, i_delta1, i_delta2 = (
-        MiEstimate(float(np.mean([e.value for e in per_stat])), per_stat[0].method, per_stat[0].k)
-        for per_stat in zip(*estimates)
-    )
-    return CmiExperimentResult(
-        ecmi_est, i_delta1, i_delta2, mean_gap=float(np.mean(gaps_all)), cells=cells
-    )
+    stats.setflags(write=False)
+    ecmi_est, i_delta1, i_delta2 = (MiEstimate(float(np.mean(row)), method, k) for row in estimates)
+    mean_gap = float(np.mean(stats[:, :, 0]))
+    return CmiExperimentResult(ecmi_est, i_delta1, i_delta2, mean_gap, stats)

@@ -79,16 +79,9 @@ def test_criterion_02_scaling_law_slope():
         result = run_synthetic_experiment(
             *beta, grid, reps=20, b_rule="optimal", seed=20_240, n_mc=10**6
         )
-        gaps_per_n, bounds_per_n = {}, {}
-        for row in result.rows:
-            gaps_per_n.setdefault(row["n"], []).append(row["tce_gap"])
-            bounds_per_n[row["n"]] = row["bound"]
-        bound_slope = np.polyfit(
-            np.log(list(bounds_per_n)), np.log(list(bounds_per_n.values())), 1
-        )[0]
-        worst_ratio = max(
-            np.mean(gaps_per_n[n]) / bounds_per_n[n] for n in bounds_per_n
-        )
+        mean_gaps = np.abs(result.tce.value - result.ece).mean(axis=1)
+        bound_slope = np.polyfit(np.log(result.n_grid), np.log(result.bounds), 1)[0]
+        worst_ratio = max(mean_gaps / result.bounds)
         fits[beta] = (result.slope, bound_slope, worst_ratio)
 
     cal_slope, cal_bound_slope, _ = fits[(0.0, -2.0)]

@@ -213,6 +213,9 @@ class TestSyntheticCommand:
         csv = (out / "synthetic_gaps.csv").read_text().splitlines()
         assert csv[0] == "n,rep,B,ece,tce,tce_gap,bound"
         assert len(csv) == 1 + 2 * 3
+        for line in csv[1:]:
+            n, rep, B, ece, tce, tce_gap, bound = (float(v) for v in line.split(","))
+            assert tce_gap == abs(tce - ece) and bound > 0
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000",
@@ -308,10 +311,11 @@ class TestCmiCommand:
         assert bounds[1] < bounds[0]
 
     def test_exhaustive_record_names_the_plugin_estimator(self, tmp_path):
-        # The plug-in estimator takes no k, whatever --k says.
+        # The plug-in estimator takes no k; --k and --n-masks at their defaults are accepted.
         out = tmp_path / "cmi"
         assert main(["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1",
-                     "--epochs", "20", "--k", "5", "--seed", "1", "--out", str(out)]) == 0
+                     "--epochs", "20", "--k", "3", "--n-masks", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
         results = {
             r["name"]: r for r in json.loads((out / "run_record.json").read_text())["results"]
         }
@@ -390,6 +394,13 @@ class TestExitCodes:
             (["recalibrate", "--input", "{scores}", "--variant", "reuse", "--bins", "1",
               "--beta1", "-1.5"],
              "synthetic-pool flags apply only without --input: --beta1"),
+            (["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--n-masks", "7",
+              "--k", "5", "--seed", "1"],
+             "flags apply only without --exhaustive: --n-masks, --k"),
+            (["cmi", "--n-grid", "8", "--exhaustive", "--n-masks", "256"],
+             "flags apply only without --exhaustive: --n-masks"),
+            (["cmi", "--n-grid", "8", "--exhaustive", "--k", "1"],
+             "flags apply only without --exhaustive: --k"),
         ],
     )
     def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys):
@@ -499,11 +510,17 @@ class TestRunRecordConfig:
 
     def test_cmi(self, tmp_path, capsys):
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1",
-                "--n-masks", "3", "--k", "2", "--method", "uwb", "--exhaustive",
+                "--n-masks", "4", "--k", "2", "--method", "uwb",
                 "--lr", "0.25", "--epochs", "20", "--seed", "4"]
         assert self._config(argv, tmp_path) == {
-            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 3,
-            "k": 2, "method": "uwb", "exhaustive": True, "lr": 0.25, "epochs": 20, "seed": 4,
+            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 4,
+            "k": 2, "method": "uwb", "exhaustive": False, "lr": 0.25, "epochs": 20, "seed": 4,
+        }
+        argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1", "--exhaustive",
+                "--epochs", "20", "--seed", "4"]
+        assert self._config(argv, tmp_path / "exhaustive") == {
+            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 10,
+            "k": 3, "method": "umb", "exhaustive": True, "lr": 0.5, "epochs": 20, "seed": 4,
         }
 
     @pytest.mark.parametrize(

@@ -254,6 +254,22 @@ class TestTopLabelReduce:
         with pytest.raises(ValueError, match="empty"):
             top_label_reduce([], [])
 
+    @pytest.mark.parametrize("truth", [[1.7, 0.2], [1, 0.5], [1, np.nan]])
+    def test_fractional_class_index_rejected(self, truth):
+        # An int64 cast would floor 1.7 to 1 and 0.2 to 0.
+        with pytest.raises(ValueError, match="true class index must be an integer at row"):
+            top_label_reduce([[0.1, 0.9], [0.6, 0.4]], truth)
+
+    def test_integral_float_class_index_accepted(self):
+        d = top_label_reduce([[0.1, 0.9], [0.6, 0.4]], [1.0, 0.0])
+        assert d.labels.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # NaN compares false, so a NaN row would pass the simplex check.
+        with pytest.raises(ValueError, match="probabilities must be finite at row 1"):
+            top_label_reduce([[0.1, 0.9], [bad, 0.4]], [1, 0])
+
     @given(
         st.integers(min_value=2, max_value=5).flatmap(
             lambda width: st.lists(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calbounds import SyntheticModel, recalib_holdout_bound, recalib_reuse_bound
+from calbounds import SyntheticModel, cube_root_bins, recalib_holdout_bound, recalib_reuse_bound
 from calbounds.experiments import (
     run_recalibration,
     run_synthetic_experiment,
@@ -31,29 +31,30 @@ class TestRunSyntheticExperiment:
         res = run_synthetic_experiment(
             0.5, -1.5, [200, 400], reps=3, b_rule="cube_root", seed=5, n_mc=20_000
         )
-        assert len(res.rows) == 6
-        for row in res.rows:
-            assert row["tce_gap"] == pytest.approx(abs(row["tce"] - row["ece"]))
-            assert row["bound"] > 0
+        assert res.n_grid == (200, 400)
+        assert res.bins == (cube_root_bins(200), cube_root_bins(400))
+        assert res.ece.shape == (2, 3) and not res.ece.flags.writeable
+        assert np.all((res.ece >= 0) & (res.ece <= 1))
+        assert len(res.bounds) == 2 and all(bound > 0 for bound in res.bounds)
         assert res.lipschitz > 1.0
 
     def test_calibrated_model_tce_column_near_zero(self):
         res = run_synthetic_experiment(
             0.0, -2.0, [200, 400], reps=2, b_rule="cube_root", seed=6, n_mc=50_000
         )
-        assert all(row["tce"] < 0.005 for row in res.rows)
+        assert res.tce.value < 0.005
 
     def test_fixed_rule(self):
         res = run_synthetic_experiment(
             0.5, -1.5, [300], reps=2, b_rule="fixed:9", seed=7, n_mc=10_000
         )
-        assert all(row["B"] == 9 for row in res.rows)
+        assert res.bins == (9,)
 
     def test_deterministic(self):
         kwargs = dict(n_grid=[200, 400], reps=2, b_rule="cube_root", seed=11, n_mc=10_000)
         a = run_synthetic_experiment(0.5, -1.5, **kwargs)
         b = run_synthetic_experiment(0.5, -1.5, **kwargs)
-        assert a.rows == b.rows and a.slope == b.slope
+        assert np.array_equal(a.ece, b.ece) and a.bounds == b.bounds and a.slope == b.slope
 
 
 class TestRunRecalibration:

@@ -21,9 +21,10 @@ from calbounds import (
     run_cmi_experiment,
     sample_synthetic,
     train_logistic,
+    uwb_scheme,
 )
 import calbounds.mi as mi_mod
-from calbounds.mi import _cell_statistics
+from calbounds.mi import STATISTICS, _cell_statistics
 from calbounds.rng import child_seed, stream
 
 LN2 = math.log(2.0)
@@ -233,11 +234,19 @@ class TestKsgEqualsPerPointReference:
         values = np.round(np.random.default_rng(43).normal(size=(n, 2)), 1)
         assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
 
-    def test_overflowing_distances(self):
-        # Differences of +-1e308 overflow to inf distances; no point may be its own neighbor.
-        values = np.array([1e308, 1e308, -1e308, -1e308])
-        with np.errstate(over="ignore"):
-            assert ksg_mixed_mi(values, [0, 1, 0, 1], 1).value == reference_ksg(values, [0, 1, 0, 1], 1)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_overflowing_distances(self, dim):
+        # A max-norm difference of 1e308 and -1e308 overflows to inf, in any coordinate.
+        values = np.zeros((6, dim))
+        values[:, -1] = [1e308, 1e308, -1e308, -1e308, 0, 0]
+        with pytest.raises(ValueError, match="max-norm distances overflow"):
+            ksg_mixed_mi(values, [0, 0, 1, 1, 0, 1], 1)
+
+    def test_huge_finite_distances(self):
+        # Differences of +-1e307 stay finite; no point may be its own neighbor.
+        values = np.array([1e307, 1e307, -1e307, -1e307, 0, 0])
+        labels = [0, 0, 1, 1, 0, 1]
+        assert ksg_mixed_mi(values, labels, 1).value == reference_ksg(values, labels, 1)
 
 
 class TestPluginMi:
@@ -344,7 +353,7 @@ class TestEcmiStatistic:
         # UMB edges from the training half: u_1 = f_(2) = 0.4.
         # Train: bins {0.1,0.4 | y 0,0} and {0.6,0.9 | y 1,1} -> ECE = 0.25.
         # Test: bins {0.2,0.3 | y 0,1} and {0.7,0.8 | y 1,0} -> ECE = 0.25.
-        gap, _, _ = _cell_statistics(*scored_halves(hand_supersample()), "umb", B=2)
+        gap, _, _ = _cell_statistics(*scored_halves(hand_supersample()), B=2)
         assert gap == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetry_under_mask_flip_with_stub(self):
@@ -352,15 +361,17 @@ class TestEcmiStatistic:
         # mask and its complement.
         s = random_supersample(np.random.default_rng(19), 20)
         flipped = Supersample(s.values, s.labels, 1 - s.mask)
-        assert _cell_statistics(*scored_halves(s, constant()), "uwb", B=4)[0] == pytest.approx(
-            _cell_statistics(*scored_halves(flipped, constant()), "uwb", B=4)[0], abs=1e-15
+        gap, gap_flipped = (
+            _cell_statistics(*scored_halves(sup, constant()), B=4, uwb=uwb_scheme(4))[0]
+            for sup in (s, flipped)
         )
+        assert gap == pytest.approx(gap_flipped, abs=1e-15)
 
     def test_bounded_by_two(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             s = random_supersample(rng, 30)
-            gap, _, _ = _cell_statistics(*scored_halves(s, constant(0.4)), "uwb", B=5)
+            gap, _, _ = _cell_statistics(*scored_halves(s, constant(0.4)), B=5, uwb=uwb_scheme(5))
             assert 0.0 <= gap <= 2.0
 
     def test_shrinks_with_n(self):
@@ -370,15 +381,15 @@ class TestEcmiStatistic:
             gaps = []
             for seed in range(20):
                 sup = synthetic_supersample(n, seed)
-                gaps.append(_cell_statistics(*logistic_halves(sup, cfg), "uwb", B=4)[0])
+                gaps.append(_cell_statistics(*logistic_halves(sup, cfg), B=4, uwb=uwb_scheme(4))[0])
             means.append(np.mean(gaps))
         assert means[1] < means[0]
 
     def test_deterministic(self):
         sup = synthetic_supersample(200, seed=9)
         cfg = TrainerConfig(learning_rate=0.5, epochs=100)
-        assert _cell_statistics(*logistic_halves(sup, cfg, 5), "umb", B=4) == _cell_statistics(
-            *logistic_halves(sup, cfg, 5), "umb", B=4
+        assert _cell_statistics(*logistic_halves(sup, cfg, 5), B=4) == _cell_statistics(
+            *logistic_halves(sup, cfg, 5), B=4
         )
 
 
@@ -389,7 +400,7 @@ class TestDeltaStatistics:
         # Same 4-row supersample, UMB B=2 from the training half.
         # delta1 bins: |(0+1) - (0+0)|/4 + |(1+0) - (1+1)|/4 = 0.5.
         # delta2 bins: counts match (2 vs 2 in each bin) -> 0.
-        _, d1, d2 = _cell_statistics(*scored_halves(hand_supersample()), "umb", B=2)
+        _, d1, d2 = _cell_statistics(*scored_halves(hand_supersample()), B=2)
         assert d1 == pytest.approx(0.5, abs=1e-15)
         assert d2 == pytest.approx(0.0, abs=1e-15)
 
@@ -397,18 +408,18 @@ class TestDeltaStatistics:
         values = np.column_stack([np.linspace(0.1, 0.9, 8)] * 2)
         labels = np.column_stack([np.tile([0, 1], 4)] * 2)
         s = Supersample(values, labels, np.zeros(8, dtype=int))
-        gap, d1, d2 = _cell_statistics(*scored_halves(s), "umb", B=2)
+        gap, d1, d2 = _cell_statistics(*scored_halves(s), B=2)
         assert gap == 0.0 and d1 == 0.0 and d2 == 0.0
 
     def test_umb_bins_each_half_once(self, assign_calls):
-        _cell_statistics(*scored_halves(random_supersample(np.random.default_rng(3), 24)), "umb", B=3)
+        _cell_statistics(*scored_halves(random_supersample(np.random.default_rng(3), 24)), B=3)
         assert [n for _, n in assign_calls] == [24, 24]
 
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
             s = random_supersample(rng, 24)
-            _, _, d2 = _cell_statistics(*scored_halves(s), "umb", B=3)
+            _, _, d2 = _cell_statistics(*scored_halves(s), B=3)
             assert d2 <= 2.0
 
 
@@ -441,7 +452,7 @@ class TestRunCmiExperiment:
         b = run_cmi_experiment(cfg)
         assert a.mean_gap == b.mean_gap
         assert a.ecmi_est.value == b.ecmi_est.value
-        assert a.cells == b.cells
+        assert np.array_equal(a.stats, b.stats)
 
     def test_finite_estimates_at_default_protocol(self):
         cfg = CmiExperimentConfig(
@@ -451,7 +462,7 @@ class TestRunCmiExperiment:
         assert math.isfinite(result.mean_gap)
         assert math.isfinite(result.ecmi_est.value)
         assert 0.0 <= result.mean_gap <= 2.0
-        assert len(result.cells) == 5 * 10 * 3
+        assert result.stats.shape == (5, 10, len(STATISTICS))
 
     def test_exhaustive_mode_plugin_oracle(self):
         cfg = CmiExperimentConfig(
@@ -461,8 +472,17 @@ class TestRunCmiExperiment:
         result = run_cmi_experiment(cfg)
         assert result.ecmi_est.method == "plugin"
         assert result.ecmi_est.k == 0
-        assert len(result.cells) == 2 * 2**5 * 3
+        assert result.stats.shape == (2, 2**5, len(STATISTICS))
         assert math.isfinite(result.ecmi_est.value)
+
+    def test_uwb_scheme_built_once_per_run(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mi_mod, "uwb_scheme", lambda B: built.append(B) or uwb_scheme(B))
+        run_cmi_experiment(CmiExperimentConfig(
+            n=20, B=3, trainer=TrainerConfig(epochs=20), seed=1, n_supersamples=2, n_masks=5,
+            method="uwb",
+        ))
+        assert built == [3]
 
     def test_repeated_masks_share_a_label(self):
         # Only 2^3 = 8 masks exist, so 10 draws repeat one: equal masks must
@@ -487,22 +507,61 @@ class TestRunCmiExperiment:
         # Reference: each cell's model trained alone by train_logistic on its
         # own half, from the cell's own seed, and scored by logistic_predict.
         cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60), seed=21, **kwargs)
-        per_cell = []
+        uwb = uwb_scheme(cfg.B) if cfg.method == "uwb" else None
+        per_cell = []  # per supersample: each mask's statistics
         for s_idx in range(cfg.n_supersamples):
             x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
             if cfg.exhaustive:
                 masks = [[(p >> i) & 1 for i in range(cfg.n)] for p in range(2**cfg.n)]
             else:
                 masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(cfg.n_masks, cfg.n))
+            per_cell.append([])
             for m_idx, mask in enumerate(masks):
                 sup = Supersample(x.reshape(cfg.n, 2), y.reshape(cfg.n, 2), mask)
                 seed = child_seed(cfg.seed, s_idx, m_idx, 2)
-                stats = _cell_statistics(*logistic_halves(sup, cfg.trainer, seed), cfg.method, cfg.B)
-                per_cell += [(s_idx, m_idx, name, value)
-                             for name, value in zip(("ecmi_gap", "delta1", "delta2"), stats)]
+                stats = _cell_statistics(*logistic_halves(sup, cfg.trainer, seed), cfg.B, uwb)
+                per_cell[-1].append(list(stats))
         batched = run_cmi_experiment(cfg)
-        assert [tuple(c.values()) for c in batched.cells] == per_cell
-        assert batched.mean_gap == np.mean([c[3] for c in per_cell if c[2] == "ecmi_gap"])
+        assert batched.stats.tolist() == per_cell
+        assert batched.mean_gap == np.mean([cell[0] for cells in per_cell for cell in cells])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=4, B=2, n_supersamples=16, n_masks=12),
+            dict(n=4, B=2, n_supersamples=16, n_masks=12, method="uwb", k=2),
+            dict(n=4, B=2, n_supersamples=16, exhaustive=True),
+        ],
+    )
+    def test_summaries_recompute_from_stats(self, kwargs):
+        # mean_gap and each estimate, from Python lists in (supersample, mask)
+        # order. At 16 supersamples and 12+ masks, numpy's pairwise sums differ
+        # from a sequential sum in the last bit, so another order would show.
+        cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60), seed=5, **kwargs)
+        result = run_cmi_experiment(cfg)
+        n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
+        assert result.stats.shape == (cfg.n_supersamples, n_masks, len(STATISTICS))
+        assert not result.stats.flags.writeable
+        cells = result.stats.tolist()
+        assert result.mean_gap == np.mean([cell[0] for per_mask in cells for cell in per_mask])
+        per_stat = [[], [], []]
+        for s_idx, per_mask in enumerate(cells):
+            if cfg.exhaustive:
+                masks = [[(p >> i) & 1 for i in range(cfg.n)] for p in range(n_masks)]
+            else:
+                masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(n_masks, cfg.n)).tolist()
+            labels = [tuple(mask) for mask in masks]
+            for j in range(len(STATISTICS)):
+                column = [cell[j] for cell in per_mask]
+                if cfg.exhaustive:
+                    per_stat[j].append(plugin_mi(column, labels, bins=4).value)
+                else:
+                    per_stat[j].append(ksg_mixed_mi(column, labels, cfg.k).value)
+        estimates = (result.ecmi_est, result.i_delta1, result.i_delta2)
+        for est, values in zip(estimates, per_stat):
+            assert est.value == np.mean(values)
+            assert (est.method, est.k) == (("plugin", 0) if cfg.exhaustive else ("knn", cfg.k))
+        assert any(est.value != 0.0 for est in estimates)  # the masks repeat: a real estimate
 
     def test_divergent_cell_reports_epoch_and_cell(self, monkeypatch):
         # The odd masks put the infinite covariate in the training half, so

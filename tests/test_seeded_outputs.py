@@ -58,6 +58,7 @@ RUNS = {
     "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000", "--seed", "1"],
     "cmi": ["cmi", "--n-grid", "40,100", "--seed", "1"],
     "cmi-exhaustive": ["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--seed", "1"],
+    "cmi-uwb": ["cmi", "--n-grid", "40", "--method", "uwb", "--seed", "1"],
     "recalibrate-holdout": [*RECAL, "--n-re", "100", "--variant", "holdout"],
     "recalibrate-reuse": [*RECAL, "--variant", "reuse"],
 }
@@ -88,6 +89,12 @@ DIGESTS = {
         "cmi_cells_n8.csv": "c7e96de32b261628e440e14e035cd637307ae52269b9c7501f457a54f68a5d7b",
         "cmi_summary.csv": "acb043d09d0298a8b9c5746907e28aad645287e7040f3594811ffe3cd7c3611c",
     },
+    "cmi-uwb": {
+        "stdout": "7bc1693535f7fb7a8df548f50a07fa60745e14f1d6159fe02eb84fe6ba7282b8",
+        "run_record.json": "4a83bae1bcac4361655d6c7c7ddc66df32219409dff489eb0d747fcfb1d49105",
+        "cmi_cells_n40.csv": "3432c6f338097b96ca6858c3623c2b96254ced2ca33fd8d69cee8ad26f1f742c",
+        "cmi_summary.csv": "aaafa63fe5f7fd60d68029bb1740bb9d7d6a6d0decbacb091353be26ddf04625",
+    },
     "recalibrate-holdout": {
         "stdout": "ddb264f94befd2915963177af2c6ce62389637badea41d101797ca69ccbc8119",
         "run_record.json": "a66b4bba818bfbd076d749304df4b6c274d7d28b89aa2fd1d0d2e3b725c88edc",
@@ -103,6 +110,7 @@ DIGESTS = {
 BOUND_OF = {
     "cmi": "gen_ece",
     "cmi-exhaustive": "gen_ece",
+    "cmi-uwb": "gen_ece",
     "recalibrate-holdout": "recalib_holdout",
     "recalibrate-reuse": "recalib_reuse",
 }
