@@ -11,10 +11,10 @@ Every successful run writes one run-record JSON (and any CSV data files)
 under the output directory (flag ``--out``, else $CALBOUNDS_OUT, else
 ./runs); the record's config is the parsed command line minus ``--out`` (and
 the synthetic-pool flags for ``recalibrate --input``; without ``--input`` they
-carry the values the pool was drawn with). Exit codes: 0 success,
-1 internal error, 2 usage or precondition error, such as a flag the run cannot
-use. Printed floats carry 6 significant digits; data files keep full
-precision.
+carry the values the pool was drawn with). Exit codes: 0 success, 1 internal
+error, 2 usage or precondition error, such as a flag the run cannot use or a
+path that cannot be read or written. Printed floats carry 6 significant
+digits; data files keep full precision.
 """
 
 from __future__ import annotations
@@ -243,19 +243,22 @@ def _cmd_cmi(args, record: RunRecord) -> None:
         if given:
             raise ValueError(f"flags apply only without --exhaustive: {', '.join(given)}")
     trainer = TrainerConfig(args.lr, args.epochs)
+    cfgs = [  # every grid point is checked before the first run
+        CmiExperimentConfig(
+            n=n, B=args.bins if args.bins is not None else cube_root_bins(n), trainer=trainer,
+            seed=args.seed, n_supersamples=args.n_supersamples, n_masks=args.n_masks, k=args.k,
+            method=args.method, exhaustive=args.exhaustive,
+        )
+        for n in args.n_grid
+    ]
+    results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any file is written
     out = _out_dir(args)
     summary_rows = []
-    for n in args.n_grid:
-        B = args.bins if args.bins is not None else cube_root_bins(n)
-        cfg = CmiExperimentConfig(
-            n=n, B=B, trainer=trainer, seed=args.seed, n_supersamples=args.n_supersamples,
-            n_masks=args.n_masks, k=args.k, method=args.method, exhaustive=args.exhaustive,
-        )
-        result = run_cmi_experiment(cfg)
-        bound = gen_ece_bound(result.ecmi_est.clamped, B, n)
-        summary_rows.append([n, B, result.mean_gap, result.ecmi_est.value, bound.value])
+    for cfg, result in zip(cfgs, results):
+        bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n)
+        summary_rows.append([cfg.n, cfg.B, result.mean_gap, result.ecmi_est.value, bound.value])
         _write_csv(
-            out / f"cmi_cells_n{n}.csv",
+            out / f"cmi_cells_n{cfg.n}.csv",
             ["supersample_idx", "mask_idx", "statistic_name", "value"],
             (
                 [s_idx, m_idx, name, value]
@@ -265,12 +268,12 @@ def _cmd_cmi(args, record: RunRecord) -> None:
             ),
         )
         print(
-            f"n {n} bins {B} mean_gap {_fmt(result.mean_gap)} "
+            f"n {cfg.n} bins {cfg.B} mean_gap {_fmt(result.mean_gap)} "
             f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound.value)}"
         )
-        record.add("mean_gap", result.mean_gap, n=n, B=B)
+        record.add("mean_gap", result.mean_gap, n=cfg.n, B=cfg.B)
         est = result.ecmi_est
-        record.add("ecmi_est", est.value, n=n, B=B, method=est.method, k=est.k)
+        record.add("ecmi_est", est.value, n=cfg.n, B=cfg.B, method=est.method, k=est.k)
         record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
     _write_csv(out / "cmi_summary.csv", ["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
 
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
         args.func(args, record)
         record.save(_out_dir(args))
         return 0
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure

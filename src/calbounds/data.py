@@ -33,9 +33,9 @@ class ScoredDataset:
 
     Scores live in [0, 1] (endpoints included: saturated deep-net outputs
     are accepted), labels in {0, 1}. Order is preserved across save/load
-    round trips. Instances are immutable after construction and safe to
-    share across concurrent readers. Each keeps its per-bin sums for every
-    scheme still alive that it was binned under (see ``binning.bin_stats``);
+    round trips. Instances are immutable, safe to share across concurrent
+    readers, and compare by identity. Each keeps its per-bin sums for every
+    scheme still alive that it was binned under (see ``binning._dataset_sums``);
     two readers racing on a new scheme compute equal sums twice.
     """
 
@@ -50,7 +50,8 @@ class ScoredDataset:
         if scores.size == 0:
             raise ValueError("empty dataset")
         if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
+            bad = int(np.argmax(~np.isfinite(scores)))
+            raise ValueError(f"scores must be finite at index {bad}: {scores[bad]}")
         if np.any(scores < 0.0) or np.any(scores > 1.0):
             bad = int(np.argmax((scores < 0.0) | (scores > 1.0)))
             raise ValueError(f"score out of range at index {bad}: {scores[bad]}")
@@ -66,13 +67,6 @@ class ScoredDataset:
 
     def __len__(self) -> int:
         return int(self.scores.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoredDataset):
-            return NotImplemented
-        return np.array_equal(self.scores, other.scores) and np.array_equal(
-            self.labels, other.labels
-        )
 
     def __repr__(self) -> str:
         return f"ScoredDataset(n={len(self)})"
@@ -141,17 +135,18 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
 
     CSV rows are ``score,label`` with an optional ``score,label`` header;
     JSON files hold an array of ``{"score": x, "label": y}`` objects. Row
-    order in the file is preserved. Malformed rows are reported with their
-    line number; out-of-range scores or labels are rejected.
+    order in the file is preserved. Content errors name the path; malformed rows
+    give their line number, and out-of-range scores or labels are rejected.
     """
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"score file not found: {p}")
     if format is None:
         format = "json" if p.suffix.lower() == ".json" else "csv"
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format: {format}")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{p}: {e}") from None
     if format == "csv":
         fast = _load_csv_fast(text)
         if fast is not None:
@@ -180,9 +175,10 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
                 raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
             scores.append(score)
             labels.append(label)
-    if not scores:
-        raise ValueError(f"{p}: empty dataset")
-    return ScoredDataset(scores, labels)
+    try:
+        return ScoredDataset(scores, labels)  # range, label and empty-file checks
+    except ValueError as e:
+        raise ValueError(f"{p}: {e}") from None
 
 
 def save_scores(d: ScoredDataset, path, format: str | None = None) -> None:

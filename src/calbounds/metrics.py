@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UMB, UWB, BinningScheme, bin_stats, bin_sums
+from .binning import UMB, UWB, BinningScheme, _dataset_sums, bin_sums
 from .bounds import _total_bias
 from .models import McEstimate, SyntheticModel, logistic_predict, sample_synthetic
 from .rng import stream
@@ -59,18 +59,19 @@ class GapStatistic:
             raise ValueError("gap value must equal |component1 - component2| exactly")
 
 
-def _binned_error(masses, predicted, observed) -> float:
-    """Sum over nonempty bins of mass * |predicted - observed|, capped at 1 (roundoff)."""
-    nonempty = masses > 0
-    value = float(np.sum(masses[nonempty] * np.abs(predicted[nonempty] - observed[nonempty])))
+def _binned_error(counts, predicted, label_sums) -> float:
+    """The one ECE formula: count/n * |predicted - label_sum/count| summed over nonempty
+    bins (one masked 1-d ``np.sum``, in bin order), capped at 1 (roundoff); n = sum(counts)."""
+    nonempty = counts > 0
+    c = counts[nonempty]
+    value = float(np.sum(c / c.sum() * np.abs(predicted[nonempty] - label_sums[nonempty] / c)))
     return min(value, 1.0)
 
 
 def ece(d, s: BinningScheme) -> EceValue:
     """Mass-weighted per-bin calibration error of a dataset under a scheme."""
-    stats = bin_stats(s, d)
-    value = _binned_error(stats.masses, stats.mean_scores, stats.mean_labels)
-    return EceValue(value)
+    counts, score_sums, label_sums = _dataset_sums(s, d)
+    return EceValue(_binned_error(counts, score_sums / np.maximum(counts, 1), label_sums))
 
 
 def ece_reformulated(d, s: BinningScheme) -> EceValue:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, expit
 
-from .binning import UMB, UWB, _dataset_sums, umb_scheme, uwb_scheme
-from .data import ScoredDataset
-from .metrics import ece_gap
+from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
+from .metrics import _binned_error
 from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
 from .rng import child_seed, stream
 
@@ -174,19 +173,21 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     return MiEstimate(value, "plugin", 0)
 
 
-def _cell_statistics(d_tr: ScoredDataset, d_te: ScoredDataset, B: int, uwb=None):
-    """(ece gap, delta1, delta2) of one cell's training and complement halves.
+def _cell_statistics(s_tr, y_tr, s_te, y_te, B: int, uwb=None):
+    """(ece gap, delta1, delta2) of one cell's n-row score and label arrays, per half.
 
-    Uniform-mass edges come from the training half; the gap takes the UWB
-    scheme ``uwb`` if given, else those edges. delta1 and delta2 sum over the
-    uniform-mass bins the |complement - training| label sums and counts, over
-    n; under UMB they reuse the sums ``ece_gap`` computed.
+    Uniform-mass edges come from the training scores, and ``bin_sums`` reduces
+    each half once per scheme. Both ECEs of the gap take the UWB scheme ``uwb``
+    if given, else those edges. delta1 and delta2 sum over the uniform-mass bins
+    the |complement - training| label sums and counts, over n.
     """
-    umb = umb_scheme(d_tr.scores, B)
-    gap = ece_gap(d_tr, d_te, umb if uwb is None else uwb).value
-    (c_tr, _, y_tr), (c_te, _, y_te) = (_dataset_sums(umb, d) for d in (d_tr, d_te))
-    n = len(d_tr)
-    return gap, float(np.sum(np.abs((y_te - y_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
+    umb = umb_scheme(s_tr, B)
+    halves = ((s_tr, y_tr), (s_te, y_te))
+    (c_tr, _, l_tr), (c_te, _, l_te) = umb_sums = [bin_sums(umb, s, s, y) for s, y in halves]
+    sums = umb_sums if uwb is None else [bin_sums(uwb, s, s, y) for s, y in halves]
+    e_tr, e_te = (_binned_error(c, t / np.maximum(c, 1), l) for c, t, l in sums)
+    n, gap = s_tr.size, abs(e_te - e_tr)
+    return gap, float(np.sum(np.abs((l_te - l_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class CmiExperimentConfig:
     draws each, k = 3 neighbors. ``exhaustive`` switches to enumerating all
     2^n masks (n <= 12) with the histogram plug-in estimator over at most
     8 value bins, so no estimate exceeds ln 8; ``n_masks`` and ``k`` then go
-    unread.
+    unread. Each cell bins its n training scores by uniform mass: n >= 2B.
     """
 
     n: int
@@ -211,10 +212,10 @@ class CmiExperimentConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
         if self.B < 1:
             raise ValueError("B must be at least 1")
+        if self.n < 2 * self.B:
+            raise ValueError(f"need n >= 2B training rows per cell, got n={self.n}, B={self.B}")
         if self.n_supersamples < 1:
             raise ValueError("need at least one supersample draw")
         if self.n_masks < 2:
@@ -290,9 +291,7 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
             (expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
         )
         for m in range(n_masks):
-            stats[s_idx, m] = _cell_statistics(
-                ScoredDataset(s_tr[m], y_tr[m]), ScoredDataset(s_te[m], y_te[m]), cfg.B, uwb
-            )
+            stats[s_idx, m] = _cell_statistics(s_tr[m], y_tr[m], s_te[m], y_te[m], cfg.B, uwb)
         pattern_labels = [mask.tobytes() for mask in masks]  # equal masks share a label
         for j in range(len(STATISTICS)):
             estimates[j, s_idx] = estimate(stats[s_idx, :, j], pattern_labels).value

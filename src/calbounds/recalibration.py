@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinningScheme, assign, bin_stats, umb_scheme
+from .binning import BinningScheme, _dataset_sums, assign, bin_stats, umb_scheme
 from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
@@ -60,11 +60,11 @@ def recalibrated_tce(r: Recalibrator, d_test) -> float:
     """ECE of the recalibrated function on a test set, under the fit scheme.
 
     Test samples are routed to bins by their original scores; each bin's
-    prediction is the stored label mean, so the value is
-    sum_i (count_i / n) * |mu_i - mean test label in bin i|. With a test
-    set independent of the fit set this estimates the recalibrated
+    prediction is the stored label mean, so ``_binned_error`` takes the
+    test set's per-bin counts and label sums with ``r.mu`` as the predicted
+    values: sum_i (count_i / n) * |mu_i - mean test label in bin i|. With a
+    test set independent of the fit set this estimates the recalibrated
     function's true calibration error (the caller guarantees disjointness).
     """
-    stats = bin_stats(r.scheme, d_test)
-    value = _binned_error(stats.masses, r.mu, stats.mean_labels)
-    return EceValue(value).value  # range check via EceValue
+    counts, _, label_sums = _dataset_sums(r.scheme, d_test)
+    return EceValue(_binned_error(counts, r.mu, label_sums)).value  # range check via EceValue

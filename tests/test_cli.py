@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 import calbounds
-from calbounds import CmiExperimentConfig, TrainerConfig
+from calbounds import CmiExperimentConfig, TrainerConfig, run_cmi_experiment
 from calbounds.cli import _POOL_DEFAULTS, build_parser, main
 
 
@@ -409,6 +409,75 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n-grid", "8,20", "--exhaustive"],
+             "exhaustive mask enumeration is limited to n <= 12"),
+            (["--n-grid", "40,4", "--bins", "3"],
+             "need n >= 2B training rows per cell, got n=4, B=3"),
+        ],
+    )
+    def test_bad_grid_point_exits_2_before_any_run(self, argv, message, tmp_path, capsys,
+                                                    monkeypatch):
+        import calbounds.cli as cli_mod
+
+        def boom(cfg):
+            raise RuntimeError("ran a grid point before checking the whole grid")
+
+        monkeypatch.setattr(cli_mod, "run_cmi_experiment", boom)
+        assert main(["cmi", *argv, "--n-supersamples", "1", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_cmi_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        import calbounds.cli as cli_mod
+
+        ran = []
+
+        def second_fails(cfg):
+            ran.append(cfg.n)
+            if cfg.n == 9:
+                raise ValueError("second grid point failed")
+            return run_cmi_experiment(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_cmi_experiment", second_fails)
+        argv = ["cmi", "--n-grid", "8,9", "--exhaustive", "--n-supersamples", "1", "--epochs", "5"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert ran == [8, 9]
+        assert "error: second grid point failed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_directory_as_score_file_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "dir"
+        folder.mkdir()
+        assert main(["ece", str(folder), "--bins", "3", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_output_under_a_regular_file_exits_2(self, score_file, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        assert main(["ece", str(score_file), "--bins", "3", "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker / "sub") in err
+
+    def test_non_utf8_score_file_exits_2_naming_it(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes("0.5,1\n0.25,0 \u0436\n".encode("koi8-r"))
+        assert main(["ece", str(p), "--bins", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: 'utf-8' codec can't decode")
+
+    def test_bad_json_value_names_the_file(self, score_file, tmp_path, capsys):
+        bad = tmp_path / "test.json"
+        bad.write_text('[{"score": 0.5, "label": 1}, {"score": 1e400, "label": 0}]')
+        argv = ["gap", str(score_file), str(bad), "--bins", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"error: {bad}: scores must be finite at index 1: inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rule", ["bogus", "fixed:x", "fixed:0"])
     def test_bad_bin_rule_exits_2_before_any_draw(self, rule, tmp_path, capsys, monkeypatch):
         import calbounds.experiments as experiments_mod
@@ -427,7 +496,7 @@ class TestParserDefaults:
 
     def test_cmi_defaults_are_config_defaults(self):
         args = build_parser().parse_args(["cmi"])
-        cfg = CmiExperimentConfig(n=1, B=1, trainer=TrainerConfig(), seed=0)
+        cfg = CmiExperimentConfig(n=8, B=2, trainer=TrainerConfig(), seed=0)
         parsed = (args.n_supersamples, args.n_masks, args.k, args.method, args.lr, args.epochs)
         library = (cfg.n_supersamples, cfg.n_masks, cfg.k, cfg.method,
                    cfg.trainer.learning_rate, cfg.trainer.epochs)

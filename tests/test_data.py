@@ -33,7 +33,7 @@ class TestScoredDataset:
     @pytest.mark.parametrize(
         "score, message",
         [(-0.1, "score out of range at index 1"), (1.3, "score out of range at index 1"),
-         (float("nan"), "scores must be finite")],
+         (float("nan"), "scores must be finite at index 1: nan")],
         ids=["-0.1", "1.3", "nan"],
     )
     def test_score_out_of_range(self, score, message):
@@ -153,6 +153,25 @@ class TestLoadScores:
         p.write_text(json.dumps([{"score": 0.25, "label": 0}, record]))
         with pytest.raises(ValueError, match="malformed record at position 1"):
             load_scores(p)
+
+    @pytest.mark.parametrize(
+        "score, message",
+        [("1.5", "score out of range at index 1: 1.5"),
+         ("1e400", "scores must be finite at index 1: inf")],
+    )
+    def test_json_value_error_names_the_file(self, tmp_path, score, message):
+        p = tmp_path / "scores.json"
+        p.write_text(f'[{{"score": 0.25, "label": 0}}, {{"score": {score}, "label": 1}}]')
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == f"{p}: {message}"
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_bytes(b"0.5,1\n\xd0\n")
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xd0")
 
     def test_json_integral_float_label_accepted(self, tmp_path):
         p = tmp_path / "scores.json"

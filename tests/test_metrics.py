@@ -1,6 +1,7 @@
 """Calibration-error estimators, gap statistics, and bin-count selection."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from calbounds import (
     ScoredDataset,
     SyntheticModel,
+    bin_stats,
     binned_tce,
     cube_root_bins,
     ece,
     ece_gap,
     ece_reformulated,
+    fit_recalibrator,
     optimal_bins,
+    recalibrated_tce,
     total_bias_bound,
     umb_scheme,
     uwb_scheme,
@@ -45,6 +49,43 @@ class TestEce:
             B = int(rng.integers(1, 30))
             v = ece(d, uwb_scheme(B)).value
             assert 0.0 <= v <= 1.0
+
+
+def bin_stats_error(masses, predicted, observed):
+    """The ECE formula over ``BinStats`` fields that ``ece`` and ``recalibrated_tce`` once used."""
+    nonempty = masses > 0
+    value = float(np.sum(masses[nonempty] * np.abs(predicted[nonempty] - observed[nonempty])))
+    return min(value, 1.0)
+
+
+@st.composite
+def datasets_and_bins(draw):
+    """A dataset of n >= 2B rows, B up to 20, its scores drawn from 1 to n levels: few levels
+    tie scores and leave bins empty between nonempty ones."""
+    B = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=2 * B, max_value=2 * B + 40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = rng.uniform(size=draw(st.integers(min_value=1, max_value=n)))
+    return ScoredDataset(rng.choice(levels, size=n), rng.integers(0, 2, size=n)), B
+
+
+class TestEceFromSums:
+    """``ece`` and ``recalibrated_tce`` reduce per-bin sums exactly as the ``BinStats`` formula."""
+
+    @given(datasets_and_bins(), datasets_and_bins(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_bin_stats_formula(self, data, fit_data, uniform_width):
+        (d, B), (d_fit, B_fit) = data, fit_data
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
+            scheme = uwb_scheme(B) if uniform_width else umb_scheme(d.scores, B)
+            r = fit_recalibrator(d_fit, B_fit)
+        stats = bin_stats(scheme, d)
+        assert ece(d, scheme).value == bin_stats_error(
+            stats.masses, stats.mean_scores, stats.mean_labels
+        )
+        stats = bin_stats(r.scheme, d)
+        assert recalibrated_tce(r, d) == bin_stats_error(stats.masses, r.mu, stats.mean_labels)
 
 
 class TestEceReformulated:

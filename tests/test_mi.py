@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma, logit
@@ -15,12 +15,16 @@ from calbounds import (
     ScoredDataset,
     Supersample,
     TrainerConfig,
+    bin_stats,
+    bin_sums,
+    ece_gap,
     ksg_mixed_mi,
     logistic_predict,
     plugin_mi,
     run_cmi_experiment,
     sample_synthetic,
     train_logistic,
+    umb_scheme,
     uwb_scheme,
 )
 import calbounds.mi as mi_mod
@@ -31,8 +35,10 @@ LN2 = math.log(2.0)
 
 
 def scored_halves(s, predict=lambda x: x):
-    """(training, complement) halves of ``s`` scored by ``predict`` (default: values are scores)."""
-    return tuple(ScoredDataset(predict(x), y) for x, y in (s.split(), s.split(flipped=True)))
+    """(training scores, labels, complement scores, labels) of ``s`` scored by ``predict``
+    (default: values are scores)."""
+    (x_tr, y_tr), (x_te, y_te) = s.split(), s.split(flipped=True)
+    return predict(x_tr), y_tr, predict(x_te), y_te
 
 
 def constant(level=0.7):
@@ -391,6 +397,45 @@ class TestEcmiStatistic:
         assert _cell_statistics(*logistic_halves(sup, cfg, 5), B=4) == _cell_statistics(
             *logistic_halves(sup, cfg, 5), B=4
         )
+
+
+def reference_cell(s_tr, y_tr, s_te, y_te, B, uwb=None):
+    """``_cell_statistics`` from the public API: ``ece_gap`` over two datasets, and the deltas
+    from ``bin_stats`` counts and ``bin_sums`` label sums under the training half's UMB scheme."""
+    d_tr, d_te = ScoredDataset(s_tr, y_tr), ScoredDataset(s_te, y_te)
+    umb = umb_scheme(d_tr.scores, B)
+    gap = ece_gap(d_tr, d_te, umb if uwb is None else uwb).value
+    c_tr, c_te = (bin_stats(umb, d).counts for d in (d_tr, d_te))
+    l_tr, l_te = (bin_sums(umb, d.scores, d.labels)[1] for d in (d_tr, d_te))
+    n = len(d_tr)
+    return gap, float(np.sum(np.abs((l_te - l_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
+
+
+@st.composite
+def cell_halves(draw):
+    """Two n-row halves (n >= 2B, B up to 20) with scores from 1 to 2n levels, and a UWB
+    scheme or None; few levels tie scores (collapsing UMB) and leave UWB bins empty."""
+    B = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=2 * B, max_value=2 * B + 30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scores = rng.choice(rng.uniform(size=draw(st.integers(min_value=1, max_value=2 * n))), 2 * n)
+    labels = rng.integers(0, 2, size=2 * n)
+    uwb = uwb_scheme(B) if draw(st.booleans()) else None
+    return scores[:n], labels[:n], scores[n:], labels[n:], B, uwb
+
+
+class TestCellStatisticsReference:
+    @given(cell_halves())
+    # Tied training scores collapse UMB to one bin; UWB at B = 20 leaves bins empty.
+    @example((np.full(24, 0.5), np.arange(24) % 2, np.linspace(0, 1, 24), np.ones(24, int),
+              12, None))
+    @example((np.linspace(0.3, 0.4, 40), np.arange(40) % 2, np.linspace(0, 1, 40) ** 4,
+              (np.arange(40) % 3 == 0).astype(int), 20, uwb_scheme(20)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_public_api_reference(self, cell):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
+            assert _cell_statistics(*cell) == reference_cell(*cell)
 
 
 class TestDeltaStatistics:
