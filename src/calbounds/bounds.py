@@ -49,14 +49,16 @@ class BoundReport:
         object.__setattr__(self, "vacuous", self.value > 1.0)
 
 
+# Checks are comparisons that NaN fails (`not v >= 0`, never `v < 0`), so NaN is named here.
 def _at_least_one(**values: int) -> None:
-    if any(v < 1 for v in values.values()):
+    if not all(v >= 1 for v in values.values()):
         raise ValueError(f"{' and '.join(values)} must be at least 1")
 
 
-def _nonnegative(what: str, *values: float) -> None:
-    if any(v < 0 for v in values):
-        raise ValueError(f"{what} must be nonnegative")
+def _nonnegative(**values: float) -> None:
+    for name, v in values.items():
+        if not v >= 0:
+            raise ValueError(f"{name} must be nonnegative: {v}")
 
 
 def _check_bn(B: int, n: int, variant: str) -> None:
@@ -65,7 +67,7 @@ def _check_bn(B: int, n: int, variant: str) -> None:
         raise ValueError(f"unknown variant: {variant}")
     if variant == UWB:
         _at_least_one(n=n)
-    elif n <= B:
+    elif not n > B:
         raise ValueError("uniform-mass bounds require n > B")
 
 
@@ -101,7 +103,7 @@ def binning_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     (1+L) * (1/B + sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
     _check_bn(B, n, variant)
-    _nonnegative("L", L)
+    _nonnegative(L=L)
     if variant == UWB:
         value = (1.0 + L) / B
     else:
@@ -116,7 +118,7 @@ def total_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     (1+L)/B + (2+L) * (sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
     _check_bn(B, n, variant)
-    _nonnegative("L", L)
+    _nonnegative(L=L)
     value = _total_bias(B, n, L, variant)
     return BoundReport("total_bias", value, {"B": B, "n": n, "L": L}, variant)
 
@@ -135,7 +137,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 
 def gen_ece_bound(ecmi: float, B: int, n: int) -> BoundReport:
     """Expected train/test calibration-error gap: sqrt(8 (eCMI + B ln2) / n)."""
-    _nonnegative("ecmi", ecmi)
+    _nonnegative(ecmi=ecmi)
     _at_least_one(B=B, n=n)
     value = math.sqrt(8.0 * (ecmi + B * _LN2) / n)
     return BoundReport("gen_ece", value, {"eCMI": ecmi, "B": B, "n": n})
@@ -150,9 +152,9 @@ def gen_tce_bound(
     Uniform-mass adds (1+L) * sqrt(2 (fCMI + B ln2) / n) and requires fCMI
     (a tighter statistic-level MI may be substituted in that slot).
     """
-    _nonnegative("ecmi", ecmi)
+    _nonnegative(ecmi=ecmi)
     _at_least_one(B=B, n=n)
-    _nonnegative("L", L)
+    _nonnegative(L=L)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
     value = (1.0 + L) / B + math.sqrt(8.0 * (ecmi + B * _LN2) / n)
@@ -160,7 +162,7 @@ def gen_tce_bound(
     if variant == UMB:
         if fcmi is None:
             raise ValueError("the uniform-mass variant requires fcmi")
-        _nonnegative("fcmi", fcmi)
+        _nonnegative(fcmi=fcmi)
         value += (1.0 + L) * math.sqrt(2.0 * (fcmi + B * _LN2) / n)
         inputs["fCMI"] = fcmi
     elif fcmi is not None:
@@ -176,10 +178,10 @@ def metric_entropy_bound(B: int, n: int, L: float, delta: float, logN: float) ->
     delta / B in the sup norm. Requires 0 < delta <= 1/B.
     """
     _at_least_one(B=B, n=n)
-    _nonnegative("L", L)
+    _nonnegative(L=L)
     if not (0.0 < delta <= 1.0 / B):
         raise ValueError("delta must lie in (0, 1/B]")
-    _nonnegative("logN", logN)
+    _nonnegative(logN=logN)
     value = (1.0 + L) / B + (2.0 + L) * delta + math.sqrt(8.0 * B * (_LN2 + logN) / n)
     return BoundReport(
         "metric_entropy",
@@ -198,10 +200,10 @@ def metric_entropy_bound_parametric(
     L0-Lipschitz class; requires 2 L0 B^2 > 1 so the log is positive.
     """
     _at_least_one(B=B, n=n)
-    _nonnegative("L", L)
+    _nonnegative(L=L)
     _at_least_one(d=d)
-    if L0 <= 0:
-        raise ValueError("L0 must be positive")
+    if not L0 > 0:
+        raise ValueError(f"L0 must be positive: {L0}")
     if 2.0 * L0 * B * B <= 1.0:
         raise ValueError("need 2 * L0 * B^2 > 1 for a positive log")
     value = (3.0 + 2.0 * L) / B + math.sqrt(
@@ -223,7 +225,7 @@ def recalib_reuse_bound(i_delta1: float, i_delta2: float, B: int, n: int) -> Bou
     statistics. Passing the model-level fCMI to both slots recovers the
     looser 2 * sqrt(2 (fCMI + B ln2) / n) form.
     """
-    _nonnegative("mutual-information inputs", i_delta1, i_delta2)
+    _nonnegative(i_delta1=i_delta1, i_delta2=i_delta2)
     _at_least_one(B=B, n=n)
     value = math.sqrt(2.0 * (i_delta1 + B * _LN2) / n) + math.sqrt(
         2.0 * (i_delta2 + B * _LN2) / n
@@ -239,7 +241,7 @@ def recalib_holdout_bound(B: int, n_re: int) -> BoundReport:
     sqrt(2 B ln2 / (n_re - B)) + 2B / (n_re - B); requires n_re > B.
     """
     _at_least_one(B=B)
-    if n_re <= B:
+    if not n_re > B:
         raise ValueError("n_re must exceed B")
     return BoundReport("recalib_holdout", _umb_stat_term(B, n_re), {"B": B, "n_re": n_re}, UMB)
 

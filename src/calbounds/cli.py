@@ -7,14 +7,16 @@ named closed-form bound; its flags are the bound function's parameters),
 (histogram recalibration with its bound), and ``cmi`` (supersample
 mask-information experiment over an n-grid).
 
-Every successful run writes one run-record JSON (and any CSV data files)
-under the output directory (flag ``--out``, else $CALBOUNDS_OUT, else
-./runs); the record's config is the parsed command line minus ``--out`` (and
-the synthetic-pool flags for ``recalibrate --input``; without ``--input`` they
-carry the values the pool was drawn with). Exit codes: 0 success, 1 internal
-error, 2 usage or precondition error, such as a flag the run cannot use or a
-path that cannot be read or written. Printed floats carry 6 significant
-digits; data files keep full precision.
+A score file is JSON when its text starts with ``[`` or ``{``, else CSV.
+``main`` checks that the output directory (``--out``, else $CALBOUNDS_OUT, else
+./runs) can be made before the subcommand runs, and writes the run-record JSON
+and any CSV tables there only after it succeeds. The record's config is the
+parsed command line minus ``--out`` (and the synthetic-pool flags for
+``recalibrate --input``; without ``--input`` they carry the values the pool
+was drawn with). Exit codes: 0 success, 1 internal error, 2 usage or
+precondition error, such as a flag the run cannot use or a path that cannot
+be read or written. Printed floats carry 6 significant digits; data files
+keep full precision.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("CALBOUNDS_OUT", "runs")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _check_out(out: Path) -> None:
+    """Fail unless the nearest existing path of ``out`` is a writable directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ValueError(f"output directory {out}: {existing} is not a writable directory")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -65,22 +67,22 @@ def _bins_arg(text: str) -> str:
 
 def _scheme_for(args, dataset):
     if args.bins == "auto":
-        if args.lipschitz is None:
-            raise ValueError("--bins auto requires --lipschitz")
         B = optimal_bins(len(dataset), args.lipschitz, args.method)
     else:
         B = int(args.bins)
     return uwb_scheme(B) if args.method == UWB else umb_scheme(dataset.scores, B)
 
 
-# Each _cmd_* runs one subcommand and adds its results to the run record;
-# `main` builds the record from the parsed flags and saves it.
+# Each _cmd_* runs one subcommand, adds its results to the run record and
+# returns its CSV tables as {file name: (header, rows)}. `main` builds the
+# record from the parsed flags and writes the tables and the record.
 
 
-def _cmd_ece(args, record: RunRecord) -> None:
-    if args.lipschitz is not None and args.bins != "auto":
-        raise ValueError("--lipschitz applies only to --bins auto")
-    dataset = load_scores(args.input, format=args.input_format)
+def _cmd_ece(args, record: RunRecord) -> dict:
+    if (args.bins == "auto") != (args.lipschitz is not None):
+        raise ValueError("--bins auto requires --lipschitz" if args.lipschitz is None
+                         else "--lipschitz applies only to --bins auto")
+    dataset = load_scores(args.input)
     scheme = _scheme_for(args, dataset)
     value = ece(dataset, scheme)
     print(f"ece {_fmt(value.value)} bins {scheme.B} method {scheme.method}")
@@ -88,11 +90,12 @@ def _cmd_ece(args, record: RunRecord) -> None:
         "ece", value.value, B=scheme.B, method=scheme.method, n_e=len(dataset),
         edges=scheme.edges,
     )
+    return {}
 
 
-def _cmd_gap(args, record: RunRecord) -> None:
-    d_train = load_scores(args.train, format=args.input_format)
-    d_test = load_scores(args.test, format=args.input_format)
+def _cmd_gap(args, record: RunRecord) -> dict:
+    d_train = load_scores(args.train)
+    d_test = load_scores(args.test)
     scheme = _scheme_for(args, d_train)
     gap = ece_gap(d_train, d_test, scheme)
     print(
@@ -100,6 +103,7 @@ def _cmd_gap(args, record: RunRecord) -> None:
         f"train {_fmt(gap.components[1])} bins {scheme.B} method {scheme.method}"
     )
     record.add("ece_gap", gap.value, components=list(gap.components), B=scheme.B)
+    return {}
 
 
 # Bound parameter -> (flag, extra argparse keywords). A parameter is a
@@ -150,11 +154,12 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_bounds(args, record: RunRecord) -> None:
+def _cmd_bounds(args, record: RunRecord) -> dict:
     params = inspect.signature(args.bound).parameters
     report = args.bound(**{p: getattr(args, p) for p in params})
     print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     record.add(report.name, report.value, **report.inputs, variant=report.variant)
+    return {}
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -167,18 +172,14 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def _cmd_synthetic(args, record: RunRecord) -> None:
+def _cmd_synthetic(args, record: RunRecord) -> dict:
     result = run_synthetic_experiment(
         args.beta0, args.beta1, args.n_grid, args.reps, args.b_rule, args.seed, n_mc=args.n_mc
     )
     tce = result.tce.value
     per_n = zip(result.n_grid, result.bins, result.bounds, result.ece.tolist())
-    _write_csv(
-        _out_dir(args) / "synthetic_gaps.csv",
-        ["n", "rep", "B", "ece", "tce", "tce_gap", "bound"],
-        ([n, rep, B, e, tce, abs(tce - e), bound]
-         for n, B, bound, row in per_n for rep, e in enumerate(row)),
-    )
+    gaps = [[n, rep, B, e, tce, abs(tce - e), bound]
+            for n, B, bound, row in per_n for rep, e in enumerate(row)]
     print(
         f"slope {_fmt(result.slope)} tce {_fmt(result.tce.value)} "
         f"lipschitz {_fmt(result.lipschitz)}"
@@ -189,6 +190,7 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
         beta0=args.beta0, beta1=args.beta1,
     )
     record.add("lipschitz", result.lipschitz, grid=LIPSCHITZ_GRID)
+    return {"synthetic_gaps.csv": (["n", "rep", "B", "ece", "tce", "tce_gap", "bound"], gaps)}
 
 
 # The synthetic pool's flags and their defaults: `synthetic` takes its betas from here,
@@ -196,16 +198,14 @@ def _cmd_synthetic(args, record: RunRecord) -> None:
 _POOL_DEFAULTS = {"beta0": 0.5, "beta1": -1.5, "n_total": 8000}
 
 
-def _cmd_recalibrate(args, record: RunRecord) -> None:
+def _cmd_recalibrate(args, record: RunRecord) -> dict:
     if args.input:
         given = [f"--{k.replace('_', '-')}" for k in _POOL_DEFAULTS if getattr(args, k) is not None]
         if given:
             raise ValueError(f"synthetic-pool flags apply only without --input: {', '.join(given)}")
         for unused in _POOL_DEFAULTS:  # no synthetic pool is drawn
             del record.config[unused]
-        pool = load_scores(args.input, format=args.input_format)
-    elif args.input_format:
-        raise ValueError("--input-format applies only with --input")
+        pool = load_scores(args.input)
     else:
         config = record.config
         for k, default in _POOL_DEFAULTS.items():
@@ -234,9 +234,10 @@ def _cmd_recalibrate(args, record: RunRecord) -> None:
     )
     record.add("ece_raw", result.ece_raw, B=args.bins, n_test=result.n_test)
     record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
+    return {}
 
 
-def _cmd_cmi(args, record: RunRecord) -> None:
+def _cmd_cmi(args, record: RunRecord) -> dict:
     if args.exhaustive:  # the plug-in oracle enumerates every mask and takes no k
         given = [flag for flag, key in (("--n-masks", "n_masks"), ("--k", "k"))
                  if getattr(args, key) != getattr(CmiExperimentConfig, key)]
@@ -251,21 +252,19 @@ def _cmd_cmi(args, record: RunRecord) -> None:
         )
         for n in args.n_grid
     ]
-    results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any file is written
-    out = _out_dir(args)
-    summary_rows = []
+    results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any line is printed
+    tables, summary_rows = {}, []
     for cfg, result in zip(cfgs, results):
         bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n)
         summary_rows.append([cfg.n, cfg.B, result.mean_gap, result.ecmi_est.value, bound.value])
-        _write_csv(
-            out / f"cmi_cells_n{cfg.n}.csv",
+        tables[f"cmi_cells_n{cfg.n}.csv"] = (
             ["supersample_idx", "mask_idx", "statistic_name", "value"],
-            (
+            [
                 [s_idx, m_idx, name, value]
                 for s_idx, cells in enumerate(result.stats.tolist())
                 for m_idx, cell in enumerate(cells)
                 for name, value in zip(STATISTICS, cell)
-            ),
+            ],
         )
         print(
             f"n {cfg.n} bins {cfg.B} mean_gap {_fmt(result.mean_gap)} "
@@ -275,7 +274,8 @@ def _cmd_cmi(args, record: RunRecord) -> None:
         est = result.ecmi_est
         record.add("ecmi_est", est.value, n=cfg.n, B=cfg.B, method=est.method, k=est.k)
         record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
-    _write_csv(out / "cmi_summary.csv", ["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
+    tables["cmi_summary.csv"] = (["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
+    return tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bin count, or 'auto' for the optimal rule")
     p_ece.add_argument("--method", choices=[UWB, UMB], default=UWB)
     p_ece.add_argument("--lipschitz", type=float, default=None, help="L for the auto bin rule")
-    p_ece.add_argument("--input-format", choices=["csv", "json"], default=None)
     add_common(p_ece)
     p_ece.set_defaults(func=_cmd_ece)
 
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("test")
     p_gap.add_argument("--bins", type=int, required=True)
     p_gap.add_argument("--method", choices=[UWB, UMB], default=UWB)
-    p_gap.add_argument("--input-format", choices=["csv", "json"], default=None)
     add_common(p_gap)
     p_gap.set_defaults(func=_cmd_gap)
 
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recalibrate", help="histogram recalibration with its bound")
     p_rec.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
-    p_rec.add_argument("--input-format", choices=["csv", "json"], default=None)
     for name, kind in (("beta0", float), ("beta1", float), ("n_total", int)):
         p_rec.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
                            help=f"synthetic pool (default {_POOL_DEFAULTS[name]})")
@@ -365,10 +362,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
+    out = Path(args.out or os.environ.get("CALBOUNDS_OUT", "runs"))
     record = RunRecord({k: v for k, v in vars(args).items() if k not in ("func", "bound", "out")})
     try:
-        args.func(args, record)
-        record.save(_out_dir(args))
+        _check_out(out)
+        tables = args.func(args, record)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out / name, header, rows)
+        record.save(out)
         return 0
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

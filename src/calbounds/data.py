@@ -130,24 +130,22 @@ def _load_csv_fast(text: str) -> ScoredDataset | None:
         return None
 
 
-def load_scores(path, format: str | None = None) -> ScoredDataset:
+def load_scores(path) -> ScoredDataset:
     """Load a scored dataset from a CSV or JSON score file.
 
-    CSV rows are ``score,label`` with an optional ``score,label`` header;
-    JSON files hold an array of ``{"score": x, "label": y}`` objects. Row
-    order in the file is preserved. Content errors name the path; malformed rows
-    give their line number, and out-of-range scores or labels are rejected.
+    The text decides the format, not the file name: JSON when its first
+    non-whitespace character is ``[`` or ``{``, CSV otherwise. CSV rows are
+    ``score,label`` with an optional ``score,label`` header; JSON files hold an
+    array of ``{"score": x, "label": y}`` objects. Row order in the file is
+    preserved. Content errors name the path; malformed rows give their line
+    number, and out-of-range scores or labels are rejected.
     """
     p = Path(path)
-    if format is None:
-        format = "json" if p.suffix.lower() == ".json" else "csv"
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown format: {format}")
     try:
         text = p.read_text()
     except UnicodeDecodeError as e:
         raise ValueError(f"{p}: {e}") from None
-    if format == "csv":
+    if not text.lstrip().startswith(("[", "{")):
         fast = _load_csv_fast(text)
         if fast is not None:
             return fast
@@ -163,13 +161,10 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
         for i, rec in enumerate(records):
             try:
                 score, label = rec["score"], rec["label"]
-            except (TypeError, KeyError):
-                raise ValueError(f"{p}: malformed record at position {i}") from None
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise ValueError(f"{p}: malformed record at position {i}")
-            try:
-                score = float(score)
-            except OverflowError:  # a JSON integer beyond the float range
+                if isinstance(score, bool) or not isinstance(score, (int, float)):
+                    raise TypeError
+                score = float(score)  # OverflowError: a JSON integer beyond the float range
+            except (TypeError, KeyError, OverflowError):
                 raise ValueError(f"{p}: malformed record at position {i}") from None
             if isinstance(label, bool) or not isinstance(label, (int, float)):
                 raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
@@ -181,22 +176,18 @@ def load_scores(path, format: str | None = None) -> ScoredDataset:
         raise ValueError(f"{p}: {e}") from None
 
 
-def save_scores(d: ScoredDataset, path, format: str | None = None) -> None:
-    """Write a dataset back out; round trips scores to full stored precision."""
+def save_scores(d: ScoredDataset, path) -> None:
+    """Write a dataset as JSON for a ``.json`` suffix, else CSV; scores round-trip exactly."""
     p = Path(path)
-    if format is None:
-        format = "json" if p.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        lines = ["score,label"]
-        lines += [f"{repr(float(s))},{int(y)}" for s, y in zip(d.scores, d.labels)]
-        p.write_text("\n".join(lines) + "\n")
-    elif format == "json":
+    if p.suffix.lower() == ".json":
         records = [
             {"score": float(s), "label": int(y)} for s, y in zip(d.scores, d.labels)
         ]
         p.write_text(json.dumps(records))
     else:
-        raise ValueError(f"unknown format: {format}")
+        lines = ["score,label"]
+        lines += [f"{repr(float(s))},{int(y)}" for s, y in zip(d.scores, d.labels)]
+        p.write_text("\n".join(lines) + "\n")
 
 
 def top_label_reduce(probabilities, true_labels) -> ScoredDataset:

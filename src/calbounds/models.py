@@ -45,12 +45,15 @@ _LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
 
 @dataclass(frozen=True)
 class SyntheticModel:
-    """Logistic predictor parameters (beta0, beta1); beta1 must be nonzero."""
+    """Logistic predictor parameters (beta0, beta1): finite, and beta1 nonzero."""
 
     beta0: float
     beta1: float
 
     def __post_init__(self) -> None:
+        for name in ("beta0", "beta1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.beta1 == 0.0:
             raise ValueError("beta1 must be nonzero")
 

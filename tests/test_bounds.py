@@ -1,6 +1,8 @@
 """Closed-form bound values, preconditions, and monotonicity."""
 
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from calbounds import (
     stat_bias_bound,
     total_bias_bound,
 )
+from calbounds.bounds import BOUNDS
 
 LN2 = math.log(2.0)
 
@@ -235,3 +238,41 @@ class TestReportInvariants:
     def test_vacuous_flagged(self):
         assert recalib_holdout_bound(27, 100).vacuous
         assert not recalib_holdout_bound(15, 4000).vacuous
+
+
+# Bound -> valid keyword arguments; each float parameter is set to NaN in turn.
+VALID_ARGS = {
+    "stat-bias": {"B": 15, "n": 100, "variant": "umb"},
+    "binning-bias": {"B": 15, "n": 4000, "L": 1.0, "variant": "umb"},
+    "total-bias": {"B": 35, "n": 4000, "L": 1.0, "variant": "uwb"},
+    "high-prob": {"B": 15, "n": 4000, "delta": 0.05},
+    "gen-ece": {"ecmi": 0.3, "B": 15, "n": 4000},
+    "gen-tce": {"ecmi": 0.1, "fcmi": 0.2, "B": 15, "n": 4000, "L": 1.0, "variant": "umb"},
+    "metric-entropy": {"B": 10, "n": 4000, "L": 0.5, "delta": 0.1, "logN": 2.0},
+    "metric-entropy-parametric": {"B": 15, "n": 4000, "L": 1.0, "d": 2, "L0": 1.0},
+    "recalib-reuse": {"i_delta1": 0.1, "i_delta2": 0.2, "B": 27, "n": 20000},
+    "recalib-holdout": {"B": 15, "n_re": 100},
+}
+FLOAT_PARAMS = [
+    (name, p.name)
+    for name, fn in BOUNDS.items()
+    for p in inspect.signature(fn, eval_str=True).parameters.values()
+    if p.annotation is float or float in typing.get_args(p.annotation)
+]
+
+
+class TestNanInputs:
+    def test_every_bound_has_valid_args(self):
+        assert set(VALID_ARGS) == set(BOUNDS)
+        for name, fn in BOUNDS.items():
+            assert math.isfinite(fn(**VALID_ARGS[name]).value)
+
+    def test_float_parameters_found(self):
+        assert {p for _, p in FLOAT_PARAMS} == {
+            "L", "delta", "ecmi", "fcmi", "logN", "L0", "i_delta1", "i_delta2"
+        }
+
+    @pytest.mark.parametrize("name, param", FLOAT_PARAMS)
+    def test_nan_fails_naming_the_parameter(self, name, param):
+        with pytest.raises(ValueError, match=f"^{param} must "):
+            BOUNDS[name](**{**VALID_ARGS[name], param: math.nan})

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and byte-level determinism."""
 
+import argparse
 import json
 import re
 from dataclasses import asdict
@@ -335,6 +336,22 @@ class TestEnvironmentDefaults:
         assert (target / "run_record.json").exists()
 
 
+def _subparsers(parser) -> dict:
+    """Subcommand name -> parser, read from the parser's subcommand action."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# Subcommand -> a command line that parses; the subcommand is replaced before it runs.
+MINIMAL_ARGV = {
+    "ece": ["ece", "scores.csv", "--bins", "3"],
+    "gap": ["gap", "train.csv", "test.csv", "--bins", "3"],
+    "bounds": ["bounds", "recalib-holdout", "--bins", "15", "--n-re", "100"],
+    "synthetic": ["synthetic"],
+    "recalibrate": ["recalibrate", "--variant", "reuse", "--bins", "5"],
+    "cmi": ["cmi"],
+}
+
+
 class TestExitCodes:
     def test_internal_error_exits_1(self, score_file, tmp_path, monkeypatch, capsys):
         import calbounds.cli as cli_mod
@@ -384,8 +401,7 @@ class TestExitCodes:
              "i_delta1 and i_delta2 apply only to the reuse variant"),
             (["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100", "--i2", "0.2"],
              "i_delta1 and i_delta2 apply only to the reuse variant"),
-            (["recalibrate", "--variant", "reuse", "--bins", "5", "--input-format", "csv"],
-             "--input-format applies only with --input"),
+            (["ece", "{scores}", "--bins", "auto"], "--bins auto requires --lipschitz"),
             (["ece", "{scores}", "--bins", "3", "--lipschitz", "1"],
              "--lipschitz applies only to --bins auto"),
             (["recalibrate", "--input", "{scores}", "--variant", "reuse", "--bins", "1",
@@ -403,8 +419,38 @@ class TestExitCodes:
              "flags apply only without --exhaustive: --k"),
         ],
     )
-    def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys):
+    def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys, monkeypatch):
+        import calbounds.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("read a score file before checking the flags")
+
+        monkeypatch.setattr(cli_mod, "load_scores", boom)
         argv = [a.format(scores=score_file) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synthetic", "--beta1", "inf", "--n-grid", "100", "--reps", "1", "--n-mc", "100"],
+             "beta1 must be finite: inf"),
+            (["synthetic", "--beta0", "nan", "--n-grid", "100", "--reps", "1", "--n-mc", "100"],
+             "beta0 must be finite: nan"),
+            (["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100",
+              "--beta1", "nan"], "beta1 must be finite: nan"),
+            (["recalibrate", "--variant", "reuse", "--bins", "5", "--i1", "nan"],
+             "i_delta1 must be nonnegative: nan"),
+            (["bounds", "total-bias", "--bins", "35", "--n", "4000", "--lipschitz", "nan"],
+             "L must be nonnegative: nan"),
+            (["bounds", "gen-ece", "--ecmi", "nan", "--bins", "15", "--n", "4000"],
+             "ecmi must be nonnegative: nan"),
+            (["bounds", "metric-entropy-parametric", "--bins", "15", "--n", "4000",
+              "--lipschitz", "1", "--dim", "2", "--l0", "nan"], "L0 must be positive: nan"),
+        ],
+    )
+    def test_non_finite_input_is_named(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -458,12 +504,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(folder) in err
         assert not (tmp_path / "o").exists()
 
-    def test_output_under_a_regular_file_exits_2(self, score_file, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", sorted(_subparsers(build_parser())))
+    @pytest.mark.parametrize("where", ["under_file", "at_file", "at_dangling_link"])
+    def test_unusable_output_exits_2_before_the_run(self, subcommand, where, tmp_path, capsys,
+                                                     monkeypatch):
+        import calbounds.cli as cli_mod
+
+        def boom(args, record):
+            raise RuntimeError("ran the subcommand before checking --out")
+
+        monkeypatch.setattr(cli_mod, f"_cmd_{subcommand}", boom)
         blocker = tmp_path / "f"
-        blocker.write_text("")
-        assert main(["ece", str(score_file), "--bins", "3", "--out", str(blocker / "sub")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(blocker / "sub") in err
+        if where == "at_dangling_link":
+            blocker.symlink_to(tmp_path / "missing" / "dir")
+        else:
+            blocker.write_text("")
+        out = blocker / "sub" if where == "under_file" else blocker
+        assert main([*MINIMAL_ARGV[subcommand], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: output directory {out}: {blocker} is not")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
 
     def test_non_utf8_score_file_exits_2_naming_it(self, tmp_path, capsys):
         p = tmp_path / "latin.csv"
@@ -522,18 +584,16 @@ class TestRunRecordConfig:
         return json.loads((out / "run_record.json").read_text())["config"]
 
     def test_ece(self, scores, tmp_path, capsys):
-        argv = ["ece", scores, "--bins", "auto", "--method", "umb", "--lipschitz", "2",
-                "--input-format", "csv"]
+        argv = ["ece", scores, "--bins", "auto", "--method", "umb", "--lipschitz", "2"]
         assert self._config(argv, tmp_path) == {
             "subcommand": "ece", "input": scores, "bins": "auto", "method": "umb",
-            "lipschitz": 2.0, "input_format": "csv",
+            "lipschitz": 2.0,
         }
 
     def test_gap(self, scores, tmp_path, capsys):
-        argv = ["gap", scores, scores, "--bins", "7", "--method", "umb", "--input-format", "csv"]
+        argv = ["gap", scores, scores, "--bins", "7", "--method", "umb"]
         assert self._config(argv, tmp_path) == {
             "subcommand": "gap", "train": scores, "test": scores, "bins": 7, "method": "umb",
-            "input_format": "csv",
         }
 
     def test_bounds_leaf(self, tmp_path, capsys):
@@ -554,10 +614,10 @@ class TestRunRecordConfig:
 
     def test_recalibrate(self, scores, tmp_path, capsys):
         # No synthetic pool is drawn, so its flags stay out of the config.
-        argv = ["recalibrate", "--input", scores, "--input-format", "csv", "--variant", "holdout",
+        argv = ["recalibrate", "--input", scores, "--variant", "holdout",
                 "--bins", "5", "--n-re", "100", "--eval-split", "0.4", "--seed", "3"]
         assert self._config(argv, tmp_path) == {
-            "subcommand": "recalibrate", "input": scores, "input_format": "csv",
+            "subcommand": "recalibrate", "input": scores,
             "variant": "holdout", "bins": 5, "n_re": 100, "eval_split": 0.4, "i1": None,
             "i2": None, "seed": 3,
         }
@@ -567,7 +627,7 @@ class TestRunRecordConfig:
                 "--variant", "reuse", "--bins", "5", "--eval-split", "0.4", "--i1", "0.1",
                 "--i2", "0.2", "--seed", "3"]
         assert self._config(argv, tmp_path) == {
-            "subcommand": "recalibrate", "input": None, "input_format": None, "beta0": 0.25,
+            "subcommand": "recalibrate", "input": None, "beta0": 0.25,
             "beta1": -1.0, "n_total": 900, "variant": "reuse", "bins": 5, "n_re": None,
             "eval_split": 0.4, "i1": 0.1, "i2": 0.2, "seed": 3,
         }

@@ -173,6 +173,37 @@ class TestLoadScores:
             load_scores(p)
         assert str(e.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xd0")
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("scores.txt", ' [{"score": 0.25, "label": 0}, {"score": 0.75, "label": 1}]'),
+            ("scores.csv", '\n[{"score": 0.25, "label": 0}, {"score": 0.75, "label": 1}]'),
+            ("scores.json", "score,label\n0.25,0\n0.75,1\n"),
+            ("scores", "0.25,0\n0.75,1\n"),
+        ],
+    )
+    def test_format_read_from_the_text(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        d = load_scores(p)
+        assert tuple(d.scores) == (0.25, 0.75) and tuple(d.labels) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("scores.txt", '{"score": 0.25, "label": 0}', "expected a JSON array of records"),
+            ("scores.json", "", "empty dataset"),
+            ("scores.csv", '[{"score": 0.25, "label": 0},\n {"score": 0.75, "label": }]',
+             "malformed JSON at line 2"),
+        ],
+    )
+    def test_sniffed_format_errors_name_the_file(self, tmp_path, name, text, message):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == f"{p}: {message}"
+
     def test_json_integral_float_label_accepted(self, tmp_path):
         p = tmp_path / "scores.json"
         p.write_text(json.dumps([{"score": 0.25, "label": 0.0}, {"score": 0.75, "label": 1}]))
@@ -245,8 +276,8 @@ class TestRoundTrip:
         d = ScoredDataset([p[0] for p in pairs], [p[1] for p in pairs])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"d.{format}"
-            save_scores(d, path, format=format)
-            back = load_scores(path, format=format)
+            save_scores(d, path)
+            back = load_scores(path)
         assert np.array_equal(back.scores, d.scores)
         assert np.array_equal(back.labels, d.labels)
 

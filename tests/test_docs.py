@@ -1,5 +1,7 @@
-"""README code and command lines run, every exported name exists, no module has an unused import."""
+"""README code and command lines run, its flags exist, every exported name exists, no module
+has an unused import."""
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import calbounds
-from calbounds.cli import main
+from calbounds.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(calbounds.__file__).resolve().parent
@@ -39,6 +41,24 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
     for i, argv in enumerate(commands):
         assert main([*argv, "--out", str(tmp_path / f"out{i}")]) == 0, shlex.join(argv)
     capsys.readouterr()
+
+
+def _option_strings(parser) -> set[str]:
+    """Every option string of a parser and of all its subcommand parsers."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_readme_command_line_flags_exist():
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert flags, "README's Command line section names no flag"
+    assert sorted(flags - _option_strings(build_parser())) == []
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,13 @@ class TestLogisticPredict:
         with pytest.raises(ValueError):
             SyntheticModel(0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["beta0", "beta1"])
+    def test_non_finite_parameter_rejected(self, name, bad):
+        params = {"beta0": 0.5, "beta1": -1.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite: {bad}$"):
+            SyntheticModel(**params)
+
 
 class TestCanonicalCalibration:
     def test_identity_for_true_model(self):

@@ -51,10 +51,16 @@ TEST_CSV = """score,label
 0.88,0
 0.97,1
 """
+# The training rows again, as a JSON score file.
+TRAIN_JSON = json.dumps([{"score": float(s), "label": int(y)}
+                         for s, y in (row.split(",") for row in TRAIN_CSV.splitlines()[1:])])
 RECAL = ["recalibrate", "--bins", "15", "--n-total", "8100", "--seed", "1"]
 RUNS = {
     "ece": ["ece", "train.csv", "--bins", "3", "--method", "umb"],
     "gap": ["gap", "train.csv", "test.csv", "--bins", "3", "--method", "umb"],
+    "gap-json": ["gap", "train.json", "test.csv", "--bins", "3", "--method", "umb"],
+    "bounds": ["bounds", "gen-tce", "--ecmi", "0.1", "--fcmi", "0.2", "--bins", "15",
+               "--n", "4000", "--lipschitz", "1", "--variant", "umb"],
     "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000", "--seed", "1"],
     "cmi": ["cmi", "--n-grid", "40,100", "--seed", "1"],
     "cmi-exhaustive": ["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--seed", "1"],
@@ -65,11 +71,19 @@ RUNS = {
 DIGESTS = {
     "ece": {
         "stdout": "dd82e383bca3ab1c35c18970ef55357a6471177328e4cfabad23a03769824526",
-        "run_record.json": "be3bd4c38bdc4f854f49108ddb61749bf91b474e243ae6c6618241908bcd8316",
+        "run_record.json": "c52605dab2ba7fa8e27dcdc6010da505f18351457a0440d42776d4bec590438e",
     },
     "gap": {
         "stdout": "56dddbd700b49817f57b55d4d5e3cbf1e73d2e809e8633a827fc67adc0c11b2a",
-        "run_record.json": "4636d7ae8fad7b42f9030766442f4f336a1f97dee7d0ce06d94e15be50852a4d",
+        "run_record.json": "f3bb3ed7c8f8254f76e4884c63715e908d1165ca3769115846633b59a906f6ee",
+    },
+    "gap-json": {
+        "stdout": "56dddbd700b49817f57b55d4d5e3cbf1e73d2e809e8633a827fc67adc0c11b2a",
+        "run_record.json": "ee324b3114ce2b9e3b2d00d5289c6d5037f2e271adae8fba15f53c99ac9ff5c5",
+    },
+    "bounds": {
+        "stdout": "e299752765c1a1d65c71961a07aa2639d5f866b5f16a3dda802b7f58889fa0ff",
+        "run_record.json": "04a054ca67e572443f89caed5f8ba49e24970fedb5afaced38bc3a341a4a3840",
     },
     "synthetic": {
         "stdout": "e27e34bbe8ed1502643598fed4490f20b301948ec8e52e655e002910d188548f",
@@ -97,17 +111,18 @@ DIGESTS = {
     },
     "recalibrate-holdout": {
         "stdout": "ddb264f94befd2915963177af2c6ce62389637badea41d101797ca69ccbc8119",
-        "run_record.json": "a66b4bba818bfbd076d749304df4b6c274d7d28b89aa2fd1d0d2e3b725c88edc",
+        "run_record.json": "5446999da784dd74f59e25c820cf5922b7284ca6ac7552a97a35266bf7938e36",
     },
     "recalibrate-reuse": {
         "stdout": "2f6c3d60b32e638f297940621213ea23ad681bd44d1064fc2fe254016ea25dfb",
-        "run_record.json": "e0468d4a03c94844d2a921b4aa96c00b925b2dcb267ba053c83b3531f8508aaa",
+        "run_record.json": "0c4f3db25518b8819346744e1ed3133d1b1b00b6cd3ec48a19571f4bbfa57667",
     },
 }
 
 
 # Run -> the bound its record holds.
 BOUND_OF = {
+    "bounds": "gen_tce",
     "cmi": "gen_ece",
     "cmi-exhaustive": "gen_ece",
     "cmi-uwb": "gen_ece",
@@ -123,6 +138,7 @@ def run(name: str, workdir) -> tuple[dict, dict]:
         mp.chdir(workdir)
         (workdir / "train.csv").write_text(TRAIN_CSV)
         (workdir / "test.csv").write_text(TEST_CSV)
+        (workdir / "train.json").write_text(TRAIN_JSON)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main([*RUNS[name], "--out", "out"])
@@ -173,3 +189,7 @@ def test_recorded_bounds_recompute_exactly(name, runs):
             "value": report.value,
             "inputs": {**report.inputs, "variant": report.variant},
         }
+
+
+def test_json_train_file_gives_the_csv_results(runs):
+    assert runs("gap-json")[1]["results"] == runs("gap")[1]["results"]
