@@ -91,7 +91,11 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     or only one distinct label exists, the estimate is 0 with a warning.
 
     One pass per label over blocks of at most ``_ROWS`` of its points keeps
-    the temporaries at O(_ROWS * m * d) for m kept d-dimensional points.
+    the temporaries at O(_ROWS * m) for m kept points: a block's max-norm
+    distances are built one coordinate at a time. The radius is the k-th
+    smallest same-label distance, found by a partition; the k-th neighbor
+    is the t-th same-label point at exactly that radius in index order,
+    where t is k minus the same-label points strictly inside it.
     """
     pts = _as_points(values)
     codes = _label_codes(labels)
@@ -116,18 +120,28 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     codes = codes[keep]
     m = pts.shape[0]
 
+    coords = np.ascontiguousarray(pts.T)  # (d, m): one contiguous row per coordinate
     class_sizes = np.bincount(codes)
     k_c = np.minimum(k, class_sizes - 1)  # neighbors sought per label
     m_i = np.empty(m, dtype=np.int64)  # points of any label within each point's radius
+    # One block's distances and one coordinate's, reused by every block.
+    dist_buf, diff_buf = np.empty((2, min(_ROWS, int(class_sizes.max())), m))
     for label in np.flatnonzero(class_sizes):
-        members = np.flatnonzero(codes == label)  # ascending: stable sorts favor smaller indices
+        members = np.flatnonzero(codes == label)  # ascending: ties go to the smaller index
         for lo in range(0, members.size, _ROWS):
             rows = members[lo:lo + _ROWS]
-            dist = np.max(np.abs(pts[rows, None, :] - pts[None, :, :]), axis=2)
-            dist[np.arange(rows.size), rows] = np.nan  # sorts last and compares false: not a neighbor
-            order = np.argsort(dist[:, members], axis=1, kind="stable")
-            kth = members[order[:, k_c[label] - 1, None]]
-            radius = np.take_along_axis(dist, kth, axis=1)
+            dist, diff = dist_buf[:rows.size], diff_buf[:rows.size]
+            # Max and abs of finite values are exact: any coordinate order gives the same bits.
+            np.abs(np.subtract(coords[0, rows, None], coords[0], out=dist), out=dist)
+            for x in coords[1:]:
+                np.abs(np.subtract(x[rows, None], x, out=diff), out=diff)
+                np.maximum(dist, diff, out=dist)
+            dist[np.arange(rows.size), rows] = np.nan  # partitions last and compares false: not a neighbor
+            own = dist[:, members]
+            radius = np.partition(own, k_c[label] - 1, axis=1)[:, k_c[label] - 1, None]
+            t = k_c[label] - np.count_nonzero(own < radius, axis=1)  # the k-th is the t-th tie, t >= 1
+            tie_row, tie_col = np.nonzero(own == radius)  # row-major: each row's ties in index order
+            kth = members[tie_col[np.searchsorted(tie_row, np.arange(rows.size)) + t - 1], None]
             within = (dist < radius) | ((dist == radius) & (np.arange(m) <= kth))
             m_i[rows] = np.count_nonzero(within, axis=1)  # >= 1: the k-th neighbor counts
     psi_k, psi_nx, psi_m = (np.mean(digamma(a)) for a in (k_c[codes], class_sizes[codes], m_i))

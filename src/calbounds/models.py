@@ -179,16 +179,18 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     step = max(1, _BLOCK // x.shape[1])
     for lo in range(0, len(beta), step):
         b, xb, yb = beta[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
-        for epoch in range(cfg.epochs + 1):
-            # With finite x and y, the loss goes non-finite exactly when beta does.
-            if not np.isfinite(b).all():
-                row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
-                raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
-            if epoch == cfg.epochs:
-                break
-            resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
-            grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
-            b = b - cfg.learning_rate * grad
+        # A diverging row overflows silently: the check below names its epoch and row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.epochs + 1):
+                # With finite x and y, the loss goes non-finite exactly when beta does.
+                if not np.isfinite(b).all():
+                    row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
+                    raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
+                if epoch == cfg.epochs:
+                    break
+                resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
+                grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
+                b = b - cfg.learning_rate * grad
         out[lo:lo + step] = b
     out[out[:, 1] == 0.0, 1] = np.finfo(np.float64).tiny  # keep each model valid; slope ~ 0
     return out

@@ -177,6 +177,8 @@ class TestBoundTable:
             ["recalibrate", "--variant", "holdout", "--bins", "3", "--bogus", "1"],
             ["cmi", "--bogus", "1"],
         ],
+        # Fixed ids: removing a case renames no other.
+        ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6", "argv7"],
     )
     def test_inapplicable_flag_exits_2(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -418,6 +420,19 @@ class TestExitCodes:
             (["cmi", "--n-grid", "8", "--exhaustive", "--k", "1"],
              "flags apply only without --exhaustive: --k"),
         ],
+        # Fixed ids: removing a case renames no other.
+        ids=[
+            "argv0-n_re applies only to the holdout variant",
+            "argv1-i_delta1 and i_delta2 apply only to the reuse variant",
+            "argv2-i_delta1 and i_delta2 apply only to the reuse variant",
+            "argv3---bins auto requires --lipschitz",
+            "argv4---lipschitz applies only to --bins auto",
+            "argv5-synthetic-pool flags apply only without --input: --beta0, --n-total",
+            "argv6-synthetic-pool flags apply only without --input: --beta1",
+            "argv7-flags apply only without --exhaustive: --n-masks, --k",
+            "argv8-flags apply only without --exhaustive: --n-masks",
+            "argv9-flags apply only without --exhaustive: --k",
+        ],
     )
     def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys, monkeypatch):
         import calbounds.cli as cli_mod
@@ -449,6 +464,16 @@ class TestExitCodes:
             (["bounds", "metric-entropy-parametric", "--bins", "15", "--n", "4000",
               "--lipschitz", "1", "--dim", "2", "--l0", "nan"], "L0 must be positive: nan"),
         ],
+        # Fixed ids: removing a case renames no other.
+        ids=[
+            "argv0-beta1 must be finite: inf",
+            "argv1-beta0 must be finite: nan",
+            "argv2-beta1 must be finite: nan",
+            "argv3-i_delta1 must be nonnegative: nan",
+            "argv4-L must be nonnegative: nan",
+            "argv5-ecmi must be nonnegative: nan",
+            "argv6-L0 must be positive: nan",
+        ],
     )
     def test_non_finite_input_is_named(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -462,6 +487,11 @@ class TestExitCodes:
              "exhaustive mask enumeration is limited to n <= 12"),
             (["--n-grid", "40,4", "--bins", "3"],
              "need n >= 2B training rows per cell, got n=4, B=3"),
+        ],
+        # Fixed ids: removing a case renames no other.
+        ids=[
+            "argv0-exhaustive mask enumeration is limited to n <= 12",
+            "argv1-need n >= 2B training rows per cell, got n=4, B=3",
         ],
     )
     def test_bad_grid_point_exits_2_before_any_run(self, argv, message, tmp_path, capsys,
@@ -660,6 +690,8 @@ class TestRunRecordConfig:
             ["bounds", "stat-bias", "--bins", "15", "--n", "100", "--seed", "1"],
             ["gap", "{scores}", "{scores}", "--bins", "auto"],
         ],
+        # Fixed ids: removing a case renames no other.
+        ids=["argv0", "argv1", "argv2", "argv3"],
     )
     def test_rejected_flags_exit_2_without_record(self, argv, scores, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,12 +1,14 @@
 """Mutual-information estimators and the supersample mask experiment."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 from scipy.special import digamma, logit
 
@@ -239,6 +241,49 @@ class TestKsgEqualsPerPointReference:
         assert np.count_nonzero(labels == 0) > mi_mod._ROWS  # its search runs in two blocks
         values = np.round(np.random.default_rng(43).normal(size=(n, 2)), 1)
         assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_label_larger_than_a_block_in_dim(self, dim):
+        n = 2 * mi_mod._ROWS + 100
+        labels = (np.arange(n) % 3 == 0).astype(int)
+        values = np.round(np.random.default_rng(43).normal(size=(n, dim)), 1)
+        if dim == 1:
+            values = values[:, 0]
+        assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 5),
+        dim=st.integers(1, 3),
+        sizes=st.lists(st.integers(2, 40), min_size=2, max_size=4),
+        decimals=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_partition_tie_break_equals_reference(self, data, k, dim, sizes, decimals):
+        # Classes of up to 40 points on a coarse grid: many members sit inside and
+        # exactly at a radius, so the k-th neighbor is often a later tie at it.
+        n = sum(sizes)
+        assume(n >= k + 2)
+        labels = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        scale = 10**decimals
+        grid = st.integers(-3 * scale, 3 * scale)
+        values = data.draw(arrays(np.int64, (n, dim), elements=grid)) / scale
+        assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
+
+    def test_peak_memory_two_blocks_of_distances(self):
+        # Two (_ROWS, m) float buffers, a block's member columns and their
+        # partition (half of m each with two labels), and a few boolean masks:
+        # under 4 * _ROWS * m * 8 bytes, whatever the dimension d.
+        m, d = 3000, 8
+        rng = np.random.default_rng(47)
+        values, labels = rng.normal(size=(m, d)), rng.integers(0, 2, size=m)
+        tracemalloc.start()
+        try:
+            ksg_mixed_mi(values, labels, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * mi_mod._ROWS * m * 8 + 2**20
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_overflowing_distances(self, dim):
@@ -623,7 +668,10 @@ class TestRunCmiExperiment:
             return x.ravel(), y.ravel()
 
         monkeypatch.setattr(mi_mod, "sample_synthetic", fake_sample)
-        with pytest.raises(ValueError, match=r"epoch 1 \(supersample 0, mask 1\)"):
+        with warnings.catch_warnings(), pytest.raises(
+            ValueError, match=r"epoch 1 \(supersample 0, mask 1\)"
+        ):
+            warnings.simplefilter("error")  # no numpy warning ahead of the package's message
             run_cmi_experiment(cfg)
 
     def test_config_validation(self):

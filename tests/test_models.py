@@ -1,5 +1,7 @@
 """Synthetic family, calibration map, Monte-Carlo TCE, and the trainer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,7 +220,8 @@ class TestTrainLogistic:
         # the first update overflows the slope at this step size.
         x = np.array([1e200, -1e200])
         y = np.array([1, 1])
-        with pytest.raises(ValueError, match="epoch"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="epoch"):
+            warnings.simplefilter("error")  # no numpy warning ahead of the package's message
             train_logistic((x, y), TrainerConfig(learning_rate=1e109, epochs=3))
 
     def test_config_validation(self):
@@ -307,9 +310,10 @@ class TestBatchedDescent:
         inits = np.array([models_mod._init_beta(s) for s in range(4)])
         cfg = TrainerConfig(learning_rate=1e109, epochs=3)
         for block in (models_mod._BLOCK, 2):  # one batch, then one row per block
-            with pytest.MonkeyPatch.context() as mp, pytest.raises(
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), pytest.raises(
                 ValueError, match=r"^non-finite loss at epoch 1 in row 2$"
             ):
+                warnings.simplefilter("error")  # no numpy warning ahead of the package's message
                 mp.setattr(models_mod, "_BLOCK", block)
                 models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
         rest = [0, 1, 3]
