@@ -126,12 +126,13 @@ def total_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
 def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
     """Statistical-bias bound holding with probability 1 - delta (uniform-width).
 
-    sqrt(2 (B ln2 + ln(1/delta)) / n).
+    sqrt(2 (B ln2 + ln(1/delta)) / n), with ln(1/delta) taken as -ln(delta):
+    1/delta overflows to inf for a subnormal delta.
     """
     _at_least_one(B=B, n=n)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    value = math.sqrt(2.0 * (B * _LN2 + math.log(1.0 / delta)) / n)
+    value = math.sqrt(2.0 * (B * _LN2 - math.log(delta)) / n)
     return BoundReport("high_prob", value, {"B": B, "n": n, "delta": delta}, UWB)
 
 

@@ -81,7 +81,8 @@ def run_synthetic_experiment(
     For each grid size n and repetition, a fresh test set is drawn and
     scored, and the uniform-width ECE is computed at the rule-selected bin
     count; each n also gets the matching total-bias bound. The log-log slope
-    of the mean gap to the oracle TCE against n is fitted by least squares.
+    of the mean gap to the oracle TCE against n is fitted by least squares;
+    with fewer than two distinct sizes it is NaN.
     ``b_rule`` is ``optimal``, ``cube_root`` or ``fixed:K``; a bad rule
     fails before any draw.
     """
@@ -105,7 +106,7 @@ def run_synthetic_experiment(
     eces.setflags(write=False)
 
     slope = float("nan")
-    if len(n_grid) >= 2:
+    if len(set(n_grid)) >= 2:
         slope = np.polyfit(np.log(n_grid), np.log(np.abs(tce.value - eces).mean(axis=1)), 1)[0]
     return SyntheticExperimentResult(n_grid, bins, bounds, eces, float(slope), tce, L)
 

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma, expit
 
 from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
@@ -33,7 +34,8 @@ __all__ = [
     "run_cmi_experiment",
 ]
 
-_ROWS = 1 << 8  # points per block of the neighbor search: bounds its temporaries
+_ROWS = 1 << 8  # points per block of the same-label search: bounds its temporaries
+_SWEEP = 1 << 5  # the all-label search builds at most _SWEEP * m distances per block
 
 STATISTICS = ("ecmi_gap", "delta1", "delta2")  # a CMI cell's statistics, in order
 
@@ -71,13 +73,46 @@ def _as_points(values) -> np.ndarray:
 
 
 def _label_codes(labels) -> np.ndarray:
-    # Labels may be arbitrary hashables (e.g. mask patterns as bytes).
+    """Integer codes 0, 1, ... of ``labels`` in order of first appearance."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "biu":
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return rank[inverse]
+    # Other labels may be arbitrary hashables (e.g. mask patterns as bytes); floats stay
+    # here too, where each NaN is its own key.
     table: dict = {}
     codes = np.empty(len(labels), dtype=np.int64)
     for i, lab in enumerate(labels):
         key = lab.item() if isinstance(lab, np.generic) else lab
         codes[i] = table.setdefault(key, len(table))
     return codes
+
+
+def _max_norm(rows, cols, out, diff) -> None:
+    """Set ``out[i, j] = max_c |rows[c][i] - cols[c][..., j]|`` for a (d, r) array and d
+    column arrays of shape (w,) or (r, w), one coordinate at a time; ``diff`` holds
+    one coordinate's differences.
+
+    Max and abs of finite values are exact: any coordinate order gives the same bits.
+    """
+    cols = iter(cols)
+    np.abs(np.subtract(rows[0, :, None], next(cols), out=out), out=out)
+    for a, b in zip(rows[1:], cols):
+        np.abs(np.subtract(a[:, None], b, out=diff), out=diff)
+        np.maximum(out, diff, out=out)
+
+
+def _leading(before, m: int) -> np.ndarray:
+    """Per point, the number of leading positions q in 0..m-1 where ``before`` holds,
+    by one vectorized bisection: ``before`` takes an array of one position per point,
+    and for each point must hold, then fail, as q grows."""
+    pos = np.zeros(m, dtype=np.intp)
+    step = 1 << m.bit_length()
+    while step := step >> 1:
+        cand = pos + step
+        pos = np.where((cand <= m) & before(np.minimum(cand, m) - 1), cand, pos)
+    return pos
 
 
 def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
@@ -90,12 +125,21 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     once are dropped (their radius is undefined); if every label is unique,
     or only one distinct label exists, the estimate is 0 with a warning.
 
-    One pass per label over blocks of at most ``_ROWS`` of its points keeps
-    the temporaries at O(_ROWS * m) for m kept points: a block's max-norm
-    distances are built one coordinate at a time. The radius is the k-th
-    smallest same-label distance, found by a partition; the k-th neighbor
-    is the t-th same-label point at exactly that radius in index order,
-    where t is k minus the same-label points strictly inside it.
+    The search runs in two phases over the m kept points. The same-label
+    phase takes each label's points in blocks of at most ``_ROWS`` and builds
+    their max-norm distances to that label's points only: O(_ROWS * largest
+    class) temporaries. The radius is the k-th smallest of them, found by a
+    partition; the k-th neighbor is the t-th same-label point at exactly that
+    radius in index order, where t is k minus the same-label points strictly
+    inside it. The all-label phase sorts the points once along the coordinate
+    of largest span. A point's window is the run of sorted points whose
+    difference from it in that coordinate is at most its radius, found by a
+    bisection on that same floating-point test; it holds every point the
+    count can accept, since a max-norm distance is at least each coordinate's
+    difference. Blocks of points with near-equal window widths build each
+    point's distances over its own window only, at most ``_SWEEP * m`` per
+    block, and count there: points inside the radius, and points at it up to
+    the k-th neighbor's index.
     """
     pts = _as_points(values)
     codes = _label_codes(labels)
@@ -123,27 +167,60 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     coords = np.ascontiguousarray(pts.T)  # (d, m): one contiguous row per coordinate
     class_sizes = np.bincount(codes)
     k_c = np.minimum(k, class_sizes - 1)  # neighbors sought per label
-    m_i = np.empty(m, dtype=np.int64)  # points of any label within each point's radius
-    # One block's distances and one coordinate's, reused by every block.
-    dist_buf, diff_buf = np.empty((2, min(_ROWS, int(class_sizes.max())), m))
+    radius = np.empty(m)
+    kth = np.empty(m, dtype=np.int64)  # index of each point's k-th same-label neighbor
+    budget = _SWEEP * m  # distances per block of the all-label phase
+    largest = int(class_sizes.max())
+    # One block's distances and one coordinate's (or the partition), reused by every block.
+    bufs = np.empty((2, max(min(_ROWS, largest) * largest, budget)))
     for label in np.flatnonzero(class_sizes):
         members = np.flatnonzero(codes == label)  # ascending: ties go to the smaller index
+        own = coords[:, members]
         for lo in range(0, members.size, _ROWS):
-            rows = members[lo:lo + _ROWS]
-            dist, diff = dist_buf[:rows.size], diff_buf[:rows.size]
-            # Max and abs of finite values are exact: any coordinate order gives the same bits.
-            np.abs(np.subtract(coords[0, rows, None], coords[0], out=dist), out=dist)
-            for x in coords[1:]:
-                np.abs(np.subtract(x[rows, None], x, out=diff), out=diff)
-                np.maximum(dist, diff, out=dist)
+            rows = np.arange(lo, min(lo + _ROWS, members.size))
+            dist, part = bufs[:, :rows.size * members.size].reshape(2, rows.size, -1)
+            _max_norm(own[:, rows], own, dist, part)
             dist[np.arange(rows.size), rows] = np.nan  # partitions last and compares false: not a neighbor
-            own = dist[:, members]
-            radius = np.partition(own, k_c[label] - 1, axis=1)[:, k_c[label] - 1, None]
-            t = k_c[label] - np.count_nonzero(own < radius, axis=1)  # the k-th is the t-th tie, t >= 1
-            tie_row, tie_col = np.nonzero(own == radius)  # row-major: each row's ties in index order
-            kth = members[tie_col[np.searchsorted(tie_row, np.arange(rows.size)) + t - 1], None]
-            within = (dist < radius) | ((dist == radius) & (np.arange(m) <= kth))
-            m_i[rows] = np.count_nonzero(within, axis=1)  # >= 1: the k-th neighbor counts
+            np.copyto(part, dist)
+            part.partition(k_c[label] - 1, axis=1)
+            r = part[:, k_c[label] - 1, None]
+            t = k_c[label] - np.count_nonzero(dist < r, axis=1)  # the k-th is the t-th tie, t >= 1
+            tie_row, tie_col = np.nonzero(dist == r)  # row-major: each row's ties in index order
+            first_tie = np.searchsorted(tie_row, np.arange(rows.size))
+            kth[members[rows]] = members[tie_col[first_tie + t - 1]]
+            radius[members[rows]] = r[:, 0]
+
+    axis = np.argmax(coords.max(axis=1) - coords.min(axis=1))  # widest span, narrowest windows
+    order = np.argsort(coords[axis], kind="stable")
+    x, r_s, kth_s = coords[axis, order], radius[order], kth[order]
+    # Rounding is monotone, so along ascending x each test flips once.
+    start = _leading(lambda q: np.subtract(x, x[q]) > r_s, m)
+    width = _leading(lambda q: np.subtract(x[q], x) <= r_s, m) - start
+    # Row q of a window view holds sorted points q, q + 1, ...; past the last point, NaN
+    # distances that no test accepts.
+    w_max = int(width.max())
+    padded = np.full((coords.shape[0], m + w_max - 1), np.nan)
+    padded[:, :m] = coords[:, order]
+    windows = sliding_window_view(padded, w_max, axis=1)
+    by_width = np.argsort(width, kind="stable")  # blocks of near-equal widths: little padding
+    sorted_width = width[by_width]
+    m_i = np.empty(m, dtype=np.int64)  # points of any label within each point's radius
+    lo = 0
+    while lo < m:
+        # Widths ascend: the widest of the next budget // (narrowest) points bounds the block's.
+        hi = min(m, lo + budget // sorted_width[min(m, lo + budget // sorted_width[lo]) - 1])
+        p, w = by_width[lo:hi], int(sorted_width[hi - 1])
+        s, r = start[p], r_s[p, None]
+        dist, diff = bufs[:, :p.size * w].reshape(2, p.size, w)
+        _max_norm(padded[:, p], (v[s, :w] for v in windows), dist, diff)
+        dist[np.arange(p.size), p - s] = np.nan  # self: not a neighbor
+        # Inside the radius, or at it up to the k-th neighbor's index: all points at or inside
+        # it, less those at it past that index.
+        tie_row, tie_col = np.nonzero(dist == r)
+        late = order[s[tie_row] + tie_col] > kth_s[p[tie_row]]
+        late_ties = np.bincount(tie_row[late], minlength=p.size)
+        m_i[order[p]] = np.count_nonzero(dist <= r, axis=1) - late_ties
+        lo = hi
     psi_k, psi_nx, psi_m = (np.mean(digamma(a)) for a in (k_c[codes], class_sizes[codes], m_i))
     value = float(digamma(m) + psi_k - psi_nx - psi_m)
     return MiEstimate(value, "knn", k)

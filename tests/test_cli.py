@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 from dataclasses import asdict
 
@@ -187,6 +188,14 @@ class TestBoundTable:
         command = argv[:2] if argv[0] == "bounds" else argv[:1]
         assert f"usage: calbounds {' '.join(command)} " in err
         assert not (tmp_path / "o").exists()
+
+    def test_subnormal_delta_gives_finite_bound(self, tmp_path, capsys):
+        # 1/delta overflows for delta = 1e-320, but -ln(delta) = 736.8 is finite.
+        argv = ["bounds", "high-prob", "--bins", "15", "--n", "4000", "--delta", "1e-320",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] == math.sqrt(2.0 * (15 * math.log(2.0) - math.log(1e-320)) / 4000)
 
     def test_optional_fcmi_for_uniform_width(self, tmp_path, capsys):
         argv = ["bounds", "gen-tce", "--ecmi", "0", "--bins", "15", "--n", "4000",

@@ -1,5 +1,7 @@
 """Experiment drivers: scaling rows, recalibration splits, and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ class TestRunSyntheticExperiment:
         assert np.all((res.ece >= 0) & (res.ece <= 1))
         assert len(res.bounds) == 2 and all(bound > 0 for bound in res.bounds)
         assert res.lipschitz > 1.0
+
+    def test_repeated_grid_size_has_no_slope(self):
+        # Two equal sizes give one log n: no line to fit, so no polyfit warning either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_synthetic_experiment(
+                0.5, -1.5, [8, 8], reps=2, b_rule="cube_root", seed=5, n_mc=2000
+            )
+        assert res.ece.shape == (2, 2) and np.isnan(res.slope)
 
     def test_calibrated_model_tce_column_near_zero(self):
         res = run_synthetic_experiment(

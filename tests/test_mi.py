@@ -270,20 +270,83 @@ class TestKsgEqualsPerPointReference:
         values = data.draw(arrays(np.int64, (n, dim), elements=grid)) / scale
         assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
 
+    @pytest.mark.parametrize("sweep", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_several_all_label_blocks(self, monkeypatch, sweep, dim):
+        # A budget of sweep * m distances splits the all-label phase into many blocks.
+        n = 500
+        labels = np.arange(n) % 3
+        values = np.round(np.random.default_rng(53).normal(size=(n, dim)), 1)
+        calls = []
+        real = mi_mod._max_norm
+        monkeypatch.setattr(mi_mod, "_SWEEP", sweep)
+        monkeypatch.setattr(mi_mod, "_max_norm", lambda *a: calls.append(a) or real(*a))
+        assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
+        assert len(calls) - 3 >= 5  # one same-label block per label, then the all-label blocks
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        sizes=st.lists(st.integers(2, 12), min_size=2, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_magnitudes_equal_reference(self, data, k, dim, sizes):
+        # Coordinates near the largest double, tiny or subnormal, with scales up to
+        # 1e630 apart: windows and counts see the same rounded differences.
+        n = sum(sizes)
+        assume(n >= k + 2)
+        labels = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+        scale = st.sampled_from([1e307, 1e100, 1.0, 1e-100, 1e-300, 1e-310, 5e-324])
+        scales = np.array(data.draw(st.lists(scale, min_size=dim, max_size=dim)))
+        digits = st.one_of(st.floats(-2.5, 2.5), st.integers(-2, 2).map(float))
+        values = data.draw(arrays(np.float64, (n, dim), elements=digits)) * scales
+        assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("decimals", [0, 1, None])
+    def test_constant_first_coordinate(self, dim, decimals):
+        # Sorting along the constant coordinate would make every window all m points.
+        rng = np.random.default_rng(59)
+        values = rng.normal(size=(300, dim))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        values[:, 0] = 7.0
+        labels = rng.integers(0, 4, size=300)
+        assert ksg_mixed_mi(values, labels, 3).value == reference_ksg(values, labels, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_all_points_equal(self, k):
+        values, labels = np.full((40, 2), -1.5), np.arange(40) % 3
+        assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_label_ties_at_the_radius(self, k, dim):
+        # Each lattice site holds points of both labels in the order 0, 1, 1, 0: every
+        # radius is 0 or a lattice step, with other-label points exactly at it on both
+        # sides of the k-th neighbor's index.
+        sites = np.stack(np.meshgrid(*[np.arange(6.0)] * dim, indexing="ij"), -1).reshape(-1, dim)
+        values = np.repeat(sites, 4, axis=0)
+        labels = np.tile([0, 1, 1, 0], len(sites))
+        assert ksg_mixed_mi(values, labels, k).value == reference_ksg(values, labels, k)
+
     def test_peak_memory_two_blocks_of_distances(self):
-        # Two (_ROWS, m) float buffers, a block's member columns and their
-        # partition (half of m each with two labels), and a few boolean masks:
-        # under 4 * _ROWS * m * 8 bytes, whatever the dimension d.
+        # Two float buffers of max(_ROWS * largest class, _SWEEP * m) distances shared by
+        # both phases, a same-label block's masks, and in the all-label phase one gathered
+        # coordinate and a few masks: under 3 * _ROWS * largest * 8 + 5 * _SWEEP * m * 8
+        # bytes, whatever the dimension d.
         m, d = 3000, 8
         rng = np.random.default_rng(47)
         values, labels = rng.normal(size=(m, d)), rng.integers(0, 2, size=m)
+        largest = np.bincount(labels).max()
         tracemalloc.start()
         try:
             ksg_mixed_mi(values, labels, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * mi_mod._ROWS * m * 8 + 2**20
+        assert peak <= 3 * mi_mod._ROWS * largest * 8 + 5 * mi_mod._SWEEP * m * 8 + 2**20
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_overflowing_distances(self, dim):
@@ -298,6 +361,29 @@ class TestKsgEqualsPerPointReference:
         values = np.array([1e307, 1e307, -1e307, -1e307, 0, 0])
         labels = [0, 0, 1, 1, 0, 1]
         assert ksg_mixed_mi(values, labels, 1).value == reference_ksg(values, labels, 1)
+
+
+class TestLabelCodes:
+    @given(
+        labels=st.one_of(
+            arrays(np.int64, st.integers(0, 60), elements=st.integers(-(2**63), 2**63 - 1)),
+            arrays(np.int64, st.integers(0, 60), elements=st.integers(-3, 3)),
+            arrays(np.int8, st.integers(0, 60)),
+            arrays(np.uint64, st.integers(0, 60), elements=st.integers(2**64 - 4, 2**64 - 1)),
+            arrays(np.uint64, st.integers(0, 60)),
+            arrays(np.bool_, st.integers(0, 60)),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_codes_equal_hashable_codes(self, labels):
+        # A list of numpy scalars takes the per-label dict path; the array, np.unique.
+        codes = mi_mod._label_codes(labels)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, mi_mod._label_codes(list(labels)))
+
+    def test_first_appearance_order(self):
+        assert mi_mod._label_codes(np.array([5, -1, 5, 9, -1])).tolist() == [0, 1, 0, 2, 1]
+        assert mi_mod._label_codes(np.array([True, False, True])).tolist() == [0, 1, 0]
 
 
 class TestPluginMi:
