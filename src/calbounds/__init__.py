@@ -23,14 +23,7 @@ from .bounds import (
     stat_bias_bound,
     total_bias_bound,
 )
-from .data import (
-    RunRecord,
-    ScoredDataset,
-    Supersample,
-    load_scores,
-    save_scores,
-    top_label_reduce,
-)
+from .data import RunRecord, ScoredDataset, Supersample, load_scores, save_scores
 from .metrics import (
     EceValue,
     GapStatistic,
@@ -75,7 +68,6 @@ __all__ = [
     "high_prob_bound", "metric_entropy_bound", "metric_entropy_bound_parametric",
     "recalib_holdout_bound", "recalib_reuse_bound", "stat_bias_bound", "total_bias_bound",
     "RunRecord", "ScoredDataset", "Supersample", "load_scores", "save_scores",
-    "top_label_reduce",
     "EceValue", "GapStatistic", "binned_tce", "cube_root_bins", "ece", "ece_gap",
     "ece_reformulated", "optimal_bins",
     "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",

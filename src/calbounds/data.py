@@ -24,7 +24,6 @@ __all__ = [
     "RunRecord",
     "load_scores",
     "save_scores",
-    "top_label_reduce",
 ]
 
 
@@ -188,41 +187,6 @@ def save_scores(d: ScoredDataset, path) -> None:
         lines = ["score,label"]
         lines += [f"{repr(float(s))},{int(y)}" for s, y in zip(d.scores, d.labels)]
         p.write_text("\n".join(lines) + "\n")
-
-
-def top_label_reduce(probabilities, true_labels) -> ScoredDataset:
-    """Reduce multiclass probability vectors to a binary scored dataset.
-
-    Each row becomes (max_k p_k, 1 if argmax_k p_k equals the true class
-    else 0); argmax ties go to the lowest class index. Vectors must be finite
-    and on the probability simplex to within 1e-6, and true classes integral.
-    """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    truth = np.asarray(true_labels, dtype=np.float64)  # an int64 cast would truncate 1.7 to 1
-    if probs.size == 0:
-        raise ValueError("empty input")
-    if probs.ndim != 2:
-        raise ValueError("probabilities must be a 2-d array of row vectors")
-    if truth.shape != (probs.shape[0],):
-        raise ValueError("true_labels length must match the number of rows")
-    if not np.all(np.isfinite(probs)):
-        bad = int(np.argmax(~np.all(np.isfinite(probs), axis=1)))
-        raise ValueError(f"probabilities must be finite at row {bad}")
-    if not np.all(truth == np.floor(truth)):  # NaN fails here, +-inf the range check below
-        bad = int(np.argmax(truth != np.floor(truth)))
-        raise ValueError(f"true class index must be an integer at row {bad}: {truth[bad]}")
-    if np.any(probs < -1e-12):
-        raise ValueError("probability vectors must be nonnegative")
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(sums - 1.0) > 1e-6))
-        raise ValueError(f"row {bad} is not on the simplex (sum={sums[bad]})")
-    if np.any(truth < 0) or np.any(truth >= probs.shape[1]):
-        raise ValueError("true class index out of range")
-    predicted = np.argmax(probs, axis=1)  # np.argmax takes the lowest index on ties
-    scores = np.clip(probs[np.arange(len(probs)), predicted], 0.0, 1.0)
-    labels = (predicted == truth).astype(np.int64)
-    return ScoredDataset(scores, labels)
 
 
 @dataclass(frozen=True)

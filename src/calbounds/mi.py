@@ -278,7 +278,8 @@ def _cell_statistics(s_tr, y_tr, s_te, y_te, B: int, uwb=None):
     sums = umb_sums if uwb is None else [bin_sums(uwb, s, s, y) for s, y in halves]
     e_tr, e_te = (_binned_error(c, t / np.maximum(c, 1), l) for c, t, l in sums)
     n, gap = s_tr.size, abs(e_te - e_tr)
-    return gap, float(np.sum(np.abs((l_te - l_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
+    # The sums are of integers, so exact: equal totals give equal floats after one division.
+    return gap, float(np.abs(l_te - l_tr).sum() / n), float(np.abs(c_te - c_tr).sum() / n)
 
 
 @dataclass(frozen=True)

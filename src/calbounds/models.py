@@ -4,8 +4,9 @@ The data distribution is a balanced two-class Gaussian mixture: Y is a fair
 coin, X | Y=1 ~ Normal(-1, 1) and X | Y=0 ~ Normal(+1, 1), for which the
 true posterior P(Y=1 | X=x) = 1/(1+exp(2x)). Predictors are the logistic
 family f(x) = sigmoid(beta0 + beta1*x); for any member the conditional
-label mean given the prediction has a closed form, which makes the true
-calibration error of the model estimable by plain Monte Carlo.
+label mean given the prediction has a closed form. Each member is one-to-one
+in x, so that mean at f(x) is the true posterior at x, and the true
+calibration error E|f(X) - sigmoid(-2X)| is a plain Monte-Carlo mean.
 
 The trainer is one full-batch gradient-descent kernel over a stack of
 training sets: ``train_logistic`` runs it on one, and the supersample
@@ -34,10 +35,6 @@ __all__ = [
     "train_logistic",
 ]
 
-# Guard for Monte-Carlo loops only: keeps saturated predictions inside the
-# open interval where the calibration map is defined.
-_OPEN_LO = 1e-15
-_OPEN_HI = 1.0 - 2.0 ** -53
 _BLOCK = 1 << 16  # x elements per block of the batched descent: bounds its temporaries
 LIPSCHITZ_GRID = 1000  # points of the estimate_lipschitz grid
 _LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
@@ -96,11 +93,6 @@ def logistic_predict(m: SyntheticModel, x):
     return expit(m.beta0 + m.beta1 * np.asarray(x, dtype=np.float64))
 
 
-def _check_open_unit(z: np.ndarray) -> None:
-    if np.any(z <= 0.0) or np.any(z >= 1.0):
-        raise ValueError("scores must lie strictly inside (0, 1)")
-
-
 def canonical_calibration(m: SyntheticModel, z1):
     """Conditional label mean given the model outputs z1, in closed form.
 
@@ -110,7 +102,8 @@ def canonical_calibration(m: SyntheticModel, z1):
     pi_1 is the identity.
     """
     z = np.asarray(z1, dtype=np.float64)
-    _check_open_unit(z)
+    if np.any(z <= 0.0) or np.any(z >= 1.0):
+        raise ValueError("scores must lie strictly inside (0, 1)")
     # logit(z) = beta0 + beta1 * x  =>  x = (logit(z) - beta0) / beta1,
     # and the true posterior is sigmoid(-2x).
     out = expit(2.0 * (m.beta0 - logit(z)) / m.beta1)
@@ -122,8 +115,7 @@ def canonical_calibration(m: SyntheticModel, z1):
 def calibration_slope(m: SyntheticModel, z1):
     """Analytic derivative of the canonical calibration map at z1."""
     z = np.asarray(z1, dtype=np.float64)
-    _check_open_unit(z)
-    p = expit(2.0 * (m.beta0 - logit(z)) / m.beta1)
+    p = canonical_calibration(m, z)
     out = -2.0 * p * (1.0 - p) / (m.beta1 * z * (1.0 - z))
     if out.ndim == 0:
         return float(out)
@@ -133,15 +125,16 @@ def calibration_slope(m: SyntheticModel, z1):
 def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the model's true calibration error.
 
-    Draws (x, y) from the synthetic distribution, evaluates |z - pi_1(z)|
-    at z = f(x), and averages. The standard error of the mean is attached
-    (zero when n_mc == 1).
+    Draws x from the synthetic distribution and averages |f(x) - sigmoid(-2x)|:
+    f is one-to-one, so pi_1(f(x)) is the true posterior at x, even where
+    f(x) saturates to 0 or 1. The standard error of the mean is attached
+    (zero when n_mc == 1). The calibrated member beta = (0, -2) gives
+    exactly 0.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     x, _ = sample_synthetic(n_mc, stream(seed))
-    z = np.clip(logistic_predict(m, x), _OPEN_LO, _OPEN_HI)
-    t = np.abs(z - canonical_calibration(m, z))
+    t = np.abs(logistic_predict(m, x) - expit(-2.0 * x))
     value = float(np.mean(t))
     se = float(np.std(t, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return McEstimate(value, se)
@@ -192,7 +185,6 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
                 grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
                 b = b - cfg.learning_rate * grad
         out[lo:lo + step] = b
-    out[out[:, 1] == 0.0, 1] = np.finfo(np.float64).tiny  # keep each model valid; slope ~ 0
     return out
 
 
@@ -202,7 +194,8 @@ def train_logistic(train, cfg: TrainerConfig, seed: int = 0) -> SyntheticModel:
     ``train`` is an (x, y) pair of equal-shape arrays. Initialization is
     drawn from ``seed``, so the result is deterministic given
     (train, cfg, seed). Non-finite x or y are rejected; if the loss goes
-    non-finite, the error reports the epoch.
+    non-finite, the error reports the epoch, and a trained beta1 of exactly
+    0 fails ``SyntheticModel``'s check.
     """
     x, y = (np.asarray(a, dtype=np.float64) for a in train)
     if x.size == 0:

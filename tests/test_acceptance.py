@@ -230,12 +230,12 @@ def test_criterion_09_recalibrator_identity():
 
 
 def test_criterion_10_calibrated_model_zero():
-    """The true-posterior model has identity calibration and near-zero TCE."""
+    """The true-posterior model has identity calibration and zero TCE."""
     model = SyntheticModel(0.0, -2.0)
     z = np.linspace(1e-6, 1 - 1e-6, 10_001)
     pointwise = float(np.max(np.abs(canonical_calibration(model, z) - z)))
     tce = mc_tce(model, 10**6, seed=1010)
-    ok = pointwise < 1e-12 and tce.value < 0.005
+    ok = pointwise < 1e-12 and tce.value == 0.0
     _report(
         10,
         "calibrated-model-zero",

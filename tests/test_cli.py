@@ -7,6 +7,7 @@ import re
 from dataclasses import asdict
 
 import pytest
+from scipy.special import ndtr
 
 import calbounds
 from calbounds import CmiExperimentConfig, TrainerConfig, run_cmi_experiment
@@ -236,6 +237,16 @@ class TestSyntheticCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "synthetic_gaps.csv").read_bytes() == (out2 / "synthetic_gaps.csv").read_bytes()
+
+    def test_steep_model_tce(self, tmp_path, capsys):
+        # At beta1 = 1e300, f is the step 1{x > 0}, whose TCE is Phi(1) in closed form.
+        out = tmp_path / "syn"
+        assert main(["synthetic", "--beta1", "1e300", "--n-grid", "1000", "--reps", "1",
+                     "--n-mc", "200000", "--out", str(out)]) == 0
+        printed = float(re.search(r"tce (\S+)", capsys.readouterr().out).group(1))
+        record = json.loads((out / "run_record.json").read_text())
+        tce = next(r for r in record["results"] if r["name"] == "tce_mc")
+        assert abs(printed - ndtr(1.0)) < 4 * tce["inputs"]["std_error"]
 
     def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
         # One grid point has no log-log slope: the NaN is written as null.

@@ -1,4 +1,4 @@
-"""Dataset ingestion, persistence, multiclass reduction, and supersamples."""
+"""Dataset ingestion, persistence, and supersamples."""
 
 import json
 import tempfile
@@ -16,7 +16,6 @@ from calbounds import (
     Supersample,
     load_scores,
     save_scores,
-    top_label_reduce,
 )
 from calbounds.data import _parse_csv
 
@@ -280,73 +279,6 @@ class TestRoundTrip:
             back = load_scores(path)
         assert np.array_equal(back.scores, d.scores)
         assert np.array_equal(back.labels, d.labels)
-
-
-class TestTopLabelReduce:
-    def test_argmax_matches_truth(self):
-        d = top_label_reduce([[0.1, 0.9]], [1])
-        assert d.scores[0] == 0.9 and d.labels[0] == 1
-
-    def test_argmax_misses_truth(self):
-        d = top_label_reduce([[0.6, 0.4]], [1])
-        assert d.scores[0] == 0.6 and d.labels[0] == 0
-
-    def test_tie_breaks_to_lowest_index(self):
-        # Tied vector: argmax resolves to class 0, which matches the truth.
-        d = top_label_reduce([[0.5, 0.5]], [0])
-        assert d.scores[0] == 0.5 and d.labels[0] == 1
-
-    def test_not_simplex(self):
-        with pytest.raises(ValueError, match="simplex"):
-            top_label_reduce([[0.5, 0.4]], [0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            top_label_reduce([], [])
-
-    @pytest.mark.parametrize("truth", [[1.7, 0.2], [1, 0.5], [1, np.nan]])
-    def test_fractional_class_index_rejected(self, truth):
-        # An int64 cast would floor 1.7 to 1 and 0.2 to 0.
-        with pytest.raises(ValueError, match="true class index must be an integer at row"):
-            top_label_reduce([[0.1, 0.9], [0.6, 0.4]], truth)
-
-    def test_integral_float_class_index_accepted(self):
-        d = top_label_reduce([[0.1, 0.9], [0.6, 0.4]], [1.0, 0.0])
-        assert d.labels.tolist() == [1, 1]
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_probability_rejected(self, bad):
-        # NaN compares false, so a NaN row would pass the simplex check.
-        with pytest.raises(ValueError, match="probabilities must be finite at row 1"):
-            top_label_reduce([[0.1, 0.9], [bad, 0.4]], [1, 0])
-
-    @given(
-        st.integers(min_value=2, max_value=5).flatmap(
-            lambda width: st.lists(
-                st.tuples(
-                    st.lists(
-                        st.floats(min_value=0.01, max_value=1.0),
-                        min_size=width,
-                        max_size=width,
-                    ),
-                    st.integers(min_value=0, max_value=width - 1),
-                ),
-                min_size=1,
-                max_size=30,
-            )
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_output_satisfies_sample_invariants(self, rows):
-        probs = []
-        truths = []
-        for weights, truth in rows:
-            w = np.asarray(weights)
-            probs.append(w / w.sum())
-            truths.append(truth)
-        d = top_label_reduce(probs, truths)
-        assert np.all(d.scores >= 0) and np.all(d.scores <= 1)
-        assert set(np.unique(d.labels)) <= {0, 1}
 
 
 class TestSupersample:

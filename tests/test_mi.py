@@ -17,6 +17,7 @@ from calbounds import (
     ScoredDataset,
     Supersample,
     TrainerConfig,
+    assign,
     bin_stats,
     bin_sums,
     ece_gap,
@@ -539,7 +540,7 @@ def reference_cell(s_tr, y_tr, s_te, y_te, B, uwb=None):
     c_tr, c_te = (bin_stats(umb, d).counts for d in (d_tr, d_te))
     l_tr, l_te = (bin_sums(umb, d.scores, d.labels)[1] for d in (d_tr, d_te))
     n = len(d_tr)
-    return gap, float(np.sum(np.abs((l_te - l_tr) / n))), float(np.sum(np.abs((c_te - c_tr) / n)))
+    return gap, float(np.abs(l_te - l_tr).sum() / n), float(np.abs(c_te - c_tr).sum() / n)
 
 
 @st.composite
@@ -590,6 +591,34 @@ class TestDeltaStatistics:
     def test_umb_bins_each_half_once(self, assign_calls):
         _cell_statistics(*scored_halves(random_supersample(np.random.default_rng(3), 24)), B=3)
         assert [n for _, n in assign_calls] == [24, 24]
+
+    @given(cell_halves())
+    @settings(max_examples=200, deadline=None)
+    def test_deltas_are_integer_sums_over_n(self, cell):
+        # n * delta is integral: each delta is the float nearest an integer over n, so
+        # cells whose integer sums agree give equal floats.
+        s_tr, y_tr, s_te, y_te, B, _ = cell
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
+            _, d1, d2 = _cell_statistics(*cell)
+            umb = umb_scheme(s_tr, B)
+        size = umb.edges.size
+        (c_tr, l_tr), (c_te, l_te) = (
+            (np.bincount(idx, minlength=size), np.bincount(idx[y == 1], minlength=size))
+            for idx, y in ((assign(umb, s_tr), y_tr), (assign(umb, s_te), y_te))
+        )
+        n = s_tr.size
+        assert d1 == int(np.abs(l_te - l_tr).sum()) / n
+        assert d2 == int(np.abs(c_te - c_tr).sum()) / n
+
+    def test_one_float_per_integer_sum_in_a_run(self):
+        # Over all 4096 masks, each statistic takes one float per integer sum.
+        cfg = CmiExperimentConfig(n=12, B=3, trainer=TrainerConfig(), seed=1, n_supersamples=1,
+                                  exhaustive=True)
+        stats = run_cmi_experiment(cfg).stats
+        for j in (1, 2):
+            values = stats[0, :, j]
+            assert len(set(values.tolist())) == len(set(np.rint(values * 12).tolist()))
 
     def test_delta2_bounded_by_two(self):
         rng = np.random.default_rng(29)

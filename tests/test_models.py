@@ -1,11 +1,13 @@
 """Synthetic family, calibration map, Monte-Carlo TCE, and the trainer."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import expit
 
 import calbounds.models as models_mod
@@ -146,11 +148,37 @@ class TestEstimateLipschitz:
         assert abs(calibration_slope(m, 1 - 1e-15)) > 1e5
 
 
+def quad_tce(beta0, beta1):
+    """E|sigmoid(beta0 + beta1 X) - sigmoid(-2X)| by quadrature, split where the two cross."""
+
+    def integrand(x):
+        density = (math.exp(-0.5 * (x + 1) ** 2) + math.exp(-0.5 * (x - 1) ** 2)) / (
+            2 * math.sqrt(2 * math.pi)
+        )
+        return abs(expit(beta0 + beta1 * x) - expit(-2 * x)) * density
+
+    crossing = -beta0 / (beta1 + 2)
+    return quad(integrand, -np.inf, crossing)[0] + quad(integrand, crossing, np.inf)[0]
+
+
 class TestMcTce:
-    def test_calibrated_model_is_zero(self):
-        m = SyntheticModel(0.0, -2.0)
-        est = mc_tce(m, 10_000, seed=5)
-        assert est.value < 0.005
+    @given(seed=st.integers(0, 2**32 - 1), n_mc=st.integers(1, 5000))
+    @settings(max_examples=30, deadline=None)
+    def test_calibrated_model_is_zero(self, seed, n_mc):
+        # f is the true posterior, so every draw contributes exactly 0.
+        est = mc_tce(SyntheticModel(0.0, -2.0), n_mc, seed=seed)
+        assert est.value == 0.0 and est.std_error == 0.0
+
+    @pytest.mark.parametrize(
+        "beta0, beta1, expected",
+        [(0.0, -20.0, 0.141883), (0.5, -50.0, 0.151959), (0.5, 1000.0, 0.841009)],
+    )
+    def test_steep_models_match_quadrature(self, beta0, beta1, expected):
+        # Steep models saturate f(x) to 0 or 1 over most of the draws.
+        truth = quad_tce(beta0, beta1)
+        assert truth == pytest.approx(expected, abs=5e-7)
+        est = mc_tce(SyntheticModel(beta0, beta1), 10**6, seed=1)
+        assert abs(est.value - truth) < 4 * est.std_error
 
     def test_miscalibrated_model_stable_across_seeds(self):
         m = SyntheticModel(0.5, -1.5)
@@ -171,8 +199,8 @@ class TestMcTce:
         assert mc_tce(m, 5000, seed=4).value == mc_tce(m, 5000, seed=4).value
 
     def test_error_shrinks_with_samples(self):
-        # Root-n decay of the Monte-Carlo error for the calibrated model.
-        m = SyntheticModel(0.0, -2.0)
+        # Root-n decay of the Monte-Carlo error for a miscalibrated model.
+        m = SyntheticModel(0.5, -1.5)
         small = mc_tce(m, 1000, seed=8)
         large = mc_tce(m, 100_000, seed=8)
         assert large.std_error < small.std_error
@@ -318,3 +346,9 @@ class TestBatchedDescent:
                 models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
         rest = [0, 1, 3]
         assert np.isfinite(models_mod._descend(inits[rest], x[rest], y[rest], cfg)).all()
+
+    def test_zero_slope_kept(self):
+        # With x = 0 the slope's gradient vanishes, so a zero slope stays exactly 0.
+        x, y = np.zeros((1, 6)), np.array([[0, 1, 1, 0, 1, 1]])
+        beta = models_mod._descend(np.zeros((1, 2)), x, y, TrainerConfig(epochs=5))
+        assert beta[0, 1] == 0.0 and beta[0, 0] != 0.0

@@ -93,8 +93,8 @@ DIGESTS = {
     "cmi": {
         "stdout": "171ab2aae9322132fb2435e23ffb8a6e70ac8682c07988ebc09269635936a712",
         "run_record.json": "d13d6bed994ecb2b6c2396a227210af7ebc3af9136f75c737e65ac81c3d18ed0",
-        "cmi_cells_n100.csv": "6f66277bb5998ab2eaa97297027a3614873891902ba6e03e5746a5903e6573bf",
-        "cmi_cells_n40.csv": "f6559406eeca01b3fdee368958aaace3be05ab9725ea2413e2a869aa0d390049",
+        "cmi_cells_n100.csv": "587711040ff1334f904d190721976024259418178c356aa37dc9663d01cfbe32",
+        "cmi_cells_n40.csv": "888504dcbdf91269265137a5ecd82929451fc60651b4ff78c92df32bd4516910",
         "cmi_summary.csv": "e76046247a496b53cc508a0e16189a258d9f67991015e9814c4653653a500ec3",
     },
     "cmi-exhaustive": {
@@ -106,7 +106,7 @@ DIGESTS = {
     "cmi-uwb": {
         "stdout": "7bc1693535f7fb7a8df548f50a07fa60745e14f1d6159fe02eb84fe6ba7282b8",
         "run_record.json": "4a83bae1bcac4361655d6c7c7ddc66df32219409dff489eb0d747fcfb1d49105",
-        "cmi_cells_n40.csv": "3432c6f338097b96ca6858c3623c2b96254ced2ca33fd8d69cee8ad26f1f742c",
+        "cmi_cells_n40.csv": "2b9ad815ba80f111e46c1aac734275eac8e039f86860bb8b7a2bf6fd4d901e21",
         "cmi_summary.csv": "aaafa63fe5f7fd60d68029bb1740bb9d7d6a6d0decbacb091353be26ddf04625",
     },
     "recalibrate-holdout": {
