@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -76,6 +77,20 @@ class ScoredDataset:
 
 
 _CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
+_SNIFF = 4096  # characters read from a file's start to decide its format
+_PIECE = 1 << 20  # characters of JSON decoded at a time, and bytes of CSV scanned at a time
+# Suffixes that numpy's path opener decompresses: such files are read as text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# Line breaks of str.splitlines() that a text-mode file does not break lines at.
+_ODD_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_RECORD_BREAK = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
+def _read_text(p: Path) -> str:
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{p}: {e}") from None
 
 
 def _is_header(raw: str) -> bool:
@@ -108,29 +123,110 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
     return scores, labels
 
 
-def _load_csv_fast(text: str) -> ScoredDataset | None:
-    """The whole CSV in one numpy pass, or None when `_parse_csv` must decide.
+def _plain_lines(p: Path) -> bool:
+    """Whether the file is ASCII and breaks lines only at ``\\n`` and ``\\r``."""
+    with p.open("rb") as f:
+        while chunk := f.read(_PIECE):
+            if not chunk.isascii() or any(b in chunk for b in _ODD_BREAKS):
+                return False
+    return True
 
-    numpy takes a subset of what `_parse_csv` takes (no ``0_5``, non-ASCII
-    digits or whitespace-only lines) and parses it to the same bits. A file
-    it rejects or warns on, or whose rows `ScoredDataset` refuses, goes back
-    to the line-by-line parser for the exact message and line number.
+
+def _load_csv_fast(p: Path, head: str) -> ScoredDataset | None:
+    """The CSV parsed by numpy straight from the file, or None when `_parse_csv` must decide.
+
+    Taken for a plain ASCII file (`_plain_lines`), whose lines are then
+    `str.splitlines()`'s, and whose first line ends within ``head``. numpy
+    takes a subset of what `_parse_csv` takes (no ``0_5`` or whitespace-only
+    lines) and parses it to the same bits. A file it rejects or warns on, or
+    whose rows `ScoredDataset` refuses, goes to the line-by-line parser for
+    the exact message and line number.
     """
-    lines = text.splitlines()
-    skip = 1 if lines and _is_header(lines[0]) else 0
+    first, newline, _ = head.partition("\n")  # text mode has made every \r a \n
+    if p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF) or not _plain_lines(p):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
-            rows = np.loadtxt(
-                lines, delimiter=",", comments=None, skiprows=skip, dtype=_CSV_ROW, ndmin=1
-            )
+            rows = np.loadtxt(p, delimiter=",", comments=None, skiprows=int(_is_header(first)),
+                              dtype=_CSV_ROW, ndmin=1, encoding="utf-8")
         return ScoredDataset(rows["score"], rows["label"])
     except (ValueError, Warning):
         return None
 
 
+def _decode_whole(text: str, path: str) -> tuple[list, list]:
+    """A JSON score file decoded whole, then checked record by record."""
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: malformed JSON at line {e.lineno}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON array of records")
+    scores, labels = [], []
+    for i, rec in enumerate(records):
+        try:
+            score, label = rec["score"], rec["label"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise TypeError
+            score = float(score)  # OverflowError: a JSON integer beyond the float range
+        except (TypeError, KeyError, OverflowError):
+            raise ValueError(f"{path}: malformed record at position {i}") from None
+        if isinstance(label, bool) or not isinstance(label, (int, float)):
+            raise ValueError(f"{path}: label must be 0 or 1 at position {i}: {label!r}")
+        scores.append(score)
+        labels.append(label)
+    return scores, labels
+
+
+def _piece_columns(piece: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """A piece of records as (float64 scores, 0/1 int64 labels), or None if it is not plain."""
+    try:
+        records = json.loads("[" + piece + "]")
+        scores = [r["score"] for r in records]
+        labels = [r["label"] for r in records]
+        if not (set(map(type, scores)) <= {int, float} and set(map(type, labels)) <= {int, float}
+                and set(labels) <= {0, 1}):
+            return None
+        return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int64)
+    except (json.JSONDecodeError, RecursionError, TypeError, KeyError, OverflowError):
+        return None
+
+
+def _decode_json(text: str, path: str) -> tuple:
+    """Scores and labels of a JSON score file, decoded in record-aligned pieces.
+
+    The outer array's body is cut after a ``}`` that a comma joins to the
+    next ``{``, every `_PIECE` characters or so, and each piece is decoded
+    as an array of its own. JSON's grammar is deterministic, so when every
+    piece decodes, the whole text decodes to their concatenation. A piece
+    that does not decode (a cut inside a string or a nested array, or
+    malformed JSON), or whose columns are not plain numbers with 0/1 labels,
+    sends the whole text through `_decode_whole`, which gives the exact
+    message, or the same values.
+    """
+    lo, hi = 0, len(text)  # the text holds a "[" or "{", so both loops stop at it
+    while text[lo] in " \t\n\r":
+        lo += 1
+    while text[hi - 1] in " \t\n\r":
+        hi -= 1
+    if text[lo] != "[" or text[hi - 1] != "]":
+        return _decode_whole(text, path)
+    start, stop = lo + 1, hi - 1
+    pieces = []
+    while True:
+        cut = _RECORD_BREAK.search(text, start + _PIECE, stop) if start + _PIECE < stop else None
+        columns = _piece_columns(text[start:cut.start() + 1 if cut else stop])
+        if columns is None:
+            return _decode_whole(text, path)
+        pieces.append(columns)
+        if cut is None:
+            return tuple(map(np.concatenate, zip(*pieces)))
+        start = cut.end() - 1
+
+
 def load_scores(path) -> ScoredDataset:
-    """Load a scored dataset from a CSV or JSON score file.
+    """Load a scored dataset from a UTF-8 CSV or JSON score file.
 
     The text decides the format, not the file name: JSON when its first
     non-whitespace character is ``[`` or ``{``, CSV otherwise. CSV rows are
@@ -141,34 +237,19 @@ def load_scores(path) -> ScoredDataset:
     """
     p = Path(path)
     try:
-        text = p.read_text()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{p}: {e}") from None
-    if not text.lstrip().startswith(("[", "{")):
-        fast = _load_csv_fast(text)
+        with p.open(encoding="utf-8") as f:
+            head = f.read(_SNIFF)
+    except UnicodeDecodeError:
+        head = ""  # the whole-text read below names the byte
+    text = None if head.strip() else _read_text(p)  # a blank start: the whole text decides
+    is_json = (head if text is None else text).lstrip().startswith(("[", "{"))
+    if text is None and not is_json:
+        fast = _load_csv_fast(p, head)
         if fast is not None:
             return fast
-        scores, labels = _parse_csv(text, str(p))
-    else:
-        try:
-            records = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{p}: malformed JSON at line {e.lineno}") from None
-        if not isinstance(records, list):
-            raise ValueError(f"{p}: expected a JSON array of records")
-        scores, labels = [], []
-        for i, rec in enumerate(records):
-            try:
-                score, label = rec["score"], rec["label"]
-                if isinstance(score, bool) or not isinstance(score, (int, float)):
-                    raise TypeError
-                score = float(score)  # OverflowError: a JSON integer beyond the float range
-            except (TypeError, KeyError, OverflowError):
-                raise ValueError(f"{p}: malformed record at position {i}") from None
-            if isinstance(label, bool) or not isinstance(label, (int, float)):
-                raise ValueError(f"{p}: label must be 0 or 1 at position {i}: {label!r}")
-            scores.append(score)
-            labels.append(label)
+    if text is None:
+        text = _read_text(p)
+    scores, labels = _decode_json(text, str(p)) if is_json else _parse_csv(text, str(p))
     try:
         return ScoredDataset(scores, labels)  # range, label and empty-file checks
     except ValueError as e:

@@ -1,7 +1,11 @@
 """Dataset ingestion, persistence, and supersamples."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +21,10 @@ from calbounds import (
     load_scores,
     save_scores,
 )
+import calbounds.data as data_mod
 from calbounds.data import _parse_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestScoredDataset:
@@ -208,6 +215,51 @@ class TestLoadScores:
         p.write_text(json.dumps([{"score": 0.25, "label": 0.0}, {"score": 0.75, "label": 1}]))
         assert tuple(load_scores(p).labels) == (0, 1)
 
+    @pytest.mark.parametrize("text", ["0.5\x0b,1\n", "0.5,1\n0.25\x0c,0\n", "0.5\x1e,1\n",
+                                      "0.5,1\n0.25\x1c,0\n", "0.5,1\n0.25\x1d,0\n"])
+    def test_line_breaks_of_splitlines_count_in_csv(self, tmp_path, text):
+        # numpy would read "0.5\x0b,1" as one row with a padded score; the file's lines are
+        # str.splitlines()'s, so "0.5" alone is a malformed row.
+        p = tmp_path / "scores.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        with pytest.raises(ValueError) as expected:
+            _parse_csv(p.read_text(), str(p))
+        assert str(e.value) == str(expected.value)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path, suffix):
+        # numpy's path opener would decompress these names; the text decides, not the name.
+        p = tmp_path / f"scores.csv{suffix}"
+        p.write_text("score,label\n0.25,0\n0.75,1\n")
+        d = load_scores(p)
+        assert tuple(d.scores) == (0.25, 0.75) and tuple(d.labels) == (0, 1)
+
+    def test_missing_file_not_found_beside_compressed_sibling(self, tmp_path):
+        # numpy's path opener would also try x.csv.gz for x.csv.
+        (tmp_path / "x.csv.gz").write_text("0.25,0\n")
+        with pytest.raises(FileNotFoundError):
+            load_scores(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize(
+        "text, scores",
+        [("score,label\n0.5,1\u00a0\n0.25,0\n", [0.5, 0.25]),
+         ('[{"score": 0.5, "label": 1, "name": "\u00e9"}]', [0.5])],
+        ids=["csv", "json"],
+    )
+    def test_read_as_utf8_under_an_ascii_locale(self, tmp_path, text, scores):
+        p = tmp_path / "scores.txt"
+        p.write_bytes(text.encode("utf-8"))
+        path = os.pathsep.join(x for x in (str(SRC), os.environ.get("PYTHONPATH")) if x)
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=path)
+        code = ("import sys; from calbounds import load_scores; "
+                "print(load_scores(sys.argv[1]).scores.tolist())")
+        proc = subprocess.run([sys.executable, "-c", code, str(p)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(scores)
+
 
 # Tokens on which a vectorized parser and Python's float()/int() may disagree.
 _SCORE_TOKENS = ["nan", "inf", "-0.0", "1e400", "1.5", "-0.1", "0_5", "\u0660.5", " 0.5 ",
@@ -256,6 +308,129 @@ class TestCsvFastPath:
         assert d.scores.tobytes() == expected.scores.tobytes()
         assert d.labels.tobytes() == expected.labels.tobytes()
         assert d.labels.dtype == expected.labels.dtype
+
+
+def _reference_json(text: str, path: str) -> ScoredDataset:
+    """A JSON score file decoded whole, then checked record by record."""
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: malformed JSON at line {e.lineno}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON array of records")
+    scores, labels = [], []
+    for i, rec in enumerate(records):
+        try:
+            score, label = rec["score"], rec["label"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise TypeError
+            score = float(score)
+        except (TypeError, KeyError, OverflowError):
+            raise ValueError(f"{path}: malformed record at position {i}") from None
+        if isinstance(label, bool) or not isinstance(label, (int, float)):
+            raise ValueError(f"{path}: label must be 0 or 1 at position {i}: {label!r}")
+        scores.append(score)
+        labels.append(label)
+    try:
+        return ScoredDataset(scores, labels)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+# JSON value texts, most of them valid, some that a piece's fast check refuses.
+_NESTED = ['{"a": 1}', '[{"a": 1}, {"b": 2}]', '"}, {"', '"a}, {\\"b"', '{"x": {"y": []}}']
+_ODD_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", str(2**53 + 1), str(10**400), "true",
+               "false", "null", '"0.5"', "0.5", "-0.0", "1.0", "0.0", "2", str(2**64)] + _NESTED
+
+
+def _json_texts():
+    unit = st.floats(min_value=0.0, max_value=1.0).map(repr)
+    odd = st.sampled_from(_ODD_VALUES)
+    score = st.integers(0, 19).flatmap(lambda k: odd if k == 0 else unit)
+    bit = st.sampled_from(["0", "1", "1.0"])
+    label = st.integers(0, 19).flatmap(lambda k: odd if k == 0 else bit)
+    # Extra members: other keys with any value, or a duplicate score or label key.
+    extra = st.one_of(st.tuples(st.sampled_from(["note", "meta"]), st.one_of(odd, unit)),
+                      st.tuples(st.just("score"), score), st.tuples(st.just("label"), label))
+    record = st.builds(
+        lambda sc, lb, extras, order: [("score", sc), ("label", lb)][::order] + extras,
+        score, label, st.lists(extra, max_size=2), st.sampled_from([1, -1]))
+    # (record separator, key-value separator, item separator, opening, closing)
+    layout = st.sampled_from([(", ", ": ", ", ", "[", "]"), (",", ":", ",", "[", "]"),
+                              (",\n  ", ": ", ",\n    ", "[\n  ", "\n]"),
+                              (" ,\t", " : ", " , ", " \n[ ", " ]\n")])
+
+    def render(records, lay):
+        sep, colon, item, opening, closing = lay
+        body = sep.join("{" + item.join(f"{json.dumps(k)}{colon}{v}" for k, v in rec) + "}"
+                        for rec in records)
+        return opening + body + closing
+
+    text = st.builds(render, st.lists(record, max_size=8), layout)
+    broken = st.tuples(text, st.sampled_from(["drop", "comma", "brace", "space"])).map(
+        lambda tb: {"drop": tb[0][:-1], "comma": tb[0].rstrip()[:-1] + ",]",
+                    "brace": tb[0].replace("}", "", 1), "space": "\x0c" + tb[0]}[tb[1]])
+    return st.one_of(text, text, text, text, broken, st.sampled_from(["[]", " [ ] ", "[\n]", "{}"]))
+
+
+class TestJsonPieces:
+    """load_scores decodes JSON in record-aligned pieces; the result must be the whole text's."""
+
+    @given(_json_texts(), st.integers(1, 64))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_whole_text_decode(self, text, piece):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_PIECE", piece)
+            path = Path(tmp) / "d.json"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = _reference_json(text, str(path))
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    load_scores(path)
+                assert str(got.value) == str(e)
+                return
+            d = load_scores(path)
+        assert d.scores.tobytes() == expected.scores.tobytes()
+        assert d.labels.tobytes() == expected.labels.tobytes()
+        assert d.labels.dtype == expected.labels.dtype
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_plain_layouts_never_decode_whole(self, tmp_path, monkeypatch, indent):
+        records = [{"score": i / 100, "label": i % 2} for i in range(100)]
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(records, indent=indent))
+        pieces = []
+        real = data_mod._piece_columns
+        monkeypatch.setattr(data_mod, "_PIECE", 50)
+        monkeypatch.setattr(data_mod, "_piece_columns", lambda t: pieces.append(t) or real(t))
+        monkeypatch.setattr(data_mod, "_decode_whole", None)  # any call would raise
+        d = load_scores(p)
+        assert len(pieces) > 10
+        assert d.scores.tolist() == [r["score"] for r in records]
+
+
+class TestIngestMemory:
+    @pytest.mark.parametrize("name", ["d.json", "d.csv"])
+    def test_peak_memory_of_a_100k_record_file(self, tmp_path, monkeypatch, name):
+        # A JSON file is read whole (its bytes and its text), then decoded one piece at a
+        # time; a CSV file is parsed by numpy from the file. Neither holds a Python object
+        # per row: the peak stays under twice the file, 16 pieces and 3 copies of the arrays.
+        piece = 1 << 16
+        monkeypatch.setattr(data_mod, "_PIECE", piece, raising=False)
+        rng = np.random.default_rng(5)
+        n = 100_000
+        d = ScoredDataset(rng.random(n), rng.integers(0, 2, n))
+        p = tmp_path / name
+        save_scores(d, p)
+        tracemalloc.start()
+        try:
+            back = load_scores(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.scores.tobytes() == d.scores.tobytes()
+        assert peak <= 2 * p.stat().st_size + 16 * piece + 3 * n * 16
 
 
 class TestRoundTrip:
