@@ -62,7 +62,6 @@ cfg_small = CmiExperimentConfig(
     trainer=TrainerConfig(learning_rate=0.5, epochs=60),
     seed=17,
     n_supersamples=3,
-    n_masks=2,
     exhaustive=True,  # enumerates all 2^8 masks per supersample
 )
 small = run_cmi_experiment(cfg_small)

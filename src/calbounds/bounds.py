@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import UMB, UWB
+from .binning import UMB, UWB, _check_count
 
 __all__ = [
     "BOUNDS",
@@ -50,11 +50,6 @@ class BoundReport:
 
 
 # Checks are comparisons that NaN fails (`not v >= 0`, never `v < 0`), so NaN is named here.
-def _at_least_one(**values: int) -> None:
-    if not all(v >= 1 for v in values.values()):
-        raise ValueError(f"{' and '.join(values)} must be at least 1")
-
-
 def _nonnegative(**values: float) -> None:
     for name, v in values.items():
         if not v >= 0:
@@ -62,12 +57,10 @@ def _nonnegative(**values: float) -> None:
 
 
 def _check_bn(B: int, n: int, variant: str) -> None:
-    _at_least_one(B=B)
+    _check_count(B=B, n=n)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
-    if variant == UWB:
-        _at_least_one(n=n)
-    elif not n > B:
+    if variant == UMB and not n > B:
         raise ValueError("uniform-mass bounds require n > B")
 
 
@@ -129,7 +122,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
     sqrt(2 (B ln2 + ln(1/delta)) / n), with ln(1/delta) taken as -ln(delta):
     1/delta overflows to inf for a subnormal delta.
     """
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     value = math.sqrt(2.0 * (B * _LN2 - math.log(delta)) / n)
@@ -139,7 +132,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 def gen_ece_bound(ecmi: float, B: int, n: int) -> BoundReport:
     """Expected train/test calibration-error gap: sqrt(8 (eCMI + B ln2) / n)."""
     _nonnegative(ecmi=ecmi)
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n)
     value = math.sqrt(8.0 * (ecmi + B * _LN2) / n)
     return BoundReport("gen_ece", value, {"eCMI": ecmi, "B": B, "n": n})
 
@@ -154,7 +147,7 @@ def gen_tce_bound(
     (a tighter statistic-level MI may be substituted in that slot).
     """
     _nonnegative(ecmi=ecmi)
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n)
     _nonnegative(L=L)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
@@ -178,7 +171,7 @@ def metric_entropy_bound(B: int, n: int, L: float, delta: float, logN: float) ->
     supplies logN = log of the covering number of the class at radius
     delta / B in the sup norm. Requires 0 < delta <= 1/B.
     """
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n)
     _nonnegative(L=L)
     if not (0.0 < delta <= 1.0 / B):
         raise ValueError("delta must lie in (0, 1/B]")
@@ -200,9 +193,8 @@ def metric_entropy_bound_parametric(
     (3+2L)/B + sqrt(8 d B ln(2 L0 B^2) / n) for a d-dimensional,
     L0-Lipschitz class; requires 2 L0 B^2 > 1 so the log is positive.
     """
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n, d=d)
     _nonnegative(L=L)
-    _at_least_one(d=d)
     if not L0 > 0:
         raise ValueError(f"L0 must be positive: {L0}")
     if 2.0 * L0 * B * B <= 1.0:
@@ -227,7 +219,7 @@ def recalib_reuse_bound(i_delta1: float, i_delta2: float, B: int, n: int) -> Bou
     looser 2 * sqrt(2 (fCMI + B ln2) / n) form.
     """
     _nonnegative(i_delta1=i_delta1, i_delta2=i_delta2)
-    _at_least_one(B=B, n=n)
+    _check_count(B=B, n=n)
     value = math.sqrt(2.0 * (i_delta1 + B * _LN2) / n) + math.sqrt(
         2.0 * (i_delta2 + B * _LN2) / n
     )
@@ -241,7 +233,7 @@ def recalib_holdout_bound(B: int, n_re: int) -> BoundReport:
 
     sqrt(2 B ln2 / (n_re - B)) + 2B / (n_re - B); requires n_re > B.
     """
-    _at_least_one(B=B)
+    _check_count(B=B, n_re=n_re)
     if not n_re > B:
         raise ValueError("n_re must exceed B")
     return BoundReport("recalib_holdout", _umb_stat_term(B, n_re), {"B": B, "n_re": n_re}, UMB)

@@ -107,7 +107,7 @@ def _cmd_gap(args, record: RunRecord) -> dict:
 
 
 # Bound parameter -> (flag, extra argparse keywords). A parameter is a
-# required flag unless its function or this table gives it a default.
+# required flag unless this table gives it a default.
 _BOUND_FLAGS = {
     "B": ("--bins", {}),
     "n": ("--n", {}),
@@ -144,8 +144,6 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
     for param in inspect.signature(fn, eval_str=True).parameters.values():
         flag, extra = _BOUND_FLAGS[param.name]
         kwargs = dict(extra)
-        if param.default is not param.empty:
-            kwargs.setdefault("default", param.default)
         # `float | None` takes floats; None stays reachable only as a default.
         types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
         kwargs["type"] = types[0] if types else param.annotation

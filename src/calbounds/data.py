@@ -40,6 +40,9 @@ class ScoredDataset:
     """
 
     def __init__(self, scores, labels) -> None:
+        scores = np.asarray(scores)
+        if scores.dtype.kind not in "iuf":  # no strings, bools or None parsed as numbers
+            raise ValueError("scores must be numbers")
         # Copy before freezing so callers' arrays keep their writability.
         scores = np.array(scores, dtype=np.float64)
         labels = np.asarray(labels)  # checked before the int64 cast truncates 0.9 to 0

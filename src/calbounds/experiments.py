@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UWB, uwb_scheme
+from .binning import UWB, _check_count, uwb_scheme
 from .bounds import BoundReport, recalib_holdout_bound, recalib_reuse_bound, total_bias_bound
 from .data import ScoredDataset
 from .metrics import cube_root_bins, ece, optimal_bins
@@ -86,11 +86,11 @@ def run_synthetic_experiment(
     ``b_rule`` is ``optimal``, ``cube_root`` or ``fixed:K``; a bad rule
     fails before any draw.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid or any(n < 8 for n in n_grid):
-        raise ValueError("grid sizes must be at least 8")
+    _check_count(reps=reps)
+    n_grid = tuple(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one size")
+    _check_count(least=8, **{f"n_grid[{i}]": n for i, n in enumerate(n_grid)})
     bins_for = _bin_rule(b_rule)
     model = SyntheticModel(beta0, beta1)
     L = estimate_lipschitz(model)
@@ -143,6 +143,7 @@ def run_recalibration(
     """
     if variant not in ("holdout", "reuse"):
         raise ValueError(f"unknown variant: {variant}")
+    _check_count(B=B)
     if not (0.0 < eval_split < 1.0):
         raise ValueError("eval_split must lie in (0, 1)")
     n_total = len(pool)
@@ -159,6 +160,7 @@ def run_recalibration(
             raise ValueError("i_delta1 and i_delta2 apply only to the reuse variant")
         if n_re is None:
             raise ValueError("holdout variant requires n_re")
+        _check_count(n_re=n_re)
         if n_re > n_rest:
             raise ValueError(f"n_re={n_re} exceeds the {n_rest} non-test rows")
         if n_re < 2 * B:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UMB, UWB, BinningScheme, _dataset_sums, bin_sums
+from .binning import UMB, UWB, BinningScheme, _check_count, _dataset_sums, bin_sums
 from .bounds import _total_bias
 from .models import McEstimate, SyntheticModel, logistic_predict, sample_synthetic
 from .rng import stream
@@ -93,8 +93,7 @@ def binned_tce(m: SyntheticModel, s: BinningScheme, n_mc: int, seed: int) -> McE
     standard errors of the means: a conservative budget for a sum of
     absolute values of means.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
+    _check_count(n_mc=n_mc)
     x, y = sample_synthetic(n_mc, stream(seed))
     z = logistic_predict(m, x)
     resid = y - z
@@ -132,8 +131,7 @@ def _floor_cbrt(v: float) -> int:
 
 def cube_root_bins(n: int) -> int:
     """The floor(n^(1/3)) bin-count rule used in the experiments."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count(n=n)
     return max(1, _floor_cbrt(n))
 
 
@@ -146,8 +144,7 @@ def optimal_bins(n: int, L: float, variant: str) -> int:
     [1, n//2] is taken over the whole range at once. Both results are
     clamped to [1, n//2].
     """
-    if n < 8:
-        raise ValueError("n must be at least 8")
+    _check_count(least=8, n=n)
     if L < 0:
         raise ValueError("L must be nonnegative")
     if not math.isfinite(L):

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma, expit
 
-from .binning import UMB, UWB, bin_sums, umb_scheme, uwb_scheme
+from .binning import UMB, UWB, _check_count, bin_sums, umb_scheme, uwb_scheme
 from .metrics import _binned_error
 from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
 from .rng import child_seed, stream
@@ -146,8 +146,7 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     n = pts.shape[0]
     if codes.shape[0] != n:
         raise ValueError("values and labels must have equal length")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_count(k=k)
     if n < k + 2:
         raise ValueError(f"insufficient pairs: need at least {k + 2}, have {n}")
     n_labels = int(codes.max()) + 1
@@ -243,8 +242,7 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     n = vals.size
     if codes.shape[0] != n:
         raise ValueError("values and labels must have equal length")
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
+    _check_count(least=2, bins=bins)
     if n < 4 * bins:
         raise ValueError(f"insufficient pairs: need at least {4 * bins}, have {n}")
     n_labels = int(codes.max()) + 1
@@ -304,20 +302,13 @@ class CmiExperimentConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.B < 1:
-            raise ValueError("B must be at least 1")
+        _check_count(n=self.n, B=self.B, n_supersamples=self.n_supersamples)
         if self.n < 2 * self.B:
             raise ValueError(f"need n >= 2B training rows per cell, got n={self.n}, B={self.B}")
-        if self.n_supersamples < 1:
-            raise ValueError("need at least one supersample draw")
-        if self.n_masks < 2:
-            raise ValueError("need at least two mask draws per supersample")
-        if not self.exhaustive and self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not self.exhaustive and self.n_masks < self.k + 2:
-            raise ValueError(
-                f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws"
-            )
+        if not self.exhaustive:
+            _check_count(n_masks=self.n_masks, k=self.k)
+            if self.n_masks < self.k + 2:
+                raise ValueError(f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws")
         if self.method not in (UWB, UMB):
             raise ValueError(f"unknown scheme method: {self.method}")
         if self.exhaustive and self.n > 12:

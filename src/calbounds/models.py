@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
+from .binning import _check_count
 from .rng import stream
 
 __all__ = [
@@ -65,10 +66,7 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError("epochs must be an integer")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        _check_count(epochs=self.epochs)
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ class McEstimate:
 
 def sample_synthetic(n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs from the balanced Gaussian-mixture distribution."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count(n=n)
     y = rng.integers(0, 2, size=n)
     x = rng.normal(loc=np.where(y == 1, -1.0, 1.0), scale=1.0)
     return x, y
@@ -131,8 +128,7 @@ def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
     (zero when n_mc == 1). The calibrated member beta = (0, -2) gives
     exactly 0.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
+    _check_count(n_mc=n_mc)
     x, _ = sample_synthetic(n_mc, stream(seed))
     t = np.abs(logistic_predict(m, x) - expit(-2.0 * x))
     value = float(np.mean(t))

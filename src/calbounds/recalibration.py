@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinningScheme, _dataset_sums, assign, bin_stats, umb_scheme
+from .binning import BinningScheme, _check_count, _dataset_sums, assign, bin_stats, umb_scheme
 from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
@@ -44,6 +44,7 @@ def fit_recalibrator(d_fit, B: int) -> Recalibrator:
     scores holds at least one of them, so every mean is defined. Requires
     at least 2B fit samples.
     """
+    _check_count(B=B)
     if len(d_fit) < 2 * B:
         raise ValueError(f"too few samples: need at least {2 * B}, have {len(d_fit)}")
     scheme = umb_scheme(d_fit.scores, B)

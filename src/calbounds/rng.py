@@ -11,22 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from .binning import _check_count
+
+
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    _check_count(least=0, seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
+    return np.random.SeedSequence(seed, spawn_key=path)
+
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for substream ``path`` under ``seed``.
 
-    ``path`` components must be non-negative integers (grid indices,
-    repetition counters, ...). The empty path is the root stream.
+    The seed and every ``path`` component (grid indices, repetition
+    counters, ...) must be non-negative integers: a float or a bool fails
+    with ``ValueError`` and is never truncated. The empty path is the root
+    stream.
     """
-    key = tuple(int(p) for p in path)
-    if any(p < 0 for p in key):
-        raise ValueError("substream path components must be non-negative")
-    ss = np.random.SeedSequence(int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def child_seed(seed: int, *path: int) -> int:
-    """Derive a plain integer seed for substream ``path`` (for nested configs)."""
-    key = tuple(int(p) for p in path)
-    ss = np.random.SeedSequence(int(seed), spawn_key=key)
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Derive a plain integer seed for substream ``path`` (for nested configs).
+
+    Takes the seed and path that ``stream`` takes, checked the same way.
+    """
+    return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])

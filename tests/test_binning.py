@@ -436,3 +436,17 @@ def test_array_holders_compare_and_hash_by_identity():
     assert stats == stats and stats != bin_stats(s, d) and {stats, recal}
     assert recal != Recalibrator(s, [0.5, 0.5, 0.5])
     assert ece(d, s) == ece(d, twin)  # an EceValue holds only its value
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BinningScheme(np.array([0.0]), "uwb"), "edges must hold at least two values"),
+        (lambda: BinningScheme(np.array([0.0, 1.0]), "quantile"), "unknown binning method: quantile"),
+    ],
+    ids=["single edge", "unknown method"],
+)
+def test_boundary_errors(make, message):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message

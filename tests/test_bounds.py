@@ -276,3 +276,18 @@ class TestNanInputs:
     def test_nan_fails_naming_the_parameter(self, name, param):
         with pytest.raises(ValueError, match=f"^{param} must "):
             BOUNDS[name](**{**VALID_ARGS[name], param: math.nan})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: stat_bias_bound(10, 100, "quantile"), "unknown variant: quantile"),
+        (lambda: gen_tce_bound(0.1, None, 10, 100, 1.0, "quantile"), "unknown variant: quantile"),
+        (lambda: gen_ece_bound(float("inf"), 3, 10), "bound value must be finite and nonnegative: inf"),
+    ],
+    ids=["_check_bn variant", "gen_tce variant", "non-finite report"],
+)
+def test_boundary_errors(make, message):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message

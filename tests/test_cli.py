@@ -408,6 +408,14 @@ class TestExitCodes:
         assert "learning_rate must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid", ["1,x", "100.7,200"])
+    @pytest.mark.parametrize("subcommand", ["synthetic", "cmi"])
+    def test_non_integer_grid_exits_2(self, subcommand, grid, tmp_path, capsys):
+        assert main([subcommand, "--n-grid", grid, "--out", str(tmp_path / "o")]) == 2
+        message = f"argument --n-grid: expected comma-separated integers, got {grid!r}"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand", ["synthetic", "cmi"])
     def test_empty_grid_exits_2(self, subcommand, tmp_path, capsys):
         assert main([subcommand, "--n-grid", ",", "--out", str(tmp_path / "o")]) == 2

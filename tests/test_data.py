@@ -494,3 +494,27 @@ class TestRunRecord:
         assert saved["results"] == [
             {"name": "slope", "value": None, "inputs": {"grid": [1.0, None], "bias": None}}
         ]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ScoredDataset([[0.5]], [1]), "scores and labels must be one-dimensional"),
+        (lambda: ScoredDataset([0.5, 0.6], [1]), "scores and labels must have equal length"),
+        (lambda: ScoredDataset(["0.1", "0.2"], [1, 0]), "scores must be numbers"),
+        (lambda: ScoredDataset([True, False], [1, 0]), "scores must be numbers"),
+        (lambda: ScoredDataset([0.1, None], [1, 0]), "scores must be numbers"),
+        (lambda: Supersample(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3)),
+         "values must have shape (n, 2)"),
+        (lambda: Supersample(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3)),
+         "labels must have the same shape as values"),
+        (lambda: Supersample(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 2, 1])),
+         "mask entries must be bits"),
+    ],
+    ids=["2-d scores", "unequal lengths", "string scores", "bool scores", "None score",
+         "values shape", "labels shape", "non-bit mask"],
+)
+def test_boundary_errors(make, message):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message

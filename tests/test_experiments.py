@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from calbounds import SyntheticModel, cube_root_bins, recalib_holdout_bound, recalib_reuse_bound
+from calbounds import (
+    ScoredDataset,
+    SyntheticModel,
+    cube_root_bins,
+    recalib_holdout_bound,
+    recalib_reuse_bound,
+)
 from calbounds.experiments import (
     run_recalibration,
     run_synthetic_experiment,
@@ -129,3 +135,27 @@ class TestRunRecalibration:
             self._pool(1000), "reuse", B=5, eval_split=0.4, seed=9, i_delta1=0.1, i_delta2=0.2
         )
         assert res.bound == recalib_reuse_bound(0.1, 0.2, 5, res.n_fit)
+
+
+POOL = ScoredDataset(np.linspace(0.0, 1.0, 100), np.tile([0, 1], 50))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"variant": "both"}, "unknown variant: both"),
+        ({"eval_split": 1.0}, "eval_split must lie in (0, 1)"),
+        ({"eval_split": 0.0}, "eval_split must lie in (0, 1)"),
+        ({"n_re": None}, "holdout variant requires n_re"),
+        ({"variant": "reuse", "n_re": None, "eval_split": 0.9},
+         "only 10 fit rows; need at least 20"),
+    ],
+    ids=["unknown variant", "eval_split 1", "eval_split 0", "holdout without n_re",
+         "reuse below 2B"],
+)
+def test_boundary_errors(kwargs, message):
+    args = {"pool": POOL, "variant": "holdout", "B": 10, "eval_split": 0.2, "seed": 0,
+            "n_re": 40, **kwargs}
+    with pytest.raises(ValueError) as e:
+        run_recalibration(**args)
+    assert str(e.value) == message

@@ -253,3 +253,17 @@ class TestOptimalBins:
     def test_non_finite_lipschitz_rejected(self, L, variant):
         with pytest.raises(ValueError, match="L must be finite"):
             optimal_bins(100, L, variant)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((100, -0.5, "uwb"), "L must be nonnegative"),
+        ((100, 1.0, "quantile"), "unknown variant: quantile"),
+    ],
+    ids=["L below 0", "unknown variant"],
+)
+def test_optimal_bins_boundary_errors(args, message):
+    with pytest.raises(ValueError) as e:
+        optimal_bins(*args)
+    assert str(e.value) == message

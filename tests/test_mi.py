@@ -800,3 +800,29 @@ class TestRunCmiExperiment:
             CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, k=0)
         # The plug-in oracle of exhaustive mode takes no k.
         CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, k=0, exhaustive=True)
+        # ... and reads no n_masks.
+        CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, n_masks=0, exhaustive=True)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ksg_mixed_mi(np.zeros(5), [0, 1, 0, 1]), "values and labels must have equal length"),
+        (lambda: plugin_mi(np.zeros(5), [0, 1, 0, 1], bins=2),
+         "values and labels must have equal length"),
+        (lambda: plugin_mi(np.zeros((40, 2)), np.tile([0, 1], 20), bins=4),
+         "plug-in estimator takes scalar values"),
+        (lambda: ksg_mixed_mi(np.zeros((10, 2, 2)), np.tile([0, 1], 5)),
+         "values must be scalars or fixed-length vectors"),
+        (lambda: CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, method="quantile"),
+         "unknown scheme method: quantile"),
+        (lambda: CmiExperimentConfig(n=2, B=1, trainer=TrainerConfig(), seed=0, exhaustive=True),
+         "exhaustive mode needs n >= 3 for the plug-in estimator"),
+    ],
+    ids=["ksg lengths", "plugin lengths", "plugin 2-d", "3-d values", "unknown method",
+         "exhaustive n < 3"],
+)
+def test_boundary_errors(make, message):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message

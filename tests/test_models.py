@@ -352,3 +352,17 @@ class TestBatchedDescent:
         x, y = np.zeros((1, 6)), np.array([[0, 1, 1, 0, 1, 1]])
         beta = models_mod._descend(np.zeros((1, 2)), x, y, TrainerConfig(epochs=5))
         assert beta[0, 1] == 0.0 and beta[0, 0] != 0.0
+
+
+@pytest.mark.parametrize(
+    "train, message",
+    [
+        ((np.zeros(3), np.zeros(4)), "x and y must have equal length"),
+        ((np.zeros((2, 3)), np.zeros(6)), "x and y must have equal length"),
+    ],
+    ids=["lengths", "shapes"],
+)
+def test_boundary_errors(train, message):
+    with pytest.raises(ValueError) as e:
+        train_logistic(train, TrainerConfig())
+    assert str(e.value) == message

@@ -145,3 +145,9 @@ class TestSerialization:
         scheme = BinningScheme([0.0, 0.5, 1.0], "umb")
         with pytest.raises(ValueError, match=r"label means must lie in \[0, 1\]"):
             Recalibrator(scheme, [bad, 0.3])
+
+
+def test_boundary_errors():
+    with pytest.raises(ValueError) as e:
+        Recalibrator(BinningScheme(np.linspace(0.0, 1.0, 5), "umb"), np.full(3, 0.5))
+    assert str(e.value) == "mu must hold exactly one value per bin"
