@@ -1,7 +1,8 @@
 """Scaling behavior of the TCE gap on the synthetic logistic family.
 
 The synthetic family has a closed-form calibration map, so the true
-calibration error is a Monte-Carlo integral away. For a perfectly
+calibration error is a one-dimensional integral, which ``exact_tce``
+evaluates by deterministic quadrature with an error estimate. For a perfectly
 calibrated and a miscalibrated member we measure |TCE - ECE| over a grid
 of test-set sizes at the bound-optimal bin count and compare each gap's
 decay with the bound's cube-root rate.
@@ -13,7 +14,7 @@ from calbounds import (
     SyntheticModel,
     canonical_calibration,
     estimate_lipschitz,
-    mc_tce,
+    exact_tce,
 )
 from calbounds.experiments import run_synthetic_experiment
 
@@ -24,12 +25,13 @@ for z in (0.1, 0.3, 0.5, 0.7, 0.9):
     print(f"  pi({z:.1f}) = {canonical_calibration(model, z):.4f}")
 L = estimate_lipschitz(model)  # a grid maximum of the slope, not a bound
 print("grid estimate of the Lipschitz constant:", round(L, 4))
-tce = mc_tce(model, 10**6, seed=1)
-print(f"Monte-Carlo TCE: {tce.value:.5f} +/- {tce.std_error:.5f}")
+tce = exact_tce(model)
+print(f"exact TCE: {tce.value:.7f} (quadrature error estimate {tce.error:.1e})")
 print()
 
-print("note: the perfectly specified member beta=(0, -2) has TCE",
-      f"{mc_tce(SyntheticModel(0.0, -2.0), 10**5, seed=2).value:.2e}")
+calibrated = exact_tce(SyntheticModel(0.0, -2.0))
+print(f"note: the perfectly specified member beta=(0, -2) has TCE {calibrated.value}",
+      f"(error {calibrated.error})")
 print()
 
 grid = [1000, 3162, 10_000, 31_623, 100_000]

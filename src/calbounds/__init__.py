@@ -44,11 +44,13 @@ from .mi import (
 )
 from .models import (
     McEstimate,
+    QuadEstimate,
     SyntheticModel,
     TrainerConfig,
     canonical_calibration,
     calibration_slope,
     estimate_lipschitz,
+    exact_tce,
     logistic_predict,
     mc_tce,
     sample_synthetic,
@@ -72,8 +74,8 @@ __all__ = [
     "ece_reformulated", "optimal_bins",
     "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",
     "plugin_mi", "run_cmi_experiment",
-    "McEstimate", "SyntheticModel", "TrainerConfig",
-    "canonical_calibration", "calibration_slope", "estimate_lipschitz",
+    "McEstimate", "QuadEstimate", "SyntheticModel", "TrainerConfig",
+    "canonical_calibration", "calibration_slope", "estimate_lipschitz", "exact_tce",
     "logistic_predict", "mc_tce", "sample_synthetic", "train_logistic",
     "Recalibrator", "apply_recalibrator", "fit_recalibrator", "recalibrated_tce",
 ]

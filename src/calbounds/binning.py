@@ -88,19 +88,24 @@ def _uniform_edges(B: int) -> np.ndarray:
     return np.arange(B + 1, dtype=np.float64) / B
 
 
-def _check_count(least: int = 1, **counts) -> None:
+def _check_count(least: int = 1, **counts) -> tuple[int, ...]:
     """The one check of every count a public entry takes: an int or numpy integer,
-    not a bool, of at least ``least``; never truncated."""
+    not a bool, of at least ``least``; never truncated.
+
+    Returns the counts in order as Python ints, which the entry goes on with: a
+    product such as ``2 * B`` taken in a small numpy dtype would wrap.
+    """
     for name, v in counts.items():
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         if v < least:
             raise ValueError(f"{name} must be at least {least}")
+    return tuple(int(v) for v in counts.values())
 
 
 def uwb_scheme(B: int) -> BinningScheme:
     """Uniform-width scheme with edges exactly i/B for i = 0..B."""
-    _check_count(B=B)
+    (B,) = _check_count(B=B)
     return BinningScheme(_uniform_edges(B), UWB)
 
 
@@ -116,7 +121,7 @@ def umb_scheme(scores, B: int) -> BinningScheme:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"scores must be a 1-d array, got shape {scores.shape}")
-    _check_count(B=B)
+    (B,) = _check_count(B=B)
     n_e = scores.size
     if n_e < 2 * B:
         raise ValueError(f"need n_e >= 2B samples for UMB, got n_e={n_e}, B={B}")

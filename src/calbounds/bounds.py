@@ -56,12 +56,13 @@ def _nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative: {v}")
 
 
-def _check_bn(B: int, n: int, variant: str) -> None:
-    _check_count(B=B, n=n)
+def _check_bn(B: int, n: int, variant: str) -> tuple[int, int]:
+    B, n = _check_count(B=B, n=n)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
     if variant == UMB and not n > B:
         raise ValueError("uniform-mass bounds require n > B")
+    return B, n
 
 
 def _umb_stat_term(B, n):
@@ -81,7 +82,7 @@ def stat_bias_bound(B: int, n: int, variant: str) -> BoundReport:
     Uniform-width: sqrt(2 B ln2 / n). Uniform-mass:
     sqrt(2 B ln2 / (n - B)) + 2B / (n - B).
     """
-    _check_bn(B, n, variant)
+    B, n = _check_bn(B, n, variant)
     if variant == UWB:
         value = math.sqrt(2.0 * B * _LN2 / n)
     else:
@@ -95,7 +96,7 @@ def binning_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     Uniform-width: (1+L)/B, independent of n. Uniform-mass:
     (1+L) * (1/B + sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
-    _check_bn(B, n, variant)
+    B, n = _check_bn(B, n, variant)
     _nonnegative(L=L)
     if variant == UWB:
         value = (1.0 + L) / B
@@ -110,7 +111,7 @@ def total_bias_bound(B: int, n: int, L: float, variant: str) -> BoundReport:
     Uniform-width: (1+L)/B + sqrt(2 B ln2 / n). Uniform-mass:
     (1+L)/B + (2+L) * (sqrt(2 B ln2 / (n - B)) + 2B / (n - B)).
     """
-    _check_bn(B, n, variant)
+    B, n = _check_bn(B, n, variant)
     _nonnegative(L=L)
     value = _total_bias(B, n, L, variant)
     return BoundReport("total_bias", value, {"B": B, "n": n, "L": L}, variant)
@@ -122,7 +123,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
     sqrt(2 (B ln2 + ln(1/delta)) / n), with ln(1/delta) taken as -ln(delta):
     1/delta overflows to inf for a subnormal delta.
     """
-    _check_count(B=B, n=n)
+    B, n = _check_count(B=B, n=n)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     value = math.sqrt(2.0 * (B * _LN2 - math.log(delta)) / n)
@@ -132,7 +133,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 def gen_ece_bound(ecmi: float, B: int, n: int) -> BoundReport:
     """Expected train/test calibration-error gap: sqrt(8 (eCMI + B ln2) / n)."""
     _nonnegative(ecmi=ecmi)
-    _check_count(B=B, n=n)
+    B, n = _check_count(B=B, n=n)
     value = math.sqrt(8.0 * (ecmi + B * _LN2) / n)
     return BoundReport("gen_ece", value, {"eCMI": ecmi, "B": B, "n": n})
 
@@ -147,7 +148,7 @@ def gen_tce_bound(
     (a tighter statistic-level MI may be substituted in that slot).
     """
     _nonnegative(ecmi=ecmi)
-    _check_count(B=B, n=n)
+    B, n = _check_count(B=B, n=n)
     _nonnegative(L=L)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
@@ -171,7 +172,7 @@ def metric_entropy_bound(B: int, n: int, L: float, delta: float, logN: float) ->
     supplies logN = log of the covering number of the class at radius
     delta / B in the sup norm. Requires 0 < delta <= 1/B.
     """
-    _check_count(B=B, n=n)
+    B, n = _check_count(B=B, n=n)
     _nonnegative(L=L)
     if not (0.0 < delta <= 1.0 / B):
         raise ValueError("delta must lie in (0, 1/B]")
@@ -193,7 +194,7 @@ def metric_entropy_bound_parametric(
     (3+2L)/B + sqrt(8 d B ln(2 L0 B^2) / n) for a d-dimensional,
     L0-Lipschitz class; requires 2 L0 B^2 > 1 so the log is positive.
     """
-    _check_count(B=B, n=n, d=d)
+    B, n, d = _check_count(B=B, n=n, d=d)
     _nonnegative(L=L)
     if not L0 > 0:
         raise ValueError(f"L0 must be positive: {L0}")
@@ -219,7 +220,7 @@ def recalib_reuse_bound(i_delta1: float, i_delta2: float, B: int, n: int) -> Bou
     looser 2 * sqrt(2 (fCMI + B ln2) / n) form.
     """
     _nonnegative(i_delta1=i_delta1, i_delta2=i_delta2)
-    _check_count(B=B, n=n)
+    B, n = _check_count(B=B, n=n)
     value = math.sqrt(2.0 * (i_delta1 + B * _LN2) / n) + math.sqrt(
         2.0 * (i_delta2 + B * _LN2) / n
     )
@@ -233,7 +234,7 @@ def recalib_holdout_bound(B: int, n_re: int) -> BoundReport:
 
     sqrt(2 B ln2 / (n_re - B)) + 2B / (n_re - B); requires n_re > B.
     """
-    _check_count(B=B, n_re=n_re)
+    B, n_re = _check_count(B=B, n_re=n_re)
     if not n_re > B:
         raise ValueError("n_re must exceed B")
     return BoundReport("recalib_holdout", _umb_stat_term(B, n_re), {"B": B, "n_re": n_re}, UMB)

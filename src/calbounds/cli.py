@@ -172,7 +172,7 @@ def _parse_grid(text: str) -> list[int]:
 
 def _cmd_synthetic(args, record: RunRecord) -> dict:
     result = run_synthetic_experiment(
-        args.beta0, args.beta1, args.n_grid, args.reps, args.b_rule, args.seed, n_mc=args.n_mc
+        args.beta0, args.beta1, args.n_grid, args.reps, args.b_rule, args.seed
     )
     tce = result.tce.value
     per_n = zip(result.n_grid, result.bins, result.bounds, result.ece.tolist())
@@ -184,8 +184,7 @@ def _cmd_synthetic(args, record: RunRecord) -> dict:
     )
     record.add("loglog_slope", result.slope, n_grid=args.n_grid, reps=args.reps)
     record.add(
-        "tce_mc", result.tce.value, std_error=result.tce.std_error, n_mc=args.n_mc,
-        beta0=args.beta0, beta1=args.beta1,
+        "tce_exact", result.tce.value, error=result.tce.error, beta0=args.beta0, beta1=args.beta1,
     )
     record.add("lipschitz", result.lipschitz, grid=LIPSCHITZ_GRID)
     return {"synthetic_gaps.csv": (["n", "rep", "B", "ece", "tce", "tce_gap", "bound"], gaps)}
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated test-set sizes")
     p_syn.add_argument("--reps", type=int, default=20)
     p_syn.add_argument("--b-rule", default="optimal", help="optimal | cube_root | fixed:K")
-    p_syn.add_argument("--n-mc", type=int, default=10**6, help="Monte-Carlo draws for the TCE oracle")
     p_syn.add_argument("--seed", type=int, default=0)
     add_common(p_syn)
     p_syn.set_defaults(func=_cmd_synthetic)

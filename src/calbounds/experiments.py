@@ -16,15 +16,15 @@ from .bounds import BoundReport, recalib_holdout_bound, recalib_reuse_bound, tot
 from .data import ScoredDataset
 from .metrics import cube_root_bins, ece, optimal_bins
 from .models import (
-    McEstimate,
+    QuadEstimate,
     SyntheticModel,
     estimate_lipschitz,
+    exact_tce,
     logistic_predict,
-    mc_tce,
     sample_synthetic,
 )
 from .recalibration import fit_recalibrator, recalibrated_tce
-from .rng import child_seed, stream
+from .rng import stream
 
 __all__ = [
     "SyntheticExperimentResult",
@@ -63,7 +63,7 @@ class SyntheticExperimentResult:
     bounds: tuple
     ece: np.ndarray
     slope: float
-    tce: McEstimate
+    tce: QuadEstimate
     lipschitz: float
 
 
@@ -74,27 +74,27 @@ def run_synthetic_experiment(
     reps: int,
     b_rule: str,
     seed: int,
-    n_mc: int = 10**6,
 ) -> SyntheticExperimentResult:
-    """Measure the gap between the Monte-Carlo TCE and the test-set ECE.
+    """Measure the gap between the exact TCE and the test-set ECE.
 
     For each grid size n and repetition, a fresh test set is drawn and
     scored, and the uniform-width ECE is computed at the rule-selected bin
     count; each n also gets the matching total-bias bound. The log-log slope
-    of the mean gap to the oracle TCE against n is fitted by least squares;
-    with fewer than two distinct sizes it is NaN.
+    of the mean gap to the TCE (``exact_tce``, by quadrature) against n is
+    fitted by least squares; with fewer than two distinct sizes it is NaN.
     ``b_rule`` is ``optimal``, ``cube_root`` or ``fixed:K``; a bad rule
     fails before any draw.
     """
-    _check_count(reps=reps)
+    (reps,) = _check_count(reps=reps)
+    (seed,) = _check_count(least=0, seed=seed)
     n_grid = tuple(n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one size")
-    _check_count(least=8, **{f"n_grid[{i}]": n for i, n in enumerate(n_grid)})
+    n_grid = _check_count(least=8, **{f"n_grid[{i}]": n for i, n in enumerate(n_grid)})
     bins_for = _bin_rule(b_rule)
     model = SyntheticModel(beta0, beta1)
     L = estimate_lipschitz(model)
-    tce = mc_tce(model, n_mc, child_seed(seed, 0))
+    tce = exact_tce(model)
 
     bins = tuple(bins_for(n, L) for n in n_grid)
     bounds = tuple(total_bias_bound(B, n, L, UWB).value for n, B in zip(n_grid, bins))
@@ -143,7 +143,7 @@ def run_recalibration(
     """
     if variant not in ("holdout", "reuse"):
         raise ValueError(f"unknown variant: {variant}")
-    _check_count(B=B)
+    (B,) = _check_count(B=B)
     if not (0.0 < eval_split < 1.0):
         raise ValueError("eval_split must lie in (0, 1)")
     n_total = len(pool)
@@ -160,7 +160,7 @@ def run_recalibration(
             raise ValueError("i_delta1 and i_delta2 apply only to the reuse variant")
         if n_re is None:
             raise ValueError("holdout variant requires n_re")
-        _check_count(n_re=n_re)
+        (n_re,) = _check_count(n_re=n_re)
         if n_re > n_rest:
             raise ValueError(f"n_re={n_re} exceeds the {n_rest} non-test rows")
         if n_re < 2 * B:

@@ -93,7 +93,7 @@ def binned_tce(m: SyntheticModel, s: BinningScheme, n_mc: int, seed: int) -> McE
     standard errors of the means: a conservative budget for a sum of
     absolute values of means.
     """
-    _check_count(n_mc=n_mc)
+    (n_mc,) = _check_count(n_mc=n_mc)
     x, y = sample_synthetic(n_mc, stream(seed))
     z = logistic_predict(m, x)
     resid = y - z
@@ -131,7 +131,7 @@ def _floor_cbrt(v: float) -> int:
 
 def cube_root_bins(n: int) -> int:
     """The floor(n^(1/3)) bin-count rule used in the experiments."""
-    _check_count(n=n)
+    (n,) = _check_count(n=n)
     return max(1, _floor_cbrt(n))
 
 
@@ -144,7 +144,7 @@ def optimal_bins(n: int, L: float, variant: str) -> int:
     [1, n//2] is taken over the whole range at once. Both results are
     clamped to [1, n//2].
     """
-    _check_count(least=8, n=n)
+    (n,) = _check_count(least=8, n=n)
     if L < 0:
         raise ValueError("L must be nonnegative")
     if not math.isfinite(L):

@@ -146,7 +146,7 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
     n = pts.shape[0]
     if codes.shape[0] != n:
         raise ValueError("values and labels must have equal length")
-    _check_count(k=k)
+    (k,) = _check_count(k=k)
     if n < k + 2:
         raise ValueError(f"insufficient pairs: need at least {k + 2}, have {n}")
     n_labels = int(codes.max()) + 1
@@ -242,7 +242,7 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
     n = vals.size
     if codes.shape[0] != n:
         raise ValueError("values and labels must have equal length")
-    _check_count(least=2, bins=bins)
+    (bins,) = _check_count(least=2, bins=bins)
     if n < 4 * bins:
         raise ValueError(f"insufficient pairs: need at least {4 * bins}, have {n}")
     n_labels = int(codes.max()) + 1
@@ -302,13 +302,15 @@ class CmiExperimentConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        _check_count(n=self.n, B=self.B, n_supersamples=self.n_supersamples)
+        counts = {"n": self.n, "B": self.B, "n_supersamples": self.n_supersamples}
+        if not self.exhaustive:
+            counts.update(n_masks=self.n_masks, k=self.k)
+        for name, v in zip(counts, _check_count(**counts)):
+            object.__setattr__(self, name, v)
         if self.n < 2 * self.B:
             raise ValueError(f"need n >= 2B training rows per cell, got n={self.n}, B={self.B}")
-        if not self.exhaustive:
-            _check_count(n_masks=self.n_masks, k=self.k)
-            if self.n_masks < self.k + 2:
-                raise ValueError(f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws")
+        if not self.exhaustive and self.n_masks < self.k + 2:
+            raise ValueError(f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws")
         if self.method not in (UWB, UMB):
             raise ValueError(f"unknown scheme method: {self.method}")
         if self.exhaustive and self.n > 12:

@@ -6,7 +6,9 @@ true posterior P(Y=1 | X=x) = 1/(1+exp(2x)). Predictors are the logistic
 family f(x) = sigmoid(beta0 + beta1*x); for any member the conditional
 label mean given the prediction has a closed form. Each member is one-to-one
 in x, so that mean at f(x) is the true posterior at x, and the true
-calibration error E|f(X) - sigmoid(-2X)| is a plain Monte-Carlo mean.
+calibration error E|f(X) - sigmoid(-2X)| is a one-dimensional integral:
+``exact_tce`` evaluates it by deterministic quadrature, with an error
+estimate, and ``mc_tce`` by a seeded Monte-Carlo mean.
 
 The trainer is one full-batch gradient-descent kernel over a stack of
 training sets: ``train_logistic`` runs it on one, and the supersample
@@ -15,6 +17,7 @@ experiment on every mask of a supersample at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +30,13 @@ __all__ = [
     "SyntheticModel",
     "TrainerConfig",
     "McEstimate",
+    "QuadEstimate",
     "sample_synthetic",
     "logistic_predict",
     "canonical_calibration",
     "calibration_slope",
     "mc_tce",
+    "exact_tce",
     "estimate_lipschitz",
     "train_logistic",
 ]
@@ -39,6 +44,9 @@ __all__ = [
 _BLOCK = 1 << 16  # x elements per block of the batched descent: bounds its temporaries
 LIPSCHITZ_GRID = 1000  # points of the estimate_lipschitz grid
 _LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
+_TCE_SPAN = 40.0  # exact_tce integrates over [-span, span]; the density is 0.0 beyond 39.6
+_TCE_TOL = 1e-13  # exact_tce's target for the summed error estimate
+_TCE_MAX_ROUNDS = 60  # bisections of a panel; 80 / 2**60 is below the float spacing at 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,8 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        _check_count(epochs=self.epochs)
+        (epochs,) = _check_count(epochs=self.epochs)
+        object.__setattr__(self, "epochs", epochs)
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,17 @@ class McEstimate:
     std_error: float
 
 
+@dataclass(frozen=True)
+class QuadEstimate:
+    """A deterministic quadrature value with an estimate of its absolute error."""
+
+    value: float
+    error: float
+
+
 def sample_synthetic(n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs from the balanced Gaussian-mixture distribution."""
-    _check_count(n=n)
+    (n,) = _check_count(n=n)
     y = rng.integers(0, 2, size=n)
     x = rng.normal(loc=np.where(y == 1, -1.0, 1.0), scale=1.0)
     return x, y
@@ -122,18 +139,75 @@ def calibration_slope(m: SyntheticModel, z1):
 def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of the model's true calibration error.
 
-    Draws x from the synthetic distribution and averages |f(x) - sigmoid(-2x)|:
-    f is one-to-one, so pi_1(f(x)) is the true posterior at x, even where
-    f(x) saturates to 0 or 1. The standard error of the mean is attached
-    (zero when n_mc == 1). The calibrated member beta = (0, -2) gives
-    exactly 0.
+    ``exact_tce`` gives the same integral by quadrature; this seeded mean
+    stays as its independent cross-check. Draws x from the synthetic
+    distribution and averages |f(x) - sigmoid(-2x)|: f is one-to-one, so
+    pi_1(f(x)) is the true posterior at x, even where f(x) saturates to 0
+    or 1. The standard error of the mean is attached (zero when
+    n_mc == 1). The calibrated member beta = (0, -2) gives exactly 0.
     """
-    _check_count(n_mc=n_mc)
+    (n_mc,) = _check_count(n_mc=n_mc)
     x, _ = sample_synthetic(n_mc, stream(seed))
     t = np.abs(logistic_predict(m, x) - expit(-2.0 * x))
     value = float(np.mean(t))
     se = float(np.std(t, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return McEstimate(value, se)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """20-point Gauss-Legendre nodes and weights on [-1, 1], made on first use: the
+    eigensolver behind them starts LAPACK, which costs ~1 MB of RSS in a run without it."""
+    return np.polynomial.legendre.leggauss(20)
+
+
+def _panel_integrals(m: SyntheticModel, lo, hi) -> np.ndarray:
+    """Gauss-Legendre values of the TCE integrand's integral over each panel [lo, hi]."""
+    nodes, weights = _gauss_legendre()
+    half = (hi - lo) / 2.0
+    x = ((lo + hi) / 2.0)[:, None] + half[:, None] * nodes
+    density = (np.exp(-0.5 * (x + 1.0) ** 2) + np.exp(-0.5 * (x - 1.0) ** 2)) / np.sqrt(8.0 * np.pi)
+    return half * (np.abs(logistic_predict(m, x) - expit(-2.0 * x)) * density @ weights)
+
+
+def exact_tce(m: SyntheticModel) -> QuadEstimate:
+    """The model's true calibration error E|f(X) - sigmoid(-2X)|, by quadrature.
+
+    Deterministic and seed-free. The integral runs over [-40, 40], beyond
+    which the mixture density is 0.0 in float64. Panels break at -1, 0 and
+    1, at f's midpoint -beta0/beta1 and at the crossing
+    -beta0/(beta1 + 2) where |f - sigmoid(-2x)| has its kink, and each gets
+    20-point Gauss-Legendre. While the summed |halves - whole| of the
+    panels exceeds 1e-13, every panel whose own |halves - whole| exceeds its
+    width's share of 1e-13 is bisected; the sum over the final panels is the
+    returned error. A per-panel rule alone would never stop on a steep f
+    whose midpoint is away from 0, where the float spacing of x moves f by
+    more than a narrow panel's share, though by little in total. The
+    calibrated member beta = (0, -2) gives exactly 0 with error 0.
+    """
+    b0, b1 = np.float64(m.beta0), np.float64(m.beta1)
+    # A steep model's -beta0/beta1 and beta1*x may overflow: the clip and expit take inf.
+    with np.errstate(over="ignore"):
+        breaks = [-_TCE_SPAN, -1.0, 0.0, 1.0, _TCE_SPAN, -b0 / b1]
+        if b1 != -2.0:  # at beta1 = -2, f - sigmoid(-2x) keeps one sign
+            breaks.append(-b0 / (b1 + 2.0))
+        edges = np.unique(np.clip(breaks, -_TCE_SPAN, _TCE_SPAN))
+        lo, hi = edges[:-1], edges[1:]
+        whole = _panel_integrals(m, lo, hi)
+        value = error = 0.0
+        for rounds in range(1, _TCE_MAX_ROUNDS + 1):
+            mid = (lo + hi) / 2.0
+            left, right = _panel_integrals(m, lo, mid), _panel_integrals(m, mid, hi)
+            halves = left + right
+            diff = np.abs(halves - whole)
+            if error + diff.sum() <= _TCE_TOL or rounds == _TCE_MAX_ROUNDS:
+                break
+            split = diff > _TCE_TOL * (hi - lo) / (2.0 * _TCE_SPAN)
+            value += halves[~split].sum()
+            error += diff[~split].sum()
+            lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+            whole = np.concatenate([left[split], right[split]])
+    return QuadEstimate(float(value + halves.sum()), float(error + diff.sum()))
 
 
 def estimate_lipschitz(m: SyntheticModel) -> float:
@@ -164,10 +238,15 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     which bounds the temporaries. A row whose parameters go non-finite
     raises with its epoch and ``where(row)``.
     """
-    out = np.empty_like(beta)
-    step = max(1, _BLOCK // x.shape[1])
+    out = np.array(beta, dtype=np.float64)  # each block descends in place here
+    n = x.shape[1]
+    step = max(1, _BLOCK // n)
+    resid = np.empty((min(step, len(beta)), n))
+    prod = np.empty_like(resid)
+    grad = np.empty((len(resid), 2))
     for lo in range(0, len(beta), step):
-        b, xb, yb = beta[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
+        b, xb, yb = out[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
+        r, p, g = resid[:len(b)], prod[:len(b)], grad[:len(b)]
         # A diverging row overflows silently: the check below names its epoch and row.
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(cfg.epochs + 1):
@@ -177,10 +256,17 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
                     raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
                 if epoch == cfg.epochs:
                     break
-                resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
-                grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
-                b = b - cfg.learning_rate * grad
-        out[lo:lo + step] = b
+                # The ufuncs of expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
+                np.multiply(b[:, 1:], xb, out=r)
+                np.add(b[:, :1], r, out=r)
+                expit(r, out=r)
+                np.subtract(r, yb, out=r)
+                np.multiply(r, xb, out=p)
+                np.add.reduce(r, axis=1, out=g[:, 0])
+                np.add.reduce(p, axis=1, out=g[:, 1])
+                g /= n
+                g *= cfg.learning_rate
+                b -= g
     return out
 
 

@@ -44,7 +44,7 @@ def fit_recalibrator(d_fit, B: int) -> Recalibrator:
     scores holds at least one of them, so every mean is defined. Requires
     at least 2B fit samples.
     """
-    _check_count(B=B)
+    (B,) = _check_count(B=B)
     if len(d_fit) < 2 * B:
         raise ValueError(f"too few samples: need at least {2 * B}, have {len(d_fit)}")
     scheme = umb_scheme(d_fit.scores, B)

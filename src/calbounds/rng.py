@@ -15,8 +15,8 @@ from .binning import _check_count
 
 
 def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
-    _check_count(least=0, seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
-    return np.random.SeedSequence(seed, spawn_key=path)
+    seed, *path = _check_count(least=0, seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
+    return np.random.SeedSequence(seed, spawn_key=tuple(path))
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -19,9 +19,9 @@ from calbounds import (
     cube_root_bins,
     ece,
     ece_reformulated,
+    exact_tce,
     fit_recalibrator,
     gen_ece_bound,
-    mc_tce,
     optimal_bins,
     recalib_holdout_bound,
     recalib_reuse_bound,
@@ -77,7 +77,7 @@ def test_criterion_02_scaling_law_slope():
     fits = {}
     for beta in ((0.0, -2.0), (0.5, -1.5)):
         result = run_synthetic_experiment(
-            *beta, grid, reps=20, b_rule="optimal", seed=20_240, n_mc=10**6
+            *beta, grid, reps=20, b_rule="optimal", seed=20_240
         )
         mean_gaps = np.abs(result.tce.value - result.ece).mean(axis=1)
         bound_slope = np.polyfit(np.log(result.n_grid), np.log(result.bounds), 1)[0]
@@ -234,11 +234,11 @@ def test_criterion_10_calibrated_model_zero():
     model = SyntheticModel(0.0, -2.0)
     z = np.linspace(1e-6, 1 - 1e-6, 10_001)
     pointwise = float(np.max(np.abs(canonical_calibration(model, z) - z)))
-    tce = mc_tce(model, 10**6, seed=1010)
-    ok = pointwise < 1e-12 and tce.value == 0.0
+    tce = exact_tce(model)
+    ok = pointwise < 1e-12 and tce.value == 0.0 and tce.error == 0.0
     _report(
         10,
         "calibrated-model-zero",
         ok,
-        f"max |pi(z) - z| = {pointwise:.2e}; mc TCE = {tce.value:.2e}",
+        f"max |pi(z) - z| = {pointwise:.2e}; exact TCE = {tce.value:.2e} (error {tce.error:.2e})",
     )

@@ -3,8 +3,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from scipy.special import ndtr
@@ -12,6 +16,8 @@ from scipy.special import ndtr
 import calbounds
 from calbounds import CmiExperimentConfig, TrainerConfig, run_cmi_experiment
 from calbounds.cli import _POOL_DEFAULTS, build_parser, main
+
+SRC = Path(calbounds.__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -218,7 +224,7 @@ class TestSyntheticCommand:
         out = tmp_path / "syn"
         code = main(
             ["synthetic", "--beta0", "0.5", "--beta1", "-1.5",
-             "--n-grid", "200,800", "--reps", "3", "--n-mc", "20000",
+             "--n-grid", "200,800", "--reps", "3",
              "--b-rule", "cube_root", "--seed", "5", "--out", str(out)]
         )
         assert code == 0
@@ -231,7 +237,7 @@ class TestSyntheticCommand:
             assert tce_gap == abs(tce - ece) and bound > 0
 
     def test_byte_identical_across_runs(self, tmp_path):
-        args = ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000",
+        args = ["synthetic", "--n-grid", "200,400", "--reps", "2",
                 "--b-rule", "cube_root", "--seed", "9"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == 0
@@ -242,16 +248,32 @@ class TestSyntheticCommand:
         # At beta1 = 1e300, f is the step 1{x > 0}, whose TCE is Phi(1) in closed form.
         out = tmp_path / "syn"
         assert main(["synthetic", "--beta1", "1e300", "--n-grid", "1000", "--reps", "1",
-                     "--n-mc", "200000", "--out", str(out)]) == 0
-        printed = float(re.search(r"tce (\S+)", capsys.readouterr().out).group(1))
+                     "--out", str(out)]) == 0
+        printed = re.search(r"tce (\S+)", capsys.readouterr().out).group(1)
         record = json.loads((out / "run_record.json").read_text())
-        tce = next(r for r in record["results"] if r["name"] == "tce_mc")
-        assert abs(printed - ndtr(1.0)) < 4 * tce["inputs"]["std_error"]
+        tce = next(r for r in record["results"] if r["name"] == "tce_exact")
+        assert printed == f"{ndtr(1.0):.6g}"
+        assert abs(tce["value"] - ndtr(1.0)) <= tce["inputs"]["error"] <= 1e-12
+
+    def test_leaves_scipy_integrate_unimported(self, tmp_path):
+        # Importing scipy.integrate costs about 0.2 s and 25 MB; the TCE quadrature is numpy's.
+        code = (
+            "import sys\n"
+            "import calbounds, calbounds.cli\n"
+            "argv = ['synthetic', '--n-grid', '200', '--reps', '1', '--out', sys.argv[1]]\n"
+            "assert calbounds.cli.main(argv) == 0\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
         # One grid point has no log-log slope: the NaN is written as null.
         out = tmp_path / "syn"
-        assert main(["synthetic", "--n-grid", "1000", "--reps", "1", "--n-mc", "1000",
+        assert main(["synthetic", "--n-grid", "1000", "--reps", "1",
                      "--out", str(out)]) == 0
 
         def reject(token):
@@ -477,9 +499,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["synthetic", "--beta1", "inf", "--n-grid", "100", "--reps", "1", "--n-mc", "100"],
+            (["synthetic", "--beta1", "inf", "--n-grid", "100", "--reps", "1"],
              "beta1 must be finite: inf"),
-            (["synthetic", "--beta0", "nan", "--n-grid", "100", "--reps", "1", "--n-mc", "100"],
+            (["synthetic", "--beta0", "nan", "--n-grid", "100", "--reps", "1"],
              "beta0 must be finite: nan"),
             (["recalibrate", "--variant", "holdout", "--bins", "5", "--n-re", "100",
               "--beta1", "nan"], "beta1 must be finite: nan"),
@@ -603,9 +625,9 @@ class TestExitCodes:
         import calbounds.experiments as experiments_mod
 
         def boom(*args, **kwargs):
-            raise RuntimeError("drew before checking the rule")
+            raise RuntimeError("computed the TCE before checking the rule")
 
-        monkeypatch.setattr(experiments_mod, "mc_tce", boom)
+        monkeypatch.setattr(experiments_mod, "exact_tce", boom)
         assert main(["synthetic", "--b-rule", rule, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown bin rule {rule!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -664,10 +686,10 @@ class TestRunRecordConfig:
 
     def test_synthetic(self, tmp_path, capsys):
         argv = ["synthetic", "--beta0", "0.25", "--beta1", "-1", "--n-grid", "200,400",
-                "--reps", "2", "--b-rule", "fixed:5", "--n-mc", "5000", "--seed", "9"]
+                "--reps", "2", "--b-rule", "fixed:5", "--seed", "9"]
         assert self._config(argv, tmp_path) == {
             "subcommand": "synthetic", "beta0": 0.25, "beta1": -1.0, "n_grid": [200, 400],
-            "reps": 2, "b_rule": "fixed:5", "n_mc": 5000, "seed": 9,
+            "reps": 2, "b_rule": "fixed:5", "seed": 9,
         }
 
     def test_recalibrate(self, scores, tmp_path, capsys):

@@ -68,11 +68,11 @@ CASES = [
        lambda v, name=name: CmiExperimentConfig(**{**CMI, name: v}))
       for name in ("n", "B", "n_supersamples", "n_masks", "k")],
     ("run_synthetic_experiment reps", "reps", 1, 1,
-     lambda v: run_synthetic_experiment(0.5, -1.5, [100], v, "cube_root", 0, n_mc=100)),
+     lambda v: run_synthetic_experiment(0.5, -1.5, [100], v, "cube_root", 0)),
     ("run_synthetic_experiment grid size", "n_grid[1]", 8, 200,
-     lambda v: run_synthetic_experiment(0.5, -1.5, [100, v], 1, "cube_root", 0, n_mc=100)),
+     lambda v: run_synthetic_experiment(0.5, -1.5, [100, v], 1, "cube_root", 0)),
     ("run_synthetic_experiment seed", "seed", 0, 3,
-     lambda v: run_synthetic_experiment(0.5, -1.5, [100], 1, "cube_root", v, n_mc=100)),
+     lambda v: run_synthetic_experiment(0.5, -1.5, [100], 1, "cube_root", v)),
     ("run_recalibration B", "B", 1, 5,
      lambda v: run_recalibration(DATASET, "holdout", v, 0.5, 0, n_re=40)),
     ("run_recalibration n_re", "n_re", 1, 40,
@@ -109,3 +109,47 @@ def test_numpy_integer_count_is_taken(ok, call):
 def test_numpy_integer_seed_and_path_draw_the_same_stream():
     assert child_seed(np.int64(4), np.uint8(2)) == child_seed(4, 2)
     assert stream(np.int64(4), np.uint8(2)).random() == stream(4, 2).random()
+
+
+SMALL_DTYPES = (np.uint8, np.int8, np.uint16)
+SMALL = [(case, dtype) for case in CASES for dtype in SMALL_DTYPES
+         if case[3] <= np.iinfo(dtype).max]
+
+
+@pytest.mark.parametrize(
+    "dtype, ok, call", [(dtype, *case[3:]) for case, dtype in SMALL],
+    ids=[f"{case[0]}-{dtype.__name__}" for case, dtype in SMALL],
+)
+def test_small_numpy_integer_count_is_taken(dtype, ok, call):
+    # The configured filter turns a wrapping product's RuntimeWarning into a failure.
+    call(dtype(ok))
+
+
+# A count in a small dtype whose 2B (or 4 * bins) would wrap: the check must still see it.
+WRAPS = [
+    ("umb_scheme", lambda: umb_scheme(np.linspace(0.0, 1.0, 300), np.uint8(200)),
+     "need n_e >= 2B samples for UMB, got n_e=300, B=200"),
+    ("fit_recalibrator", lambda: fit_recalibrator(
+        ScoredDataset(np.linspace(0.0, 1.0, 300), np.tile([0, 1], 150)), np.uint8(200)),
+     "too few samples: need at least 400, have 300"),
+    ("plugin_mi", lambda: plugin_mi(np.linspace(0.0, 1.0, 300), np.tile([0, 1], 150),
+                                    bins=np.uint8(100)),
+     "insufficient pairs: need at least 400, have 300"),
+    ("CmiExperimentConfig", lambda: CmiExperimentConfig(**{**CMI, "n": np.uint8(200),
+                                                           "B": np.uint8(130)}),
+     "need n >= 2B training rows per cell, got n=200, B=130"),
+]
+
+
+@pytest.mark.parametrize("call, message", [w[1:] for w in WRAPS], ids=[w[0] for w in WRAPS])
+def test_small_dtype_count_does_not_wrap(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_small_dtype_counts_reach_full_range():
+    assert uwb_scheme(np.uint8(255)).B == 255
+    assert TrainerConfig(epochs=np.uint8(255)).epochs == 255
+    assert type(TrainerConfig(epochs=np.int8(3)).epochs) is int
+    assert stream(np.uint8(255), np.uint8(255)).random() == stream(255, 255).random()

@@ -37,7 +37,7 @@ class TestScoredSyntheticDataset:
 class TestRunSyntheticExperiment:
     def test_row_shape_and_content(self):
         res = run_synthetic_experiment(
-            0.5, -1.5, [200, 400], reps=3, b_rule="cube_root", seed=5, n_mc=20_000
+            0.5, -1.5, [200, 400], reps=3, b_rule="cube_root", seed=5
         )
         assert res.n_grid == (200, 400)
         assert res.bins == (cube_root_bins(200), cube_root_bins(400))
@@ -51,24 +51,24 @@ class TestRunSyntheticExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_synthetic_experiment(
-                0.5, -1.5, [8, 8], reps=2, b_rule="cube_root", seed=5, n_mc=2000
+                0.5, -1.5, [8, 8], reps=2, b_rule="cube_root", seed=5
             )
         assert res.ece.shape == (2, 2) and np.isnan(res.slope)
 
     def test_calibrated_model_tce_column_near_zero(self):
         res = run_synthetic_experiment(
-            0.0, -2.0, [200, 400], reps=2, b_rule="cube_root", seed=6, n_mc=50_000
+            0.0, -2.0, [200, 400], reps=2, b_rule="cube_root", seed=6
         )
-        assert res.tce.value < 0.005
+        assert res.tce.value == 0.0 and res.tce.error == 0.0
 
     def test_fixed_rule(self):
         res = run_synthetic_experiment(
-            0.5, -1.5, [300], reps=2, b_rule="fixed:9", seed=7, n_mc=10_000
+            0.5, -1.5, [300], reps=2, b_rule="fixed:9", seed=7
         )
         assert res.bins == (9,)
 
     def test_deterministic(self):
-        kwargs = dict(n_grid=[200, 400], reps=2, b_rule="cube_root", seed=11, n_mc=10_000)
+        kwargs = dict(n_grid=[200, 400], reps=2, b_rule="cube_root", seed=11)
         a = run_synthetic_experiment(0.5, -1.5, **kwargs)
         b = run_synthetic_experiment(0.5, -1.5, **kwargs)
         assert np.array_equal(a.ece, b.ece) and a.bounds == b.bounds and a.slope == b.slope

@@ -1,4 +1,4 @@
-"""Synthetic family, calibration map, Monte-Carlo TCE, and the trainer."""
+"""Synthetic family, calibration map, exact and Monte-Carlo TCE, and the trainer."""
 
 import math
 import warnings
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 import calbounds.models as models_mod
 from calbounds import (
@@ -17,6 +17,7 @@ from calbounds import (
     calibration_slope,
     canonical_calibration,
     estimate_lipschitz,
+    exact_tce,
     logistic_predict,
     mc_tce,
     sample_synthetic,
@@ -149,7 +150,11 @@ class TestEstimateLipschitz:
 
 
 def quad_tce(beta0, beta1):
-    """E|sigmoid(beta0 + beta1 X) - sigmoid(-2X)| by quadrature, split where the two cross."""
+    """E|sigmoid(beta0 + beta1 X) - sigmoid(-2X)| by scipy's adaptive quadrature.
+
+    Over [-40, 40], split at -1, 0, 1, where the two cross and at f's midpoint:
+    an infinite range can miss the mass of a crossing far out in the tail.
+    """
 
     def integrand(x):
         density = (math.exp(-0.5 * (x + 1) ** 2) + math.exp(-0.5 * (x - 1) ** 2)) / (
@@ -157,8 +162,9 @@ def quad_tce(beta0, beta1):
         )
         return abs(expit(beta0 + beta1 * x) - expit(-2 * x)) * density
 
-    crossing = -beta0 / (beta1 + 2)
-    return quad(integrand, -np.inf, crossing)[0] + quad(integrand, crossing, np.inf)[0]
+    cuts = [-1.0, 0.0, 1.0, -beta0 / beta1] + ([-beta0 / (beta1 + 2)] if beta1 != -2 else [])
+    edges = sorted({-40.0, 40.0, *(min(max(c, -40.0), 40.0) for c in cuts)})
+    return sum(quad(integrand, lo, hi, epsabs=1e-13, limit=200)[0] for lo, hi in zip(edges, edges[1:]))
 
 
 class TestMcTce:
@@ -204,6 +210,66 @@ class TestMcTce:
         small = mc_tce(m, 1000, seed=8)
         large = mc_tce(m, 100_000, seed=8)
         assert large.std_error < small.std_error
+
+
+# (beta, TCE) by quadrature; beta1 = 1e300 makes f the step 1{x > 0}, whose TCE is Phi(1).
+TCE_TABLE = [
+    ((0.5, -1.5), 0.0744433),
+    ((0.0, -20.0), 0.1418834),
+    ((0.5, -50.0), 0.1519590),
+    ((0.5, 1000.0), 0.8410093),
+    ((0.5, 1e300), 0.8413447),
+    ((1.0, -3.0), 0.0845689),
+    ((4.0, -2.0), 0.3805010),
+]
+
+
+class TestExactTce:
+    @pytest.mark.parametrize("beta, expected", TCE_TABLE, ids=[str(b) for b, _ in TCE_TABLE])
+    def test_table(self, beta, expected):
+        est = exact_tce(SyntheticModel(*beta))
+        assert est.value == pytest.approx(expected, abs=1e-6)
+        assert 0.0 <= est.error <= 1e-12
+        assert exact_tce(SyntheticModel(*beta)) == est  # seed-free, so the same bits each call
+
+    def test_step_model_is_phi_of_one(self):
+        est = exact_tce(SyntheticModel(0.5, 1e300))
+        assert abs(est.value - ndtr(1.0)) <= est.error
+
+    def test_calibrated_model_is_exactly_zero(self):
+        assert exact_tce(SyntheticModel(0, -2)) == models_mod.QuadEstimate(0.0, 0.0)
+
+    @pytest.mark.parametrize("beta", [(0.5, -1.5), (1.0, -1.0), (-0.5, -2.5), (0.0, -20.0)])
+    def test_monte_carlo_mean_within_4_se(self, beta):
+        m = SyntheticModel(*beta)
+        mc = mc_tce(m, 10**6, seed=25)
+        assert abs(mc.value - exact_tce(m).value) < 4 * mc.std_error
+
+    @given(beta0=st.floats(-3, 3), beta1=st.floats(-10, 10).filter(lambda b: abs(b) > 1e-3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_quad(self, beta0, beta1):
+        assert exact_tce(SyntheticModel(beta0, beta1)).value == pytest.approx(
+            quad_tce(beta0, beta1), abs=1e-10
+        )
+
+    @given(
+        beta0=st.floats(-1e308, 1e308, allow_subnormal=True),
+        beta1=st.floats(-1e308, 1e308).filter(lambda b: b != 0.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_model(self, beta0, beta1):
+        # Overflow of -beta0/beta1 or beta1*x is taken as inf, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = exact_tce(SyntheticModel(beta0, beta1))
+        assert 0.0 <= est.value <= 1.0 and 0.0 <= est.error <= 1e-12
+
+    def test_steep_model_off_centre_converges(self):
+        # f's midpoint lies at x = -0.453, where one float step of x moves f by about
+        # 1e-13: no narrow panel meets its share there, so the summed error decides.
+        est = exact_tce(SyntheticModel(7631.006560452792, 16846.27220307029))
+        assert est.error <= 1e-12
+        assert est.value == pytest.approx(0.8173343488, abs=1e-9)
 
 
 class TestTrainLogistic:
@@ -293,6 +359,20 @@ def masked_stack(n_masks, n, seed):
     return values[rows, masks], labels[rows, masks]
 
 
+def stacked_descent(beta, x, y, cfg, block):
+    """The batched descent before its buffers: fresh temporaries, mean and np.stack each epoch."""
+    out = np.empty_like(beta)
+    step = max(1, block // x.shape[1])
+    for lo in range(0, len(beta), step):
+        b, xb, yb = beta[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
+        for _ in range(cfg.epochs):
+            resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
+            grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
+            b = b - cfg.learning_rate * grad
+        out[lo:lo + step] = b
+    return out
+
+
 class TestBatchedDescent:
     """``_descend`` trains each row of a stack as ``train_logistic`` trains it alone."""
 
@@ -318,6 +398,28 @@ class TestBatchedDescent:
             lone = train_logistic((x[m], y[m]), cfg, seed=seeds[m])
             assert (b0, b1) == (lone.beta0, lone.beta1)
             assert (lone.beta0, lone.beta1) == reference_descent(x[m], y[m], cfg, seeds[m])
+
+    @given(
+        rows=st.integers(1, 40),
+        n=st.integers(1, 300),
+        epochs=st.integers(1, 20),
+        lr=st.sampled_from([0.05, 0.5, 2.0]),
+        block=st.integers(1, 2000),
+        int_labels=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_buffers_equal_stacked_loop(self, rows, n, epochs, lr, block, int_labels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, n))
+        y = rng.integers(0, 2, size=(rows, n))
+        y = y if int_labels else y.astype(np.float64)
+        beta = rng.normal(0.0, 0.01, size=(rows, 2))
+        cfg = TrainerConfig(learning_rate=lr, epochs=epochs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models_mod, "_BLOCK", block)
+            got = models_mod._descend(beta, x, y, cfg)
+        assert got.tobytes() == stacked_descent(beta, x, y, cfg, block).tobytes()
 
     def test_block_split_at_the_element_cap(self):
         n = models_mod._BLOCK // 2 + 1  # one row per block

@@ -61,7 +61,7 @@ RUNS = {
     "gap-json": ["gap", "train.json", "test.csv", "--bins", "3", "--method", "umb"],
     "bounds": ["bounds", "gen-tce", "--ecmi", "0.1", "--fcmi", "0.2", "--bins", "15",
                "--n", "4000", "--lipschitz", "1", "--variant", "umb"],
-    "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--n-mc", "5000", "--seed", "1"],
+    "synthetic": ["synthetic", "--n-grid", "200,400", "--reps", "2", "--seed", "1"],
     "cmi": ["cmi", "--n-grid", "40,100", "--seed", "1"],
     "cmi-exhaustive": ["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--seed", "1"],
     "cmi-uwb": ["cmi", "--n-grid", "40", "--method", "uwb", "--seed", "1"],
@@ -86,9 +86,9 @@ DIGESTS = {
         "run_record.json": "04a054ca67e572443f89caed5f8ba49e24970fedb5afaced38bc3a341a4a3840",
     },
     "synthetic": {
-        "stdout": "e27e34bbe8ed1502643598fed4490f20b301948ec8e52e655e002910d188548f",
-        "run_record.json": "0a317bb617d304177a111601ca6d5f42eefd061d73da17fd975652f8556b79f6",
-        "synthetic_gaps.csv": "83cd44e33659fd07588caf3b1d49763374328da66b1854e9e17d3d8381b22b8d",
+        "stdout": "d7e81a57a9ba458398db0ea78bb97cc51b00ad252c33af149f64ea0672bf03db",
+        "run_record.json": "5c10f92b6e44b29818e8d3f4d4f5bb335af6129daa0f09797b8fdaf2839a25c5",
+        "synthetic_gaps.csv": "2498b441273c29438a1b93faa5c63015417ebe3624d270f9c24d2863bf85c5a5",
     },
     "cmi": {
         "stdout": "171ab2aae9322132fb2435e23ffb8a6e70ac8682c07988ebc09269635936a712",
