@@ -27,7 +27,6 @@ from .data import RunRecord, ScoredDataset, Supersample, load_scores, save_score
 from .metrics import (
     EceValue,
     GapStatistic,
-    binned_tce,
     cube_root_bins,
     ece,
     ece_gap,
@@ -50,6 +49,7 @@ from .models import (
     canonical_calibration,
     calibration_slope,
     estimate_lipschitz,
+    exact_binned_tce,
     exact_tce,
     logistic_predict,
     mc_tce,
@@ -70,12 +70,12 @@ __all__ = [
     "high_prob_bound", "metric_entropy_bound", "metric_entropy_bound_parametric",
     "recalib_holdout_bound", "recalib_reuse_bound", "stat_bias_bound", "total_bias_bound",
     "RunRecord", "ScoredDataset", "Supersample", "load_scores", "save_scores",
-    "EceValue", "GapStatistic", "binned_tce", "cube_root_bins", "ece", "ece_gap",
-    "ece_reformulated", "optimal_bins",
+    "EceValue", "GapStatistic", "cube_root_bins", "ece", "ece_gap", "ece_reformulated",
+    "optimal_bins",
     "CmiExperimentConfig", "CmiExperimentResult", "MiEstimate", "ksg_mixed_mi",
     "plugin_mi", "run_cmi_experiment",
     "McEstimate", "QuadEstimate", "SyntheticModel", "TrainerConfig",
-    "canonical_calibration", "calibration_slope", "estimate_lipschitz", "exact_tce",
-    "logistic_predict", "mc_tce", "sample_synthetic", "train_logistic",
+    "canonical_calibration", "calibration_slope", "estimate_lipschitz", "exact_binned_tce",
+    "exact_tce", "logistic_predict", "mc_tce", "sample_synthetic", "train_logistic",
     "Recalibrator", "apply_recalibrator", "fit_recalibrator", "recalibrated_tce",
 ]

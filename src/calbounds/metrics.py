@@ -4,8 +4,7 @@ The expected calibration error of a dataset under a scheme is the
 mass-weighted sum of per-bin |mean score - mean label| deviations; empty
 bins carry zero mass and contribute nothing. An algebraically equivalent
 single-pass form (per-bin |sum of (label - score)| over n) is provided as a
-cross-check, along with oracle-assisted binned true-calibration-error
-estimates for the synthetic family.
+cross-check.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ import numpy as np
 
 from .binning import UMB, UWB, BinningScheme, _check_count, _dataset_sums, bin_sums
 from .bounds import _total_bias
-from .models import McEstimate, SyntheticModel, logistic_predict, sample_synthetic
-from .rng import stream
 
 __all__ = [
     "EceValue",
     "GapStatistic",
     "ece",
     "ece_reformulated",
-    "binned_tce",
     "ece_gap",
     "optimal_bins",
     "cube_root_bins",
@@ -83,26 +79,6 @@ def ece_reformulated(d, s: BinningScheme) -> EceValue:
     _, residual_sums = bin_sums(s, d.scores, d.labels - d.scores)
     value = float(np.sum(np.abs(residual_sums)) / len(d))
     return EceValue(min(value, 1.0))
-
-
-def binned_tce(m: SyntheticModel, s: BinningScheme, n_mc: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of the binned model's true calibration error.
-
-    Estimates sum_i |E[(Y - f(X)) * 1{f(X) in I_i}]| on the synthetic
-    distribution. The attached standard error is the sum of the per-bin
-    standard errors of the means: a conservative budget for a sum of
-    absolute values of means.
-    """
-    (n_mc,) = _check_count(n_mc=n_mc)
-    x, y = sample_synthetic(n_mc, stream(seed))
-    z = logistic_predict(m, x)
-    resid = y - z
-    _, sums, sq_sums = bin_sums(s, z, resid, resid * resid)
-    value = float(np.sum(np.abs(sums)) / n_mc)
-    # Per-bin variance of (y - z) * indicator around its mean sums/n (exactly 0 at n_mc = 1).
-    variances = sq_sums / n_mc - (sums / n_mc) ** 2
-    se = float(np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc)))
-    return McEstimate(value, se)
 
 
 def ece_gap(d_train, d_test, s: BinningScheme) -> GapStatistic:

@@ -8,7 +8,8 @@ label mean given the prediction has a closed form. Each member is one-to-one
 in x, so that mean at f(x) is the true posterior at x, and the true
 calibration error E|f(X) - sigmoid(-2X)| is a one-dimensional integral:
 ``exact_tce`` evaluates it by deterministic quadrature, with an error
-estimate, and ``mc_tce`` by a seeded Monte-Carlo mean.
+estimate, and ``mc_tce`` by a seeded Monte-Carlo mean. The binned TCE
+``exact_binned_tce`` sums the same quadrature's panels bin by bin.
 
 The trainer is one full-batch gradient-descent kernel over a stack of
 training sets: ``train_logistic`` runs it on one, and the supersample
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .binning import _check_count
+from .binning import BinningScheme, _check_count
 from .rng import stream
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "calibration_slope",
     "mc_tce",
     "exact_tce",
+    "exact_binned_tce",
     "estimate_lipschitz",
     "train_logistic",
 ]
@@ -104,7 +106,8 @@ def sample_synthetic(n: int, rng: np.random.Generator):
 
 def logistic_predict(m: SyntheticModel, x):
     """sigmoid(beta0 + beta1 * x); no clamping is applied."""
-    return expit(m.beta0 + m.beta1 * np.asarray(x, dtype=np.float64))
+    with np.errstate(over="ignore"):  # a steep model's product may overflow: expit takes inf
+        return expit(m.beta0 + m.beta1 * np.asarray(x, dtype=np.float64))
 
 
 def canonical_calibration(m: SyntheticModel, z1):
@@ -170,44 +173,70 @@ def _panel_integrals(m: SyntheticModel, lo, hi) -> np.ndarray:
     return half * (np.abs(logistic_predict(m, x) - expit(-2.0 * x)) * density @ weights)
 
 
-def exact_tce(m: SyntheticModel) -> QuadEstimate:
-    """The model's true calibration error E|f(X) - sigmoid(-2X)|, by quadrature.
+def _tce_panels(m: SyntheticModel, cuts=()):
+    """Yield each round's accepted panels of the TCE quadrature as (midpoint, value, error).
 
-    Deterministic and seed-free. The integral runs over [-40, 40], beyond
-    which the mixture density is 0.0 in float64. Panels break at -1, 0 and
-    1, at f's midpoint -beta0/beta1 and at the crossing
-    -beta0/(beta1 + 2) where |f - sigmoid(-2x)| has its kink, and each gets
-    20-point Gauss-Legendre. While the summed |halves - whole| of the
-    panels exceeds 1e-13, every panel whose own |halves - whole| exceeds its
-    width's share of 1e-13 is bisected; the sum over the final panels is the
-    returned error. A per-panel rule alone would never stop on a steep f
-    whose midpoint is away from 0, where the float spacing of x moves f by
-    more than a narrow panel's share, though by little in total. The
-    calibrated member beta = (0, -2) gives exactly 0 with error 0.
+    The integral runs over [-40, 40], beyond which the mixture density is 0.0
+    in float64. Panels break at -1, 0, 1, f's midpoint -beta0/beta1, the
+    crossing -beta0/(beta1 + 2) where |f - sigmoid(-2x)| has its kink, and
+    ``cuts``, and each gets 20-point Gauss-Legendre. While the summed
+    |halves - whole| exceeds 1e-13, every panel whose own exceeds its width's
+    share of 1e-13 is bisected; the others are accepted, with that difference
+    as their error. A per-panel rule alone would never stop on a steep f whose
+    midpoint is away from 0: there one float step of x moves f by more than a
+    narrow panel's share, though by little in total.
     """
     b0, b1 = np.float64(m.beta0), np.float64(m.beta1)
-    # A steep model's -beta0/beta1 and beta1*x may overflow: the clip and expit take inf.
+    # A steep model's -beta0/beta1 may overflow: the clip takes inf.
     with np.errstate(over="ignore"):
-        breaks = [-_TCE_SPAN, -1.0, 0.0, 1.0, _TCE_SPAN, -b0 / b1]
+        breaks = [-_TCE_SPAN, -1.0, 0.0, 1.0, _TCE_SPAN, -b0 / b1, *cuts]
         if b1 != -2.0:  # at beta1 = -2, f - sigmoid(-2x) keeps one sign
             breaks.append(-b0 / (b1 + 2.0))
-        edges = np.unique(np.clip(breaks, -_TCE_SPAN, _TCE_SPAN))
-        lo, hi = edges[:-1], edges[1:]
-        whole = _panel_integrals(m, lo, hi)
-        value = error = 0.0
-        for rounds in range(1, _TCE_MAX_ROUNDS + 1):
-            mid = (lo + hi) / 2.0
-            left, right = _panel_integrals(m, lo, mid), _panel_integrals(m, mid, hi)
-            halves = left + right
-            diff = np.abs(halves - whole)
-            if error + diff.sum() <= _TCE_TOL or rounds == _TCE_MAX_ROUNDS:
-                break
-            split = diff > _TCE_TOL * (hi - lo) / (2.0 * _TCE_SPAN)
-            value += halves[~split].sum()
-            error += diff[~split].sum()
-            lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-            whole = np.concatenate([left[split], right[split]])
-    return QuadEstimate(float(value + halves.sum()), float(error + diff.sum()))
+    edges = np.unique(np.clip(breaks, -_TCE_SPAN, _TCE_SPAN))
+    lo, hi = edges[:-1], edges[1:]
+    whole = _panel_integrals(m, lo, hi)
+    error = 0.0
+    for rounds in range(1, _TCE_MAX_ROUNDS + 1):
+        mid = (lo + hi) / 2.0
+        left, right = _panel_integrals(m, lo, mid), _panel_integrals(m, mid, hi)
+        halves = left + right
+        diff = np.abs(halves - whole)
+        if error + diff.sum() <= _TCE_TOL or rounds == _TCE_MAX_ROUNDS:
+            yield mid, halves, diff
+            return
+        split = diff > _TCE_TOL * (hi - lo) / (2.0 * _TCE_SPAN)
+        yield mid[~split], halves[~split], diff[~split]
+        error += diff[~split].sum()
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        whole = np.concatenate([left[split], right[split]])
+
+
+def exact_tce(m: SyntheticModel) -> QuadEstimate:
+    """The model's true calibration error E|f(X) - sigmoid(-2X)|, by the seed-free
+    quadrature of ``_tce_panels``; the error is its panels' summed error, <= ~1e-13."""
+    value = error = 0.0
+    for _, values, errors in _tce_panels(m):
+        value += values.sum()
+        error += errors.sum()
+    return QuadEstimate(float(value), float(error))
+
+
+def exact_binned_tce(m: SyntheticModel, s: BinningScheme) -> QuadEstimate:
+    """The binned TCE sum_i |E[(Y - f(X)) 1{f(X) in bin i}]|, for any edges, by quadrature.
+
+    f is monotone, so bin i is the x-interval between (logit u - beta0)/beta1 at
+    its edges. The panels break there and at the crossing, so over each one
+    f - sigmoid(-2x) has the sign of beta0 + (beta1 + 2) x, and a bin's signed
+    mass is the signed sum of its panels. The error is that of all panels.
+    """
+    sums, error = np.zeros(s.B), 0.0
+    with np.errstate(over="ignore"):  # a steep or flat model's ends and signs may be inf
+        cuts = np.sort(np.clip((logit(s.edges[1:-1]) - m.beta0) / m.beta1, -_TCE_SPAN, _TCE_SPAN))
+        for mid, values, errors in _tce_panels(m, cuts):
+            signed = values * np.sign(m.beta0 + (m.beta1 + 2.0) * mid)
+            sums += np.bincount(np.searchsorted(cuts, mid), weights=signed, minlength=s.B)
+            error += errors.sum()
+    return QuadEstimate(float(np.abs(sums).sum()), float(error))
 
 
 def estimate_lipschitz(m: SyntheticModel) -> float:
@@ -218,7 +247,7 @@ def estimate_lipschitz(m: SyntheticModel) -> float:
     beta = (0.5, -1.5)). For |beta1| > 2, pi_1 is not Lipschitz at all: the
     slope grows without limit towards the endpoints (it passes 1.3e5 near
     z = 1 at (1, -3), where this returns 27.7). Bias bounds built on it
-    carry both errors; see ROADMAP item 2.
+    carry both errors; see ROADMAP item 2, whose Lipschitz half is open.
     """
     zs = np.linspace(_LIPSCHITZ_EPS, 1.0 - _LIPSCHITZ_EPS, LIPSCHITZ_GRID)
     return float(np.max(np.abs(calibration_slope(m, zs))))

@@ -270,6 +270,21 @@ class TestSyntheticCommand:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_steepest_model_writes_nothing_to_stderr(self, tmp_path):
+        # beta1 * x overflows while the test sets are drawn; numpy's warning must not show.
+        code = (
+            "import sys\n"
+            "import calbounds.cli\n"
+            "argv = ['synthetic', '--beta1', '1e308', '--n-grid', '100', '--reps', '1',\n"
+            "        '--out', sys.argv[1]]\n"
+            "sys.exit(calbounds.cli.main(argv))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
         # One grid point has no log-log slope: the NaN is written as null.
         out = tmp_path / "syn"

@@ -11,7 +11,6 @@ from calbounds import (
     ScoredDataset,
     SyntheticModel,
     TrainerConfig,
-    binned_tce,
     cube_root_bins,
     fit_recalibrator,
     ksg_mixed_mi,
@@ -57,7 +56,6 @@ CASES = [
     ("fit_recalibrator B", "B", 1, 10, lambda v: fit_recalibrator(DATASET, v)),
     ("cube_root_bins n", "n", 1, 27, lambda v: cube_root_bins(v)),
     ("optimal_bins n", "n", 8, 100, lambda v: optimal_bins(v, 1.0, "umb")),
-    ("binned_tce n_mc", "n_mc", 1, 100, lambda v: binned_tce(MODEL, uwb_scheme(10), v, 0)),
     ("mc_tce n_mc", "n_mc", 1, 100, lambda v: mc_tce(MODEL, v, 0)),
     ("mc_tce seed", "seed", 0, 3, lambda v: mc_tce(MODEL, 100, v)),
     ("sample_synthetic n", "n", 1, 10, lambda v: sample_synthetic(v, stream(0))),

@@ -9,23 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calbounds import (
+    BinningScheme,
+    QuadEstimate,
     ScoredDataset,
     SyntheticModel,
     bin_stats,
-    binned_tce,
+    bin_sums,
     cube_root_bins,
     ece,
     ece_gap,
     ece_reformulated,
+    exact_binned_tce,
+    exact_tce,
     fit_recalibrator,
+    logistic_predict,
     optimal_bins,
     recalibrated_tce,
+    sample_synthetic,
     total_bias_bound,
     umb_scheme,
     uwb_scheme,
 )
 from calbounds.binning import _MAX_CELLS
 from calbounds.experiments import scored_synthetic_dataset
+from calbounds.rng import stream
 
 
 def random_dataset(rng, n=None):
@@ -151,38 +158,122 @@ class TestEceReformulated:
         assert peak <= 2 * 8 * n + 2**19
 
 
+def mc_binned_tce(m, s, n_mc, seed):
+    """Monte-Carlo reference for the binned TCE: sum_i |mean of (y - z) 1{z in bin i}|,
+    with the sum of the per-bin standard errors of those means."""
+    x, y = sample_synthetic(n_mc, stream(seed))
+    z = logistic_predict(m, x)
+    resid = y - z
+    _, sums, sq_sums = bin_sums(s, z, resid, resid * resid)
+    variances = sq_sums / n_mc - (sums / n_mc) ** 2
+    se = np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc))
+    return float(np.sum(np.abs(sums)) / n_mc), float(se)
+
+
+def drawn_umb_scheme(m, B, seed=0):
+    """A uniform-mass scheme on 10^4 scores drawn from the synthetic model."""
+    return umb_scheme(logistic_predict(m, sample_synthetic(10**4, stream(seed))[0]), B)
+
+
+def edge_scheme(points):
+    """A scheme whose interior edges are the distinct points in (0, 1)."""
+    return BinningScheme(np.unique([0.0, *points, 1.0]), "umb")
+
+
+betas = st.tuples(st.floats(-10, 10), st.floats(-100, 100).filter(lambda b: abs(b) > 1e-3))
+interior = st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), max_size=30)
+
+# (beta, B, binned TCE) by quadrature; at (4, -2) f - sigmoid(-2x) keeps one sign, so it is the TCE.
+BINNED_TCE_TABLE = [
+    ((0.5, -1.5), 15, 0.0743485),
+    ((1.0, -3.0), 15, 0.0845227),
+    ((4.0, -2.0), 5, 0.3805010),
+    ((4.0, -2.0), 15, 0.3805010),
+    ((4.0, -2.0), 100, 0.3805010),
+]
+
+
 class TestBinnedTce:
+    @pytest.mark.parametrize("beta, B, expected", BINNED_TCE_TABLE)
+    def test_table(self, beta, B, expected):
+        est = exact_binned_tce(SyntheticModel(*beta), uwb_scheme(B))
+        assert est.value == pytest.approx(expected, abs=1e-7)
+        assert 0.0 <= est.error <= 1e-12
+
     def test_calibrated_model_near_zero(self):
+        # f is the true posterior, so every panel, and so every bin, is exactly 0.
         m = SyntheticModel(0.0, -2.0)
-        est = binned_tce(m, uwb_scheme(10), n_mc=50_000, seed=31)
-        assert est.value < 3 * est.std_error
+        for s in (uwb_scheme(1), uwb_scheme(10), uwb_scheme(200), drawn_umb_scheme(m, 20)):
+            assert exact_binned_tce(m, s) == QuadEstimate(0.0, 0.0)
 
     def test_single_bin_matches_direct_mc(self):
         # Independent oracle: with one bin the statistic reduces to
         # |E[Y - f(X)]|, estimated here by a separate plain MC loop.
         m = SyntheticModel(0.5, -1.5)
-        est = binned_tce(m, uwb_scheme(1), n_mc=200_000, seed=37)
+        est = exact_binned_tce(m, uwb_scheme(1))
 
         rng = np.random.default_rng(99)
-        y = rng.integers(0, 2, size=200_000)
+        y = rng.integers(0, 2, size=10**6)
         x = rng.normal(np.where(y == 1, -1.0, 1.0), 1.0)
         z = 1.0 / (1.0 + np.exp(-(0.5 - 1.5 * x)))
         direct = abs(np.mean(y - z))
         se_direct = np.std(y - z, ddof=1) / np.sqrt(y.size)
-        assert abs(est.value - direct) < 3 * (est.std_error + se_direct)
+        assert abs(est.value - direct) < 4 * se_direct
 
-    @pytest.mark.parametrize("B", [1, 5, 35])
-    def test_single_draw_has_zero_std_error(self, B):
-        m = SyntheticModel(0.5, -1.5)
-        for seed in range(20):
-            est = binned_tce(m, uwb_scheme(B), n_mc=1, seed=seed)
-            assert est.std_error == 0.0
+    @pytest.mark.parametrize(
+        "beta, B, method",
+        [((0.5, -1.5), 15, "uwb"), ((1.0, -3.0), 15, "uwb"), ((-0.5, -2.5), 7, "uwb"),
+         ((0.5, -1.5), 12, "umb")],
+    )
+    def test_monte_carlo_reference_within_4_se(self, beta, B, method):
+        m = SyntheticModel(*beta)
+        s = uwb_scheme(B) if method == "uwb" else drawn_umb_scheme(m, B, seed=1)
+        value, se = mc_binned_tce(m, s, 10**6, seed=26)
+        assert abs(value - exact_binned_tce(m, s).value) < 4 * se
 
     def test_deterministic(self):
-        m = SyntheticModel(0.5, -1.5)
-        a = binned_tce(m, uwb_scheme(5), n_mc=10_000, seed=7)
-        b = binned_tce(m, uwb_scheme(5), n_mc=10_000, seed=7)
-        assert a.value == b.value
+        # Seed-free, so the same bits each call.
+        m, s = SyntheticModel(0.5, -1.5), uwb_scheme(5)
+        assert exact_binned_tce(m, s) == exact_binned_tce(m, s)
+
+    @given(
+        beta0=st.floats(-1e308, 1e308, allow_subnormal=True),
+        beta1=st.floats(-1e308, 1e308).filter(lambda b: b != 0.0),
+        points=interior,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_finite_model(self, beta0, beta1, points):
+        # Overflow of a bin end or of the sign's argument is taken as inf, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = exact_binned_tce(SyntheticModel(beta0, beta1), edge_scheme(points))
+        assert 0.0 <= est.value <= 1.0 and 0.0 <= est.error <= 1e-12
+
+    @given(beta=betas, points=interior)
+    @settings(max_examples=60, deadline=None)
+    def test_at_most_the_tce(self, beta, points):
+        m = SyntheticModel(*beta)
+        binned, tce = exact_binned_tce(m, edge_scheme(points)), exact_tce(m)
+        # The errors bound the quadrature's, not the float rounding of its sums (~1e-17).
+        assert binned.value <= tce.value + binned.error + tce.error + 1e-15
+
+    @given(beta=betas, points=interior, extra=interior)
+    @settings(max_examples=60, deadline=None)
+    def test_more_edges_never_lower_it(self, beta, points, extra):
+        m = SyntheticModel(*beta)
+        coarse = exact_binned_tce(m, edge_scheme(points))
+        fine = exact_binned_tce(m, edge_scheme(points + extra))
+        assert fine.value >= coarse.value - (coarse.error + fine.error) - 1e-15
+
+    @pytest.mark.parametrize(
+        "beta", [(4.0, -2.0), (-0.7, -2.0), (-130.0, 1.0), (-100.0, -4.0)],
+        ids=["beta1 -2", "beta1 -2 low", "crossing 43.3", "crossing -50"],
+    )
+    @pytest.mark.parametrize("B", [1, 7, 60])
+    def test_equals_tce_without_a_sign_change(self, beta, B):
+        m = SyntheticModel(*beta)
+        binned, tce = exact_binned_tce(m, uwb_scheme(B)), exact_tce(m)
+        assert abs(binned.value - tce.value) <= binned.error + tce.error + 1e-15
 
 
 class TestEceGap:

@@ -69,6 +69,13 @@ class TestLogisticPredict:
         with pytest.raises(ValueError):
             SyntheticModel(0.0, 0.0)
 
+    def test_overflowing_product_saturates_without_warning(self):
+        # beta1 * x overflows to -inf and +inf, whose expit is exactly 0 and 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = logistic_predict(SyntheticModel(0.0, 1e308), [-2.0, 2.0])
+        assert z.tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["beta0", "beta1"])
     def test_non_finite_parameter_rejected(self, name, bad):
@@ -224,6 +231,18 @@ TCE_TABLE = [
 ]
 
 
+# The bits of each TCE_TABLE value and error, as (value.hex(), error.hex()).
+TCE_BITS = {
+    (0.5, -1.5): ("0x1.30eb6afd1cbaap-4", "0x1.4468000000000p-47"),
+    (0.0, -20.0): ("0x1.2293c4de4355fp-3", "0x1.a842000000000p-44"),
+    (0.5, -50.0): ("0x1.373648a036791p-3", "0x1.1530842000000p-47"),
+    (0.5, 1000.0): ("0x1.ae98c4785337bp-1", "0x1.3b4c0e034200cp-47"),
+    (0.5, 1e300): ("0x1.aec4bd120d372p-1", "0x1.c680000000003p-45"),
+    (1.0, -3.0): ("0x1.5a64df65a4ea2p-4", "0x1.4b50000002b00p-47"),
+    (4.0, -2.0): ("0x1.85a20c70791b2p-2", "0x1.4200000000dc0p-49"),
+}
+
+
 class TestExactTce:
     @pytest.mark.parametrize("beta, expected", TCE_TABLE, ids=[str(b) for b, _ in TCE_TABLE])
     def test_table(self, beta, expected):
@@ -231,6 +250,12 @@ class TestExactTce:
         assert est.value == pytest.approx(expected, abs=1e-6)
         assert 0.0 <= est.error <= 1e-12
         assert exact_tce(SyntheticModel(*beta)) == est  # seed-free, so the same bits each call
+
+    @pytest.mark.parametrize("beta", TCE_BITS, ids=str)
+    def test_bits(self, beta):
+        # The synthetic digests pin only (0.5, -1.5); a change to the quadrature shows here.
+        est = exact_tce(SyntheticModel(*beta))
+        assert (est.value.hex(), est.error.hex()) == TCE_BITS[beta]
 
     def test_step_model_is_phi_of_one(self):
         est = exact_tce(SyntheticModel(0.5, 1e300))
