@@ -19,7 +19,7 @@ __all__ = [
 
 UWB = "uwb"
 UMB = "umb"
-_BLOCK = 1 << 14  # scores per block of the table index: bounds its temporaries
+_BLOCK = 1 << 14  # scores per block of the table index and of bin_sums: bounds temporaries
 _MAX_CELLS = 1 << 14  # bounds the table at 2 * (2**14 + 1) * 8 bytes, ~256 KiB
 
 
@@ -182,12 +182,34 @@ def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
 def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:
     """``(counts, *sums)``: per-bin score count (int64) and per-bin sum of each weight array.
 
-    Every binned estimator reduces through here.
+    Every binned estimator reduces through here. The scores may take any
+    shape `assign` takes, each weight array must have their shape, and every
+    element is reduced. One pass in blocks of `_BLOCK` scores bounds the
+    temporaries (a block's bin index and float copy of a weight) whatever n
+    is. The first block is reduced by `np.bincount`; each later one adds its
+    counts by `np.bincount`, exact in any order, and its weights by
+    `np.add.at`, which adds in score order as `np.bincount` does, so every
+    sum has the bits of one `np.bincount` over all the scores.
     """
-    idx = assign(scheme, scores)
+    scores = np.asarray(scores, dtype=np.float64)
+    weights = [np.asarray(w) for w in weights]
+    for w in weights:
+        if w.shape != scores.shape:
+            raise ValueError(
+                f"weights of shape {w.shape} do not match scores of shape {scores.shape}")
+    scores, weights = scores.reshape(-1), [w.reshape(-1) for w in weights]
+    idx = assign(scheme, scores[:_BLOCK])
     idx -= 1  # in place, as in assign
     counts = np.bincount(idx, minlength=scheme.B).astype(np.int64)
-    return (counts, *(np.bincount(idx, weights=w, minlength=scheme.B) for w in weights))
+    sums = [np.bincount(idx, weights=w[:_BLOCK], minlength=scheme.B) for w in weights]
+    for lo in range(_BLOCK, scores.size, _BLOCK):
+        idx = assign(scheme, scores[lo:lo + _BLOCK])
+        idx -= 1
+        counts += np.bincount(idx, minlength=scheme.B)
+        for total, w in zip(sums, weights):
+            # Float weights: add.at takes numpy's slow path on ints.
+            np.add.at(total, idx, w[lo:lo + _BLOCK].astype(np.float64, copy=False))
+    return (counts, *sums)
 
 
 @dataclass(frozen=True, eq=False)

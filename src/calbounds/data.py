@@ -81,11 +81,12 @@ class ScoredDataset:
 
 _CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
 _SNIFF = 4096  # characters read from a file's start to decide its format
-_PIECE = 1 << 20  # characters of JSON decoded at a time, and bytes of CSV scanned at a time
+_PIECE = 1 << 16  # characters of JSON read and decoded at a time, bytes of CSV scanned
 # Suffixes that numpy's path opener decompresses: such files are read as text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # Line breaks of str.splitlines() that a text-mode file does not break lines at.
 _ODD_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_JSON_SPACE = " \t\n\r"
 _RECORD_BREAK = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
@@ -196,36 +197,49 @@ def _piece_columns(piece: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
 
 
-def _decode_json(text: str, path: str) -> tuple:
-    """Scores and labels of a JSON score file, decoded in record-aligned pieces.
+def _stream_json(p: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Scores and labels of a JSON score file read `_PIECE` characters at a time, or None.
 
     The outer array's body is cut after a ``}`` that a comma joins to the
-    next ``{``, every `_PIECE` characters or so, and each piece is decoded
-    as an array of its own. JSON's grammar is deterministic, so when every
-    piece decodes, the whole text decodes to their concatenation. A piece
-    that does not decode (a cut inside a string or a nested array, or
-    malformed JSON), or whose columns are not plain numbers with 0/1 labels,
-    sends the whole text through `_decode_whole`, which gives the exact
-    message, or the same values.
+    next ``{``, at the first such break at least `_PIECE` characters past
+    the previous cut, and each piece is decoded as an array of its own.
+    JSON's grammar is deterministic, so when every piece decodes, the whole
+    text decodes to their concatenation. Only a piece and the next read are
+    held at a time, and each read is searched for breaks once. None, for the
+    caller to decode the whole text (which gives the exact message, or the
+    same values), when the text is not one outer array, a piece does not
+    decode (a cut inside a string or a nested array, or malformed JSON), a
+    piece's columns are not plain numbers with 0/1 labels, or a byte is not
+    UTF-8.
     """
-    lo, hi = 0, len(text)  # the text holds a "[" or "{", so both loops stop at it
-    while text[lo] in " \t\n\r":
-        lo += 1
-    while text[hi - 1] in " \t\n\r":
-        hi -= 1
-    if text[lo] != "[" or text[hi - 1] != "]":
-        return _decode_whole(text, path)
-    start, stop = lo + 1, hi - 1
     pieces = []
-    while True:
-        cut = _RECORD_BREAK.search(text, start + _PIECE, stop) if start + _PIECE < stop else None
-        columns = _piece_columns(text[start:cut.start() + 1 if cut else stop])
-        if columns is None:
-            return _decode_whole(text, path)
-        pieces.append(columns)
-        if cut is None:
-            return tuple(map(np.concatenate, zip(*pieces)))
-        start = cut.end() - 1
+    try:
+        with p.open(encoding="utf-8") as f:
+            buf = ""
+            while not buf and (chunk := f.read(_PIECE)):
+                buf = chunk.lstrip(_JSON_SPACE)
+            if not buf.startswith("["):
+                return None
+            buf, scan = buf[1:], 0  # no break starts in buf[_PIECE:scan]
+            while chunk := f.read(_PIECE):
+                buf += chunk
+                while cut := _RECORD_BREAK.search(buf, max(scan, _PIECE)):
+                    columns = _piece_columns(buf[:cut.start() + 1])
+                    if columns is None:
+                        return None
+                    pieces.append(columns)
+                    buf, scan = buf[cut.end() - 1:], 0
+                # A break the next read completes starts at the last "}".
+                last = buf.rfind("}", max(scan, _PIECE))
+                scan = len(buf) if last < 0 else last
+    except UnicodeDecodeError:
+        return None
+    body = buf.rstrip(_JSON_SPACE)
+    columns = _piece_columns(body[:-1]) if body.endswith("]") else None
+    if columns is None:
+        return None
+    pieces.append(columns)
+    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 def load_scores(path) -> ScoredDataset:
@@ -250,11 +264,12 @@ def load_scores(path) -> ScoredDataset:
         fast = _load_csv_fast(p, head)
         if fast is not None:
             return fast
-    if text is None:
-        text = _read_text(p)
-    scores, labels = _decode_json(text, str(p)) if is_json else _parse_csv(text, str(p))
+    columns = _stream_json(p) if text is None and is_json else None
+    if columns is None:
+        text = _read_text(p) if text is None else text
+        columns = _decode_whole(text, str(p)) if is_json else _parse_csv(text, str(p))
     try:
-        return ScoredDataset(scores, labels)  # range, label and empty-file checks
+        return ScoredDataset(*columns)  # range, label and empty-file checks
     except ValueError as e:
         raise ValueError(f"{p}: {e}") from None
 

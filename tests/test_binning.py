@@ -3,6 +3,7 @@
 import functools
 import gc
 import operator
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from calbounds import (
     umb_scheme,
     uwb_scheme,
 )
+import calbounds.binning as binning_mod
 from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _uniform_edges
 
 
@@ -313,6 +315,85 @@ class TestBinSums:
         assert counts.tolist() == want_counts
         assert label_sums.tolist() == want_labels
         assert noise_sums.tolist() == want_noise
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["uwb", "umb", "packed"]),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_equal_one_bincount(self, block, B, method, extra, seed):
+        # Later blocks add through np.add.at, which must keep the bits of one
+        # bincount over all scores. Scores sit at 0, 1, every edge and its float
+        # neighbours; packed edges (3/8 and 3/8 + 1/cap less a float) leave no
+        # table, so every block takes binary search.
+        grid = np.arange(B + 1, dtype=np.float64) / B
+        scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
+        if method == "uwb":
+            s = uwb_scheme(B)
+        elif method == "umb":
+            s = quiet_umb(scores, B)
+        else:
+            s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
+            assert s._cells == 0
+        near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
+        rng = np.random.default_rng(seed)
+        scores = rng.permutation(np.concatenate([scores, np.clip(near, 0.0, 1.0)]))
+        labels = rng.integers(0, 2, size=scores.size)
+        noise = rng.normal(size=scores.size) * 10.0 ** rng.integers(-8, 9, size=scores.size)
+        idx = np.maximum(np.searchsorted(s.edges, scores, "left"), 1) - 1
+        want = [np.bincount(idx, minlength=s.B).astype(np.int64)]
+        want += [np.bincount(idx, weights=w, minlength=s.B) for w in (scores, labels, noise)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binning_mod, "_BLOCK", block)
+            got = bin_sums(s, scores, scores, labels, noise)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_reduces_every_element_of_any_shape(self):
+        # A 0-d score, which assign takes, and a 2-d array of scores.
+        s = uwb_scheme(4)
+        counts, sums = bin_sums(s, 0.3, 1)
+        assert counts.tolist() == [0, 1, 0, 0]
+        assert sums.tolist() == [0.0, 1.0, 0.0, 0.0]
+        grid = np.array([[0.0, 0.25, 0.3], [0.6, 0.9, 1.0]])
+        labels = np.array([[1, 0, 1], [0, 1, 1]])
+        flat = bin_sums(s, grid.ravel(), grid.ravel(), labels.ravel())
+        for got, want in zip(bin_sums(s, grid, grid, labels), flat, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "scores, weight, message",
+        [
+            ([0.1, 0.2, 0.3], [1, 0], "weights of shape (2,) do not match scores of shape (3,)"),
+            (0.3, [1], "weights of shape (1,) do not match scores of shape ()"),
+            (np.zeros((2, 3)), np.zeros(6),
+             "weights of shape (6,) do not match scores of shape (2, 3)"),
+        ],
+        ids=["short", "0-d scores", "flattened"],
+    )
+    def test_weight_shape_must_match(self, scores, weight, message):
+        with pytest.raises(ValueError) as e:
+            bin_sums(uwb_scheme(4), scores, weight)
+        assert str(e.value) == message
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # One block's index and float copy of the labels at a time: reducing the
+        # whole input at once held 15.3 MB of temporaries at n = 1e6.
+        n = 1_000_000
+        rng = np.random.default_rng(3)
+        scores, labels = rng.uniform(size=n), rng.integers(0, 2, size=n)
+        scheme = uwb_scheme(15)
+        tracemalloc.start()
+        try:
+            bin_sums(scheme, scores, scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBinStats:

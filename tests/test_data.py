@@ -358,7 +358,8 @@ def _json_texts():
     # (record separator, key-value separator, item separator, opening, closing)
     layout = st.sampled_from([(", ", ": ", ", ", "[", "]"), (",", ":", ",", "[", "]"),
                               (",\n  ", ": ", ",\n    ", "[\n  ", "\n]"),
-                              (" ,\t", " : ", " , ", " \n[ ", " ]\n")])
+                              (" ,\t", " : ", " , ", " \n[ ", " ]\n"),
+                              (",\r\n  ", ": ", ",\r\n    ", "[\r\n  ", "\r\n] \r\n\t")])
 
     def render(records, lay):
         sep, colon, item, opening, closing = lay
@@ -399,23 +400,55 @@ class TestJsonPieces:
     def test_plain_layouts_never_decode_whole(self, tmp_path, monkeypatch, indent):
         records = [{"score": i / 100, "label": i % 2} for i in range(100)]
         p = tmp_path / "d.json"
-        p.write_text(json.dumps(records, indent=indent))
         pieces = []
         real = data_mod._piece_columns
         monkeypatch.setattr(data_mod, "_PIECE", 50)
         monkeypatch.setattr(data_mod, "_piece_columns", lambda t: pieces.append(t) or real(t))
         monkeypatch.setattr(data_mod, "_decode_whole", None)  # any call would raise
-        d = load_scores(p)
-        assert len(pieces) > 10
-        assert d.scores.tolist() == [r["score"] for r in records]
+        monkeypatch.setattr(data_mod, "_read_text", None)  # nor is the whole text read
+        for newline, tail in [("\n", ""), ("\r\n", ""), ("\n", " \n\t\r\n "), ("\r\n", "\r\n")]:
+            text = json.dumps(records, indent=indent) + tail
+            p.write_bytes(text.replace("\n", newline).encode())
+            pieces.clear()
+            d = load_scores(p)
+            assert len(pieces) > 10
+            assert d.scores.tolist() == [r["score"] for r in records]
+            assert d.labels.tolist() == [r["label"] for r in records]
+
+    def test_non_utf8_byte_after_the_first_piece(self, tmp_path, monkeypatch):
+        # The streaming reader meets the byte in a later read, whose decoder
+        # counts from that read's start; the message counts from the file's.
+        text = json.dumps([{"score": i / 1000, "label": i % 2} for i in range(1000)]).encode()
+        at = text.index(b'"score"', 20_000) + 2  # past the text reader's first 8 KiB chunk
+        p = tmp_path / "d.json"
+        p.write_bytes(text[:at] + b"\xff" + text[at:])
+        monkeypatch.setattr(data_mod, "_PIECE", 50)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == (f"{p}: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                                "invalid start byte")
+
+    @pytest.mark.parametrize("tail", ["", " \n"], ids=["at the end", "before whitespace"])
+    def test_missing_closing_bracket(self, tmp_path, monkeypatch, tail):
+        text = json.dumps([{"score": i / 100, "label": i % 2} for i in range(100)], indent=1)
+        text = text[:-1] + tail
+        p = tmp_path / "d.json"
+        p.write_text(text)
+        monkeypatch.setattr(data_mod, "_PIECE", 50)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value).startswith(f"{p}: malformed JSON at line ")
+        with pytest.raises(ValueError) as want:
+            _reference_json(text, str(p))
+        assert str(e.value) == str(want.value)
 
 
 class TestIngestMemory:
     @pytest.mark.parametrize("name", ["d.json", "d.csv"])
     def test_peak_memory_of_a_100k_record_file(self, tmp_path, monkeypatch, name):
-        # A JSON file is read whole (its bytes and its text), then decoded one piece at a
-        # time; a CSV file is parsed by numpy from the file. Neither holds a Python object
-        # per row: the peak stays under twice the file, 16 pieces and 3 copies of the arrays.
+        # A JSON file is read and decoded one piece at a time; a CSV file is parsed by
+        # numpy from the file. Neither holds the whole text or a Python object per row:
+        # the peak stays under 16 pieces and 3 copies of the arrays.
         piece = 1 << 16
         monkeypatch.setattr(data_mod, "_PIECE", piece, raising=False)
         rng = np.random.default_rng(5)
@@ -430,7 +463,7 @@ class TestIngestMemory:
         finally:
             tracemalloc.stop()
         assert back.scores.tobytes() == d.scores.tobytes()
-        assert peak <= 2 * p.stat().st_size + 16 * piece + 3 * n * 16
+        assert peak <= 16 * piece + 3 * n * 16
 
 
 class TestRoundTrip:

@@ -127,8 +127,8 @@ class TestEceReformulated:
         assert abs(ece(d, s).value - ece_reformulated(d, s).value) < 1e-12
 
     def test_peak_memory_two_arrays_of_n(self):
-        # The residuals and the bin indices: 2 * 8 bytes a score (15.26 MiB at
-        # n = 1e6), plus half a MiB for the table index's block temporaries.
+        # The residuals, 8 bytes a score (7.63 MiB at n = 1e6), plus under a MiB
+        # for one block's bin index and table temporaries.
         n = 1_000_000
         rng = np.random.default_rng(29)
         d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
@@ -138,7 +138,7 @@ class TestEceReformulated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * n + 2**19
+        assert peak <= 8 * n + 2**20
 
     def test_peak_memory_two_arrays_of_n_largest_table(self):
         # The same bound with uniform-mass edges close enough to need the
@@ -155,7 +155,7 @@ class TestEceReformulated:
         finally:
             tracemalloc.stop()
         assert "_table" in vars(scheme)
-        assert peak <= 2 * 8 * n + 2**19
+        assert peak <= 8 * n + 2**20
 
 
 def mc_binned_tce(m, s, n_mc, seed):
