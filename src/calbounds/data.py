@@ -87,12 +87,13 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # Line breaks of str.splitlines() that a text-mode file does not break lines at.
 _ODD_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _JSON_SPACE = " \t\n\r"
+_BOM = "\ufeff"  # one leading byte-order mark is dropped before the format is decided
 _RECORD_BREAK = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 def _read_text(p: Path) -> str:
-    try:
-        return p.read_text(encoding="utf-8")
+    try:  # not "utf-8-sig", which counts an error's byte position from after the BOM
+        return p.read_text(encoding="utf-8").removeprefix(_BOM)
     except UnicodeDecodeError as e:
         raise ValueError(f"{p}: {e}") from None
 
@@ -128,8 +129,10 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
 
 
 def _plain_lines(p: Path) -> bool:
-    """Whether the file is ASCII and breaks lines only at ``\\n`` and ``\\r``."""
+    """Whether the file, past one leading BOM, is ASCII and breaks lines only at
+    ``\\n`` and ``\\r``."""
     with p.open("rb") as f:
+        f.seek(3 if f.read(3) == _BOM.encode() else 0)
         while chunk := f.read(_PIECE):
             if not chunk.isascii() or any(b in chunk for b in _ODD_BREAKS):
                 return False
@@ -153,7 +156,7 @@ def _load_csv_fast(p: Path, head: str) -> ScoredDataset | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             rows = np.loadtxt(p, delimiter=",", comments=None, skiprows=int(_is_header(first)),
-                              dtype=_CSV_ROW, ndmin=1, encoding="utf-8")
+                              dtype=_CSV_ROW, ndmin=1, encoding="utf-8-sig")
         return ScoredDataset(rows["score"], rows["label"])
     except (ValueError, Warning):
         return None
@@ -214,7 +217,7 @@ def _stream_json(p: Path) -> tuple[np.ndarray, np.ndarray] | None:
     """
     pieces = []
     try:
-        with p.open(encoding="utf-8") as f:
+        with p.open(encoding="utf-8-sig") as f:
             buf = ""
             while not buf and (chunk := f.read(_PIECE)):
                 buf = chunk.lstrip(_JSON_SPACE)
@@ -245,16 +248,17 @@ def _stream_json(p: Path) -> tuple[np.ndarray, np.ndarray] | None:
 def load_scores(path) -> ScoredDataset:
     """Load a scored dataset from a UTF-8 CSV or JSON score file.
 
-    The text decides the format, not the file name: JSON when its first
-    non-whitespace character is ``[`` or ``{``, CSV otherwise. CSV rows are
-    ``score,label`` with an optional ``score,label`` header; JSON files hold an
-    array of ``{"score": x, "label": y}`` objects. Row order in the file is
+    One leading byte-order mark is dropped. The rest of the text decides the
+    format, not the file name: JSON when its first non-whitespace character
+    is ``[`` or ``{``, CSV otherwise. CSV rows are ``score,label`` with an
+    optional ``score,label`` header; JSON files hold an array of
+    ``{"score": x, "label": y}`` objects. Row order in the file is
     preserved. Content errors name the path; malformed rows give their line
     number, and out-of-range scores or labels are rejected.
     """
     p = Path(path)
     try:
-        with p.open(encoding="utf-8") as f:
+        with p.open(encoding="utf-8-sig") as f:
             head = f.read(_SNIFF)
     except UnicodeDecodeError:
         head = ""  # the whole-text read below names the byte

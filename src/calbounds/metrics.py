@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import UMB, UWB, BinningScheme, _check_count, _dataset_sums, bin_sums
-from .bounds import _total_bias
+from .bounds import _LN2, _total_bias
 
 __all__ = [
     "EceValue",
@@ -93,32 +93,32 @@ def ece_gap(d_train, d_test, s: BinningScheme) -> GapStatistic:
     return GapStatistic(abs(e_test - e_train), (e_test, e_train))
 
 
-def _floor_cbrt(v: float) -> int:
-    """floor(v ** (1/3)) robust to the float cube root landing one ulp low."""
-    if v < 0:
-        raise ValueError("v must be nonnegative")
-    b = int(v ** (1.0 / 3.0))
-    while (b + 1) ** 3 <= v:
-        b += 1
-    while b > 0 and b**3 > v:
-        b -= 1
+def _floor_cbrt(v: int) -> int:
+    """floor(v ** (1/3)) of an int v >= 0, exactly: Newton steps on ints from 2^ceil(bits/3)."""
+    b = 1 << -(-v.bit_length() // 3)
+    while b**3 > v:
+        b = (2 * b + v // (b * b)) // 3
     return b
 
 
 def cube_root_bins(n: int) -> int:
     """The floor(n^(1/3)) bin-count rule used in the experiments."""
     (n,) = _check_count(n=n)
-    return max(1, _floor_cbrt(n))
+    return _floor_cbrt(n)
 
 
 def optimal_bins(n: int, L: float, variant: str) -> int:
     """Bin count minimizing the total-bias upper bound for the given variant.
 
     Uniform-width: the stationary point of (1+L)/B + sqrt(2 B ln2 / n),
-    which is floor((2 n (1+L)^2 / ln 2)^(1/3)). Uniform-mass: the bound has
-    no clean stationary point, so the first integer argmin over B in
-    [1, n//2] is taken over the whole range at once. Both results are
-    clamped to [1, n//2].
+    which is floor(v^(1/3)) for v = 2 n (1+L)^2 / ln 2, taken in floats (an
+    overflow counts as v = inf), then rooted exactly as floor(int(v)^(1/3)).
+    Uniform-mass: the bound has no clean stationary point, so the first
+    integer argmin is taken by a scan. Its statistical term alone,
+    (2+L) sqrt(2 B ln2 / (n - B)), exceeds the bound at B0 = floor(n^(1/3))
+    once B > n (bound(B0) / (2+L))^2 / (2 ln 2), so no B past that (with a
+    0.1% margin for rounding) is the argmin, and only [1, min(that, n//2)]
+    is scanned. Both results are clamped to [1, n//2].
     """
     (n,) = _check_count(least=8, n=n)
     if L < 0:
@@ -127,8 +127,14 @@ def optimal_bins(n: int, L: float, variant: str) -> int:
         raise ValueError("L must be finite")
     b_max = n // 2
     if variant == UWB:
-        b = _floor_cbrt(2.0 * n * (1.0 + L) ** 2 / math.log(2.0))
-        return int(min(max(b, 1), b_max))
+        try:
+            v = 2.0 * n * (1.0 + L) ** 2 / math.log(2.0)
+        except OverflowError:
+            return b_max
+        return b_max if v >= b_max**3 else _floor_cbrt(int(v))
     if variant == UMB:
-        return int(np.argmin(_total_bias(np.arange(1, b_max + 1), n, L, UMB))) + 1
+        f0 = _total_bias(_floor_cbrt(n), n, L, UMB)
+        b_hi = n * (f0 / (2.0 + L)) ** 2 / (2.0 * _LN2) * 1.001 + 1
+        b = np.arange(1, int(min(b_max, b_hi)) + 1)
+        return int(np.argmin(_total_bias(b, n, L, UMB))) + 1
     raise ValueError(f"unknown variant: {variant}")

@@ -20,6 +20,17 @@ from calbounds.cli import _POOL_DEFAULTS, build_parser, main
 SRC = Path(calbounds.__file__).resolve().parent.parent
 
 
+def _python(code, *args, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports this checkout's calbounds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+_MAIN = "import sys, calbounds.cli\nsys.exit(calbounds.cli.main(sys.argv[1:]))\n"
+
+
 @pytest.fixture()
 def score_file(tmp_path):
     p = tmp_path / "scores.csv"
@@ -60,6 +71,17 @@ class TestEceCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "bins 35" in out
+
+    @pytest.mark.parametrize("L", ["1e100", "1e200"])
+    def test_auto_bins_for_a_steep_lipschitz_clamp_to_half_n(self, tmp_path, L):
+        # Such an L puts the closed-form rule's cube root past the float guess's
+        # reach (1e100) or its square past the float range (1e200).
+        p = tmp_path / "k.csv"
+        p.write_text("".join(f"{(i % 97) / 97!r},{i % 2}\n" for i in range(1000)))
+        proc = _python(_MAIN, "ece", str(p), "--bins", "auto", "--lipschitz", L,
+                       "--out", str(tmp_path / "o"), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert " bins 500 " in proc.stdout
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["ece", str(tmp_path / "missing.csv"), "--bins", "2",
@@ -264,10 +286,7 @@ class TestSyntheticCommand:
             "assert calbounds.cli.main(argv) == 0\n"
             "assert 'scipy.integrate' not in sys.modules\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _python(code, str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
 
     def test_steepest_model_writes_nothing_to_stderr(self, tmp_path):
@@ -279,10 +298,7 @@ class TestSyntheticCommand:
             "        '--out', sys.argv[1]]\n"
             "sys.exit(calbounds.cli.main(argv))\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _python(code, str(tmp_path / "o"))
         assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
@@ -343,6 +359,14 @@ class TestCmiCommand:
         cells = (out / "cmi_cells_n60.csv").read_text().splitlines()
         assert cells[0] == "supersample_idx,mask_idx,statistic_name,value"
         assert len(cells) == 1 + 2 * 5 * 3
+
+    @pytest.mark.parametrize("n", [10**30, 10**90])
+    def test_huge_grid_point_exits_2(self, tmp_path, n):
+        # Its default B, cube_root_bins(n), is found before the grid point is refused.
+        proc = _python(_MAIN, "cmi", "--n-grid", str(n), "--out", str(tmp_path / "o"),
+                       timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["cmi", "--n-grid", "60", "--bins", "3", "--n-supersamples", "2",

@@ -443,6 +443,55 @@ class TestJsonPieces:
         assert str(e.value) == str(want.value)
 
 
+_RECORDS = [{"score": i / 100, "label": i % 2} for i in range(100)]
+_CSV_ROWS = "".join(f"{r['score']!r},{r['label']}\n" for r in _RECORDS)
+
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" export writes a leading BOM, and JSON parsers may ignore one.
+    @pytest.mark.parametrize("name, text", [
+        ("d.csv", _CSV_ROWS),
+        ("d.csv", "score,label\n" + _CSV_ROWS),
+        ("d.csv", ("score,label\n" + _CSV_ROWS).replace("\n", "\r\n")),
+        ("d.json", json.dumps(_RECORDS)),
+        ("d.json", json.dumps(_RECORDS, indent=2)),
+    ], ids=["csv", "csv with header", "csv crlf", "json", "json indented"])
+    def test_leading_bom_loads_as_without_on_the_fast_path(self, tmp_path, monkeypatch,
+                                                           name, text):
+        plain, bom = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_text(text, newline="")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = load_scores(plain)
+        monkeypatch.setattr(data_mod, "_PIECE", 50)
+        for slow in ("_decode_whole", "_read_text", "_parse_csv"):
+            monkeypatch.setattr(data_mod, slow, None)  # any call would raise
+        d = load_scores(bom)
+        assert d.scores.tobytes() == expected.scores.tobytes()
+        assert d.labels.tobytes() == expected.labels.tobytes()
+
+    def test_leading_bom_dropped_on_the_line_by_line_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("\ufeffscore,label\n0.2_5,1\n".encode())  # numpy refuses 0.2_5
+        assert load_scores(p).scores.tolist() == [0.25]
+        p.write_bytes('\ufeff {"score": 0.5}'.encode())
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == f"{p}: expected a JSON array of records"
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"0.25,1\n\xef\xbb\xbf0.5,0\n", "malformed row at line 2: '\\ufeff0.5,0'"),
+        (b"\xef\xbb\xbf\xef\xbb\xbf0.25,1\n", "malformed row at line 1: '\\ufeff0.25,1'"),
+        (b"\xef\xbb\xbf0.25,1\n\xff0.5,0\n",
+         "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    ], ids=["second line", "second bom", "utf-8 error counted from the file start"])
+    def test_only_one_leading_bom_is_dropped(self, tmp_path, raw, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == f"{p}: {message}"
+
+
 class TestIngestMemory:
     @pytest.mark.parametrize("name", ["d.json", "d.csv"])
     def test_peak_memory_of_a_100k_record_file(self, tmp_path, monkeypatch, name):

@@ -1,11 +1,14 @@
 """Calibration-error estimators, gap statistics, and bin-count selection."""
 
+import contextlib
+import math
+import signal
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from calbounds import (
@@ -31,7 +34,9 @@ from calbounds import (
     uwb_scheme,
 )
 from calbounds.binning import _MAX_CELLS
+from calbounds.bounds import _total_bias
 from calbounds.experiments import scored_synthetic_dataset
+from calbounds.metrics import _floor_cbrt
 from calbounds.rng import stream
 
 
@@ -304,6 +309,50 @@ class TestEceGap:
         assert means[1] < means[0]
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in a call still running after ``seconds``, so a loop that never
+    ends fails its example instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _float_guess_cbrt(v, steps=10_000):
+    """The float-guess root the integer one replaced, walked to the floor one integer per
+    step; None where it would take more than ``steps`` steps."""
+    b = int(v ** (1.0 / 3.0))
+    while (b + 1) ** 3 <= v and steps:
+        b, steps = b + 1, steps - 1
+    while b > 0 and b**3 > v and steps:
+        b, steps = b - 1, steps - 1
+    return b if steps else None
+
+
+def _float_guess_uwb(n, L):
+    """The closed-form uniform-width rule as computed before, or None where it did not return."""
+    b = _float_guess_cbrt(2.0 * n * (1.0 + L) ** 2 / math.log(2.0))
+    return None if b is None else int(min(max(b, 1), n // 2))
+
+
+def _full_umb_scan(n, L):
+    """The uniform-mass rule as a scan of every B in [1, n//2]."""
+    return int(np.argmin(_total_bias(np.arange(1, n // 2 + 1), n, L, "umb"))) + 1
+
+
+# Properties under a time limit are not shrunk: each shrink step that hangs costs the limit.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+_CUBES_AND_NEIGHBOURS = st.integers(2, 10**4).flatmap(
+    lambda k: st.sampled_from([k**3 - 1, k**3, k**3 + 1]))
+
+
 class TestOptimalBins:
     def test_closed_form_value(self):
         assert optimal_bins(4000, 1.0, "uwb") == 35
@@ -327,6 +376,62 @@ class TestOptimalBins:
         assert cube_root_bins(20_000) == 27
         assert cube_root_bins(1000) == 10
         assert cube_root_bins(2000) == 12
+
+    @given(st.one_of(st.integers(0, 10**400), st.integers(0, 10**30), _CUBES_AND_NEIGHBOURS))
+    @example(10**60)  # the float guess's walk from here never ended
+    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+    def test_floor_cbrt_is_exact(self, v):
+        with _time_limit(2):
+            b = _floor_cbrt(v)
+        assert b**3 <= v < (b + 1) ** 3
+
+    @given(st.one_of(st.integers(1, 10**12), _CUBES_AND_NEIGHBOURS))
+    @settings(max_examples=300, deadline=None)
+    def test_cube_root_rule_equals_float_guess(self, n):
+        assert cube_root_bins(n) == max(1, _float_guess_cbrt(n))
+
+    def test_cube_root_rule_at_huge_n(self):
+        with _time_limit(2):
+            assert cube_root_bins(10**90) == 10**30
+            assert cube_root_bins(10**402) == 10**134
+            assert cube_root_bins(10**402 - 1) == 10**134 - 1
+            b = cube_root_bins(10**400)
+        assert b**3 <= 10**400 < (b + 1) ** 3
+
+    @given(st.one_of(st.integers(8, 10**12), _CUBES_AND_NEIGHBOURS.filter(lambda n: n >= 8)),
+           st.one_of(st.floats(0.0, 1e30), st.floats(0.0, 10.0)))
+    @example(1000, 1e100)
+    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+    def test_uwb_equals_float_guess_where_it_returned(self, n, L):
+        with _time_limit(2):
+            b = optimal_bins(n, L, "uwb")
+        before = _float_guess_uwb(n, L)
+        if before is not None:
+            assert b == before
+        v = 2.0 * n * (1.0 + L) ** 2 / math.log(2.0)  # the exact floor root, clamped to n//2
+        assert (b**3 <= v < (b + 1) ** 3) if b < n // 2 else b**3 <= v
+
+    @pytest.mark.parametrize("L", [1e100, 1e200, 1.7e308])
+    def test_uwb_clamps_a_steep_bound(self, L):
+        # v = 2 n (1+L)^2 / ln 2 is past (n//2)^3, or (1+L)^2 past the float range.
+        with _time_limit(2):
+            assert optimal_bins(1000, L, "uwb") == 500
+
+    @given(st.one_of(st.integers(8, 3000), st.integers(8, 200_000)),
+           st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 1.5222634, 1e3, 1e30, 1e300])))
+    @settings(max_examples=150, deadline=None)
+    def test_umb_bounded_scan_equals_full_scan(self, n, L):
+        assert optimal_bins(n, L, "umb") == _full_umb_scan(n, L)
+
+    def test_umb_scan_memory_is_bounded(self):
+        # The full scan held about 10 float arrays of n/2 = 5e6 entries (200 MB traced).
+        tracemalloc.start()
+        try:
+            optimal_bins(10**7, 1.0, "umb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
