@@ -154,13 +154,17 @@ def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     arr = np.asarray(score, dtype=np.float64)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
-    flat = arr.reshape(-1)
-    if 0 < scheme._cells <= flat.size:
-        idx = _table_index(scheme, flat)
-    else:
-        idx = np.searchsorted(scheme.edges, flat, side="left")
-        np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
+    idx = _bin_index(scheme, arr.reshape(-1))
     return int(idx[0]) if arr.ndim == 0 else idx.reshape(arr.shape)
+
+
+def _bin_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
+    """`assign` of 1-d float64 scores already known to lie in [0, 1]: no range check."""
+    if 0 < scheme._cells <= scores.size:
+        return _table_index(scheme, scores)
+    idx = np.searchsorted(scheme.edges, scores, side="left")
+    np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
+    return idx
 
 
 def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
@@ -169,20 +173,24 @@ def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
     Each cell [c/G, (c+1)/G) holds at most one edge, and c = floor(s*G) is
     exact for a power of two G, so the index is base[c], plus one if s lies
     above cand[c]: one exact comparison. Blocks keep the temporaries small.
+    Every c lies in [0, G], so ``mode="clip"`` moves no index; it only spares
+    ``np.take`` the bounds check that makes fancy indexing slower.
     """
     base, cand = scheme._table
     idx = np.empty(scores.size, dtype=np.intp)
     for lo in range(0, scores.size, _BLOCK):
         s, j = scores[lo:lo + _BLOCK], idx[lo:lo + _BLOCK]
-        np.multiply(s, scheme._cells, out=j, casting="unsafe")  # exact; the cast truncates, i.e. floors
-        np.add(s > cand[j], base[j], out=j)  # this order keeps one gathered block alive at a time
+        c = (s * scheme._cells).astype(np.intp)  # exact; the cast truncates, i.e. floors
+        np.take(base, c, mode="clip", out=j)
+        j += s > np.take(cand, c, mode="clip")
     return idx
 
 
 def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:
     """``(counts, *sums)``: per-bin score count (int64) and per-bin sum of each weight array.
 
-    Every binned estimator reduces through here. The scores may take any
+    The reduction of raw arrays; a ``ScoredDataset`` reduces through
+    `_dataset_sums`, which gives the same bits. The scores may take any
     shape `assign` takes, each weight array must have their shape, and every
     element is reduced. One pass in blocks of `_BLOCK` scores bounds the
     temporaries (a block's bin index and float copy of a weight) whatever n
@@ -242,10 +250,30 @@ def _dataset_sums(scheme: BinningScheme, dataset) -> tuple[np.ndarray, ...]:
 
     Computed on the first call for a (dataset, scheme) pair and kept on the
     dataset, keyed weakly by the scheme, so the entry lives while both do.
+    One fused pass per `_BLOCK` of rows, which relies on what the dataset
+    checked when it was built: the block's bin index j comes without a range
+    check, its score sums are added as in `bin_sums`, and one integer
+    ``np.bincount(2*j + y)`` over the 0/1 labels y counts each bin's
+    (label 0, label 1) rows. Sums of 0/1 are exact integers, so every output
+    has the bits of `bin_sums`.
     """
     sums = dataset._sums_by_scheme.get(scheme)
     if sums is None:
-        sums = bin_sums(scheme, dataset.scores, dataset.scores, dataset.labels)
+        scores, labels, B = dataset.scores, dataset.labels, scheme.B
+        pairs = np.zeros(2 * B, dtype=np.int64)
+        for lo in range(0, scores.size, _BLOCK):
+            s = scores[lo:lo + _BLOCK]
+            j = _bin_index(scheme, s)
+            j -= 1
+            if lo == 0:
+                score_sums = np.bincount(j, weights=s, minlength=B)
+            else:
+                np.add.at(score_sums, j, s)
+            j *= 2
+            j += labels[lo:lo + _BLOCK]
+            pairs += np.bincount(j, minlength=2 * B)
+        pairs = pairs.reshape(B, 2)
+        sums = (pairs.sum(axis=1), score_sums, pairs[:, 1].astype(np.float64))
         for arr in sums:
             arr.setflags(write=False)  # every later caller shares these arrays
         dataset._sums_by_scheme[scheme] = sums

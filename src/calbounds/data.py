@@ -32,8 +32,9 @@ class ScoredDataset:
     """Ordered collection of scored samples.
 
     Scores live in [0, 1] (endpoints included: saturated deep-net outputs
-    are accepted), labels in {0, 1}. Order is preserved across save/load
-    round trips. Instances are immutable, safe to share across concurrent
+    are accepted), labels in {0, 1}; they are kept as float64 scores and int8
+    labels, 9 bytes a row. Order is preserved across save/load round trips.
+    Instances are immutable, safe to share across concurrent
     readers, and compare by identity. Each keeps its per-bin sums for every
     scheme still alive that it was binned under (see ``binning._dataset_sums``);
     two readers racing on a new scheme compute equal sums twice.
@@ -45,7 +46,7 @@ class ScoredDataset:
             raise ValueError("scores must be numbers")
         # Copy before freezing so callers' arrays keep their writability.
         scores = np.array(scores, dtype=np.float64)
-        labels = np.asarray(labels)  # checked before the int64 cast truncates 0.9 to 0
+        labels = np.asarray(labels)  # checked before the int8 cast truncates 0.9 to 0
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValueError("scores and labels must be one-dimensional")
         if scores.shape != labels.shape:
@@ -61,7 +62,7 @@ class ScoredDataset:
         if not np.all((labels == 0) | (labels == 1)):
             bad = int(np.argmax((labels != 0) & (labels != 1)))
             raise ValueError(f"label must be 0 or 1 at index {bad}: {labels[bad]}")
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int8)
         scores.setflags(write=False)
         labels.setflags(write=False)
         self.scores = scores

@@ -309,6 +309,9 @@ class CmiExperimentConfig:
             object.__setattr__(self, name, v)
         if self.n < 2 * self.B:
             raise ValueError(f"need n >= 2B training rows per cell, got n={self.n}, B={self.B}")
+        if 2 * self.n * 8 > np.iinfo(np.intp).max:  # 2n 8-byte draws: numpy's size limit
+            raise ValueError(f"n={self.n} is too large: a supersample's 2n draws "
+                             "would not fit in one numpy array")
         if not self.exhaustive and self.n_masks < self.k + 2:
             raise ValueError(f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws")
         if self.method not in (UWB, UMB):

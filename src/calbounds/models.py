@@ -100,7 +100,8 @@ def sample_synthetic(n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs from the balanced Gaussian-mixture distribution."""
     (n,) = _check_count(n=n)
     y = rng.integers(0, 2, size=n)
-    x = rng.normal(loc=np.where(y == 1, -1.0, 1.0), scale=1.0)
+    x = rng.standard_normal(n)  # the draws of rng.normal(loc, 1.0): loc + 1.0 * z is z + loc
+    x += np.where(y == 1, -1.0, 1.0)
     return x, y
 
 

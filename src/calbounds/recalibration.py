@@ -54,7 +54,9 @@ def fit_recalibrator(d_fit, B: int) -> Recalibrator:
 
 def apply_recalibrator(r: Recalibrator, scores) -> np.ndarray:
     """Map each score to its bin's stored label mean."""
-    return r.mu[assign(r.scheme, scores) - 1]
+    idx = assign(r.scheme, scores)
+    idx -= 1  # in place, so at most one index array is alive beside the output
+    return r.mu[idx]
 
 
 def recalibrated_tce(r: Recalibrator, d_test) -> float:

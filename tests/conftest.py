@@ -8,13 +8,17 @@ import calbounds.binning as binning_mod
 
 @pytest.fixture()
 def assign_calls(monkeypatch):
-    """(scheme, score count) of every ``binning.assign`` call made during the test."""
+    """(scheme, score count) of every bin index taken during the test.
+
+    Counts calls of ``binning._bin_index``, which both ``assign`` and the
+    fused dataset reduction ``binning._dataset_sums`` call, once per block.
+    """
     calls = []
-    real = binning_mod.assign
+    real = binning_mod._bin_index
 
-    def counting(scheme, score):
-        calls.append((scheme, int(np.size(score))))
-        return real(scheme, score)
+    def counting(scheme, scores):
+        calls.append((scheme, int(np.size(scores))))
+        return real(scheme, scores)
 
-    monkeypatch.setattr(binning_mod, "assign", counting)
+    monkeypatch.setattr(binning_mod, "_bin_index", counting)
     return calls

@@ -366,7 +366,8 @@ class TestCmiCommand:
         proc = _python(_MAIN, "cmi", "--n-grid", str(n), "--out", str(tmp_path / "o"),
                        timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr == (f"error: n={n} is too large: a supersample's 2n draws "
+                               "would not fit in one numpy array\n")
 
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["cmi", "--n-grid", "60", "--bins", "3", "--n-supersamples", "2",
@@ -576,11 +577,14 @@ class TestExitCodes:
              "exhaustive mask enumeration is limited to n <= 12"),
             (["--n-grid", "40,4", "--bins", "3"],
              "need n >= 2B training rows per cell, got n=4, B=3"),
+            (["--n-grid", f"40,{2**59}", "--bins", "3"],
+             f"n={2**59} is too large: a supersample's 2n draws would not fit in one numpy array"),
         ],
         # Fixed ids: removing a case renames no other.
         ids=[
             "argv0-exhaustive mask enumeration is limited to n <= 12",
             "argv1-need n >= 2B training rows per cell, got n=4, B=3",
+            "argv2-n too large for numpy",
         ],
     )
     def test_bad_grid_point_exits_2_before_any_run(self, argv, message, tmp_path, capsys,

@@ -65,10 +65,11 @@ class TestScoredDataset:
             ScoredDataset([0.5, 0.6], labels)
 
     @pytest.mark.parametrize("labels", [[0.0, 1.0], [False, True], np.array([0, 1], np.int8)])
-    def test_integral_labels_stored_as_int64(self, labels):
+    def test_integral_labels_stored_as_int8(self, labels):
         d = ScoredDataset([0.5, 0.6], labels)
-        assert d.labels.dtype == np.int64
+        assert d.labels.dtype == np.int8
         assert tuple(d.labels) == (0, 1)
+        assert d.scores.nbytes + d.labels.nbytes == 9 * len(d)
 
 
 class TestLoadScores:

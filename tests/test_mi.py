@@ -803,6 +803,13 @@ class TestRunCmiExperiment:
         # ... and reads no n_masks.
         CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, n_masks=0, exhaustive=True)
 
+    def test_n_beyond_one_numpy_array_rejected(self):
+        # 2n draws of 8 bytes each: numpy's size limit is the largest intp.
+        largest = (np.iinfo(np.intp).max + 1) // 16 - 1
+        CmiExperimentConfig(n=largest, B=2, trainer=TrainerConfig(), seed=0)
+        with pytest.raises(ValueError, match=f"^n={largest + 1} is too large"):
+            CmiExperimentConfig(n=largest + 1, B=2, trainer=TrainerConfig(), seed=0)
+
 
 @pytest.mark.parametrize(
     "make, message",

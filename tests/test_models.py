@@ -41,6 +41,17 @@ class TestSampleSynthetic:
         x2, y2 = sample_synthetic(1000, stream(3))
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
+    @pytest.mark.parametrize("n", [1, 1000, 100_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_equal_normal_with_label_means(self, n, seed):
+        # The draws of rng.normal(loc=+-1, scale=1.0), bit for bit.
+        x, y = sample_synthetic(n, stream(seed))
+        rng = stream(seed)
+        want_y = rng.integers(0, 2, size=n)
+        want_x = rng.normal(loc=np.where(want_y == 1, -1.0, 1.0), scale=1.0)
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+
 
 class TestLogisticPredict:
     def test_symmetry_point(self):

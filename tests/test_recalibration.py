@@ -1,5 +1,7 @@
 """Histogram recalibration: fit identity, application, and test-set behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,23 @@ class TestApplyRecalibrator:
         distinct = set(np.unique(out))
         assert len(distinct) <= r.scheme.B
         assert distinct <= set(np.unique(r.mu))
+
+    @pytest.mark.parametrize("B", [15, 2000], ids=["table", "search"])
+    def test_peak_memory_is_output_plus_one_index(self, B):
+        rng = np.random.default_rng(12)
+        d = ScoredDataset(rng.uniform(size=4 * B), rng.integers(0, 2, size=4 * B))
+        r = fit_recalibrator(d, B=B)
+        assert (r.scheme._cells == 0) == (B == 2000)
+        scores = rng.uniform(size=100_000)
+        apply_recalibrator(r, scores)  # a first call builds the scheme's cell table
+        tracemalloc.start()
+        try:
+            out = apply_recalibrator(r, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index_bytes = scores.size * np.dtype(np.intp).itemsize
+        assert peak <= out.nbytes + index_bytes + 2**18  # slack: one block's temporaries
 
 
 class TestRecalibratedTce:
