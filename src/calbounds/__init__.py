@@ -9,7 +9,7 @@ and runs the synthetic and supersample experiments at desk scale.
 
 __version__ = "0.1.0"
 
-from .binning import BinningScheme, BinStats, assign, bin_stats, bin_sums, umb_scheme, uwb_scheme
+from .binning import BinningScheme, BinStats, assign, bin_stats, umb_scheme, uwb_scheme
 from .bounds import (
     BoundReport,
     binning_bias_bound,
@@ -65,7 +65,7 @@ from .recalibration import (
 
 __all__ = [
     "__version__",
-    "BinningScheme", "BinStats", "assign", "bin_stats", "bin_sums", "umb_scheme", "uwb_scheme",
+    "BinningScheme", "BinStats", "assign", "bin_stats", "umb_scheme", "uwb_scheme",
     "BoundReport", "binning_bias_bound", "gen_ece_bound", "gen_tce_bound",
     "high_prob_bound", "metric_entropy_bound", "metric_entropy_bound_parametric",
     "recalib_holdout_bound", "recalib_reuse_bound", "stat_bias_bound", "total_bias_bound",

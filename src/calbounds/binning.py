@@ -3,6 +3,8 @@
 Bins are the half-open intervals (u_{i-1}, u_i] over a strictly increasing
 edge vector u_0 = 0 < ... < u_B = 1. A score of exactly 0 is assigned to
 bin 1 so the bins cover all of [0, 1] and masses always sum to one.
+Every per-bin statistic comes from one reduction, `_sums`: per-bin counts,
+score sums and sums of 0/1 labels.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_sums", "bin_stats",
+    "BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_stats",
 ]
 
 UWB = "uwb"
 UMB = "umb"
-_BLOCK = 1 << 14  # scores per block of the table index and of bin_sums: bounds temporaries
+_BLOCK = 1 << 14  # scores per block of the table index and of _sums: bounds temporaries
 _MAX_CELLS = 1 << 14  # bounds the table at 2 * (2**14 + 1) * 8 bytes, ~256 KiB
 
 
@@ -186,38 +188,29 @@ def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
     return idx
 
 
-def bin_sums(scheme: BinningScheme, scores, *weights) -> tuple[np.ndarray, ...]:
-    """``(counts, *sums)``: per-bin score count (int64) and per-bin sum of each weight array.
+def _sums(scheme: BinningScheme, scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(counts, score_sums, label_sums)`` per bin: the one per-bin reduction.
 
-    The reduction of raw arrays; a ``ScoredDataset`` reduces through
-    `_dataset_sums`, which gives the same bits. The scores may take any
-    shape `assign` takes, each weight array must have their shape, and every
-    element is reduced. One pass in blocks of `_BLOCK` scores bounds the
-    temporaries (a block's bin index and float copy of a weight) whatever n
-    is. The first block is reduced by `np.bincount`; each later one adds its
-    counts by `np.bincount`, exact in any order, and its weights by
-    `np.add.at`, which adds in score order as `np.bincount` does, so every
-    sum has the bits of one `np.bincount` over all the scores.
+    Takes 1-d float64 scores already known to lie in [0, 1] and their 0/1
+    integer labels; neither is checked here. One pass per `_BLOCK` scores
+    bounds the temporaries whatever n is. Each block's bin index j is taken
+    once; its scores are added into zeros by `np.add.at`, which adds in score
+    order as `np.bincount` does, so every score sum has the bits of one
+    `np.bincount` over all the scores; and one integer ``np.bincount(2*j + y)``
+    counts each bin's (label 0, label 1) rows, so counts and label sums are exact.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    weights = [np.asarray(w) for w in weights]
-    for w in weights:
-        if w.shape != scores.shape:
-            raise ValueError(
-                f"weights of shape {w.shape} do not match scores of shape {scores.shape}")
-    scores, weights = scores.reshape(-1), [w.reshape(-1) for w in weights]
-    idx = assign(scheme, scores[:_BLOCK])
-    idx -= 1  # in place, as in assign
-    counts = np.bincount(idx, minlength=scheme.B).astype(np.int64)
-    sums = [np.bincount(idx, weights=w[:_BLOCK], minlength=scheme.B) for w in weights]
-    for lo in range(_BLOCK, scores.size, _BLOCK):
-        idx = assign(scheme, scores[lo:lo + _BLOCK])
-        idx -= 1
-        counts += np.bincount(idx, minlength=scheme.B)
-        for total, w in zip(sums, weights):
-            # Float weights: add.at takes numpy's slow path on ints.
-            np.add.at(total, idx, w[lo:lo + _BLOCK].astype(np.float64, copy=False))
-    return (counts, *sums)
+    B = scheme.B
+    pairs, score_sums = np.zeros(2 * B, dtype=np.int64), np.zeros(B)
+    for lo in range(0, scores.size, _BLOCK):
+        s = scores[lo:lo + _BLOCK]
+        j = _bin_index(scheme, s)
+        j -= 1  # in place, as in _bin_index
+        np.add.at(score_sums, j, s)
+        j *= 2
+        j += labels[lo:lo + _BLOCK]
+        pairs += np.bincount(j, minlength=2 * B)
+    pairs = pairs.reshape(B, 2)
+    return pairs.sum(axis=1), score_sums, pairs[:, 1].astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,34 +239,15 @@ class BinStats:
 
 
 def _dataset_sums(scheme: BinningScheme, dataset) -> tuple[np.ndarray, ...]:
-    """``bin_sums(scheme, scores, scores, labels)`` of a ``ScoredDataset``, read-only.
+    """`_sums` of a ``ScoredDataset``, whose scores and labels were checked when it was built.
 
-    Computed on the first call for a (dataset, scheme) pair and kept on the
-    dataset, keyed weakly by the scheme, so the entry lives while both do.
-    One fused pass per `_BLOCK` of rows, which relies on what the dataset
-    checked when it was built: the block's bin index j comes without a range
-    check, its score sums are added as in `bin_sums`, and one integer
-    ``np.bincount(2*j + y)`` over the 0/1 labels y counts each bin's
-    (label 0, label 1) rows. Sums of 0/1 are exact integers, so every output
-    has the bits of `bin_sums`.
+    Computed on the first call for a (dataset, scheme) pair, made read-only
+    and kept on the dataset, keyed weakly by the scheme, so the entry lives
+    while both do.
     """
     sums = dataset._sums_by_scheme.get(scheme)
     if sums is None:
-        scores, labels, B = dataset.scores, dataset.labels, scheme.B
-        pairs = np.zeros(2 * B, dtype=np.int64)
-        for lo in range(0, scores.size, _BLOCK):
-            s = scores[lo:lo + _BLOCK]
-            j = _bin_index(scheme, s)
-            j -= 1
-            if lo == 0:
-                score_sums = np.bincount(j, weights=s, minlength=B)
-            else:
-                np.add.at(score_sums, j, s)
-            j *= 2
-            j += labels[lo:lo + _BLOCK]
-            pairs += np.bincount(j, minlength=2 * B)
-        pairs = pairs.reshape(B, 2)
-        sums = (pairs.sum(axis=1), score_sums, pairs[:, 1].astype(np.float64))
+        sums = _sums(scheme, dataset.scores, dataset.labels)
         for arr in sums:
             arr.setflags(write=False)  # every later caller shares these arrays
         dataset._sums_by_scheme[scheme] = sums

@@ -11,12 +11,12 @@ A score file is JSON when its text starts with ``[`` or ``{``, else CSV.
 ``main`` checks that the output directory (``--out``, else $CALBOUNDS_OUT, else
 ./runs) can be made before the subcommand runs, and writes the run-record JSON
 and any CSV tables there only after it succeeds. The record's config is the
-parsed command line minus ``--out`` (and the synthetic-pool flags for
-``recalibrate --input``; without ``--input`` they carry the values the pool
-was drawn with). Exit codes: 0 success, 1 internal error, 2 usage or
-precondition error, such as a flag the run cannot use or a path that cannot
-be read or written. Printed floats carry 6 significant digits; data files
-keep full precision.
+parsed command line minus ``--out``, and minus the flags the run never reads:
+the synthetic-pool flags of ``recalibrate --input`` and ``--n-masks`` and
+``--k`` of ``cmi --exhaustive``. Otherwise those flags carry the values used.
+Exit codes: 0 success, 1 internal error, 2 usage or precondition error, such
+as a flag the run cannot use or a path that cannot be read or written.
+Printed floats carry 6 significant digits; data files keep full precision.
 """
 
 from __future__ import annotations
@@ -235,21 +235,31 @@ def _cmd_recalibrate(args, record: RunRecord) -> dict:
 
 
 def _cmd_cmi(args, record: RunRecord) -> dict:
+    sampling = {key: record.config.pop(key) for key in ("n_masks", "k")}  # as given, or None
     if args.exhaustive:  # the plug-in oracle enumerates every mask and takes no k
-        given = [flag for flag, key in (("--n-masks", "n_masks"), ("--k", "k"))
-                 if getattr(args, key) != getattr(CmiExperimentConfig, key)]
+        given = [f"--{key.replace('_', '-')}" for key, v in sampling.items() if v is not None]
         if given:
             raise ValueError(f"flags apply only without --exhaustive: {', '.join(given)}")
+        sampling = {}  # and the record omits both flags
+    else:
+        sampling = {key: getattr(CmiExperimentConfig, key) if v is None else v
+                    for key, v in sampling.items()}
+        record.config.update(sampling)
     trainer = TrainerConfig(args.lr, args.epochs)
     cfgs = [  # every grid point is checked before the first run
         CmiExperimentConfig(
             n=n, B=args.bins if args.bins is not None else cube_root_bins(n), trainer=trainer,
-            seed=args.seed, n_supersamples=args.n_supersamples, n_masks=args.n_masks, k=args.k,
-            method=args.method, exhaustive=args.exhaustive,
+            seed=args.seed, n_supersamples=args.n_supersamples, method=args.method,
+            exhaustive=args.exhaustive, **sampling,
         )
         for n in args.n_grid
     ]
-    results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any line is printed
+    results = []  # all before any line is printed
+    for cfg in cfgs:
+        try:
+            results.append(run_cmi_experiment(cfg))
+        except MemoryError:
+            raise ValueError(f"--n-grid point n={cfg.n} does not fit in memory") from None
     tables, summary_rows = {}, []
     for cfg, result in zip(cfgs, results):
         bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n)
@@ -338,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
     p_cmi.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
     p_cmi.add_argument("--n-supersamples", type=int, default=CmiExperimentConfig.n_supersamples)
-    p_cmi.add_argument("--n-masks", type=int, default=CmiExperimentConfig.n_masks)
-    p_cmi.add_argument("--k", type=int, default=CmiExperimentConfig.k)
+    for flag in ("--n-masks", "--k"):  # None: the run takes CmiExperimentConfig's default
+        p_cmi.add_argument(flag, type=int, default=None, help="not with --exhaustive")
     p_cmi.add_argument("--method", choices=[UWB, UMB], default=CmiExperimentConfig.method)
     p_cmi.add_argument("--exhaustive", action="store_true",
                        help="enumerate all 2^n masks (n <= 12) and use the plug-in estimator")

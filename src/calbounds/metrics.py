@@ -4,7 +4,8 @@ The expected calibration error of a dataset under a scheme is the
 mass-weighted sum of per-bin |mean score - mean label| deviations; empty
 bins carry zero mass and contribute nothing. An algebraically equivalent
 single-pass form (per-bin |sum of (label - score)| over n) is provided as a
-cross-check.
+cross-check; it bins the scores itself, on every call, rather than reading
+the dataset's kept per-bin sums.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import UMB, UWB, BinningScheme, _check_count, _dataset_sums, bin_sums
+from . import binning
+from .binning import UMB, UWB, BinningScheme, _check_count, _dataset_sums
 from .bounds import _LN2, _total_bias
 
 __all__ = [
@@ -74,9 +76,16 @@ def ece_reformulated(d, s: BinningScheme) -> EceValue:
     """Single-pass form: sum over bins of |sum of (label - score) in the bin| / n.
 
     Algebraically identical to ``ece``; computed without forming per-bin
-    means so the two paths cross-check each other.
+    means so the two paths cross-check each other. The residuals are taken
+    and added per `binning._BLOCK` rows, in row order as one ``np.bincount``
+    adds them, so no n-long temporary is built.
     """
-    _, residual_sums = bin_sums(s, d.scores, d.labels - d.scores)
+    residual_sums, block = np.zeros(s.B), binning._BLOCK
+    for lo in range(0, len(d), block):
+        z = d.scores[lo:lo + block]
+        j = binning._bin_index(s, z)
+        j -= 1
+        np.add.at(residual_sums, j, d.labels[lo:lo + block] - z)
     value = float(np.sum(np.abs(residual_sums)) / len(d))
     return EceValue(min(value, 1.0))
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma, expit
 
-from .binning import UMB, UWB, _check_count, bin_sums, umb_scheme, uwb_scheme
+from .binning import UMB, UWB, _check_count, _sums, umb_scheme, uwb_scheme
 from .metrics import _binned_error
 from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
 from .rng import child_seed, stream
@@ -265,15 +265,17 @@ def plugin_mi(values, labels, bins: int) -> MiEstimate:
 def _cell_statistics(s_tr, y_tr, s_te, y_te, B: int, uwb=None):
     """(ece gap, delta1, delta2) of one cell's n-row score and label arrays, per half.
 
-    Uniform-mass edges come from the training scores, and ``bin_sums`` reduces
-    each half once per scheme. Both ECEs of the gap take the UWB scheme ``uwb``
-    if given, else those edges. delta1 and delta2 sum over the uniform-mass bins
-    the |complement - training| label sums and counts, over n.
+    Uniform-mass edges come from the training scores, and ``binning._sums``
+    reduces each half once per scheme, unchecked: the scores are the program's
+    own expit outputs in [0, 1] and the labels its own 0/1 draws. Both ECEs of
+    the gap take the UWB scheme ``uwb`` if given, else those edges. delta1 and
+    delta2 sum over the uniform-mass bins the |complement - training| label
+    sums and counts, over n.
     """
     umb = umb_scheme(s_tr, B)
     halves = ((s_tr, y_tr), (s_te, y_te))
-    (c_tr, _, l_tr), (c_te, _, l_te) = umb_sums = [bin_sums(umb, s, s, y) for s, y in halves]
-    sums = umb_sums if uwb is None else [bin_sums(uwb, s, s, y) for s, y in halves]
+    (c_tr, _, l_tr), (c_te, _, l_te) = umb_sums = [_sums(umb, s, y) for s, y in halves]
+    sums = umb_sums if uwb is None else [_sums(uwb, s, y) for s, y in halves]
     e_tr, e_te = (_binned_error(c, t / np.maximum(c, 1), l) for c, t, l in sums)
     n, gap = s_tr.size, abs(e_te - e_tr)
     # The sums are of integers, so exact: equal totals give equal floats after one division.

@@ -10,8 +10,8 @@ import calbounds.binning as binning_mod
 def assign_calls(monkeypatch):
     """(scheme, score count) of every bin index taken during the test.
 
-    Counts calls of ``binning._bin_index``, which both ``assign`` and the
-    fused dataset reduction ``binning._dataset_sums`` call, once per block.
+    Counts calls of ``binning._bin_index``, which ``assign`` calls once, and the
+    per-bin reduction ``binning._sums`` and ``ece_reformulated`` once per block.
     """
     calls = []
     real = binning_mod._bin_index

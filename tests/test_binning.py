@@ -17,7 +17,6 @@ from calbounds import (
     ScoredDataset,
     assign,
     bin_stats,
-    bin_sums,
     ece,
     ece_gap,
     ece_reformulated,
@@ -25,7 +24,7 @@ from calbounds import (
     uwb_scheme,
 )
 import calbounds.binning as binning_mod
-from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _uniform_edges
+from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _sums, _uniform_edges
 
 
 def quiet_umb(scores, B):
@@ -132,7 +131,7 @@ class TestUmbScheme:
         scores = np.minimum(np.asarray(ticks, dtype=np.float64), grid) / grid
         B = min(B, scores.size // 2)
         s = quiet_umb(scores, B)
-        counts, = bin_sums(s, scores)
+        counts = np.bincount(assign(s, scores) - 1, minlength=s.B)
         assert counts.min() >= 1
         assert s.collapsed == (s.B < B)
 
@@ -287,9 +286,11 @@ def mask_loop_sums(edges, scores, weights):
 
 class TestBinSums:
     def test_hand_example(self):
-        counts, label_sums = bin_sums(uwb_scheme(4), [0.0, 0.25, 0.3, 1.0], [1, 0, 1, 1])
+        scores = np.array([0.0, 0.25, 0.3, 1.0])
+        counts, score_sums, label_sums = _sums(uwb_scheme(4), scores, np.array([1, 0, 1, 1]))
         assert counts.dtype == np.int64
         assert counts.tolist() == [2, 1, 0, 1]
+        assert score_sums.tolist() == [0.25, 0.3, 0.0, 1.0]
         assert label_sums.tolist() == [1.0, 1.0, 0.0, 1.0]
 
     @given(
@@ -305,91 +306,72 @@ class TestBinSums:
         grid = np.arange(B + 1, dtype=np.float64) / B
         scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
         s = uwb_scheme(B) if method == "uwb" else quiet_umb(scores, B)
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, 2, size=scores.size)
-        noise = rng.normal(size=scores.size)
-        counts, label_sums, noise_sums = bin_sums(s, scores, labels, noise)
-        want_counts, (want_labels, want_noise) = mask_loop_sums(
-            s.edges, scores, [labels.astype(np.float64), noise]
+        labels = np.random.default_rng(seed).integers(0, 2, size=scores.size)
+        counts, score_sums, label_sums = _sums(s, scores, labels)
+        want_counts, (want_scores, want_labels) = mask_loop_sums(
+            s.edges, scores, [scores, labels.astype(np.float64)]
         )
         assert counts.tolist() == want_counts
+        assert score_sums.tolist() == want_scores
         assert label_sums.tolist() == want_labels
-        assert noise_sums.tolist() == want_noise
 
     @given(
-        st.integers(min_value=1, max_value=64),
+        st.one_of(st.integers(min_value=1, max_value=64), st.none()),
         st.integers(min_value=1, max_value=40),
-        st.sampled_from(["uwb", "umb", "packed"]),
+        st.sampled_from(["uwb", "umb", "crowded", "packed"]),
+        st.sampled_from([np.int8, np.int64]),
         st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=200),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_blocks_equal_one_bincount(self, block, B, method, extra, seed):
-        # Later blocks add through np.add.at, which must keep the bits of one
-        # bincount over all scores. Scores sit at 0, 1, every edge and its float
-        # neighbours; packed edges (3/8 and 3/8 + 1/cap less a float) leave no
-        # table, so every block takes binary search.
+    def test_blocks_equal_one_bincount(self, block, B, method, label_type, extra, seed):
+        # Blocks add through np.add.at, which must keep the bits of one bincount
+        # over all scores: with _BLOCK patched to 1..64, and unpatched (None) over
+        # more than _BLOCK scores. Scores sit at 0, 1, every edge and its float
+        # neighbours. Crowded UMB edges sit closer than 1/_MAX_CELLS, as do the
+        # packed ones (3/8 and 3/8 + 1/cap less a float), so those schemes have no
+        # table and every block takes binary search.
+        rng = np.random.default_rng(seed)
         grid = np.arange(B + 1, dtype=np.float64) / B
         scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
+        if block is None:
+            scores = np.concatenate([scores, rng.uniform(size=int(rng.integers(_BLOCK, 3 * _BLOCK)))])
         if method == "uwb":
             s = uwb_scheme(B)
         elif method == "umb":
             s = quiet_umb(scores, B)
+        elif method == "crowded":
+            crowd = 0.5 + np.arange(2 * max(B, 3)) * 2.0**-30  # interior edges 2**-29 apart
+            s = quiet_umb(np.concatenate([crowd, crowd]), max(B, 3))
         else:
             s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
-            assert s._cells == 0
+        assert s._cells == 0 or method in ("uwb", "umb")
         near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
-        rng = np.random.default_rng(seed)
         scores = rng.permutation(np.concatenate([scores, np.clip(near, 0.0, 1.0)]))
-        labels = rng.integers(0, 2, size=scores.size)
-        noise = rng.normal(size=scores.size) * 10.0 ** rng.integers(-8, 9, size=scores.size)
+        assert block is not None or scores.size > _BLOCK
+        labels = rng.integers(0, 2, size=scores.size).astype(label_type)
         idx = np.maximum(np.searchsorted(s.edges, scores, "left"), 1) - 1
         want = [np.bincount(idx, minlength=s.B).astype(np.int64)]
-        want += [np.bincount(idx, weights=w, minlength=s.B) for w in (scores, labels, noise)]
+        want += [np.bincount(idx, weights=w, minlength=s.B) for w in (scores, labels)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(binning_mod, "_BLOCK", block)
-            got = bin_sums(s, scores, scores, labels, noise)
-        for g, w in zip(got, want, strict=True):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-
-    def test_reduces_every_element_of_any_shape(self):
-        # A 0-d score, which assign takes, and a 2-d array of scores.
-        s = uwb_scheme(4)
-        counts, sums = bin_sums(s, 0.3, 1)
-        assert counts.tolist() == [0, 1, 0, 0]
-        assert sums.tolist() == [0.0, 1.0, 0.0, 0.0]
-        grid = np.array([[0.0, 0.25, 0.3], [0.6, 0.9, 1.0]])
-        labels = np.array([[1, 0, 1], [0, 1, 1]])
-        flat = bin_sums(s, grid.ravel(), grid.ravel(), labels.ravel())
-        for got, want in zip(bin_sums(s, grid, grid, labels), flat, strict=True):
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "scores, weight, message",
-        [
-            ([0.1, 0.2, 0.3], [1, 0], "weights of shape (2,) do not match scores of shape (3,)"),
-            (0.3, [1], "weights of shape (1,) do not match scores of shape ()"),
-            (np.zeros((2, 3)), np.zeros(6),
-             "weights of shape (6,) do not match scores of shape (2, 3)"),
-        ],
-        ids=["short", "0-d scores", "flattened"],
-    )
-    def test_weight_shape_must_match(self, scores, weight, message):
-        with pytest.raises(ValueError) as e:
-            bin_sums(uwb_scheme(4), scores, weight)
-        assert str(e.value) == message
+            if block is not None:
+                mp.setattr(binning_mod, "_BLOCK", block)
+            got = _sums(s, scores, labels)
+            kept = _dataset_sums(s, ScoredDataset(scores, labels))
+        for g, k, w in zip(got, kept, want, strict=True):
+            assert g.dtype == k.dtype == w.dtype
+            assert g.tobytes() == k.tobytes() == w.tobytes()
 
     def test_peak_memory_is_a_few_blocks(self):
-        # One block's index and float copy of the labels at a time: reducing the
-        # whole input at once held 15.3 MB of temporaries at n = 1e6.
+        # One block's index at a time: reducing the whole input at once held
+        # 15.3 MB of temporaries at n = 1e6.
         n = 1_000_000
         rng = np.random.default_rng(3)
         scores, labels = rng.uniform(size=n), rng.integers(0, 2, size=n)
         scheme = uwb_scheme(15)
         tracemalloc.start()
         try:
-            bin_sums(scheme, scores, scores, labels)
+            _sums(scheme, scores, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,7 +424,7 @@ class TestBinStats:
         assert stats.counts.sum() == len(d)
         assert abs(stats.masses.sum() - 1.0) < 1e-12
         again = bin_stats(scheme, d)
-        fresh = bin_sums(scheme, d.scores.copy(), d.scores.copy(), d.labels.copy())
+        fresh = _sums(scheme, d.scores.copy(), d.labels.copy())
         for kept, computed in zip(_dataset_sums(scheme, d), fresh):
             assert kept.tobytes() == computed.tobytes()
         for name in ("counts", "mean_scores", "mean_labels", "masses"):
@@ -458,39 +440,6 @@ class TestBinStats:
             _dataset_sums(uwb_scheme(2), d)[0][0] = 1
 
 
-class TestDatasetSums:
-    @given(
-        st.integers(min_value=_BLOCK + 1, max_value=3 * _BLOCK),
-        st.integers(min_value=1, max_value=40),
-        st.sampled_from(["uwb", "umb", "crowded", "packed"]),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_fused_pass_equals_bin_sums(self, n, B, method, seed):
-        # Crowded UMB edges sit closer than 1/_MAX_CELLS, as do the packed
-        # ones, so those schemes have no table and every block takes binary search.
-        rng = np.random.default_rng(seed)
-        scores = rng.uniform(size=n)
-        if method == "uwb":
-            s = uwb_scheme(B)
-        elif method == "umb":
-            s = quiet_umb(scores, B)
-        elif method == "crowded":
-            B = max(B, 3)  # two interior edges at least, 2**-29 apart
-            crowd = 0.5 + np.arange(2 * B) * 2.0**-30
-            s = quiet_umb(np.concatenate([crowd, crowd]), B)
-        else:
-            s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
-        assert (s._cells == 0) == (method in ("crowded", "packed"))
-        near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
-        scores[rng.integers(0, n, size=near.size)] = np.clip(near, 0.0, 1.0)
-        d = ScoredDataset(scores, rng.integers(0, 2, size=n))
-        want = bin_sums(s, d.scores, d.scores, d.labels.astype(np.int64))
-        for got, w in zip(_dataset_sums(s, d), want, strict=True):
-            assert got.dtype == w.dtype
-            assert got.tobytes() == w.tobytes()
-
-
 class TestBinOnce:
     """A dataset is binned once per scheme; the cross-check paths bin every time."""
 
@@ -503,8 +452,7 @@ class TestBinOnce:
         bin_stats(s, d)
         assert [n for _, n in assign_calls] == [50, 30]
         ece_reformulated(d, s)
-        bin_sums(s, d.scores, d.labels)
-        assert [n for _, n in assign_calls] == [50, 30, 50, 50]
+        assert [n for _, n in assign_calls] == [50, 30, 50]
 
     def test_entry_dies_with_its_scheme(self):
         d = ScoredDataset([0.2, 0.4, 0.8], [0, 1, 1])

@@ -258,6 +258,16 @@ class TestSyntheticCommand:
             n, rep, B, ece, tce, tce_gap, bound = (float(v) for v in line.split(","))
             assert tce_gap == abs(tce - ece) and bound > 0
 
+    def test_grid_point_beyond_memory_exits_2(self, tmp_path):
+        # Within numpy's size limit, so only the run's first draws fail: numpy refuses
+        # 2n int64 values (8 EiB) at once, and nothing is allocated.
+        n = 2**59 - 1
+        proc = _python(_MAIN, "cmi", "--n-grid", str(n), "--out", str(tmp_path / "o"),
+                       timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: --n-grid point n={n} does not fit in memory\n"
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["synthetic", "--n-grid", "200,400", "--reps", "2",
                 "--b-rule", "cube_root", "--seed", "9"]
@@ -396,14 +406,13 @@ class TestCmiCommand:
         assert bounds[1] < bounds[0]
 
     def test_exhaustive_record_names_the_plugin_estimator(self, tmp_path):
-        # The plug-in estimator takes no k; --k and --n-masks at their defaults are accepted.
+        # The plug-in estimator samples no masks and takes no k, so the record holds neither flag.
         out = tmp_path / "cmi"
         assert main(["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1",
-                     "--epochs", "20", "--k", "3", "--n-masks", "10", "--seed", "1",
-                     "--out", str(out)]) == 0
-        results = {
-            r["name"]: r for r in json.loads((out / "run_record.json").read_text())["results"]
-        }
+                     "--epochs", "20", "--seed", "1", "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert "n_masks" not in record["config"] and "k" not in record["config"]
+        results = {r["name"]: r for r in record["results"]}
         est = results["ecmi_est"]
         assert est["inputs"] == {"n": 8, "B": 2, "method": "plugin", "k": 0}
         bound = results["gen_ece"]
@@ -509,6 +518,10 @@ class TestExitCodes:
              "flags apply only without --exhaustive: --n-masks"),
             (["cmi", "--n-grid", "8", "--exhaustive", "--k", "1"],
              "flags apply only without --exhaustive: --k"),
+            (["cmi", "--n-grid", "8", "--exhaustive", "--k", "3"],
+             "flags apply only without --exhaustive: --k"),
+            (["cmi", "--n-grid", "8", "--exhaustive", "--n-masks", "10"],
+             "flags apply only without --exhaustive: --n-masks"),
         ],
         # Fixed ids: removing a case renames no other.
         ids=[
@@ -522,6 +535,8 @@ class TestExitCodes:
             "argv7-flags apply only without --exhaustive: --n-masks, --k",
             "argv8-flags apply only without --exhaustive: --n-masks",
             "argv9-flags apply only without --exhaustive: --k",
+            "argv10-flags apply only without --exhaustive: --k at its default",
+            "argv11-flags apply only without --exhaustive: --n-masks at its default",
         ],
     )
     def test_unused_input_exits_2(self, argv, message, score_file, tmp_path, capsys, monkeypatch):
@@ -680,12 +695,14 @@ class TestParserDefaults:
     """A flag's default is the library default it stands for, type included."""
 
     def test_cmi_defaults_are_config_defaults(self):
+        # --n-masks and --k parse to None, so --exhaustive can tell them given; a sampled
+        # run then takes the library's defaults (TestRunRecordConfig.test_cmi).
         args = build_parser().parse_args(["cmi"])
         cfg = CmiExperimentConfig(n=8, B=2, trainer=TrainerConfig(), seed=0)
-        parsed = (args.n_supersamples, args.n_masks, args.k, args.method, args.lr, args.epochs)
-        library = (cfg.n_supersamples, cfg.n_masks, cfg.k, cfg.method,
-                   cfg.trainer.learning_rate, cfg.trainer.epochs)
+        parsed = (args.n_supersamples, args.method, args.lr, args.epochs)
+        library = (cfg.n_supersamples, cfg.method, cfg.trainer.learning_rate, cfg.trainer.epochs)
         assert [(type(v), v) for v in parsed] == [(type(v), v) for v in library]
+        assert (args.n_masks, args.k) == (None, None)
 
     def test_synthetic_betas_are_pool_defaults(self):
         args = build_parser().parse_args(["synthetic"])
@@ -771,9 +788,12 @@ class TestRunRecordConfig:
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1", "--exhaustive",
                 "--epochs", "20", "--seed", "4"]
         assert self._config(argv, tmp_path / "exhaustive") == {
-            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 10,
-            "k": 3, "method": "umb", "exhaustive": True, "lr": 0.5, "epochs": 20, "seed": 4,
+            "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1,
+            "method": "umb", "exhaustive": True, "lr": 0.5, "epochs": 20, "seed": 4,
         }
+        argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1", "--epochs", "20"]
+        config = self._config(argv, tmp_path / "sampled")
+        assert (config["n_masks"], config["k"]) == (10, 3)
 
     @pytest.mark.parametrize(
         "argv",

@@ -17,7 +17,6 @@ from calbounds import (
     ScoredDataset,
     SyntheticModel,
     bin_stats,
-    bin_sums,
     cube_root_bins,
     ece,
     ece_gap,
@@ -33,7 +32,7 @@ from calbounds import (
     umb_scheme,
     uwb_scheme,
 )
-from calbounds.binning import _MAX_CELLS
+from calbounds.binning import _BLOCK, _MAX_CELLS
 from calbounds.bounds import _total_bias
 from calbounds.experiments import scored_synthetic_dataset
 from calbounds.metrics import _floor_cbrt
@@ -131,9 +130,24 @@ class TestEceReformulated:
         s = uwb_scheme(B)
         assert abs(ece(d, s).value - ece_reformulated(d, s).value) < 1e-12
 
+    def test_equals_one_bincount_of_residuals(self):
+        # The residuals are added a block at a time, and keep the bits of one
+        # np.bincount over all n > _BLOCK rows: under a table, under uniform-mass
+        # edges, and under packed edges that leave no table.
+        n = 3 * _BLOCK + 5
+        rng = np.random.default_rng(31)
+        d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
+        packed = BinningScheme([0.0, 0.5, 0.5 + 1e-9, 1.0], "umb")
+        assert packed._cells == 0
+        for s in (uwb_scheme(15), umb_scheme(d.scores, 200), packed):
+            idx = np.maximum(np.searchsorted(s.edges, d.scores, "left"), 1) - 1
+            sums = np.bincount(idx, weights=d.labels - d.scores, minlength=s.B)
+            want = min(float(np.sum(np.abs(sums)) / n), 1.0)
+            assert ece_reformulated(d, s).value.hex() == want.hex()
+
     def test_peak_memory_two_arrays_of_n(self):
-        # The residuals, 8 bytes a score (7.63 MiB at n = 1e6), plus under a MiB
-        # for one block's bin index and table temporaries.
+        # One block's bin index and residuals, and table temporaries: under a MiB
+        # at n = 1e6. Residuals of all n rows held 7.63 MiB more.
         n = 1_000_000
         rng = np.random.default_rng(29)
         d = ScoredDataset(rng.uniform(size=n), rng.integers(0, 2, size=n))
@@ -143,7 +157,7 @@ class TestEceReformulated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n + 2**20
+        assert peak <= 2**20
 
     def test_peak_memory_two_arrays_of_n_largest_table(self):
         # The same bound with uniform-mass edges close enough to need the
@@ -160,7 +174,7 @@ class TestEceReformulated:
         finally:
             tracemalloc.stop()
         assert "_table" in vars(scheme)
-        assert peak <= 8 * n + 2**20
+        assert peak <= 2**20
 
 
 def mc_binned_tce(m, s, n_mc, seed):
@@ -169,7 +183,8 @@ def mc_binned_tce(m, s, n_mc, seed):
     x, y = sample_synthetic(n_mc, stream(seed))
     z = logistic_predict(m, x)
     resid = y - z
-    _, sums, sq_sums = bin_sums(s, z, resid, resid * resid)
+    idx = np.maximum(np.searchsorted(s.edges, z, "left"), 1) - 1
+    sums, sq_sums = (np.bincount(idx, weights=w, minlength=s.B) for w in (resid, resid * resid))
     variances = sq_sums / n_mc - (sums / n_mc) ** 2
     se = np.sum(np.sqrt(np.maximum(variances, 0.0) / n_mc))
     return float(np.sum(np.abs(sums)) / n_mc), float(se)

@@ -19,7 +19,6 @@ from calbounds import (
     TrainerConfig,
     assign,
     bin_stats,
-    bin_sums,
     ece_gap,
     ksg_mixed_mi,
     logistic_predict,
@@ -533,12 +532,13 @@ class TestEcmiStatistic:
 
 def reference_cell(s_tr, y_tr, s_te, y_te, B, uwb=None):
     """``_cell_statistics`` from the public API: ``ece_gap`` over two datasets, and the deltas
-    from ``bin_stats`` counts and ``bin_sums`` label sums under the training half's UMB scheme."""
+    from ``bin_stats`` counts and label sums over ``assign`` under the training half's UMB scheme."""
     d_tr, d_te = ScoredDataset(s_tr, y_tr), ScoredDataset(s_te, y_te)
     umb = umb_scheme(d_tr.scores, B)
     gap = ece_gap(d_tr, d_te, umb if uwb is None else uwb).value
     c_tr, c_te = (bin_stats(umb, d).counts for d in (d_tr, d_te))
-    l_tr, l_te = (bin_sums(umb, d.scores, d.labels)[1] for d in (d_tr, d_te))
+    l_tr, l_te = (np.bincount(assign(umb, d.scores) - 1, weights=d.labels, minlength=umb.B)
+                  for d in (d_tr, d_te))
     n = len(d_tr)
     return gap, float(np.abs(l_te - l_tr).sum() / n), float(np.abs(c_te - c_tr).sum() / n)
 

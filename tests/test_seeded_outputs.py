@@ -99,7 +99,7 @@ DIGESTS = {
     },
     "cmi-exhaustive": {
         "stdout": "fe6eb182a4596be59b33894be1cbe51678107a2c48bb8c5bb79fb1d213bf7655",
-        "run_record.json": "f04d614dad72e09746e1a653d03598617c89677522cabb033e35ca8db438ed2c",
+        "run_record.json": "4019d0837f2e0eec27d15f76a5ebe103b77896a46b3c8bb215fb511416ffc09d",
         "cmi_cells_n8.csv": "c7e96de32b261628e440e14e035cd637307ae52269b9c7501f457a54f68a5d7b",
         "cmi_summary.csv": "acb043d09d0298a8b9c5746907e28aad645287e7040f3594811ffe3cd7c3611c",
     },
