@@ -440,6 +440,44 @@ class TestBinStats:
             _dataset_sums(uwb_scheme(2), d)[0][0] = 1
 
 
+class TestDatasetSums:
+    @given(
+        st.integers(min_value=_BLOCK + 1, max_value=3 * _BLOCK),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["uwb", "umb", "crowded", "packed"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_pass_equals_bin_sums(self, n, B, method, seed):
+        # The dataset's kept sums over its int8 labels have the bits of _sums
+        # over int64 labels and of one np.bincount. Crowded UMB edges sit closer
+        # than 1/_MAX_CELLS, as do the packed ones, so those schemes have no
+        # table and every block takes binary search.
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=n)
+        if method == "uwb":
+            s = uwb_scheme(B)
+        elif method == "umb":
+            s = quiet_umb(scores, B)
+        elif method == "crowded":
+            B = max(B, 3)  # two interior edges at least, 2**-29 apart
+            crowd = 0.5 + np.arange(2 * B) * 2.0**-30
+            s = quiet_umb(np.concatenate([crowd, crowd]), B)
+        else:
+            s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
+        assert (s._cells == 0) == (method in ("crowded", "packed"))
+        near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
+        scores[rng.integers(0, n, size=near.size)] = np.clip(near, 0.0, 1.0)
+        d = ScoredDataset(scores, rng.integers(0, 2, size=n))
+        labels = d.labels.astype(np.int64)
+        idx = np.maximum(np.searchsorted(s.edges, d.scores, "left"), 1) - 1
+        want = [np.bincount(idx, minlength=s.B).astype(np.int64)]
+        want += [np.bincount(idx, weights=w, minlength=s.B) for w in (d.scores, labels)]
+        for got, one, w in zip(_dataset_sums(s, d), _sums(s, d.scores, labels), want, strict=True):
+            assert got.dtype == one.dtype == w.dtype
+            assert got.tobytes() == one.tobytes() == w.tobytes()
+
+
 class TestBinOnce:
     """A dataset is binned once per scheme; the cross-check paths bin every time."""
 
