@@ -2,8 +2,7 @@
 
 A scored dataset is the substrate of every estimator in the library: an
 ordered sequence of (confidence score in [0, 1], binary label) pairs.
-Supersamples are the n x 2 data matrices with a uniform bit mask used by
-the train/test information-theoretic experiments.
+Supersamples are the n x 2 train/test data matrices with a uniform bit mask.
 """
 
 from __future__ import annotations
@@ -82,11 +81,9 @@ class ScoredDataset:
 
 _CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
 _SNIFF = 4096  # characters read from a file's start to decide its format
-_PIECE = 1 << 16  # characters of JSON read and decoded at a time, bytes of CSV scanned
+_PIECE = 1 << 16  # characters of JSON read and decoded at a time
 # Suffixes that numpy's path opener decompresses: such files are read as text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# Line breaks of str.splitlines() that a text-mode file does not break lines at.
-_ODD_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _JSON_SPACE = " \t\n\r"
 _BOM = "\ufeff"  # one leading byte-order mark is dropped before the format is decided
 _RECORD_BREAK = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
@@ -104,9 +101,10 @@ def _is_header(raw: str) -> bool:
 
 
 def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
+    """Rows of a newline-decoded CSV text, read line by line: a row ends at ``\\n`` only."""
     scores: list[float] = []
     labels: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -129,29 +127,18 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
     return scores, labels
 
 
-def _plain_lines(p: Path) -> bool:
-    """Whether the file, past one leading BOM, is ASCII and breaks lines only at
-    ``\\n`` and ``\\r``."""
-    with p.open("rb") as f:
-        f.seek(3 if f.read(3) == _BOM.encode() else 0)
-        while chunk := f.read(_PIECE):
-            if not chunk.isascii() or any(b in chunk for b in _ODD_BREAKS):
-                return False
-    return True
-
-
 def _load_csv_fast(p: Path, head: str) -> ScoredDataset | None:
     """The CSV parsed by numpy straight from the file, or None when `_parse_csv` must decide.
 
-    Taken for a plain ASCII file (`_plain_lines`), whose lines are then
-    `str.splitlines()`'s, and whose first line ends within ``head``. numpy
-    takes a subset of what `_parse_csv` takes (no ``0_5`` or whitespace-only
-    lines) and parses it to the same bits. A file it rejects or warns on, or
-    whose rows `ScoredDataset` refuses, goes to the line-by-line parser for
-    the exact message and line number.
+    Taken when the name has no `_COMPRESSED` suffix and the first line ends
+    within ``head``. numpy ends rows where `_parse_csv` does, takes a subset
+    of what it takes (no ``0_5``, non-ASCII digits or whitespace-only lines)
+    and parses it to the same bits. A file it rejects or warns on, or whose
+    rows `ScoredDataset` refuses, goes to the line-by-line parser for the
+    exact message and line number.
     """
     first, newline, _ = head.partition("\n")  # text mode has made every \r a \n
-    if p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF) or not _plain_lines(p):
+    if p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF):
         return None
     try:
         with warnings.catch_warnings():
@@ -251,11 +238,11 @@ def load_scores(path) -> ScoredDataset:
 
     One leading byte-order mark is dropped. The rest of the text decides the
     format, not the file name: JSON when its first non-whitespace character
-    is ``[`` or ``{``, CSV otherwise. CSV rows are ``score,label`` with an
-    optional ``score,label`` header; JSON files hold an array of
-    ``{"score": x, "label": y}`` objects. Row order in the file is
-    preserved. Content errors name the path; malformed rows give their line
-    number, and out-of-range scores or labels are rejected.
+    is ``[`` or ``{``, CSV otherwise. CSV rows are ``score,label`` after an
+    optional ``score,label`` header, and end at ``\\n``, ``\\r`` or ``\\r\\n``
+    only. JSON files hold an array of ``{"score": x, "label": y}`` objects.
+    Row order is preserved. Content errors name the path; malformed rows
+    give their line number, and out-of-range scores or labels are rejected.
     """
     p = Path(path)
     try:

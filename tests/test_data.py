@@ -180,6 +180,16 @@ class TestLoadScores:
             load_scores(p)
         assert str(e.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xd0")
 
+    def test_non_utf8_byte_past_the_head_names_the_path(self, tmp_path):
+        # numpy meets the byte, and the whole-text read names it, counted from the file start.
+        rows = b"0.5,1\n" * 3000
+        p = tmp_path / "scores.csv"
+        p.write_bytes(rows + b"0.\xff5,0\n" + rows)
+        with pytest.raises(ValueError) as e:
+            load_scores(p)
+        assert str(e.value) == (f"{p}: 'utf-8' codec can't decode byte 0xff in position 18002: "
+                                "invalid start byte")
+
     @pytest.mark.parametrize(
         "name, text",
         [
@@ -219,15 +229,34 @@ class TestLoadScores:
     @pytest.mark.parametrize("text", ["0.5\x0b,1\n", "0.5,1\n0.25\x0c,0\n", "0.5\x1e,1\n",
                                       "0.5,1\n0.25\x1c,0\n", "0.5,1\n0.25\x1d,0\n"])
     def test_line_breaks_of_splitlines_count_in_csv(self, tmp_path, text):
-        # numpy would read "0.5\x0b,1" as one row with a padded score; the file's lines are
-        # str.splitlines()'s, so "0.5" alone is a malformed row.
+        # A CSV row ends at \n, \r or \r\n only. The other line breaks of str.splitlines()
+        # stay inside the row, where they pad a token as any whitespace does.
         p = tmp_path / "scores.csv"
         p.write_text(text)
+        rows = text.count("\n")
+        d = load_scores(p)
+        assert (d.scores.tolist(), d.labels.tolist()) == _parse_csv(text, str(p))
+        assert (d.scores.tolist(), d.labels.tolist()) == ([0.5, 0.25][:rows], [1, 0][:rows])
+
+    def test_form_feed_does_not_end_a_row(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("0.5,1\x0c0.25,0\n")
         with pytest.raises(ValueError) as e:
             load_scores(p)
-        with pytest.raises(ValueError) as expected:
-            _parse_csv(p.read_text(), str(p))
-        assert str(e.value) == str(expected.value)
+        assert str(e.value) == f"{p}: malformed row at line 1: '0.5,1\\x0c0.25,0'"
+
+    def test_non_ascii_csv_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        # No-break spaces around labels and a line separator inside a row are whitespace
+        # to numpy as to float() and int(); the file never reaches the line-by-line parser.
+        text = "score,label\n0.5,\xa01\xa0\n0.25\u2028,0\n\u3000\x1c0.75,\x851\n"
+        p = tmp_path / "scores.csv"
+        p.write_text(text, encoding="utf-8")
+        expected = _parse_csv(text, str(p))
+        monkeypatch.setattr(data_mod, "_parse_csv", None)  # any call would raise
+        monkeypatch.setattr(data_mod, "_read_text", None)
+        d = load_scores(p)
+        assert expected == ([0.5, 0.25, 0.75], [1, 0, 1])
+        assert (d.scores.tolist(), d.labels.tolist()) == expected
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_plain_text(self, tmp_path, suffix):
@@ -262,13 +291,17 @@ class TestLoadScores:
         assert proc.stdout.strip() == str(scores)
 
 
-# Tokens on which a vectorized parser and Python's float()/int() may disagree.
+# Tokens on which a vectorized parser and Python's float()/int() may disagree: among them
+# non-ASCII whitespace, a BOM inside the file, non-ASCII digits and a zero-width space.
 _SCORE_TOKENS = ["nan", "inf", "-0.0", "1e400", "1.5", "-0.1", "0_5", "\u0660.5", " 0.5 ",
-                 "0.5\xa0", "0.5\x00", "0x1p-1", "", "score"]
+                 "0.5\xa0", "0.5\x00", "0x1p-1", "", "score", "\x1c0.5", "0.5\x85", "\u20280.5",
+                 "\u30000.5\u3000", "\xa00.5", "\ufeff0.5", "0.\uff15", "0.5\u200b"]
 _LABEL_TOKENS = ["0", "1", "+1", "01", "-0", " 1 ", "1.0", "2", "-1", "9223372036854775808",
-                 "1_0", "\u0661", "", "label"]
-_LINE_TOKENS = ["", "   ", "\t", "score,label", "0.5", "0.5,1,", ",", "0.5,1 # c"]
-_LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c"]
+                 "1_0", "\u0661", "", "label", "\xa01", "1\u3000", "\u20281", "\x851", "1\x1c",
+                 "\ufeff1", "\uff11"]
+_LINE_TOKENS = ["", "   ", "\t", "score,label", "0.5", "0.5,1,", ",", "0.5,1 # c", "\u3000", "\x85",
+                "\ufeff0.5,1", "0.5\u2028,1", "\xa0score,label\u2029"]
+_LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
 
 
 def _csv_texts():
@@ -294,7 +327,7 @@ class TestCsvFastPath:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
             path.write_bytes(text.encode("utf-8"))
-            read = path.read_text()
+            read = path.read_text(encoding="utf-8").removeprefix("\ufeff")
             try:
                 scores, labels = _parse_csv(read, str(path))
                 if not scores:

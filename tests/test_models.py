@@ -1,6 +1,10 @@
 """Synthetic family, calibration map, exact and Monte-Carlo TCE, and the trainer."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -253,6 +257,23 @@ TCE_BITS = {
     (4.0, -2.0): ("0x1.85a20c70791b2p-2", "0x1.4200000000dc0p-49"),
 }
 
+# numpy picks its float64 exp kernel by CPU feature, and the quadrature's error bits follow
+# it: the pins are keyed by a fingerprint of exp (see exp_fingerprint).
+TCE_BITS_BY_EXP = {
+    "75bcc0a0cd4d": TCE_BITS,  # numpy's AVX-512 kernel
+    "e7549d8a592b": {  # numpy's kernel without AVX-512, as under NO_AVX512
+        **TCE_BITS,
+        (0.5, 1000.0): ("0x1.ae98c4785337bp-1", "0x1.3acc0e034200cp-47"),
+        (4.0, -2.0): ("0x1.85a20c70791b2p-2", "0x1.4400000000dc0p-49"),
+    },
+}
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"  # NPY_DISABLE_CPU_FEATURES for the second kernel
+
+
+def exp_fingerprint() -> str:
+    """The first 12 hex digits of the sha256 of numpy's float64 exp over a fixed grid."""
+    return hashlib.sha256(np.exp(np.linspace(-40.0, 40.0, 100001)).tobytes()).hexdigest()[:12]
+
 
 class TestExactTce:
     @pytest.mark.parametrize("beta, expected", TCE_TABLE, ids=[str(b) for b, _ in TCE_TABLE])
@@ -265,8 +286,20 @@ class TestExactTce:
     @pytest.mark.parametrize("beta", TCE_BITS, ids=str)
     def test_bits(self, beta):
         # The synthetic digests pin only (0.5, -1.5); a change to the quadrature shows here.
+        fingerprint = exp_fingerprint()
+        assert fingerprint in TCE_BITS_BY_EXP, f"no pinned bits for numpy exp {fingerprint}"
         est = exact_tce(SyntheticModel(*beta))
-        assert (est.value.hex(), est.error.hex()) == TCE_BITS[beta]
+        assert (est.value.hex(), est.error.hex()) == TCE_BITS_BY_EXP[fingerprint][beta]
+
+    def test_bits_without_avx512(self):
+        # test_bits again in an interpreter whose numpy dispatches exp to the second kernel.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestExactTce::test_bits"],
+            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-2000:]
+        assert f"{len(TCE_BITS)} passed" in proc.stdout
 
     def test_step_model_is_phi_of_one(self):
         est = exact_tce(SyntheticModel(0.5, 1e300))
