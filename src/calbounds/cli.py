@@ -22,6 +22,7 @@ Printed floats carry 6 significant digits; data files keep full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -73,6 +74,16 @@ def _scheme_for(args, dataset):
     return uwb_scheme(B) if args.method == UWB else umb_scheme(dataset.scores, B)
 
 
+@contextlib.contextmanager
+def _bins_in_memory(bins):
+    """Names ``--bins`` when numpy refuses the scheme's edges or the per-bin sums, which
+    are all a binned metric allocates beyond its bounded blocks."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"--bins {bins}: the per-bin arrays do not fit in memory") from None
+
+
 # Each _cmd_* runs one subcommand, adds its results to the run record and
 # returns its CSV tables as {file name: (header, rows)}. `main` builds the
 # record from the parsed flags and writes the tables and the record.
@@ -83,8 +94,9 @@ def _cmd_ece(args, record: RunRecord) -> dict:
         raise ValueError("--bins auto requires --lipschitz" if args.lipschitz is None
                          else "--lipschitz applies only to --bins auto")
     dataset = load_scores(args.input)
-    scheme = _scheme_for(args, dataset)
-    value = ece(dataset, scheme)
+    with _bins_in_memory(args.bins):
+        scheme = _scheme_for(args, dataset)
+        value = ece(dataset, scheme)
     print(f"ece {_fmt(value.value)} bins {scheme.B} method {scheme.method}")
     record.add(
         "ece", value.value, B=scheme.B, method=scheme.method, n_e=len(dataset),
@@ -96,8 +108,9 @@ def _cmd_ece(args, record: RunRecord) -> dict:
 def _cmd_gap(args, record: RunRecord) -> dict:
     d_train = load_scores(args.train)
     d_test = load_scores(args.test)
-    scheme = _scheme_for(args, d_train)
-    gap = ece_gap(d_train, d_test, scheme)
+    with _bins_in_memory(args.bins):
+        scheme = _scheme_for(args, d_train)
+        gap = ece_gap(d_train, d_test, scheme)
     print(
         f"ece_gap {_fmt(gap.value)} test {_fmt(gap.components[0])} "
         f"train {_fmt(gap.components[1])} bins {scheme.B} method {scheme.method}"
@@ -125,6 +138,21 @@ _BOUND_FLAGS = {
 }
 
 
+def _bound_int(text: str) -> int:
+    """An integer flag of a bound. The formulas take it as a float, so it must convert to one."""
+    try:
+        value = int(text)
+        float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise argparse.ArgumentTypeError(
+            f"expected an integer within the float range (below 1.8e308), got {digits} digits"
+        ) from None
+    return value
+
+
 class _LeafParser(argparse.ArgumentParser):
     """Reports unknown flags itself, with its own usage line, not the root parser's."""
 
@@ -146,7 +174,8 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
         kwargs = dict(extra)
         # `float | None` takes floats; None stays reachable only as a default.
         types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
-        kwargs["type"] = types[0] if types else param.annotation
+        kind = types[0] if types else param.annotation
+        kwargs["type"] = _bound_int if kind is int else kind
         p.add_argument(flag, dest=param.name, required="default" not in kwargs, **kwargs)
     p.set_defaults(func=_cmd_bounds, bound=fn)
     return p

@@ -12,16 +12,17 @@ information those statistics carry about the mask.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import digamma, expit
 
 from .binning import UMB, UWB, _check_count, _sums, umb_scheme, uwb_scheme
 from .metrics import _binned_error
-from .models import TrainerConfig, _descend, _init_beta, sample_synthetic
+from .models import TrainerConfig, _descend, _expit, _init_beta, sample_synthetic
 from .rng import child_seed, stream
 
 __all__ = [
@@ -39,6 +40,14 @@ _SWEEP = 1 << 5  # the all-label search builds at most _SWEEP * m distances per 
 
 STATISTICS = ("ecmi_gap", "delta1", "delta2")  # a CMI cell's statistics, in order
 
+# cephes psi: digamma(n) for n <= 10 is 1 + 1/2 + ... + 1/(n-1), summed left to right, less
+# Euler's constant; above 10, log s - 0.5/s - z * A(z) with z = 1/s^2, A's highest power first.
+_PSI_SMALL = np.array(list(itertools.accumulate((1.0 / i for i in range(1, 10)), initial=0.0)))
+_PSI_SMALL -= 0.57721566490153286061
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+
 
 @dataclass(frozen=True)
 class MiEstimate:
@@ -55,6 +64,24 @@ class MiEstimate:
     @property
     def clamped(self) -> float:
         return max(self.value, 0.0)
+
+
+def _digamma(n):
+    """digamma at positive integers ``n``, with the bits of scipy.special.digamma: cephes psi,
+    with the log from ``math.log`` (glibc's, not numpy's dispatched kernel).
+
+    psi is evaluated once per integer from min(n) to max(n), then looked up: the estimator's
+    counts of m points span fewer than m integers, so this costs no more than a sort would.
+    """
+    n = np.asarray(n)
+    lo = int(n.min())
+    u = np.arange(lo, int(n.max()) + 1)
+    s = u.astype(np.float64)
+    z = 1.0 / (s * s)
+    series = np.fromiter(map(math.log, s.tolist()), np.float64, s.size) - 0.5 / s
+    series -= z * functools.reduce(lambda acc, c: acc * z + c, _PSI_A)
+    psi = np.where(u <= 10, _PSI_SMALL[np.minimum(u, 10) - 1], series)
+    return psi[n - lo][()]
 
 
 def _as_points(values) -> np.ndarray:
@@ -220,8 +247,8 @@ def ksg_mixed_mi(values, labels, k: int = 3) -> MiEstimate:
         late_ties = np.bincount(tie_row[late], minlength=p.size)
         m_i[order[p]] = np.count_nonzero(dist <= r, axis=1) - late_ties
         lo = hi
-    psi_k, psi_nx, psi_m = (np.mean(digamma(a)) for a in (k_c[codes], class_sizes[codes], m_i))
-    value = float(digamma(m) + psi_k - psi_nx - psi_m)
+    psi_k, psi_nx, psi_m = (np.mean(_digamma(a)) for a in (k_c[codes], class_sizes[codes], m_i))
+    value = float(_digamma(m) + psi_k - psi_nx - psi_m)
     return MiEstimate(value, "knn", k)
 
 
@@ -378,7 +405,7 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
             where=lambda m: f" (supersample {s_idx}, mask {m})",
         )
         (s_tr, y_tr), (s_te, y_te) = (
-            (expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
+            (_expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
         )
         for m in range(n_masks):
             stats[s_idx, m] = _cell_statistics(s_tr[m], y_tr[m], s_te[m], y_te[m], cfg.B, uwb)

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
+from numpy.polynomial.legendre import leggauss  # imported here, not in a first timed call
 
 from .binning import BinningScheme, _check_count
 from .rng import stream
@@ -49,6 +49,30 @@ _LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
 _TCE_SPAN = 40.0  # exact_tce integrates over [-span, span]; the density is 0.0 beyond 39.6
 _TCE_TOL = 1e-13  # exact_tce's target for the summed error estimate
 _TCE_MAX_ROUNDS = 60  # bisections of a panel; 80 / 2**60 is below the float spacing at 1
+
+
+def _expit(x, out=None):
+    """1 / (1 + exp(-x)), scipy.special.expit's formula, computed in ``out`` if given.
+
+    exp(-x) overflows to inf below x = -709.78, where the result is 0.0. With glibc's
+    exp kernel in numpy the bits are scipy's; with numpy's AVX-512 kernel they are
+    within 4 ulp of them, the most where 1 + exp(-x) passes 2**53.
+    """
+    with np.errstate(over="ignore"):
+        t = np.exp(np.negative(x, out=out), out=out)
+        return np.divide(1.0, np.add(t, 1.0, out=out), out=out)
+
+
+def _logit(z):
+    """log(z / (1 - z)), as scipy.special.logit computes it: on [0.3, 0.65], where the
+    quotient is near 1, as log1p(s) - log1p(-s) with s = 2z - 1. 0 and 1 give -inf and
+    inf, and z outside [0, 1] NaN. The bits follow numpy's log kernels as ``_expit``'s
+    follow its exp: scipy's with glibc's, and within 2 ulp of them with AVX-512's."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = 2.0 * (z - 0.5)
+        out = np.where((z >= 0.3) & (z <= 0.65), np.log1p(s) - np.log1p(-s), np.log(z / (1.0 - z)))
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -108,7 +132,7 @@ def sample_synthetic(n: int, rng: np.random.Generator):
 def logistic_predict(m: SyntheticModel, x):
     """sigmoid(beta0 + beta1 * x); no clamping is applied."""
     with np.errstate(over="ignore"):  # a steep model's product may overflow: expit takes inf
-        return expit(m.beta0 + m.beta1 * np.asarray(x, dtype=np.float64))
+        return _expit(m.beta0 + m.beta1 * np.asarray(x, dtype=np.float64))
 
 
 def canonical_calibration(m: SyntheticModel, z1):
@@ -124,7 +148,7 @@ def canonical_calibration(m: SyntheticModel, z1):
         raise ValueError("scores must lie strictly inside (0, 1)")
     # logit(z) = beta0 + beta1 * x  =>  x = (logit(z) - beta0) / beta1,
     # and the true posterior is sigmoid(-2x).
-    out = expit(2.0 * (m.beta0 - logit(z)) / m.beta1)
+    out = _expit(2.0 * (m.beta0 - _logit(z)) / m.beta1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -152,7 +176,7 @@ def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
     """
     (n_mc,) = _check_count(n_mc=n_mc)
     x, _ = sample_synthetic(n_mc, stream(seed))
-    t = np.abs(logistic_predict(m, x) - expit(-2.0 * x))
+    t = np.abs(logistic_predict(m, x) - _expit(-2.0 * x))
     value = float(np.mean(t))
     se = float(np.std(t, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return McEstimate(value, se)
@@ -162,7 +186,7 @@ def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """20-point Gauss-Legendre nodes and weights on [-1, 1], made on first use: the
     eigensolver behind them starts LAPACK, which costs ~1 MB of RSS in a run without it."""
-    return np.polynomial.legendre.leggauss(20)
+    return leggauss(20)
 
 
 def _panel_integrals(m: SyntheticModel, lo, hi) -> np.ndarray:
@@ -171,7 +195,7 @@ def _panel_integrals(m: SyntheticModel, lo, hi) -> np.ndarray:
     half = (hi - lo) / 2.0
     x = ((lo + hi) / 2.0)[:, None] + half[:, None] * nodes
     density = (np.exp(-0.5 * (x + 1.0) ** 2) + np.exp(-0.5 * (x - 1.0) ** 2)) / np.sqrt(8.0 * np.pi)
-    return half * (np.abs(logistic_predict(m, x) - expit(-2.0 * x)) * density @ weights)
+    return half * (np.abs(logistic_predict(m, x) - _expit(-2.0 * x)) * density @ weights)
 
 
 def _tce_panels(m: SyntheticModel, cuts=()):
@@ -232,7 +256,7 @@ def exact_binned_tce(m: SyntheticModel, s: BinningScheme) -> QuadEstimate:
     """
     sums, error = np.zeros(s.B), 0.0
     with np.errstate(over="ignore"):  # a steep or flat model's ends and signs may be inf
-        cuts = np.sort(np.clip((logit(s.edges[1:-1]) - m.beta0) / m.beta1, -_TCE_SPAN, _TCE_SPAN))
+        cuts = np.sort(np.clip((_logit(s.edges[1:-1]) - m.beta0) / m.beta1, -_TCE_SPAN, _TCE_SPAN))
         for mid, values, errors in _tce_panels(m, cuts):
             signed = values * np.sign(m.beta0 + (m.beta1 + 2.0) * mid)
             sums += np.bincount(np.searchsorted(cuts, mid), weights=signed, minlength=s.B)
@@ -289,7 +313,7 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
                 # The ufuncs of expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
                 np.multiply(b[:, 1:], xb, out=r)
                 np.add(b[:, :1], r, out=r)
-                expit(r, out=r)
+                _expit(r, out=r)
                 np.subtract(r, yb, out=r)
                 np.multiply(r, xb, out=p)
                 np.add.reduce(r, axis=1, out=g[:, 0])

@@ -10,16 +10,17 @@ can draw concurrently without sharing generator state.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence  # imported here, not in a first timed call
 
 from .binning import _check_count
 
 
-def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, path: tuple) -> SeedSequence:
     seed, *path = _check_count(least=0, seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
-    return np.random.SeedSequence(seed, spawn_key=tuple(path))
+    return SeedSequence(seed, spawn_key=tuple(path))
 
 
-def stream(seed: int, *path: int) -> np.random.Generator:
+def stream(seed: int, *path: int) -> Generator:
     """Return the generator for substream ``path`` under ``seed``.
 
     The seed and every ``path`` component (grid indices, repetition
@@ -27,7 +28,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     with ``ValueError`` and is never truncated. The empty path is the root
     stream.
     """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+    return Generator(Philox(_seed_sequence(seed, path)))
 
 
 def child_seed(seed: int, *path: int) -> int:

@@ -98,6 +98,14 @@ class TestEceCommand:
         assert record["results"][0]["name"] == "ece"
         assert "inputs" in record["results"][0]
 
+    def test_bins_beyond_memory_exits_2(self, score_file, tmp_path):
+        # numpy refuses the 10^18 + 1 edges (8 EiB) at once, and nothing is allocated.
+        proc = _python(_MAIN, "ece", str(score_file), "--bins", str(10**18),
+                       "--out", str(tmp_path / "o"), timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: --bins {10**18}: the per-bin arrays do not fit in memory\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestGapCommand:
     def test_identical_files_give_zero(self, score_file, tmp_path, capsys):
@@ -106,6 +114,13 @@ class TestGapCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "ece_gap 0 " in out
+
+    def test_bins_beyond_memory_exits_2(self, score_file, tmp_path):
+        proc = _python(_MAIN, "gap", str(score_file), str(score_file), "--bins", str(10**18),
+                       "--out", str(tmp_path / "o"), timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: --bins {10**18}: the per-bin arrays do not fit in memory\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestBoundsCommand:
@@ -138,6 +153,19 @@ class TestBoundsCommand:
 
     def test_unknown_bound_exits_2(self, tmp_path):
         assert main(["bounds", "not-a-bound", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, flag, digits", [
+        (["stat-bias", "--bins", str(10**400), "--n", str(10**401)], "--bins", 401),
+        (["high-prob", "--bins", "15", "--n", str(-10**401), "--delta", "0.05"], "--n", 402),
+        (["recalib-holdout", "--bins", "15", "--n-re", str(10**400)], "--n-re", 401),
+    ], ids=["stat-bias", "high-prob", "recalib-holdout"])
+    def test_integer_beyond_float_range_exits_2(self, argv, flag, digits, tmp_path, capsys):
+        # The formulas take each count as a float: refused at parse, before any bound runs.
+        assert main(["bounds", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: expected an integer within the float range "
+            f"(below 1.8e308), got {digits} digits")
+        assert not (tmp_path / "o").exists()
 
 
 # Every bound: its flags with values, and the library call they stand for.
@@ -286,18 +314,6 @@ class TestSyntheticCommand:
         tce = next(r for r in record["results"] if r["name"] == "tce_exact")
         assert printed == f"{ndtr(1.0):.6g}"
         assert abs(tce["value"] - ndtr(1.0)) <= tce["inputs"]["error"] <= 1e-12
-
-    def test_leaves_scipy_integrate_unimported(self, tmp_path):
-        # Importing scipy.integrate costs about 0.2 s and 25 MB; the TCE quadrature is numpy's.
-        code = (
-            "import sys\n"
-            "import calbounds, calbounds.cli\n"
-            "argv = ['synthetic', '--n-grid', '200', '--reps', '1', '--out', sys.argv[1]]\n"
-            "assert calbounds.cli.main(argv) == 0\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
-        )
-        proc = _python(code, str(tmp_path / "o"))
-        assert proc.returncode == 0, proc.stderr
 
     def test_steepest_model_writes_nothing_to_stderr(self, tmp_path):
         # beta1 * x overflows while the test sets are drawn; numpy's warning must not show.

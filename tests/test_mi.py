@@ -363,6 +363,32 @@ class TestKsgEqualsPerPointReference:
         assert ksg_mixed_mi(values, labels, 1).value == reference_ksg(values, labels, 1)
 
 
+class TestDigamma:
+    """``mi._digamma`` has scipy's bits at positive integers, on every numpy build: its
+    log is ``math.log``, not numpy's dispatched kernel."""
+
+    def test_bit_equal_to_two_million(self):
+        n = np.arange(1, 2_000_001)
+        assert mi_mod._digamma(n).tobytes() == digamma(n).tobytes()
+
+    @given(base=st.integers(1, 30) | st.integers(1, 2**62),
+           offsets=st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_either_side_of_ten(self, base, offsets):
+        # _digamma evaluates every integer between the least and the greatest: a narrow span.
+        n = base + np.array(offsets).reshape(-1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mi_mod._digamma(n)
+        assert got.shape == n.shape and got.tobytes() == digamma(n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 547, 2**62])
+    def test_scalars_keep_scipy_types(self, n):
+        for arg in (n, np.int64(n), np.array(n)):
+            got = mi_mod._digamma(arg)
+            assert type(got) is np.float64 and got == digamma(arg)
+
+
 class TestLabelCodes:
     @given(
         labels=st.one_of(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit, ndtr
+from scipy.special import expit, logit, ndtr
 
 import calbounds.models as models_mod
 from calbounds import (
@@ -258,9 +258,16 @@ TCE_BITS = {
 }
 
 # numpy picks its float64 exp kernel by CPU feature, and the quadrature's error bits follow
-# it: the pins are keyed by a fingerprint of exp (see exp_fingerprint).
+# it, through the density and models._expit: the pins are keyed by a fingerprint of exp
+# (see exp_fingerprint). The kernel without AVX-512 is glibc's exp, so there _expit has
+# scipy's bits; the AVX-512 one moves it by up to 4 ulp (TestStandIns).
 TCE_BITS_BY_EXP = {
-    "75bcc0a0cd4d": TCE_BITS,  # numpy's AVX-512 kernel
+    "75bcc0a0cd4d": {  # numpy's AVX-512 kernel
+        **TCE_BITS,
+        (0.5, -1.5): ("0x1.30eb6afd1cbaap-4", "0x1.4498000000000p-47"),
+        (0.0, -20.0): ("0x1.2293c4de4355fp-3", "0x1.a844000000000p-44"),
+        (0.5, -50.0): ("0x1.373648a036791p-3", "0x1.152003c000000p-47"),
+    },
     "e7549d8a592b": {  # numpy's kernel without AVX-512, as under NO_AVX512
         **TCE_BITS,
         (0.5, 1000.0): ("0x1.ae98c4785337bp-1", "0x1.3acc0e034200cp-47"),
@@ -273,6 +280,14 @@ NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"  # NPY_DISABLE_CPU_FEATURES for the s
 def exp_fingerprint() -> str:
     """The first 12 hex digits of the sha256 of numpy's float64 exp over a fixed grid."""
     return hashlib.sha256(np.exp(np.linspace(-40.0, 40.0, 100001)).tobytes()).hexdigest()[:12]
+
+
+def run_without_avx512(*node_ids: str) -> subprocess.CompletedProcess:
+    """pytest on ``node_ids`` in an interpreter whose numpy dispatches exp to the second kernel."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+        capture_output=True, text=True, timeout=300)
 
 
 class TestExactTce:
@@ -292,12 +307,7 @@ class TestExactTce:
         assert (est.value.hex(), est.error.hex()) == TCE_BITS_BY_EXP[fingerprint][beta]
 
     def test_bits_without_avx512(self):
-        # test_bits again in an interpreter whose numpy dispatches exp to the second kernel.
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestExactTce::test_bits"],
-            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512),
-            capture_output=True, text=True, timeout=300)
+        proc = run_without_avx512(f"{__file__}::TestExactTce::test_bits")
         assert proc.returncode == 0, proc.stdout[-2000:]
         assert f"{len(TCE_BITS)} passed" in proc.stdout
 
@@ -339,6 +349,78 @@ class TestExactTce:
         est = exact_tce(SyntheticModel(7631.006560452792, 16846.27220307029))
         assert est.error <= 1e-12
         assert est.value == pytest.approx(0.8173343488, abs=1e-9)
+
+
+def ulp_gap(a, b) -> np.ndarray:
+    """Per element, the number of float64 steps from a to b; 0 where both are NaN."""
+    a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (a, b)))
+    ia, ib = (v.view(np.int64) for v in (a, b))
+    ia, ib = (np.where(i < 0, np.iinfo(np.int64).min - i, i) for i in (ia, ib))  # ordered like the floats
+    return np.where(np.isnan(a) & np.isnan(b), 0, np.abs(ia - ib))
+
+
+# The most float64 steps by which the stand-ins may differ from scipy, per numpy exp kernel
+# (measured: expit over 10^7 draws on (-37.5, -35.5), where 1 + exp(-x) passes 2**53, and
+# logit over 3 * 10^6 uniform draws). numpy dispatches log with exp.
+STAND_IN_ULPS = {
+    "75bcc0a0cd4d": {"expit": 4, "logit": 1, "logit_mid": 2},  # AVX-512
+    "e7549d8a592b": {"expit": 0, "logit": 0, "logit_mid": 0},  # glibc's exp and log
+}
+EDGES = [0.0, -0.0, 1.0, 0.3, 0.65, 0.5, 709.78, -709.78, 710.0, -710.0, 745.2, -745.2, 1e308,
+         -1e308, 5e-324, math.inf, -math.inf]
+
+
+def stand_in_ulps() -> dict:
+    fingerprint = exp_fingerprint()
+    assert fingerprint in STAND_IN_ULPS, f"no stated ulp gaps for numpy exp {fingerprint}"
+    return STAND_IN_ULPS[fingerprint]
+
+
+class TestStandIns:
+    """models._expit and models._logit against scipy, which the package no longer imports."""
+
+    @given(x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50) | st.just(EDGES))
+    @settings(max_examples=300, deadline=None)
+    def test_expit_within_stated_ulps(self, x):
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models_mod._expit(x)
+            out = x.copy()
+            in_place = models_mod._expit(out, out=out)
+        assert in_place is out and out.tobytes() == got.tobytes()
+        assert ulp_gap(got, expit(x)).max() <= stand_in_ulps()["expit"]
+
+    @given(z=st.lists(st.floats(0.0, 1.0) | st.floats(), min_size=1, max_size=50) | st.just(EDGES))
+    @settings(max_examples=300, deadline=None)
+    def test_logit_within_stated_ulps(self, z):
+        z = np.array(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = ulp_gap(models_mod._logit(z), logit(z))
+        mid = (z >= 0.3) & (z <= 0.65)  # scipy's log1p form
+        ulps = stand_in_ulps()
+        assert gap[~mid].max(initial=0) <= ulps["logit"]
+        assert gap[mid].max(initial=0) <= ulps["logit_mid"]
+
+    @pytest.mark.parametrize("v", EDGES + [math.nan, 0.7, -36.75])
+    def test_scalars_keep_scipy_types(self, v):
+        # A Python float and a 0-d array each give a numpy scalar, as scipy's ufuncs do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, ref, ulps in ((models_mod._expit, expit, "expit"),
+                                  (models_mod._logit, logit, "logit_mid")):
+                for arg in (v, np.array(v)):
+                    got = fn(arg)
+                    assert type(got) is np.float64
+                    assert ulp_gap(got, ref(arg))[0] <= stand_in_ulps()[ulps]
+
+    def test_bit_equal_without_avx512(self):
+        # There numpy's exp and log are glibc's, which scipy calls: STAND_IN_ULPS holds 0s.
+        proc = run_without_avx512(f"{__file__}::TestStandIns::test_expit_within_stated_ulps",
+                                  f"{__file__}::TestStandIns::test_logit_within_stated_ulps")
+        assert proc.returncode == 0, proc.stdout[-2000:]
+        assert "2 passed" in proc.stdout
 
 
 class TestTrainLogistic:
@@ -413,7 +495,7 @@ def reference_descent(x, y, cfg, seed):
         np.random.Philox(np.random.SeedSequence(seed))
     ).normal(0.0, 0.01, size=2)
     for _ in range(cfg.epochs):
-        resid = expit(beta[0] + beta[1] * x) - y
+        resid = models_mod._expit(beta[0] + beta[1] * x) - y
         beta = beta - cfg.learning_rate * np.array([np.mean(resid), np.mean(resid * x)])
     return beta[0], beta[1]
 
@@ -435,7 +517,7 @@ def stacked_descent(beta, x, y, cfg, block):
     for lo in range(0, len(beta), step):
         b, xb, yb = beta[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
         for _ in range(cfg.epochs):
-            resid = expit(b[:, :1] + b[:, 1:] * xb) - yb
+            resid = models_mod._expit(b[:, :1] + b[:, 1:] * xb) - yb
             grad = np.stack([resid.mean(axis=1), (resid * xb).mean(axis=1)], axis=1)
             b = b - cfg.learning_rate * grad
         out[lo:lo + step] = b

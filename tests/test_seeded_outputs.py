@@ -5,8 +5,11 @@ with relative input paths, so no absolute path reaches the run record. The
 digests cover stdout, every CSV, and ``run_record.json`` without its
 ``timestamp``. A change that moves an output updates its digest here and
 states in CHANGES.md which outputs moved and why. The digests hold for one
-numpy/scipy build; another BLAS or numpy release may move the last bits of a
-float, and then they are re-derived, not loosened.
+numpy build and ``exp`` dispatch: numpy picks its float64 ``exp`` and ``log``
+kernels by CPU feature, and the runs that train, draw or integrate through
+``models._expit`` follow them, so those runs are pinned per kernel. Another
+BLAS, numpy release or kernel may move the last bits of a float, and then the
+digests are re-derived, not loosened.
 
 The same runs also show that every bound a record holds is its bound
 function's report, and recomputes exactly from the recorded inputs.
@@ -17,8 +20,13 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_models import exp_fingerprint, run_without_avx512
 
 from calbounds.bounds import BOUNDS
 from calbounds.cli import main
@@ -119,6 +127,35 @@ DIGESTS = {
     },
 }
 
+# The digests above are those of numpy's kernel without AVX-512, glibc's exp, with which
+# models._expit has scipy's bits. numpy's AVX-512 kernel moves it by up to 4 ulp
+# (tests/test_models.py::STAND_IN_ULPS), and with it these files.
+DIGESTS_BY_EXP = {
+    "e7549d8a592b": DIGESTS,
+    "75bcc0a0cd4d": {
+        **DIGESTS,
+        "synthetic": {
+            **DIGESTS["synthetic"],
+            "run_record.json": "8f9733fce296f5b3239c913ddfa296684f3412ed9780147b96a559e9a8b2ae9a",
+        },
+        "cmi": {
+            **DIGESTS["cmi"],
+            "run_record.json": "c52577b6738ef865da8a19b7df16860b8df6cd41f418f8747eed9c3278f10a97",
+            "cmi_cells_n100.csv": "86dc24c96fbbbc792889007e2083f467619f3bc94590abf0c10d9ab8332f8539",
+            "cmi_cells_n40.csv": "b3314f9a21fd6b96bebf7f0a475071698f509f8145b5712ad4bb49adde015cb2",
+            "cmi_summary.csv": "973421fdf2b059893b323cdb43a718d6d017d9e193248615d85ee3c3e3aeebf5",
+        },
+        "cmi-exhaustive": {
+            **DIGESTS["cmi-exhaustive"],
+            "cmi_cells_n8.csv": "adb6793d15e879f192e26b750c283a2ed40dba0d1f122a336ab7c8714e634bf0",
+        },
+        "cmi-uwb": {
+            **DIGESTS["cmi-uwb"],
+            "cmi_cells_n40.csv": "74a5da4e465b11740b4f94e72dd553d8aa5e59f1225264b6001616a687048f91",
+        },
+    },
+}
+
 
 # Run -> the bound its record holds.
 BOUND_OF = {
@@ -169,9 +206,48 @@ def runs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_outputs_match_pinned_digests(name, runs):
-    got, want = runs(name)[0], DIGESTS[name]
+    fingerprint = exp_fingerprint()
+    assert fingerprint in DIGESTS_BY_EXP, f"no pinned digests for numpy exp {fingerprint}"
+    got, want = runs(name)[0], DIGESTS_BY_EXP[fingerprint][name]
     changed = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
     assert not changed, f"{name}: output changed in {changed}"
+
+
+def test_digests_without_avx512():
+    proc = run_without_avx512(f"{__file__}::test_outputs_match_pinned_digests")
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert f"{len(RUNS)} passed" in proc.stdout
+
+
+def test_runs_import_neither_scipy_nor_a_numpy_module(tmp_path):
+    # scipy.special cost most of every process's start-up; the package's stand-ins are numpy.
+    # A numpy module first imported inside a run would be a lazy import timed as its work.
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "import calbounds.cli\n"
+        "spec = json.load(sys.stdin)\n"
+        "loaded = set(sys.modules)\n"
+        "for name, argv in spec['runs'].items():\n"
+        "    os.mkdir(name)\n"
+        "    os.chdir(name)\n"
+        "    for file, text in spec['files'].items():\n"
+        "        with open(file, 'w') as f:\n"
+        "            f.write(text)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert calbounds.cli.main([*argv, '--out', 'out']) == 0, name\n"
+        "    os.chdir('..')\n"
+        "late = [m for m in sys.modules if m not in loaded and m.split('.')[0] == 'numpy']\n"
+        "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+        "                  'late numpy': sorted(late)}))\n"
+    )
+    files = {"train.csv": TRAIN_CSV, "test.csv": TEST_CSV, "train.json": TRAIN_JSON}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], cwd=tmp_path, env=env,
+                          input=json.dumps({"runs": RUNS, "files": files}),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"scipy": [], "late numpy": []}
 
 
 @pytest.mark.parametrize("name", RUNS)
