@@ -8,6 +8,7 @@ vacuous when it exceeds 1 (the calibration error itself never can).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,17 @@ def _nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative: {v}")
 
 
+def _counts(**counts) -> tuple[int, ...]:
+    """``_check_count``, and within the float range: every formula takes its counts as floats."""
+    checked = _check_count(**counts)
+    past = [name for name, v in zip(counts, checked) if v > sys.float_info.max]  # compared exactly
+    if past:
+        raise ValueError(f"{' and '.join(past)} must lie within the float range (at most 1.8e308)")
+    return checked
+
+
 def _check_bn(B: int, n: int, variant: str) -> tuple[int, int]:
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
     if variant == UMB and not n > B:
@@ -123,7 +133,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
     sqrt(2 (B ln2 + ln(1/delta)) / n), with ln(1/delta) taken as -ln(delta):
     1/delta overflows to inf for a subnormal delta.
     """
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     value = math.sqrt(2.0 * (B * _LN2 - math.log(delta)) / n)
@@ -133,7 +143,7 @@ def high_prob_bound(B: int, n: int, delta: float) -> BoundReport:
 def gen_ece_bound(ecmi: float, B: int, n: int) -> BoundReport:
     """Expected train/test calibration-error gap: sqrt(8 (eCMI + B ln2) / n)."""
     _nonnegative(ecmi=ecmi)
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     value = math.sqrt(8.0 * (ecmi + B * _LN2) / n)
     return BoundReport("gen_ece", value, {"eCMI": ecmi, "B": B, "n": n})
 
@@ -148,7 +158,7 @@ def gen_tce_bound(
     (a tighter statistic-level MI may be substituted in that slot).
     """
     _nonnegative(ecmi=ecmi)
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     _nonnegative(L=L)
     if variant not in (UWB, UMB):
         raise ValueError(f"unknown variant: {variant}")
@@ -172,7 +182,7 @@ def metric_entropy_bound(B: int, n: int, L: float, delta: float, logN: float) ->
     supplies logN = log of the covering number of the class at radius
     delta / B in the sup norm. Requires 0 < delta <= 1/B.
     """
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     _nonnegative(L=L)
     if not (0.0 < delta <= 1.0 / B):
         raise ValueError("delta must lie in (0, 1/B]")
@@ -194,7 +204,7 @@ def metric_entropy_bound_parametric(
     (3+2L)/B + sqrt(8 d B ln(2 L0 B^2) / n) for a d-dimensional,
     L0-Lipschitz class; requires 2 L0 B^2 > 1 so the log is positive.
     """
-    B, n, d = _check_count(B=B, n=n, d=d)
+    B, n, d = _counts(B=B, n=n, d=d)
     _nonnegative(L=L)
     if not L0 > 0:
         raise ValueError(f"L0 must be positive: {L0}")
@@ -220,7 +230,7 @@ def recalib_reuse_bound(i_delta1: float, i_delta2: float, B: int, n: int) -> Bou
     looser 2 * sqrt(2 (fCMI + B ln2) / n) form.
     """
     _nonnegative(i_delta1=i_delta1, i_delta2=i_delta2)
-    B, n = _check_count(B=B, n=n)
+    B, n = _counts(B=B, n=n)
     value = math.sqrt(2.0 * (i_delta1 + B * _LN2) / n) + math.sqrt(
         2.0 * (i_delta2 + B * _LN2) / n
     )
@@ -234,7 +244,7 @@ def recalib_holdout_bound(B: int, n_re: int) -> BoundReport:
 
     sqrt(2 B ln2 / (n_re - B)) + 2B / (n_re - B); requires n_re > B.
     """
-    B, n_re = _check_count(B=B, n_re=n_re)
+    B, n_re = _counts(B=B, n_re=n_re)
     if not n_re > B:
         raise ValueError("n_re must exceed B")
     return BoundReport("recalib_holdout", _umb_stat_term(B, n_re), {"B": B, "n_re": n_re}, UMB)

@@ -15,18 +15,21 @@ parsed command line minus ``--out``, and minus the flags the run never reads:
 the synthetic-pool flags of ``recalibrate --input`` and ``--n-masks`` and
 ``--k`` of ``cmi --exhaustive``. Otherwise those flags carry the values used.
 Exit codes: 0 success, 1 internal error, 2 usage or precondition error, such
-as a flag the run cannot use or a path that cannot be read or written.
-Printed floats carry 6 significant digits; data files keep full precision.
+as a flag the run cannot use or a path that cannot be read or written. A run
+that does not fit in memory exits 2 too, naming the size arguments its
+subcommand declares as ``sizes``; the bound functions themselves refuse a
+count past the float range. Printed floats carry 6 significant digits; data
+files keep full precision.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import inspect
 import json
 import os
+import re
 import sys
 import typing
 from pathlib import Path
@@ -74,16 +77,6 @@ def _scheme_for(args, dataset):
     return uwb_scheme(B) if args.method == UWB else umb_scheme(dataset.scores, B)
 
 
-@contextlib.contextmanager
-def _bins_in_memory(bins):
-    """Names ``--bins`` when numpy refuses the scheme's edges or the per-bin sums, which
-    are all a binned metric allocates beyond its bounded blocks."""
-    try:
-        yield
-    except MemoryError:
-        raise ValueError(f"--bins {bins}: the per-bin arrays do not fit in memory") from None
-
-
 # Each _cmd_* runs one subcommand, adds its results to the run record and
 # returns its CSV tables as {file name: (header, rows)}. `main` builds the
 # record from the parsed flags and writes the tables and the record.
@@ -94,9 +87,8 @@ def _cmd_ece(args, record: RunRecord) -> dict:
         raise ValueError("--bins auto requires --lipschitz" if args.lipschitz is None
                          else "--lipschitz applies only to --bins auto")
     dataset = load_scores(args.input)
-    with _bins_in_memory(args.bins):
-        scheme = _scheme_for(args, dataset)
-        value = ece(dataset, scheme)
+    scheme = _scheme_for(args, dataset)
+    value = ece(dataset, scheme)
     print(f"ece {_fmt(value.value)} bins {scheme.B} method {scheme.method}")
     record.add(
         "ece", value.value, B=scheme.B, method=scheme.method, n_e=len(dataset),
@@ -108,9 +100,8 @@ def _cmd_ece(args, record: RunRecord) -> dict:
 def _cmd_gap(args, record: RunRecord) -> dict:
     d_train = load_scores(args.train)
     d_test = load_scores(args.test)
-    with _bins_in_memory(args.bins):
-        scheme = _scheme_for(args, d_train)
-        gap = ece_gap(d_train, d_test, scheme)
+    scheme = _scheme_for(args, d_train)
+    gap = ece_gap(d_train, d_test, scheme)
     print(
         f"ece_gap {_fmt(gap.value)} test {_fmt(gap.components[0])} "
         f"train {_fmt(gap.components[1])} bins {scheme.B} method {scheme.method}"
@@ -138,23 +129,14 @@ _BOUND_FLAGS = {
 }
 
 
-def _bound_int(text: str) -> int:
-    """An integer flag of a bound. The formulas take it as a float, so it must convert to one."""
-    try:
-        value = int(text)
-        float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    except OverflowError:
-        digits = len(str(abs(value)))
-        raise argparse.ArgumentTypeError(
-            f"expected an integer within the float range (below 1.8e308), got {digits} digits"
-        ) from None
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Reports unknown flags itself, with its own usage line, not the root parser's, and
+    reads an argument that starts with a minus and a digit, such as ``-1e3``, as a value
+    like ``-2``, not as a flag."""
 
-
-class _LeafParser(argparse.ArgumentParser):
-    """Reports unknown flags itself, with its own usage line, not the root parser's."""
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -169,15 +151,15 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
         name, help=inspect.getdoc(fn).splitlines()[0], description=inspect.getdoc(fn),
         formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
     )
-    for param in inspect.signature(fn, eval_str=True).parameters.values():
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    for param in params:
         flag, extra = _BOUND_FLAGS[param.name]
-        kwargs = dict(extra)
         # `float | None` takes floats; None stays reachable only as a default.
         types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
         kind = types[0] if types else param.annotation
-        kwargs["type"] = _bound_int if kind is int else kind
-        p.add_argument(flag, dest=param.name, required="default" not in kwargs, **kwargs)
-    p.set_defaults(func=_cmd_bounds, bound=fn)
+        p.add_argument(flag, dest=param.name, type=kind, required="default" not in extra, **extra)
+    counts = tuple(_BOUND_FLAGS[q.name][0] for q in params if q.annotation is int)
+    p.set_defaults(func=_cmd_bounds, bound=fn, sizes=counts)
     return p
 
 
@@ -283,12 +265,7 @@ def _cmd_cmi(args, record: RunRecord) -> dict:
         )
         for n in args.n_grid
     ]
-    results = []  # all before any line is printed
-    for cfg in cfgs:
-        try:
-            results.append(run_cmi_experiment(cfg))
-        except MemoryError:
-            raise ValueError(f"--n-grid point n={cfg.n} does not fit in memory") from None
+    results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any line is printed
     tables, summary_rows = {}, []
     for cfg, result in zip(cfgs, results):
         bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n)
@@ -315,12 +292,12 @@ def _cmd_cmi(args, record: RunRecord) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calbounds",
         description="Binned calibration error, bias bounds, recalibration, and CMI experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_LeafParser)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def add_common(p):
         p.add_argument("--out", default=None, help="output directory (default $CALBOUNDS_OUT or ./runs)")
@@ -332,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ece.add_argument("--method", choices=[UWB, UMB], default=UWB)
     p_ece.add_argument("--lipschitz", type=float, default=None, help="L for the auto bin rule")
     add_common(p_ece)
-    p_ece.set_defaults(func=_cmd_ece)
+    p_ece.set_defaults(func=_cmd_ece, sizes=("input", "--bins"))
 
     p_gap = sub.add_parser("gap", help="ECE gap between a train and a test score file")
     p_gap.add_argument("train")
@@ -340,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--bins", type=int, required=True)
     p_gap.add_argument("--method", choices=[UWB, UMB], default=UWB)
     add_common(p_gap)
-    p_gap.set_defaults(func=_cmd_gap)
+    p_gap.set_defaults(func=_cmd_gap, sizes=("train", "test", "--bins"))
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named closed-form bound")
     by_name = p_bounds.add_subparsers(dest="name", required=True, metavar="name")
@@ -356,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--b-rule", default="optimal", help="optimal | cube_root | fixed:K")
     p_syn.add_argument("--seed", type=int, default=0)
     add_common(p_syn)
-    p_syn.set_defaults(func=_cmd_synthetic)
+    p_syn.set_defaults(func=_cmd_synthetic, sizes=("--n-grid", "--reps", "--b-rule"))
 
     p_rec = sub.add_parser("recalibrate", help="histogram recalibration with its bound")
     p_rec.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
@@ -371,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--i2", type=float, default=None, help="reuse variant only (default 0)")
     p_rec.add_argument("--seed", type=int, default=0)
     add_common(p_rec)
-    p_rec.set_defaults(func=_cmd_recalibrate)
+    p_rec.set_defaults(func=_cmd_recalibrate, sizes=("--input", "--n-total", "--bins", "--n-re"))
 
     p_cmi = sub.add_parser("cmi", help="supersample mask-information experiment")
     p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
@@ -386,9 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmi.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
     p_cmi.add_argument("--seed", type=int, default=0)
     add_common(p_cmi)
-    p_cmi.set_defaults(func=_cmd_cmi)
+    p_cmi.set_defaults(func=_cmd_cmi, sizes=("--n-grid", "--bins", "--n-supersamples", "--n-masks"))
 
     return parser
+
+
+# numpy's refusals of an array past its size limit, which it raises as ValueError.
+_NUMPY_TOO_BIG = ("array is too big", "Maximum allowed size exceeded",
+                  "Maximum allowed dimension exceeded")
 
 
 def main(argv=None) -> int:
@@ -398,7 +380,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     out = Path(args.out or os.environ.get("CALBOUNDS_OUT", "runs"))
-    record = RunRecord({k: v for k, v in vars(args).items() if k not in ("func", "bound", "out")})
+    record = RunRecord({k: v for k, v in vars(args).items()
+                        if k not in ("func", "bound", "sizes", "out")})
     try:
         _check_out(out)
         tables = args.func(args, record)
@@ -407,7 +390,10 @@ def main(argv=None) -> int:
             _write_csv(out / name, header, rows)
         record.save(out)
         return 0
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
+        if isinstance(e, MemoryError) or str(e).startswith(_NUMPY_TOO_BIG):
+            sizes = ", ".join(args.sizes)
+            e = f"{args.subcommand} does not fit in memory at the sizes given by {sizes}"
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure

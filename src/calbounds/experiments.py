@@ -150,7 +150,7 @@ def run_recalibration(
     n_test = int(round(eval_split * n_total))
     n_rest = n_total - n_test
     if n_test < 2 * B:
-        raise ValueError(f"split leaves {n_test} test rows; need at least {2 * B}")
+        raise ValueError(f"eval_split {eval_split} leaves {n_test} test rows; need 2 * B = {2 * B}")
     perm = stream(seed, 0).permutation(n_total)
     test = pool.subset(perm[n_rest:])
     rest_idx = perm[:n_rest]

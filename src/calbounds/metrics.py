@@ -140,8 +140,9 @@ def optimal_bins(n: int, L: float, variant: str) -> int:
             return b_max
         return b_max if v >= b_max**3 else _floor_cbrt(int(v))
     if variant == UMB:
-        f0 = _total_bias(_floor_cbrt(n), n, L, UMB)
-        b_hi = n * (f0 / (2.0 + L)) ** 2 / (2.0 * _LN2) * 1.001 + 1
-        b = np.arange(1, int(min(b_max, b_hi)) + 1)
-        return int(np.argmin(_total_bias(b, n, L, UMB))) + 1
+        with np.errstate(over="ignore"):  # an overflow to inf is a valid "worse" in the scan
+            f0 = _total_bias(_floor_cbrt(n), n, L, UMB)
+            b_hi = n * (f0 / (2.0 + L)) ** 2 / (2.0 * _LN2) * 1.001 + 1
+            b = np.arange(1, int(min(b_max, b_hi)) + 1)
+            return int(np.argmin(_total_bias(b, n, L, UMB))) + 1
     raise ValueError(f"unknown variant: {variant}")

@@ -404,9 +404,10 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
             np.array(inits), *halves[0], cfg.trainer,
             where=lambda m: f" (supersample {s_idx}, mask {m})",
         )
-        (s_tr, y_tr), (s_te, y_te) = (
-            (_expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
-        )
+        with np.errstate(over="ignore"):  # a steep model's product may overflow: expit takes inf
+            (s_tr, y_tr), (s_te, y_te) = (
+                (_expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
+            )
         for m in range(n_masks):
             stats[s_idx, m] = _cell_statistics(s_tr[m], y_tr[m], s_te[m], y_te[m], cfg.B, uwb)
         pattern_labels = [mask.tobytes() for mask in masks]  # equal masks share a label

@@ -147,8 +147,9 @@ def canonical_calibration(m: SyntheticModel, z1):
     if np.any(z <= 0.0) or np.any(z >= 1.0):
         raise ValueError("scores must lie strictly inside (0, 1)")
     # logit(z) = beta0 + beta1 * x  =>  x = (logit(z) - beta0) / beta1,
-    # and the true posterior is sigmoid(-2x).
-    out = _expit(2.0 * (m.beta0 - _logit(z)) / m.beta1)
+    # and the true posterior is sigmoid(-2x), which takes an overflow to inf.
+    with np.errstate(over="ignore"):
+        out = _expit(2.0 * (m.beta0 - _logit(z)) / m.beta1)
     if out.ndim == 0:
         return float(out)
     return out

@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 import calbounds
 from calbounds import CmiExperimentConfig, TrainerConfig, run_cmi_experiment
-from calbounds.cli import _POOL_DEFAULTS, build_parser, main
+from calbounds.cli import _BOUND_FLAGS, _POOL_DEFAULTS, build_parser, main
 
 SRC = Path(calbounds.__file__).resolve().parent.parent
 
@@ -103,7 +103,7 @@ class TestEceCommand:
         proc = _python(_MAIN, "ece", str(score_file), "--bins", str(10**18),
                        "--out", str(tmp_path / "o"), timeout=60)
         assert (proc.returncode, proc.stderr) == (
-            2, f"error: --bins {10**18}: the per-bin arrays do not fit in memory\n")
+            2, "error: ece does not fit in memory at the sizes given by input, --bins\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -119,7 +119,7 @@ class TestGapCommand:
         proc = _python(_MAIN, "gap", str(score_file), str(score_file), "--bins", str(10**18),
                        "--out", str(tmp_path / "o"), timeout=60)
         assert (proc.returncode, proc.stderr) == (
-            2, f"error: --bins {10**18}: the per-bin arrays do not fit in memory\n")
+            2, "error: gap does not fit in memory at the sizes given by train, test, --bins\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -154,17 +154,18 @@ class TestBoundsCommand:
     def test_unknown_bound_exits_2(self, tmp_path):
         assert main(["bounds", "not-a-bound", "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("argv, flag, digits", [
-        (["stat-bias", "--bins", str(10**400), "--n", str(10**401)], "--bins", 401),
-        (["high-prob", "--bins", "15", "--n", str(-10**401), "--delta", "0.05"], "--n", 402),
-        (["recalib-holdout", "--bins", "15", "--n-re", str(10**400)], "--n-re", 401),
+    @pytest.mark.parametrize("argv, message", [
+        (["stat-bias", "--bins", str(10**400), "--n", str(10**401)],
+         "B and n must lie within the float range (at most 1.8e308)"),
+        (["high-prob", "--bins", "15", "--n", str(-10**401), "--delta", "0.05"],
+         "n must be at least 1"),
+        (["recalib-holdout", "--bins", "15", "--n-re", str(10**400)],
+         "n_re must lie within the float range (at most 1.8e308)"),
     ], ids=["stat-bias", "high-prob", "recalib-holdout"])
-    def test_integer_beyond_float_range_exits_2(self, argv, flag, digits, tmp_path, capsys):
-        # The formulas take each count as a float: refused at parse, before any bound runs.
+    def test_integer_beyond_float_range_exits_2(self, argv, message, tmp_path, capsys):
+        # The formulas take each count as a float: the bound refuses it, naming the parameter.
         assert main(["bounds", *argv, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            f"error: argument {flag}: expected an integer within the float range "
-            f"(below 1.8e308), got {digits} digits")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -246,6 +247,19 @@ class TestBoundTable:
         assert f"usage: calbounds {' '.join(command)} " in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_count_past_float_range_names_its_parameter(self, name, tmp_path, capsys):
+        flags, _ = BOUND_CASES[name]
+        params = {flag: param for param, (flag, _) in _BOUND_FLAGS.items()}
+        counts = [i for i, f in enumerate(flags) if f in ("--bins", "--n", "--n-re", "--dim")]
+        assert counts
+        for i in counts:
+            argv = [*flags[:i + 1], str(2**1024), *flags[i + 2:]]
+            assert main(["bounds", name, *argv, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {params[flags[i]]} must lie within the float range (at most 1.8e308)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_subnormal_delta_gives_finite_bound(self, tmp_path, capsys):
         # 1/delta overflows for delta = 1e-320, but -ln(delta) = 736.8 is finite.
         argv = ["bounds", "high-prob", "--bins", "15", "--n", "4000", "--delta", "1e-320",
@@ -293,7 +307,8 @@ class TestSyntheticCommand:
         proc = _python(_MAIN, "cmi", "--n-grid", str(n), "--out", str(tmp_path / "o"),
                        timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == f"error: --n-grid point n={n} does not fit in memory\n"
+        assert proc.stderr == ("error: cmi does not fit in memory at the sizes given by "
+                               "--n-grid, --bins, --n-supersamples, --n-masks\n")
         assert not (tmp_path / "o").exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
@@ -326,6 +341,17 @@ class TestSyntheticCommand:
         )
         proc = _python(code, str(tmp_path / "o"))
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_negative_float_in_exponent_form_is_a_value(self, tmp_path):
+        # Python 3.11's argparse alone reads "-1e3" as a flag, but never "--beta1=-1e3".
+        records = []
+        for name, beta1 in (("spaced", ["--beta1", "-1e3"]), ("joined", ["--beta1=-1e3"])):
+            assert main(["synthetic", *beta1, "--n-grid", "100", "--reps", "1",
+                         "--out", str(tmp_path / name)]) == 0
+            record = json.loads((tmp_path / name / "run_record.json").read_text())
+            records.append({k: v for k, v in record.items() if k != "timestamp"})
+        assert records[0] == records[1]
+        assert records[0]["config"]["beta1"] == -1000.0
 
     def test_single_point_grid_record_is_strict_json(self, tmp_path, capsys):
         # One grid point has no log-log slope: the NaN is written as null.

@@ -1,5 +1,6 @@
 """Every public count parameter is checked the same way: an int or numpy integer, not a
-bool, of at least its minimum. A float is refused, never truncated."""
+bool, of at least its minimum. A float is refused, never truncated. A bound's counts must
+also lie within the float range."""
 
 import inspect
 
@@ -95,6 +96,25 @@ def test_bad_count_is_named(name, least, call, bad):
     with pytest.raises(ValueError) as e:
         call(value)
     assert str(e.value) == message
+
+
+BOUND_COUNTS = list(_bound_cases())
+
+
+@pytest.mark.parametrize("value", [2**1024, 10**400], ids=["2^1024", "10^400"])
+@pytest.mark.parametrize(
+    "name, call", [(case[1], case[4]) for case in BOUND_COUNTS], ids=[c[0] for c in BOUND_COUNTS]
+)
+def test_bound_count_past_float_range_is_named(name, call, value):
+    # Every formula takes its counts as floats, so a count that no float holds is refused.
+    with pytest.raises(ValueError) as e:
+        call(value)
+    assert str(e.value) == f"{name} must lie within the float range (at most 1.8e308)"
+
+
+def test_every_count_past_float_range_is_named():
+    with pytest.raises(ValueError, match=r"^B and n must lie within the float range"):
+        BOUNDS["stat-bias"](10**400, 10**401, "uwb")
 
 
 @pytest.mark.parametrize(

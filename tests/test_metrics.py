@@ -438,6 +438,13 @@ class TestOptimalBins:
     def test_umb_bounded_scan_equals_full_scan(self, n, L):
         assert optimal_bins(n, L, "umb") == _full_umb_scan(n, L)
 
+    def test_umb_scan_overflow_is_silent(self):
+        # (2+L) times the statistical term overflows to inf, a valid "worse": the argmin is
+        # the full scan's, and no RuntimeWarning (an error under this suite's filter) escapes.
+        with np.errstate(over="ignore"):
+            full = _full_umb_scan(200, 1.7e308)
+        assert optimal_bins(200, 1.7e308, "umb") == full == 6
+
     def test_umb_scan_memory_is_bounded(self):
         # The full scan held about 10 float arrays of n/2 = 5e6 entries (200 MB traced).
         tracemalloc.start()
