@@ -10,7 +10,6 @@ score sums and sums of 0/1 labels.
 from __future__ import annotations
 
 import functools
-import importlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,8 +18,6 @@ import numpy as np
 __all__ = [
     "BinningScheme", "BinStats", "uwb_scheme", "umb_scheme", "assign", "bin_stats",
 ]
-
-importlib.import_module("numpy.ma")  # np.unique's first call imports it: here, not in a timed call
 
 UWB = "uwb"
 UMB = "umb"
@@ -108,6 +105,31 @@ def _check_count(least: int = 1, **counts) -> tuple[int, ...]:
     return tuple(int(v) for v in counts.values())
 
 
+def _unique(values: np.ndarray, indices: bool = False):
+    """``np.unique`` of a 1-d array without NaN, byte for byte, and with ``indices``
+    also its ``return_index`` and ``return_inverse`` arrays; unlike ``np.unique``,
+    whose first call imports ``numpy.ma``, it imports nothing.
+
+    It sorts as ``np.unique`` does, stably only when indices are asked for, and keeps
+    the first of each run of equal values. numpy's default sort is not stable, so
+    without indices that first of 0.0 and -0.0 need not be the first occurrence
+    (x86-64, numpy 2.4: ``np.unique([0., -0., -1., -1.])`` is ``[-1., -0.]``).
+    """
+    if indices:
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if not indices:
+        return ordered[first]
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], order[first], inverse
+
+
 def uwb_scheme(B: int) -> BinningScheme:
     """Uniform-width scheme with edges exactly i/B for i = 0..B."""
     (B,) = _check_count(B=B)
@@ -135,7 +157,7 @@ def umb_scheme(scores, B: int) -> BinningScheme:
     sorted_scores = np.sort(scores)
     ranks = (np.arange(1, B) * n_e) // B  # 1-indexed order statistics
     interior = sorted_scores[ranks - 1]
-    edges = np.unique(np.concatenate(([0.0], interior, [1.0])))
+    edges = _unique(np.concatenate(([0.0], interior, [1.0])))
     # An interior edge equal to the maximum score leaves the top bin empty.
     if edges.size > 2 and edges[-2] >= sorted_scores[-1]:
         edges = np.delete(edges, edges.size - 2)

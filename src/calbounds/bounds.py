@@ -46,7 +46,9 @@ class BoundReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"bound value must be finite and nonnegative: {self.value}")
+            at = ", ".join(f"{k}={v}" for k, v in self.inputs.items())
+            raise ValueError(f"{self.name} bound must be finite and nonnegative, got {self.value} "
+                             f"at {at}")
         object.__setattr__(self, "vacuous", self.value > 1.0)
 
 

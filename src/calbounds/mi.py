@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binning import UMB, UWB, _check_count, _sums, umb_scheme, uwb_scheme
+from .binning import UMB, UWB, _check_count, _sums, _unique, umb_scheme, uwb_scheme
 from .metrics import _binned_error
 from .models import TrainerConfig, _descend, _expit, _init_beta, sample_synthetic
 from .rng import child_seed, stream
@@ -102,7 +102,7 @@ def _as_points(values) -> np.ndarray:
 def _label_codes(labels) -> np.ndarray:
     """Integer codes 0, 1, ... of ``labels`` in order of first appearance."""
     if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "biu":
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        _, first, inverse = _unique(labels, indices=True)
         rank = np.empty(first.size, dtype=np.int64)
         rank[np.argsort(first)] = np.arange(first.size)
         return rank[inverse]

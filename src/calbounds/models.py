@@ -22,9 +22,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss  # imported here, not in a first timed call
 
-from .binning import BinningScheme, _check_count
+from .binning import BinningScheme, _check_count, _unique
 from .rng import stream
 
 __all__ = [
@@ -185,8 +184,11 @@ def mc_tce(m: SyntheticModel, n_mc: int, seed: int) -> McEstimate:
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """20-point Gauss-Legendre nodes and weights on [-1, 1], made on first use: the
-    eigensolver behind them starts LAPACK, which costs ~1 MB of RSS in a run without it."""
+    """20-point Gauss-Legendre nodes and weights on [-1, 1], made on first use. Only a
+    run that integrates pays for them: ``numpy.polynomial`` (~0.5 MB of RSS) and the
+    eigensolver behind ``leggauss``, which starts LAPACK (~1 MB)."""
+    from numpy.polynomial.legendre import leggauss
+
     return leggauss(20)
 
 
@@ -218,7 +220,7 @@ def _tce_panels(m: SyntheticModel, cuts=()):
         breaks = [-_TCE_SPAN, -1.0, 0.0, 1.0, _TCE_SPAN, -b0 / b1, *cuts]
         if b1 != -2.0:  # at beta1 = -2, f - sigmoid(-2x) keeps one sign
             breaks.append(-b0 / (b1 + 2.0))
-    edges = np.unique(np.clip(breaks, -_TCE_SPAN, _TCE_SPAN))
+    edges = _unique(np.clip(breaks, -_TCE_SPAN, _TCE_SPAN))
     lo, hi = edges[:-1], edges[1:]
     whole = _panel_integrals(m, lo, hi)
     error = 0.0
@@ -274,9 +276,16 @@ def estimate_lipschitz(m: SyntheticModel) -> float:
     slope grows without limit towards the endpoints (it passes 1.3e5 near
     z = 1 at (1, -3), where this returns 27.7). Bias bounds built on it
     carry both errors; see ROADMAP item 2, whose Lipschitz half is open.
+    A beta1 so small that beta1 * z * (1 - z) underflows to 0 divides by 0, and
+    raises ``ValueError`` naming beta1.
     """
     zs = np.linspace(_LIPSCHITZ_EPS, 1.0 - _LIPSCHITZ_EPS, LIPSCHITZ_GRID)
-    return float(np.max(np.abs(calibration_slope(m, zs))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero divisor is named below
+        slope = np.max(np.abs(calibration_slope(m, zs)))
+    if not np.isfinite(slope):
+        raise ValueError(f"beta1 = {m.beta1!r} is too small for the Lipschitz estimate: "
+                         "beta1 * z * (1 - z) underflows to 0")
+    return float(slope)
 
 
 def _init_beta(seed: int) -> np.ndarray:

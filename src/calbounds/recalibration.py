@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinningScheme, _check_count, _dataset_sums, assign, bin_stats, umb_scheme
+from .binning import (
+    _BLOCK, BinningScheme, _check_count, _dataset_sums, assign, bin_stats, umb_scheme,
+)
 from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
@@ -53,10 +55,18 @@ def fit_recalibrator(d_fit, B: int) -> Recalibrator:
 
 
 def apply_recalibrator(r: Recalibrator, scores) -> np.ndarray:
-    """Map each score to its bin's stored label mean."""
-    idx = assign(r.scheme, scores)
-    idx -= 1  # in place, so at most one index array is alive beside the output
-    return r.mu[idx]
+    """Map each score to its bin's stored label mean.
+
+    The output is filled one `_BLOCK` of scores at a time, so beside it only one
+    block's bin index is alive.
+    """
+    arr = np.asarray(scores, dtype=np.float64)
+    flat, out = arr.reshape(-1), np.empty(arr.size)
+    for lo in range(0, flat.size, _BLOCK):
+        j = assign(r.scheme, flat[lo:lo + _BLOCK])
+        j -= 1
+        np.take(r.mu, j, out=out[lo:lo + _BLOCK])
+    return out.reshape(arr.shape)[()]
 
 
 def recalibrated_tce(r: Recalibrator, d_test) -> float:

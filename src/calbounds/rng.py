@@ -10,17 +10,22 @@ can draw concurrently without sharing generator state.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence  # imported here, not in a first timed call
 
 from .binning import _check_count
 
+# numpy.random is imported by the first call that draws, not with the package: it costs
+# ~6 MB of RSS (OpenSSL's _hashlib among it, through secrets) and ~9 ms, which a run
+# that never draws, such as ece, gap or bounds, should not pay.
 
-def _seed_sequence(seed: int, path: tuple) -> SeedSequence:
+
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    from numpy.random import SeedSequence
+
     seed, *path = _check_count(least=0, seed=seed, **{f"path[{i}]": p for i, p in enumerate(path)})
     return SeedSequence(seed, spawn_key=tuple(path))
 
 
-def stream(seed: int, *path: int) -> Generator:
+def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for substream ``path`` under ``seed``.
 
     The seed and every ``path`` component (grid indices, repetition
@@ -28,6 +33,8 @@ def stream(seed: int, *path: int) -> Generator:
     with ``ValueError`` and is never truncated. The empty path is the root
     stream.
     """
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(_seed_sequence(seed, path)))
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from calbounds import (
     BinningScheme,
@@ -24,7 +25,7 @@ from calbounds import (
     uwb_scheme,
 )
 import calbounds.binning as binning_mod
-from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _sums, _uniform_edges
+from calbounds.binning import _BLOCK, _MAX_CELLS, _dataset_sums, _sums, _uniform_edges, _unique
 
 
 def quiet_umb(scores, B):
@@ -150,6 +151,31 @@ class TestUmbScheme:
             )
             assert np.array_equal(counts, expected)
             assert counts.max() - counts.min() <= 1
+
+
+# Ties, 0.0 and -0.0 in either order, and any other float but NaN.
+TIED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(allow_nan=False))
+
+
+class TestUnique:
+    @given(arrays(np.float64, st.integers(0, 80), elements=TIED_FLOATS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique_byte_for_byte(self, values):
+        got, want = _unique(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got, want = _unique(values, indices=True), np.unique(values, return_index=True,
+                                                            return_inverse=True)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_indices_keep_the_first_occurrence(self):
+        values, first, inverse = _unique(np.array([-0.0, 0.0, 0.5, 0.0]), indices=True)
+        assert values.tobytes() == np.array([-0.0, 0.5]).tobytes()
+        assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1, 0]
+
+    def test_one_element(self):
+        for v in (-0.0, 0.0, 0.3):
+            assert _unique(np.array([v])).tobytes() == np.array([v]).tobytes()
 
 
 class TestAssign:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,8 +47,8 @@ PARAMS = {**{flag: param for param, (flag, _) in _BOUND_FLAGS.items()},
 
 def _names(parser) -> set[str]:
     """What an error line may name: a flag, a positional argument, a destination, or the
-    library parameter a flag maps to. A bound whose formula overflows names its value."""
-    names = {"bound value"}
+    library parameter a flag maps to. A bound whose formula overflows names its inputs."""
+    names = set()
     for action in parser._actions:
         names.update({*action.option_strings, action.dest})
         names.update(PARAMS[f] for f in action.option_strings if f in PARAMS)
@@ -188,4 +189,28 @@ def test_size_past_memory_exits_2_naming_the_sizes(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         f"error: {argv[0]} does not fit in memory at the sizes given by {SIZES[argv[0]]}\n")
+    assert not (tmp_path / "o").exists()
+
+
+# Command lines that once failed with words naming no flag: each exits 2 with this one line,
+# and writes no warning.
+NAMED = {
+    "synthetic beta1 1e-320": (
+        ["synthetic", "--n-grid", "100", "--reps", "1", "--beta1", "1e-320"],
+        "error: beta1 = 1e-320 is too small for the Lipschitz estimate: "
+        "beta1 * z * (1 - z) underflows to 0",
+    ),
+    "bounds gen-ece ecmi 1e308": (
+        ["bounds", "gen-ece", "--ecmi", "1e308", "--bins", "3", "--n", "100"],
+        "error: gen_ece bound must be finite and nonnegative, got inf at eCMI=1e+308, B=3, n=100",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", NAMED.values(), ids=NAMED.keys())
+def test_error_names_a_flag(argv, line, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise, and exit 1
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"{line}\n"
     assert not (tmp_path / "o").exists()

@@ -283,7 +283,8 @@ class TestNanInputs:
     [
         (lambda: stat_bias_bound(10, 100, "quantile"), "unknown variant: quantile"),
         (lambda: gen_tce_bound(0.1, None, 10, 100, 1.0, "quantile"), "unknown variant: quantile"),
-        (lambda: gen_ece_bound(float("inf"), 3, 10), "bound value must be finite and nonnegative: inf"),
+        (lambda: gen_ece_bound(float("inf"), 3, 10),
+         "gen_ece bound must be finite and nonnegative, got inf at eCMI=inf, B=3, n=10"),
     ],
     ids=["_check_bn variant", "gen_tce variant", "non-finite report"],
 )

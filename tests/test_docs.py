@@ -84,3 +84,15 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= set(getattr(module, "__all__", ()))  # a re-export counts as a use
     assert sorted(imported - used) == []
+
+
+def test_src_calls_no_np_unique():
+    # np.unique's first call imports numpy.ma; binning._unique is np.unique without it.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "unique"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert calls == []

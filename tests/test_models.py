@@ -170,6 +170,13 @@ class TestEstimateLipschitz:
         assert estimate_lipschitz(m) == pytest.approx(27.7, abs=0.05)
         assert abs(calibration_slope(m, 1 - 1e-15)) > 1e5
 
+    @pytest.mark.parametrize("beta1", [1e-320, -1e-320, 5e-324])
+    def test_underflowing_slope_names_beta1(self, beta1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^beta1 = .* is too small for the Lipschitz"):
+                estimate_lipschitz(SyntheticModel(0.5, beta1))
+
 
 def quad_tce(beta0, beta1):
     """E|sigmoid(beta0 + beta1 X) - sigmoid(-2X)| by scipy's adaptive quadrature.

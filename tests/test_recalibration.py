@@ -13,10 +13,12 @@ from calbounds import (
     ScoredDataset,
     SyntheticModel,
     apply_recalibrator,
+    assign,
     ece,
     fit_recalibrator,
     recalibrated_tce,
 )
+from calbounds.binning import _BLOCK
 from calbounds.experiments import scored_synthetic_dataset
 
 
@@ -89,11 +91,12 @@ class TestApplyRecalibrator:
 
     @pytest.mark.parametrize("B", [15, 2000], ids=["table", "search"])
     def test_peak_memory_is_output_plus_one_index(self, B):
+        # The one index is a block's: the whole array's, 3.2 MB here, would not fit.
         rng = np.random.default_rng(12)
         d = ScoredDataset(rng.uniform(size=4 * B), rng.integers(0, 2, size=4 * B))
         r = fit_recalibrator(d, B=B)
         assert (r.scheme._cells == 0) == (B == 2000)
-        scores = rng.uniform(size=100_000)
+        scores = rng.uniform(size=400_000)
         apply_recalibrator(r, scores)  # a first call builds the scheme's cell table
         tracemalloc.start()
         try:
@@ -101,8 +104,26 @@ class TestApplyRecalibrator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        index_bytes = scores.size * np.dtype(np.intp).itemsize
-        assert peak <= out.nbytes + index_bytes + 2**18  # slack: one block's temporaries
+        block = _BLOCK * np.dtype(np.intp).itemsize
+        assert peak <= out.nbytes + 5 * block  # a block's index and the table lookup's temporaries
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (_BLOCK,), (2 * _BLOCK + 5,), (3, 0), (7, 5)],
+                             ids=str)
+    def test_blocks_equal_one_whole_lookup(self, shape):
+        rng = np.random.default_rng(14)
+        d = ScoredDataset(rng.uniform(size=200), rng.integers(0, 2, size=200))
+        r = fit_recalibrator(d, B=15)
+        scores = rng.uniform(size=shape)
+        got, want = apply_recalibrator(r, scores), r.mu[assign(r.scheme, scores) - 1]
+        assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_out_of_range_score_in_a_later_block_fails(self):
+        r = fit_recalibrator(ScoredDataset(np.linspace(0.05, 0.95, 20), [0, 1] * 10), B=4)
+        scores = np.full(2 * _BLOCK, 0.5)
+        scores[-1] = np.nan
+        with pytest.raises(ValueError, match=r"^scores must lie in \[0, 1\]$"):
+            apply_recalibrator(r, scores)
 
 
 class TestRecalibratedTce:

@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -219,35 +220,52 @@ def test_digests_without_avx512():
     assert f"{len(RUNS)} passed" in proc.stdout
 
 
-def test_runs_import_neither_scipy_nor_a_numpy_module(tmp_path):
-    # scipy.special cost most of every process's start-up; the package's stand-ins are numpy.
-    # A numpy module first imported inside a run would be a lazy import timed as its work.
+# The numpy packages a run may first import inside itself: numpy.random in a run that
+# draws, and numpy.polynomial in synthetic, which integrates. The others import none,
+# and no run imports numpy.ma or scipy.
+LATE = {
+    "synthetic": {"numpy.random", "numpy.polynomial"},
+    **dict.fromkeys(["cmi", "cmi-exhaustive", "cmi-uwb", "recalibrate-holdout",
+                     "recalibrate-reuse"], {"numpy.random"}),
+}
+
+
+def test_import_and_each_run_load_only_what_they_use(tmp_path):
+    # `import calbounds.cli` loads no numpy module that `import numpy` does not: with numpy 2
+    # that leaves out numpy.random (~6 MB and ~9 ms), numpy.ma and numpy.polynomial. One
+    # process per run, so that no earlier run's imports mask a later run's.
     code = (
-        "import contextlib, io, json, os, sys\n"
-        "import calbounds.cli\n"
-        "spec = json.load(sys.stdin)\n"
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "alone = set(sys.modules)\n"
+        "import calbounds, calbounds.cli\n"
         "loaded = set(sys.modules)\n"
-        "for name, argv in spec['runs'].items():\n"
-        "    os.mkdir(name)\n"
-        "    os.chdir(name)\n"
-        "    for file, text in spec['files'].items():\n"
-        "        with open(file, 'w') as f:\n"
-        "            f.write(text)\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert calbounds.cli.main([*argv, '--out', 'out']) == 0, name\n"
-        "    os.chdir('..')\n"
-        "late = [m for m in sys.modules if m not in loaded and m.split('.')[0] == 'numpy']\n"
-        "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
-        "                  'late numpy': sorted(late)}))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = calbounds.cli.main([*json.loads(sys.argv[1]), '--out', 'out'])\n"
+        "ours = lambda new: sorted(m for m in new if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "print(json.dumps({'code': code, 'at import': ours(loaded - alone),\n"
+        "                  'late': ours(set(sys.modules) - loaded)}))\n"
     )
-    files = {"train.csv": TRAIN_CSV, "test.csv": TEST_CSV, "train.json": TRAIN_JSON}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], cwd=tmp_path, env=env,
-                          input=json.dumps({"runs": RUNS, "files": files}),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == {"scipy": [], "late numpy": []}
+
+    def loaded(name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "train.csv").write_text(TRAIN_CSV)
+        (workdir / "test.csv").write_text(TEST_CSV)
+        (workdir / "train.json").write_text(TRAIN_JSON)
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code, json.dumps(RUNS[name])],
+                              cwd=workdir, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (name, proc.stderr[-2000:])
+        return json.loads(proc.stdout)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = dict(zip(RUNS, pool.map(loaded, RUNS)))
+    for name, modules in got.items():
+        assert modules["code"] == 0, name
+        assert modules["at import"] == [], name
+        assert {".".join(m.split(".")[:2]) for m in modules["late"]} <= LATE.get(name, set()), name
 
 
 @pytest.mark.parametrize("name", RUNS)
