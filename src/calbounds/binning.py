@@ -3,14 +3,16 @@
 Bins are the half-open intervals (u_{i-1}, u_i] over a strictly increasing
 edge vector u_0 = 0 < ... < u_B = 1. A score of exactly 0 is assigned to
 bin 1 so the bins cover all of [0, 1] and masses always sum to one.
-Every per-bin statistic comes from one reduction, `_sums`: per-bin counts,
-score sums and sums of 0/1 labels.
+One pass, `_blocks`, numbers the bins from 0, a block of scores at a time;
+only the public `assign` adds one. Every per-bin statistic comes from one
+reduction over it, `_sums`: per-bin counts, score sums and sums of 0/1 labels.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ __all__ = [
 
 UWB = "uwb"
 UMB = "umb"
-_BLOCK = 1 << 14  # scores per block of the table index and of _sums: bounds temporaries
+_BLOCK = 1 << 14  # scores per block of _blocks: bounds every reducer's temporaries
 _MAX_CELLS = 1 << 14  # bounds the table at 2 * (2**14 + 1) * 8 bytes, ~256 KiB
 
 
@@ -33,8 +35,8 @@ class BinningScheme:
     because of tied scores (the requested bin count could not be realized).
     ``_cells`` is G, the smallest power of two with G * min(diff(edges)) > 1,
     or 0 if that exceeds ``_MAX_CELLS``; whatever the method label, a nonzero
-    G lets ``assign`` index through the cached ``_table``. Schemes compare
-    and hash by identity.
+    G lets `_blocks` index a block of at least G scores through the cached
+    ``_table``. Schemes compare and hash by identity.
     """
 
     edges: np.ndarray
@@ -70,14 +72,13 @@ class BinningScheme:
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(base, cand) over the cells c = 0..G: the number of edges below c/G,
-        and the edge in cell c, or 2.0 (above every score) if none. Edge 0 is
-        stored as -1, so that every score in cell 0, 0 included, lands in bin 1."""
-        G = self._cells
-        base = np.searchsorted(self.edges, np.arange(G + 1) / G, side="left")
+        """(base, cand) over the cells c = 0..G and the upper edges u_1..u_B: the
+        number of them below c/G, and the one in cell c, or 2.0 (above every
+        score) if none. Cell 0 holds none, as u_1 > 1/G."""
+        G, upper = self._cells, self.edges[1:]
+        base = np.searchsorted(upper, np.arange(G + 1) / G, side="left")
         cand = np.full(G + 1, 2.0)
-        cand[(self.edges * G).astype(np.intp)] = self.edges
-        cand[0] = -1.0
+        cand[(upper * G).astype(np.intp)] = upper
         return base, cand
 
     @property
@@ -174,65 +175,61 @@ def assign(scheme: BinningScheme, score) -> int | np.ndarray:
     """Bin index in [1, B] for a score (or array of scores) in [0, 1].
 
     Intervals are right-closed; a score of exactly 0 maps to bin 1. The
-    result is ``max(searchsorted(edges, score, "left"), 1)``, read from the
-    scheme's cell table given at least G scores (the table is built on the
-    first such call), else found by binary search.
+    result is `_blocks`' 0-based index plus one, written a block at a time.
     """
     arr = np.asarray(score, dtype=np.float64)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
-    idx = _bin_index(scheme, arr.reshape(-1))
+    idx = np.empty(arr.size, dtype=np.intp)
+    for lo, _, j in _blocks(scheme, arr.reshape(-1)):
+        np.add(j, 1, out=idx[lo:lo + j.size])
     return int(idx[0]) if arr.ndim == 0 else idx.reshape(arr.shape)
 
 
-def _bin_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
-    """`assign` of 1-d float64 scores already known to lie in [0, 1]: no range check."""
-    if 0 < scheme._cells <= scores.size:
-        return _table_index(scheme, scores)
-    idx = np.searchsorted(scheme.edges, scores, side="left")
-    np.maximum(idx, 1, out=idx)  # in place, so peak memory holds one index array
-    return idx
+def _blocks(scheme: BinningScheme, scores: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(lo, s, j)`` for each `_BLOCK` of 1-d float64 scores in [0, 1]:
+    ``s = scores[lo:lo + _BLOCK]`` and its 0-based bin index
+    ``j = searchsorted(edges[1:], s, "left")``, a fresh intp array the caller may
+    overwrite. The one pass that numbers bins; it checks no range.
 
-
-def _table_index(scheme: BinningScheme, scores: np.ndarray) -> np.ndarray:
-    """Bin indices of 1-d scores in [0, 1] from the scheme's table.
-
-    Each cell [c/G, (c+1)/G) holds at most one edge, and c = floor(s*G) is
-    exact for a power of two G, so the index is base[c], plus one if s lies
-    above cand[c]: one exact comparison. Blocks keep the temporaries small.
-    Every c lies in [0, G], so ``mode="clip"`` moves no index; it only spares
-    ``np.take`` the bounds check that makes fancy indexing slower.
+    A block of at least G scores reads j from the scheme's table (built on the
+    first such block): each cell [c/G, (c+1)/G) holds at most one upper edge,
+    and c = floor(s*G) is exact for a power of two G, so j is base[c], plus one
+    if s lies above cand[c]: one exact comparison. Every c lies in [0, G], so
+    ``mode="clip"`` moves no index; it only spares ``np.take`` the bounds check
+    that makes fancy indexing slower. A shorter block, or a scheme without a
+    table, takes binary search.
     """
-    base, cand = scheme._table
-    idx = np.empty(scores.size, dtype=np.intp)
+    G, upper = scheme._cells, scheme.edges[1:]
     for lo in range(0, scores.size, _BLOCK):
-        s, j = scores[lo:lo + _BLOCK], idx[lo:lo + _BLOCK]
-        c = (s * scheme._cells).astype(np.intp)  # exact; the cast truncates, i.e. floors
-        np.take(base, c, mode="clip", out=j)
-        j += s > np.take(cand, c, mode="clip")
-    return idx
+        s = scores[lo:lo + _BLOCK]
+        if 0 < G <= s.size:
+            base, cand = scheme._table
+            c = (s * G).astype(np.intp)  # exact; the cast truncates, i.e. floors
+            j = np.take(base, c, mode="clip")
+            j += s > np.take(cand, c, mode="clip")
+        else:
+            j = np.searchsorted(upper, s, side="left")
+        yield lo, s, j
 
 
 def _sums(scheme: BinningScheme, scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(counts, score_sums, label_sums)`` per bin: the one per-bin reduction.
 
     Takes 1-d float64 scores already known to lie in [0, 1] and their 0/1
-    integer labels; neither is checked here. One pass per `_BLOCK` scores
-    bounds the temporaries whatever n is. Each block's bin index j is taken
-    once; its scores are added into zeros by `np.add.at`, which adds in score
-    order as `np.bincount` does, so every score sum has the bits of one
-    `np.bincount` over all the scores; and one integer ``np.bincount(2*j + y)``
-    counts each bin's (label 0, label 1) rows, so counts and label sums are exact.
+    integer labels; neither is checked here. One pass of `_blocks` bounds the
+    temporaries whatever n is. Each block's scores are added into zeros at
+    their bin index j by `np.add.at`, which adds in score order as `np.bincount`
+    does, so every score sum has the bits of one `np.bincount` over all the
+    scores; and one integer ``np.bincount(2*j + y)`` counts each bin's
+    (label 0, label 1) rows, so counts and label sums are exact.
     """
     B = scheme.B
     pairs, score_sums = np.zeros(2 * B, dtype=np.int64), np.zeros(B)
-    for lo in range(0, scores.size, _BLOCK):
-        s = scores[lo:lo + _BLOCK]
-        j = _bin_index(scheme, s)
-        j -= 1  # in place, as in _bin_index
+    for lo, s, j in _blocks(scheme, scores):
         np.add.at(score_sums, j, s)
         j *= 2
-        j += labels[lo:lo + _BLOCK]
+        j += labels[lo:lo + j.size]
         pairs += np.bincount(j, minlength=2 * B)
     pairs = pairs.reshape(B, 2)
     return pairs.sum(axis=1), score_sums, pairs[:, 1].astype(np.float64)

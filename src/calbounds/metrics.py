@@ -75,15 +75,12 @@ def ece_reformulated(d, s: BinningScheme) -> EceValue:
 
     Algebraically identical to ``ece``; computed without forming per-bin
     means so the two paths cross-check each other. The residuals are taken
-    and added per `binning._BLOCK` rows, in row order as one ``np.bincount``
-    adds them, so no n-long temporary is built.
+    and added per block of `binning._blocks`, in row order as one
+    ``np.bincount`` adds them, so no n-long temporary is built.
     """
-    residual_sums, block = np.zeros(s.B), binning._BLOCK
-    for lo in range(0, len(d), block):
-        z = d.scores[lo:lo + block]
-        j = binning._bin_index(s, z)
-        j -= 1
-        np.add.at(residual_sums, j, d.labels[lo:lo + block] - z)
+    residual_sums = np.zeros(s.B)
+    for lo, z, j in binning._blocks(s, d.scores):
+        np.add.at(residual_sums, j, d.labels[lo:lo + j.size] - z)
     value = float(np.sum(np.abs(residual_sums)) / len(d))
     return EceValue(min(value, 1.0))
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import (
-    _BLOCK, BinningScheme, _check_count, _dataset_sums, assign, bin_stats, umb_scheme,
-)
+from . import binning
+from .binning import BinningScheme, _check_count, _dataset_sums, bin_stats, umb_scheme
 from .metrics import EceValue, _binned_error
 
 __all__ = ["Recalibrator", "fit_recalibrator", "apply_recalibrator", "recalibrated_tce"]
@@ -57,15 +56,15 @@ def fit_recalibrator(d_fit, B: int) -> Recalibrator:
 def apply_recalibrator(r: Recalibrator, scores) -> np.ndarray:
     """Map each score to its bin's stored label mean.
 
-    The output is filled one `_BLOCK` of scores at a time, so beside it only one
-    block's bin index is alive.
+    The whole input is range-checked first; the output is then filled one block
+    of `binning._blocks` at a time, so beside it only one block's bin index is alive.
     """
     arr = np.asarray(scores, dtype=np.float64)
-    flat, out = arr.reshape(-1), np.empty(arr.size)
-    for lo in range(0, flat.size, _BLOCK):
-        j = assign(r.scheme, flat[lo:lo + _BLOCK])
-        j -= 1
-        np.take(r.mu, j, out=out[lo:lo + _BLOCK])
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
+        raise ValueError("scores must lie in [0, 1]")
+    out = np.empty(arr.size)
+    for lo, _, j in binning._blocks(r.scheme, arr.reshape(-1)):
+        np.take(r.mu, j, out=out[lo:lo + j.size])
     return out.reshape(arr.shape)[()]
 
 

@@ -1,6 +1,5 @@
 """Fixtures shared by several test modules."""
 
-import numpy as np
 import pytest
 
 import calbounds.binning as binning_mod
@@ -8,17 +7,18 @@ import calbounds.binning as binning_mod
 
 @pytest.fixture()
 def assign_calls(monkeypatch):
-    """(scheme, score count) of every bin index taken during the test.
+    """(scheme, block size) of every block that ``binning._blocks`` numbers during the test.
 
-    Counts calls of ``binning._bin_index``, which ``assign`` calls once, and the
-    per-bin reduction ``binning._sums`` and ``ece_reformulated`` once per block.
+    Every bin index is taken there: by ``assign``, the per-bin reduction
+    ``binning._sums``, ``ece_reformulated`` and ``apply_recalibrator``.
     """
     calls = []
-    real = binning_mod._bin_index
+    real = binning_mod._blocks
 
     def counting(scheme, scores):
-        calls.append((scheme, int(np.size(scores))))
-        return real(scheme, scores)
+        for lo, s, j in real(scheme, scores):
+            calls.append((scheme, int(s.size)))
+            yield lo, s, j
 
-    monkeypatch.setattr(binning_mod, "_bin_index", counting)
+    monkeypatch.setattr(binning_mod, "_blocks", counting)
     return calls

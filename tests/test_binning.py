@@ -43,6 +43,20 @@ def tight_pair(floats):
     return [0.375, float(upper)]
 
 
+def scheme_of(method, B, scores):
+    """A scheme of one kind: "uwb" (B bins), "umb" (on the scores), or one with no
+    table. Crowded UMB edges sit 2**-29 apart, closer than 1/_MAX_CELLS, as do the
+    packed ones (3/8 and 3/8 + 1/cap less a float)."""
+    if method == "uwb":
+        return uwb_scheme(B)
+    if method == "umb":
+        return quiet_umb(scores, B)
+    if method == "crowded":  # two interior edges at least
+        crowd = 0.5 + np.arange(2 * max(B, 3)) * 2.0**-30
+        return quiet_umb(np.concatenate([crowd, crowd]), max(B, 3))
+    return BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
+
+
 class TestUwbScheme:
     def test_single_bin(self):
         s = uwb_scheme(1)
@@ -277,6 +291,50 @@ class TestAssign:
         for x in special:
             assert assign(s, x) == max(np.searchsorted(edges, x, "left"), 1)
 
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["uwb", "umb", "crowded", "packed"]),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_equal_searchsorted_of_upper_edges(self, block, B, method, extra, seed):
+        # With _BLOCK patched to 1..64, blocks of at least G scores read the table
+        # (G <= 64 for uniform width at B <= 40) and a shorter tail takes binary
+        # search, within one call. Scores sit at 0, -0, 1, every edge and its
+        # float neighbours.
+        rng = np.random.default_rng(seed)
+        grid = _uniform_edges(B)
+        scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
+        s = scheme_of(method, B, scores)
+        near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
+        scores = rng.permutation(np.concatenate([scores, [-0.0], np.clip(near, 0.0, 1.0)]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binning_mod, "_BLOCK", block)
+            got = list(binning_mod._blocks(s, scores))
+        assert [lo for lo, _, _ in got] == list(range(0, scores.size, block))
+        assert ("_table" in vars(s)) == (0 < s._cells <= min(block, scores.size))
+        want = np.searchsorted(s.edges[1:], scores, "left")
+        for lo, z, j in got:
+            assert z.tobytes() == scores[lo:lo + block].tobytes()
+            assert j.dtype == np.intp and np.array_equal(j, want[lo:lo + block])
+
+    def test_peak_memory_is_output_plus_a_few_blocks(self):
+        # assign writes its output a block at a time: beside it live only a few
+        # blocks' index and table temporaries, whether the table or binary search
+        # runs. A second index of all 400,000 scores (24 blocks) would not fit.
+        scores = np.random.default_rng(4).uniform(size=400_000)
+        for s in (uwb_scheme(15), scheme_of("packed", 3, scores)):
+            assign(s, scores)  # a first call builds the scheme's cell table
+            tracemalloc.start()
+            try:
+                out = assign(s, scores)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 5 * _BLOCK * np.dtype(np.intp).itemsize
+
     def test_cell_count(self):
         # The smallest power of two G with G * min gap > 1, or 0 past the cap.
         assert uwb_scheme(1)._cells == 2
@@ -354,23 +412,14 @@ class TestBinSums:
         # Blocks add through np.add.at, which must keep the bits of one bincount
         # over all scores: with _BLOCK patched to 1..64, and unpatched (None) over
         # more than _BLOCK scores. Scores sit at 0, 1, every edge and its float
-        # neighbours. Crowded UMB edges sit closer than 1/_MAX_CELLS, as do the
-        # packed ones (3/8 and 3/8 + 1/cap less a float), so those schemes have no
-        # table and every block takes binary search.
+        # neighbours. Crowded and packed schemes have no table, so every block
+        # takes binary search.
         rng = np.random.default_rng(seed)
         grid = np.arange(B + 1, dtype=np.float64) / B
         scores = np.concatenate([grid, grid, [0.0, 1.0], extra])
         if block is None:
             scores = np.concatenate([scores, rng.uniform(size=int(rng.integers(_BLOCK, 3 * _BLOCK)))])
-        if method == "uwb":
-            s = uwb_scheme(B)
-        elif method == "umb":
-            s = quiet_umb(scores, B)
-        elif method == "crowded":
-            crowd = 0.5 + np.arange(2 * max(B, 3)) * 2.0**-30  # interior edges 2**-29 apart
-            s = quiet_umb(np.concatenate([crowd, crowd]), max(B, 3))
-        else:
-            s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
+        s = scheme_of(method, B, scores)
         assert s._cells == 0 or method in ("uwb", "umb")
         near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
         scores = rng.permutation(np.concatenate([scores, np.clip(near, 0.0, 1.0)]))
@@ -476,21 +525,11 @@ class TestDatasetSums:
     @settings(max_examples=40, deadline=None)
     def test_fused_pass_equals_bin_sums(self, n, B, method, seed):
         # The dataset's kept sums over its int8 labels have the bits of _sums
-        # over int64 labels and of one np.bincount. Crowded UMB edges sit closer
-        # than 1/_MAX_CELLS, as do the packed ones, so those schemes have no
-        # table and every block takes binary search.
+        # over int64 labels and of one np.bincount. Crowded and packed schemes
+        # have no table, so every block takes binary search.
         rng = np.random.default_rng(seed)
         scores = rng.uniform(size=n)
-        if method == "uwb":
-            s = uwb_scheme(B)
-        elif method == "umb":
-            s = quiet_umb(scores, B)
-        elif method == "crowded":
-            B = max(B, 3)  # two interior edges at least, 2**-29 apart
-            crowd = 0.5 + np.arange(2 * B) * 2.0**-30
-            s = quiet_umb(np.concatenate([crowd, crowd]), B)
-        else:
-            s = BinningScheme([0.0, *tight_pair(-1), 1.0], "umb")
+        s = scheme_of(method, B, scores)
         assert (s._cells == 0) == (method in ("crowded", "packed"))
         near = np.concatenate([s.edges, np.nextafter(s.edges, 2.0), np.nextafter(s.edges, -1.0)])
         scores[rng.integers(0, n, size=near.size)] = np.clip(near, 0.0, 1.0)

@@ -96,3 +96,30 @@ def test_src_calls_no_np_unique():
         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
     ]
     assert calls == []
+
+
+def _numbers_bins(node) -> bool:
+    """Whether an AST node blocks scores by ``binning._BLOCK`` or searches a scheme's edges."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").endswith("binning") and any(a.name == "_BLOCK" for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_BLOCK" and isinstance(node.value, ast.Name) and node.value.id == "binning"
+    if isinstance(node, ast.Call) and node.args:
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name == "searchsorted" and any(
+            isinstance(n, ast.Attribute) and n.attr == "edges" for n in ast.walk(node.args[0])
+        )
+    return False
+
+
+def test_only_binning_numbers_bins():
+    # binning._blocks is the one pass that numbers bins; models._BLOCK is the
+    # descent's own block size and is not binning's.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "binning.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _numbers_bins(node)
+    ]
+    assert found == []
