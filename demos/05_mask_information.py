@@ -4,11 +4,12 @@ First sanity-checks the two mutual-information estimators on channels with
 known information content, then runs the supersample pipeline: draw an
 n x 2 data matrix, train a logistic model on the mask-selected half,
 measure the train/test calibration-error gap, and ask how much those
-statistics reveal about the mask.
+statistics reveal about the mask. The trainer is deterministic, so that is
+each statistic's entropy over the masks: with sampled masks only its
+certified ceiling is known, and over all 2^n masks it is counted exactly.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -45,17 +46,15 @@ cfg = CmiExperimentConfig(
     n_supersamples=5,
     n_masks=10,
 )
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # sampled mask patterns are all-distinct labels
-    result = run_cmi_experiment(cfg)
+result = run_cmi_experiment(cfg)
 bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n).value
 print(f"mean train/test ECE gap: {result.mean_gap:.5f}")
-print(f"estimated mask info (gap statistic): {result.ecmi_est.value:.5f}"
-      "  <- sampled masks never repeat, so the kNN estimate collapses to 0")
-print(f"gap bound at that estimate: {bound:.5f}  (gap <= bound: {result.mean_gap <= bound})")
+print(f"mask info (gap statistic): {result.ecmi_est.value:.5f} [{result.ecmi_est.method}]"
+      f"  <- H(U) = n ln 2 = {cfg.n * math.log(2):.5f}, all that sampled masks certify")
+print(f"gap bound at that ceiling: {bound:.5f}  (vacuous: an ECE gap is at most 1)")
 print()
 
-print("== exhaustive mode at tiny n: every mask, plug-in estimate (at most ln 8 = 2.0794) ==")
+print("== exhaustive mode at tiny n: every mask, entropy counted exactly (at most 8 ln 2 = 5.5452) ==")
 cfg_small = CmiExperimentConfig(
     n=8,
     B=2,

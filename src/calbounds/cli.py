@@ -12,8 +12,8 @@ A score file is JSON when its text starts with ``[`` or ``{``, else CSV.
 ./runs) can be made before the subcommand runs, and writes the run-record JSON
 and any CSV tables there only after it succeeds. The record's config is the
 parsed command line minus ``--out``, and minus the flags the run never reads:
-the synthetic-pool flags of ``recalibrate --input`` and ``--n-masks`` and
-``--k`` of ``cmi --exhaustive``. Otherwise those flags carry the values used.
+the synthetic-pool flags of ``recalibrate --input`` and ``--n-masks`` of
+``cmi --exhaustive``. Otherwise those flags carry the values used.
 Exit codes: 0 success, 1 internal error, 2 usage or precondition error, such
 as a flag the run cannot use or a path that cannot be read or written. A run
 that does not fit in memory exits 2 too, naming the size arguments its
@@ -246,16 +246,12 @@ def _cmd_recalibrate(args, record: RunRecord) -> dict:
 
 
 def _cmd_cmi(args, record: RunRecord) -> dict:
-    sampling = {key: record.config.pop(key) for key in ("n_masks", "k")}  # as given, or None
-    if args.exhaustive:  # the plug-in oracle enumerates every mask and takes no k
-        given = [f"--{key.replace('_', '-')}" for key, v in sampling.items() if v is not None]
-        if given:
-            raise ValueError(f"flags apply only without --exhaustive: {', '.join(given)}")
-        sampling = {}  # and the record omits both flags
-    else:
-        sampling = {key: getattr(CmiExperimentConfig, key) if v is None else v
-                    for key, v in sampling.items()}
-        record.config.update(sampling)
+    n_masks = record.config.pop("n_masks")  # as given, or None
+    if args.exhaustive and n_masks is not None:  # every mask is enumerated, none sampled
+        raise ValueError("flags apply only without --exhaustive: --n-masks")
+    sampling = {} if args.exhaustive else {
+        "n_masks": CmiExperimentConfig.n_masks if n_masks is None else n_masks}
+    record.config.update(sampling)  # an exhaustive record omits the flag
     trainer = TrainerConfig(args.lr, args.epochs)
     cfgs = [  # every grid point is checked before the first run
         CmiExperimentConfig(
@@ -268,8 +264,9 @@ def _cmd_cmi(args, record: RunRecord) -> dict:
     results = [run_cmi_experiment(cfg) for cfg in cfgs]  # all before any line is printed
     tables, summary_rows = {}, []
     for cfg, result in zip(cfgs, results):
-        bound = gen_ece_bound(result.ecmi_est.clamped, cfg.B, cfg.n)
-        summary_rows.append([cfg.n, cfg.B, result.mean_gap, result.ecmi_est.value, bound.value])
+        est = result.ecmi_est
+        bound = gen_ece_bound(est.clamped, cfg.B, cfg.n)
+        summary_rows.append([cfg.n, cfg.B, result.mean_gap, est.value, bound.value, est.method])
         tables[f"cmi_cells_n{cfg.n}.csv"] = (
             ["supersample_idx", "mask_idx", "statistic_name", "value"],
             [
@@ -281,13 +278,12 @@ def _cmd_cmi(args, record: RunRecord) -> dict:
         )
         print(
             f"n {cfg.n} bins {cfg.B} mean_gap {_fmt(result.mean_gap)} "
-            f"ecmi {_fmt(result.ecmi_est.value)} bound {_fmt(bound.value)}"
+            f"ecmi {_fmt(est.value)} bound {_fmt(bound.value)}"
         )
         record.add("mean_gap", result.mean_gap, n=cfg.n, B=cfg.B)
-        est = result.ecmi_est
-        record.add("ecmi_est", est.value, n=cfg.n, B=cfg.B, method=est.method, k=est.k)
+        record.add("ecmi_est", est.value, n=cfg.n, B=cfg.B, method=est.method)
         record.add(bound.name, bound.value, **bound.inputs, variant=bound.variant)
-    tables["cmi_summary.csv"] = (["n", "B", "mean_gap", "ecmi_est", "bound"], summary_rows)
+    tables["cmi_summary.csv"] = (["n", "B", "mean_gap", "ecmi_est", "bound", "method"], summary_rows)
     return tables
 
 
@@ -354,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
     p_cmi.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
     p_cmi.add_argument("--n-supersamples", type=int, default=CmiExperimentConfig.n_supersamples)
-    for flag in ("--n-masks", "--k"):  # None: the run takes CmiExperimentConfig's default
-        p_cmi.add_argument(flag, type=int, default=None, help="not with --exhaustive")
+    # None: the run takes CmiExperimentConfig's default
+    p_cmi.add_argument("--n-masks", type=int, default=None, help="not with --exhaustive")
     p_cmi.add_argument("--method", choices=[UWB, UMB], default=CmiExperimentConfig.method)
     p_cmi.add_argument("--exhaustive", action="store_true",
-                       help="enumerate all 2^n masks (n <= 12) and use the plug-in estimator")
+                       help="enumerate all 2^n masks (n <= 12) and count each statistic's entropy")
     p_cmi.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
     p_cmi.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
     p_cmi.add_argument("--seed", type=int, default=0)

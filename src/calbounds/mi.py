@@ -3,10 +3,10 @@
 Two estimators of I(continuous statistic; discrete label): a mixed-type
 k-nearest-neighbor estimator (digamma combination over same-label neighbor
 radii) and a histogram plug-in over equal-mass value bins, which
-cross-checks it at desk scale. On top of them, the supersample pipeline
+cross-checks it at desk scale. The supersample pipeline uses neither: it
 trains a model on the masked half of an n x 2 data matrix, measures
-calibration-error differences between the halves, and estimates how much
-information those statistics carry about the mask.
+calibration-error differences between the halves, and counts how much
+information those statistics carry about the mask, or gives its ceiling.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ _PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.5757575757575
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """A mutual-information estimate in nats.
-
-    ``value`` is the raw estimator output and may be slightly negative from
-    noise; ``clamped`` is the nonnegative copy that bound formulas consume.
+    """Mutual information in nats and its ``method``: an estimator's (``"knn"`` with its
+    ``k``, or ``"plugin"``), an entropy ``"count"`` over every mask, or a certified
+    ``"ceiling"``. ``value`` may be slightly negative from noise or rounding;
+    ``clamped`` is the nonnegative copy that bound formulas consume.
     """
 
     value: float
@@ -100,20 +100,15 @@ def _as_points(values) -> np.ndarray:
 
 
 def _label_codes(labels) -> np.ndarray:
-    """Integer codes 0, 1, ... of ``labels`` in order of first appearance."""
-    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "biu":
-        _, first, inverse = _unique(labels, indices=True)
-        rank = np.empty(first.size, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(first.size)
-        return rank[inverse]
-    # Other labels may be arbitrary hashables (e.g. mask patterns as bytes); floats stay
-    # here too, where each NaN is its own key.
-    table: dict = {}
-    codes = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        key = lab.item() if isinstance(lab, np.generic) else lab
-        codes[i] = table.setdefault(key, len(table))
-    return codes
+    """Integer codes 0, 1, ... of 1-d bool or integer ``labels`` in order of first appearance.
+    An empty list, which numpy makes a float array, has no codes."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "biu"):
+        raise ValueError("labels must be a 1-d array of bools or integers")
+    _, first, inverse = _unique(labels, indices=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _max_norm(rows, cols, out, diff) -> None:
@@ -314,9 +309,8 @@ class CmiExperimentConfig:
     """Settings for the supersample mask-information experiment.
 
     Defaults mirror the desk-scale protocol: 5 supersample draws, 10 mask
-    draws each, k = 3 neighbors. ``exhaustive`` switches to enumerating all
-    2^n masks (n <= 12) with the histogram plug-in estimator over at most
-    8 value bins, so no estimate exceeds ln 8; ``n_masks`` and ``k`` then go
+    draws each. ``exhaustive`` switches to enumerating all 2^n masks
+    (n <= 12), whose entropies are counted exactly; ``n_masks`` then goes
     unread. Each cell bins its n training scores by uniform mass: n >= 2B.
     """
 
@@ -326,14 +320,13 @@ class CmiExperimentConfig:
     seed: int
     n_supersamples: int = 5
     n_masks: int = 10
-    k: int = 3
     method: str = UMB
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
         counts = {"n": self.n, "B": self.B, "n_supersamples": self.n_supersamples}
         if not self.exhaustive:
-            counts.update(n_masks=self.n_masks, k=self.k)
+            counts.update(n_masks=self.n_masks)
         for name, v in zip(counts, _check_count(**counts)):
             object.__setattr__(self, name, v)
         if self.n < 2 * self.B:
@@ -341,23 +334,19 @@ class CmiExperimentConfig:
         if 2 * self.n * 8 > np.iinfo(np.intp).max:  # 2n 8-byte draws: numpy's size limit
             raise ValueError(f"n={self.n} is too large: a supersample's 2n draws "
                              "would not fit in one numpy array")
-        if not self.exhaustive and self.n_masks < self.k + 2:
-            raise ValueError(f"the kNN estimator needs n_masks >= k + 2 = {self.k + 2} draws")
         if self.method not in (UWB, UMB):
             raise ValueError(f"unknown scheme method: {self.method}")
         if self.exhaustive and self.n > 12:
             raise ValueError("exhaustive mask enumeration is limited to n <= 12")
-        if self.exhaustive and self.n < 3:
-            raise ValueError("exhaustive mode needs n >= 3 for the plug-in estimator")
 
 
 @dataclass(frozen=True, eq=False)
 class CmiExperimentResult:
-    """Mask-information estimates and the mean gap, all computed from ``stats``.
+    """Mask information per statistic and the mean gap, all computed from ``stats``.
 
     ``stats`` is the read-only (supersample, mask, statistic) array of every
-    cell; its last axis follows ``STATISTICS``. Each estimate averages the
-    run's estimator over supersamples.
+    cell; its last axis follows ``STATISTICS``. Each information is a count
+    or a ceiling, as ``run_cmi_experiment`` states.
     """
 
     ecmi_est: MiEstimate
@@ -367,8 +356,14 @@ class CmiExperimentResult:
     stats: np.ndarray
 
 
+def _sum_c_log_c(column: np.ndarray) -> float:
+    """sum(c ln c) over the counts c of the distinct values of ``column``."""
+    _, _, inverse = _unique(column, indices=True)
+    return math.fsum(c * math.log(c) for c in np.bincount(inverse).tolist())
+
+
 def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
-    """Run the supersample grid and estimate mask information per statistic.
+    """Run the supersample grid and find the mask information of each statistic.
 
     For each supersample draw, the configured number of masks is sampled
     (or all 2^n masks enumerated in exhaustive mode); each (supersample,
@@ -376,18 +371,22 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
     calibration-gap and per-bin difference statistics. The models of one
     supersample train together, in one batched gradient descent over its
     masks; each equals the model trained on its cell alone. Both halves of
-    every cell are then scored in one pass. Mask information is estimated
-    per supersample between statistic values and mask bit patterns, then
-    averaged; ``mean_gap`` averages the gap over every cell. Deterministic
-    given the config: every cell seeds its own substream.
+    every cell are then scored in one pass. ``mean_gap`` averages the gap
+    over every cell. Deterministic given the config: every cell seeds its
+    own substream.
+
+    Training is deterministic given the mask, so a statistic's information
+    about the mask is its entropy given the supersample. Exhaustive mode
+    counts it: per supersample, n ln 2 - sum(c ln c) / 2^n over the counts c
+    of the statistic's distinct values (logs from ``math.log``), averaged
+    over supersamples. Sampled masks certify no count, so each statistic
+    reports its ceiling: H(U) = n ln 2 for the gap, and for delta1 and
+    delta2, whose n * delta is an integer in 0..2n, the smaller of that and
+    ln(2n + 1) (Steinke & Zakynthinou 2020).
     """
     n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
-    method, k = ("plugin", 0) if cfg.exhaustive else ("knn", cfg.k)
-    estimate = (functools.partial(plugin_mi, bins=max(2, min(8, n_masks // 4))) if cfg.exhaustive
-                else functools.partial(ksg_mixed_mi, k=cfg.k))
     uwb = uwb_scheme(cfg.B) if cfg.method == UWB else None
     stats = np.empty((cfg.n_supersamples, n_masks, len(STATISTICS)))
-    estimates = np.empty((len(STATISTICS), cfg.n_supersamples))  # per statistic, per supersample
 
     for s_idx in range(cfg.n_supersamples):
         x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
@@ -410,11 +409,14 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
             )
         for m in range(n_masks):
             stats[s_idx, m] = _cell_statistics(s_tr[m], y_tr[m], s_te[m], y_te[m], cfg.B, uwb)
-        pattern_labels = [mask.tobytes() for mask in masks]  # equal masks share a label
-        for j in range(len(STATISTICS)):
-            estimates[j, s_idx] = estimate(stats[s_idx, :, j], pattern_labels).value
 
     stats.setflags(write=False)
-    ecmi_est, i_delta1, i_delta2 = (MiEstimate(float(np.mean(row)), method, k) for row in estimates)
+    whole = cfg.n * math.log(2.0)  # H(U): the n fair bits of a mask
+    if cfg.exhaustive:  # n ln 2 less a nonnegative mean: never above it
+        info = [whole - math.fsum(map(_sum_c_log_c, s)) / s.size for s in stats.transpose(2, 0, 1)]
+    else:
+        info = [whole] + [min(whole, math.log(2 * cfg.n + 1))] * 2
+    method = "count" if cfg.exhaustive else "ceiling"
+    ecmi_est, i_delta1, i_delta2 = (MiEstimate(v, method, 0) for v in info)
     mean_gap = float(np.mean(stats[:, :, 0]))
     return CmiExperimentResult(ecmi_est, i_delta1, i_delta2, mean_gap, stats)

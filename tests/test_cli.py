@@ -406,7 +406,7 @@ class TestCmiCommand:
         )
         assert code == 0
         summary = (out / "cmi_summary.csv").read_text().splitlines()
-        assert summary[0] == "n,B,mean_gap,ecmi_est,bound"
+        assert summary[0] == "n,B,mean_gap,ecmi_est,bound,method"
         assert len(summary) == 2
         cells = (out / "cmi_cells_n60.csv").read_text().splitlines()
         assert cells[0] == "supersample_idx,mask_idx,statistic_name,value"
@@ -436,7 +436,7 @@ class TestCmiCommand:
               "--epochs", "60", "--seed", "4", "--out", str(out)])
         rows = (out / "cmi_summary.csv").read_text().splitlines()[1:]
         for row in rows:
-            n, B, mean_gap, ecmi_est, bound = row.split(",")
+            n, B, mean_gap, ecmi_est, bound, method = row.split(",")
             assert float(bound) >= float(mean_gap)
 
     def test_bound_decreases_along_grid_for_fixed_bins(self, tmp_path):
@@ -447,19 +447,29 @@ class TestCmiCommand:
         bounds = [float(r.split(",")[4]) for r in rows]
         assert bounds[1] < bounds[0]
 
-    def test_exhaustive_record_names_the_plugin_estimator(self, tmp_path):
-        # The plug-in estimator samples no masks and takes no k, so the record holds neither flag.
+    @pytest.mark.parametrize("exhaustive, method", [(True, "count"), (False, "ceiling")])
+    def test_record_and_summary_name_the_method(self, tmp_path, exhaustive, method):
+        # An exhaustive run counts its information and samples no masks, so its record
+        # holds no --n-masks; a sampled run reports its ceiling.
         out = tmp_path / "cmi"
-        assert main(["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1",
-                     "--epochs", "20", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["cmi", "--n-grid", "8", *(["--exhaustive"] if exhaustive else []),
+                     "--n-supersamples", "1", "--epochs", "20", "--seed", "1",
+                     "--out", str(out)]) == 0
         record = json.loads((out / "run_record.json").read_text())
-        assert "n_masks" not in record["config"] and "k" not in record["config"]
+        assert ("n_masks" in record["config"]) is not exhaustive
         results = {r["name"]: r for r in record["results"]}
         est = results["ecmi_est"]
-        assert est["inputs"] == {"n": 8, "B": 2, "method": "plugin", "k": 0}
+        assert est["inputs"] == {"n": 8, "B": 2, "method": method}
         bound = results["gen_ece"]
         assert bound["inputs"]["eCMI"] == max(est["value"], 0.0)
         assert bound["value"] == calbounds.gen_ece_bound(max(est["value"], 0.0), 2, 8).value
+        summary = (out / "cmi_summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[3:] == [repr(est["value"]), repr(bound["value"]), method]
+
+    def test_k_is_not_an_option(self, tmp_path, capsys):
+        assert main(["cmi", "--k", "3", "--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEnvironmentDefaults:
@@ -553,15 +563,8 @@ class TestExitCodes:
             (["recalibrate", "--input", "{scores}", "--variant", "reuse", "--bins", "1",
               "--beta1", "-1.5"],
              "synthetic-pool flags apply only without --input: --beta1"),
-            (["cmi", "--n-grid", "8", "--exhaustive", "--n-supersamples", "1", "--n-masks", "7",
-              "--k", "5", "--seed", "1"],
-             "flags apply only without --exhaustive: --n-masks, --k"),
             (["cmi", "--n-grid", "8", "--exhaustive", "--n-masks", "256"],
              "flags apply only without --exhaustive: --n-masks"),
-            (["cmi", "--n-grid", "8", "--exhaustive", "--k", "1"],
-             "flags apply only without --exhaustive: --k"),
-            (["cmi", "--n-grid", "8", "--exhaustive", "--k", "3"],
-             "flags apply only without --exhaustive: --k"),
             (["cmi", "--n-grid", "8", "--exhaustive", "--n-masks", "10"],
              "flags apply only without --exhaustive: --n-masks"),
         ],
@@ -574,10 +577,7 @@ class TestExitCodes:
             "argv4---lipschitz applies only to --bins auto",
             "argv5-synthetic-pool flags apply only without --input: --beta0, --n-total",
             "argv6-synthetic-pool flags apply only without --input: --beta1",
-            "argv7-flags apply only without --exhaustive: --n-masks, --k",
             "argv8-flags apply only without --exhaustive: --n-masks",
-            "argv9-flags apply only without --exhaustive: --k",
-            "argv10-flags apply only without --exhaustive: --k at its default",
             "argv11-flags apply only without --exhaustive: --n-masks at its default",
         ],
     )
@@ -737,14 +737,14 @@ class TestParserDefaults:
     """A flag's default is the library default it stands for, type included."""
 
     def test_cmi_defaults_are_config_defaults(self):
-        # --n-masks and --k parse to None, so --exhaustive can tell them given; a sampled
-        # run then takes the library's defaults (TestRunRecordConfig.test_cmi).
+        # --n-masks parses to None, so --exhaustive can tell it given; a sampled run
+        # then takes the library's default (TestRunRecordConfig.test_cmi).
         args = build_parser().parse_args(["cmi"])
         cfg = CmiExperimentConfig(n=8, B=2, trainer=TrainerConfig(), seed=0)
         parsed = (args.n_supersamples, args.method, args.lr, args.epochs)
         library = (cfg.n_supersamples, cfg.method, cfg.trainer.learning_rate, cfg.trainer.epochs)
         assert [(type(v), v) for v in parsed] == [(type(v), v) for v in library]
-        assert (args.n_masks, args.k) == (None, None)
+        assert args.n_masks is None
 
     def test_synthetic_betas_are_pool_defaults(self):
         args = build_parser().parse_args(["synthetic"])
@@ -821,11 +821,11 @@ class TestRunRecordConfig:
 
     def test_cmi(self, tmp_path, capsys):
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1",
-                "--n-masks", "4", "--k", "2", "--method", "uwb",
+                "--n-masks", "4", "--method", "uwb",
                 "--lr", "0.25", "--epochs", "20", "--seed", "4"]
         assert self._config(argv, tmp_path) == {
             "subcommand": "cmi", "n_grid": [8], "bins": 2, "n_supersamples": 1, "n_masks": 4,
-            "k": 2, "method": "uwb", "exhaustive": False, "lr": 0.25, "epochs": 20, "seed": 4,
+            "method": "uwb", "exhaustive": False, "lr": 0.25, "epochs": 20, "seed": 4,
         }
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1", "--exhaustive",
                 "--epochs", "20", "--seed", "4"]
@@ -835,7 +835,7 @@ class TestRunRecordConfig:
         }
         argv = ["cmi", "--n-grid", "8", "--bins", "2", "--n-supersamples", "1", "--epochs", "20"]
         config = self._config(argv, tmp_path / "sampled")
-        assert (config["n_masks"], config["k"]) == (10, 3)
+        assert config["n_masks"] == 10
 
     @pytest.mark.parametrize(
         "argv",

@@ -36,7 +36,7 @@ SCORES = np.linspace(0.0, 1.0, 100)
 DATASET = ScoredDataset(SCORES, np.tile([0, 1], 50))
 VALUES, LABELS = np.linspace(0.0, 1.0, 40), np.tile([0, 1], 20)
 CMI = {"n": 20, "B": 2, "trainer": TrainerConfig(), "seed": 0, "n_supersamples": 5,
-       "n_masks": 10, "k": 3}
+       "n_masks": 10}
 
 
 def _bound_cases():
@@ -65,7 +65,7 @@ CASES = [
     ("plugin_mi bins", "bins", 2, 4, lambda v: plugin_mi(VALUES, LABELS, bins=v)),
     *[(f"CmiExperimentConfig {name}", name, 1, CMI[name],
        lambda v, name=name: CmiExperimentConfig(**{**CMI, name: v}))
-      for name in ("n", "B", "n_supersamples", "n_masks", "k")],
+      for name in ("n", "B", "n_supersamples", "n_masks")],
     ("run_synthetic_experiment reps", "reps", 1, 1,
      lambda v: run_synthetic_experiment(0.5, -1.5, [100], v, "cube_root", 0)),
     ("run_synthetic_experiment grid size", "n_grid[1]", 8, 200,

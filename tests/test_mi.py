@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -402,14 +403,30 @@ class TestLabelCodes:
     )
     @settings(max_examples=200, deadline=None)
     def test_array_codes_equal_hashable_codes(self, labels):
-        # A list of numpy scalars takes the per-label dict path; the array, np.unique.
+        # Reference: a label's code is the number of distinct labels seen before its first.
+        first_seen: dict = {}
+        reference = [first_seen.setdefault(lab, len(first_seen)) for lab in labels.tolist()]
         codes = mi_mod._label_codes(labels)
         assert codes.dtype == np.int64
-        assert np.array_equal(codes, mi_mod._label_codes(list(labels)))
+        assert codes.tolist() == reference
 
     def test_first_appearance_order(self):
         assert mi_mod._label_codes(np.array([5, -1, 5, 9, -1])).tolist() == [0, 1, 0, 2, 1]
         assert mi_mod._label_codes(np.array([True, False, True])).tolist() == [0, 1, 0]
+        assert mi_mod._label_codes([7, 3, 7]).tolist() == [0, 1, 0]
+        assert mi_mod._label_codes([]).dtype == np.int64 and mi_mod._label_codes([]).size == 0
+        with pytest.raises(ValueError, match="^insufficient pairs: need at least 8, have 0$"):
+            plugin_mi([], [], bins=2)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([0.0, 1.0]), [0.5, 1], ["a", "b"], [b"\x00", b"\x01"], np.zeros((2, 2), int),
+         np.int64(1), [(0, 1), (1, 0)]],
+        ids=["float array", "float list", "strings", "bytes", "2-d", "scalar", "tuples"],
+    )
+    def test_other_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="^labels must be a 1-d array of bools or integers$"):
+            mi_mod._label_codes(labels)
 
 
 class TestPluginMi:
@@ -695,16 +712,72 @@ class TestRunCmiExperiment:
         assert 0.0 <= result.mean_gap <= 2.0
         assert result.stats.shape == (5, 10, len(STATISTICS))
 
-    def test_exhaustive_mode_plugin_oracle(self):
-        cfg = CmiExperimentConfig(
-            n=5, B=2, trainer=TrainerConfig(epochs=40), seed=8,
-            n_supersamples=2, n_masks=2, exhaustive=True,
-        )
+    @pytest.mark.parametrize(
+        "n, B, values, distinct",
+        [
+            (8, 2, (5.545177, 1.140825, 1.474057), (256, 4, 5)),
+            (12, 3, (8.317766, 1.355594, 1.560197), (4096, 5, 6)),
+        ],
+    )
+    def test_exact_counts_at_seed_1(self, n, B, values, distinct):
+        # The exact mask information of one supersample: the gap differs on every mask,
+        # so its entropy is n ln 2; n * delta1 and n * delta2 take a handful of integers.
+        cfg = CmiExperimentConfig(n=n, B=B, trainer=TrainerConfig(), seed=1, n_supersamples=1,
+                                  exhaustive=True)
         result = run_cmi_experiment(cfg)
-        assert result.ecmi_est.method == "plugin"
-        assert result.ecmi_est.k == 0
-        assert result.stats.shape == (2, 2**5, len(STATISTICS))
-        assert math.isfinite(result.ecmi_est.value)
+        got = (result.ecmi_est.value, result.i_delta1.value, result.i_delta2.value)
+        assert got == pytest.approx(values, abs=5e-7)
+        assert result.ecmi_est.value == n * LN2
+        assert tuple(len(set(result.stats[0, :, j].tolist())) for j in range(3)) == distinct
+
+    @given(
+        n=st.integers(2, 7),
+        B=st.integers(1, 3),
+        n_supersamples=st.integers(1, 3),
+        n_masks=st.integers(1, 12),
+        exhaustive=st.booleans(),
+        method=st.sampled_from(["umb", "uwb"]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=3, B=1, n_supersamples=2, n_masks=10, exhaustive=False, method="umb", seed=4)
+    @settings(max_examples=40, deadline=None)
+    def test_counts_or_ceilings(self, n, B, n_supersamples, n_masks, exhaustive, method, seed):
+        # Exhaustive: each statistic's entropy over the 2^n masks, counted with a Counter per
+        # supersample and averaged. Sampled, repeated masks included: the certified ceilings.
+        assume(n >= 2 * B)
+        cfg = CmiExperimentConfig(n=n, B=B, trainer=TrainerConfig(epochs=5), seed=seed,
+                                  n_supersamples=n_supersamples, n_masks=n_masks,
+                                  method=method, exhaustive=exhaustive)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
+            result = run_cmi_experiment(cfg)
+        estimates = (result.ecmi_est, result.i_delta1, result.i_delta2)
+        if exhaustive:
+            for j, est in enumerate(estimates):
+                per_supersample = []
+                for column in result.stats[:, :, j].tolist():
+                    p = [c / len(column) for c in Counter(column).values()]
+                    per_supersample.append(-sum(q * math.log(q) for q in p))
+                assert (est.method, est.k) == ("count", 0)
+                assert est.value == pytest.approx(np.mean(per_supersample), abs=1e-12)
+                assert est.value <= n * LN2
+        else:
+            delta = min(n * LN2, math.log(2 * n + 1))
+            ceilings = (n * LN2, delta, delta)
+            assert [(est.value, est.method, est.k) for est in estimates] == [
+                (c, "ceiling", 0) for c in ceilings]
+
+    def test_no_estimator_runs(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("run_cmi_experiment called an MI estimator")
+
+        monkeypatch.setattr(mi_mod, "ksg_mixed_mi", boom)
+        monkeypatch.setattr(mi_mod, "plugin_mi", boom)
+        for exhaustive in (False, True):
+            run_cmi_experiment(CmiExperimentConfig(
+                n=4, B=2, trainer=TrainerConfig(epochs=5), seed=3, n_supersamples=2, n_masks=6,
+                exhaustive=exhaustive,
+            ))
 
     def test_uwb_scheme_built_once_per_run(self, monkeypatch):
         built = []
@@ -714,17 +787,6 @@ class TestRunCmiExperiment:
             method="uwb",
         ))
         assert built == [3]
-
-    def test_repeated_masks_share_a_label(self):
-        # Only 2^3 = 8 masks exist, so 10 draws repeat one: equal masks must
-        # share a label, or every label is a singleton and the estimate a silent 0.
-        cfg = CmiExperimentConfig(
-            n=3, B=1, trainer=TrainerConfig(), seed=4, n_supersamples=2, n_masks=10,
-        )
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message="all labels are singletons")
-            result = run_cmi_experiment(cfg)
-        assert math.isfinite(result.ecmi_est.value)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -760,14 +822,14 @@ class TestRunCmiExperiment:
         "kwargs",
         [
             dict(n=4, B=2, n_supersamples=16, n_masks=12),
-            dict(n=4, B=2, n_supersamples=16, n_masks=12, method="uwb", k=2),
+            dict(n=4, B=2, n_supersamples=16, n_masks=12, method="uwb"),
             dict(n=4, B=2, n_supersamples=16, exhaustive=True),
         ],
     )
     def test_summaries_recompute_from_stats(self, kwargs):
-        # mean_gap and each estimate, from Python lists in (supersample, mask)
-        # order. At 16 supersamples and 12+ masks, numpy's pairwise sums differ
-        # from a sequential sum in the last bit, so another order would show.
+        # mean_gap, from Python lists in (supersample, mask) order. At 16
+        # supersamples and 12+ masks, numpy's pairwise sums differ from a
+        # sequential sum in the last bit, so another order would show.
         cfg = CmiExperimentConfig(trainer=TrainerConfig(epochs=60), seed=5, **kwargs)
         result = run_cmi_experiment(cfg)
         n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
@@ -775,24 +837,6 @@ class TestRunCmiExperiment:
         assert not result.stats.flags.writeable
         cells = result.stats.tolist()
         assert result.mean_gap == np.mean([cell[0] for per_mask in cells for cell in per_mask])
-        per_stat = [[], [], []]
-        for s_idx, per_mask in enumerate(cells):
-            if cfg.exhaustive:
-                masks = [[(p >> i) & 1 for i in range(cfg.n)] for p in range(n_masks)]
-            else:
-                masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(n_masks, cfg.n)).tolist()
-            labels = [tuple(mask) for mask in masks]
-            for j in range(len(STATISTICS)):
-                column = [cell[j] for cell in per_mask]
-                if cfg.exhaustive:
-                    per_stat[j].append(plugin_mi(column, labels, bins=4).value)
-                else:
-                    per_stat[j].append(ksg_mixed_mi(column, labels, cfg.k).value)
-        estimates = (result.ecmi_est, result.i_delta1, result.i_delta2)
-        for est, values in zip(estimates, per_stat):
-            assert est.value == np.mean(values)
-            assert (est.method, est.k) == (("plugin", 0) if cfg.exhaustive else ("knn", cfg.k))
-        assert any(est.value != 0.0 for est in estimates)  # the masks repeat: a real estimate
 
     def test_divergent_cell_reports_epoch_and_cell(self, monkeypatch):
         # The odd masks put the infinite covariate in the training half, so
@@ -818,16 +862,15 @@ class TestRunCmiExperiment:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CmiExperimentConfig(n=0, B=2, trainer=TrainerConfig(), seed=0)
-        with pytest.raises(ValueError):
-            CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, n_masks=1)
+        with pytest.raises(ValueError, match="n_masks must be at least 1"):
+            CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, n_masks=0)
         with pytest.raises(ValueError):
             CmiExperimentConfig(n=20, B=2, trainer=TrainerConfig(), seed=0, exhaustive=True)
-        with pytest.raises(ValueError, match="k must be at least 1"):
-            CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, k=0)
-        # The plug-in oracle of exhaustive mode takes no k.
-        CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, k=0, exhaustive=True)
-        # ... and reads no n_masks.
+        # One sampled mask is a run: nothing is estimated from the masks.
+        CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, n_masks=1)
+        # Exhaustive mode reads no n_masks, and counts at any n >= 2B.
         CmiExperimentConfig(n=4, B=1, trainer=TrainerConfig(), seed=0, n_masks=0, exhaustive=True)
+        CmiExperimentConfig(n=2, B=1, trainer=TrainerConfig(), seed=0, exhaustive=True)
 
     def test_n_beyond_one_numpy_array_rejected(self):
         # 2n draws of 8 bytes each: numpy's size limit is the largest intp.
@@ -849,11 +892,8 @@ class TestRunCmiExperiment:
          "values must be scalars or fixed-length vectors"),
         (lambda: CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(), seed=0, method="quantile"),
          "unknown scheme method: quantile"),
-        (lambda: CmiExperimentConfig(n=2, B=1, trainer=TrainerConfig(), seed=0, exhaustive=True),
-         "exhaustive mode needs n >= 3 for the plug-in estimator"),
     ],
-    ids=["ksg lengths", "plugin lengths", "plugin 2-d", "3-d values", "unknown method",
-         "exhaustive n < 3"],
+    ids=["ksg lengths", "plugin lengths", "plugin 2-d", "3-d values", "unknown method"],
 )
 def test_boundary_errors(make, message):
     with pytest.raises(ValueError) as e:

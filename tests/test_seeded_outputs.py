@@ -100,23 +100,23 @@ DIGESTS = {
         "synthetic_gaps.csv": "2498b441273c29438a1b93faa5c63015417ebe3624d270f9c24d2863bf85c5a5",
     },
     "cmi": {
-        "stdout": "171ab2aae9322132fb2435e23ffb8a6e70ac8682c07988ebc09269635936a712",
-        "run_record.json": "d13d6bed994ecb2b6c2396a227210af7ebc3af9136f75c737e65ac81c3d18ed0",
+        "stdout": "0230447241c0b475b3c589b0c2f02e92c8cc6134c6c9537edc42e274450ec7fd",
+        "run_record.json": "2d712c14e3743395d4c0396276350a881cc958a61ef16f285b244c9e7916070c",
         "cmi_cells_n100.csv": "587711040ff1334f904d190721976024259418178c356aa37dc9663d01cfbe32",
         "cmi_cells_n40.csv": "888504dcbdf91269265137a5ecd82929451fc60651b4ff78c92df32bd4516910",
-        "cmi_summary.csv": "e76046247a496b53cc508a0e16189a258d9f67991015e9814c4653653a500ec3",
+        "cmi_summary.csv": "8a337dc47cb86f94dc7259a236e4c78d10c78743ecc2d60418cda6e997a0f768",
     },
     "cmi-exhaustive": {
-        "stdout": "fe6eb182a4596be59b33894be1cbe51678107a2c48bb8c5bb79fb1d213bf7655",
-        "run_record.json": "4019d0837f2e0eec27d15f76a5ebe103b77896a46b3c8bb215fb511416ffc09d",
+        "stdout": "388f4f03e3e996dda9f5b17f918e077b6a2e1aeb2178bd13426af97977db328e",
+        "run_record.json": "6df6a958931fc3fa40de350b804695e3621ff5472468d6112ad419b207837b0b",
         "cmi_cells_n8.csv": "c7e96de32b261628e440e14e035cd637307ae52269b9c7501f457a54f68a5d7b",
-        "cmi_summary.csv": "acb043d09d0298a8b9c5746907e28aad645287e7040f3594811ffe3cd7c3611c",
+        "cmi_summary.csv": "633bcb07c61fea9ac66cb41edc4ee3b960b5f164bbe873220babf559b4e3b70e",
     },
     "cmi-uwb": {
-        "stdout": "7bc1693535f7fb7a8df548f50a07fa60745e14f1d6159fe02eb84fe6ba7282b8",
-        "run_record.json": "4a83bae1bcac4361655d6c7c7ddc66df32219409dff489eb0d747fcfb1d49105",
+        "stdout": "d1971bdbe47372b9124bf5dea74105483c106a26a8aec959182871e60a4529e8",
+        "run_record.json": "853d2a0ae327e1c01ce58b9b40c55ec45a859f39fe11fa7cbae0ed12c6e27d2b",
         "cmi_cells_n40.csv": "2b9ad815ba80f111e46c1aac734275eac8e039f86860bb8b7a2bf6fd4d901e21",
-        "cmi_summary.csv": "aaafa63fe5f7fd60d68029bb1740bb9d7d6a6d0decbacb091353be26ddf04625",
+        "cmi_summary.csv": "7be5ed7848930f8e07b60ceffed8763afb4a705587111dac3bc03dbdee8d35a2",
     },
     "recalibrate-holdout": {
         "stdout": "ddb264f94befd2915963177af2c6ce62389637badea41d101797ca69ccbc8119",
@@ -141,10 +141,10 @@ DIGESTS_BY_EXP = {
         },
         "cmi": {
             **DIGESTS["cmi"],
-            "run_record.json": "c52577b6738ef865da8a19b7df16860b8df6cd41f418f8747eed9c3278f10a97",
+            "run_record.json": "6f27d708165db70830af34040ce7b1926db11463df143caa3d0495e4069d919f",
             "cmi_cells_n100.csv": "86dc24c96fbbbc792889007e2083f467619f3bc94590abf0c10d9ab8332f8539",
             "cmi_cells_n40.csv": "b3314f9a21fd6b96bebf7f0a475071698f509f8145b5712ad4bb49adde015cb2",
-            "cmi_summary.csv": "973421fdf2b059893b323cdb43a718d6d017d9e193248615d85ee3c3e3aeebf5",
+            "cmi_summary.csv": "80230d4d2a75079ea8441af44cba5d6f8ff414bd5cc54bb400a901d8ccb2d066",
         },
         "cmi-exhaustive": {
             **DIGESTS["cmi-exhaustive"],
@@ -210,8 +210,9 @@ def test_outputs_match_pinned_digests(name, runs):
     fingerprint = exp_fingerprint()
     assert fingerprint in DIGESTS_BY_EXP, f"no pinned digests for numpy exp {fingerprint}"
     got, want = runs(name)[0], DIGESTS_BY_EXP[fingerprint][name]
-    changed = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
-    assert not changed, f"{name}: output changed in {changed}"
+    # Each changed file with its new sha256 (None: no longer written), ready to re-pin.
+    changed = {f: got.get(f) for f in sorted(got.keys() | want.keys()) if got.get(f) != want.get(f)}
+    assert not changed, f"{name}: output changed, new digests {changed}"
 
 
 def test_digests_without_avx512():
