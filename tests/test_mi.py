@@ -767,6 +767,47 @@ class TestRunCmiExperiment:
             assert [(est.value, est.method, est.k) for est in estimates] == [
                 (c, "ceiling", 0) for c in ceilings]
 
+    def test_exhaustive_mode_plugin_oracle(self):
+        # Over all 2^n masks the count is the plug-in entropy of each statistic's
+        # column, taken per supersample and averaged.
+        cfg = CmiExperimentConfig(
+            n=5, B=2, trainer=TrainerConfig(epochs=40), seed=8,
+            n_supersamples=2, n_masks=2, exhaustive=True,
+        )
+        result = run_cmi_experiment(cfg)
+        assert result.stats.shape == (2, 2**5, len(STATISTICS))
+        for j, est in enumerate((result.ecmi_est, result.i_delta1, result.i_delta2)):
+            assert (est.method, est.k) == ("count", 0)
+            plugin = []
+            for column in result.stats[:, :, j]:
+                p = np.unique(column, return_counts=True)[1] / column.size
+                plugin.append(float(-np.sum(p * np.log(p))))
+            assert est.value == pytest.approx(np.mean(plugin), abs=1e-12)
+            assert 0.0 <= est.value <= 5 * LN2
+
+    def test_repeated_masks_share_a_label(self):
+        # Only 2^3 = 8 masks exist, so 10 draws repeat one. Equal masks give equal
+        # n * delta1 and n * delta2; the gap agrees up to the trainer's tolerance,
+        # as each draw starts from its own init. The run reports the ceilings
+        # rather than a silent 0.
+        cfg = CmiExperimentConfig(
+            n=3, B=1, trainer=TrainerConfig(), seed=4, n_supersamples=2, n_masks=10,
+        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="all labels are singletons")
+            result = run_cmi_experiment(cfg)
+        for s_idx in range(cfg.n_supersamples):
+            masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(cfg.n_masks, cfg.n))
+            rows = {}
+            for mask, (gap, *deltas) in zip(masks.tolist(), result.stats[s_idx].tolist()):
+                first_gap, first_deltas = rows.setdefault(tuple(mask), (gap, deltas))
+                assert deltas == first_deltas
+                assert gap == pytest.approx(first_gap, abs=1e-4)
+            assert len(rows) < cfg.n_masks
+        delta = min(3 * LN2, math.log(7))
+        assert [(e.value, e.method) for e in (result.ecmi_est, result.i_delta1, result.i_delta2)] \
+            == [(3 * LN2, "ceiling"), (delta, "ceiling"), (delta, "ceiling")]
+
     def test_no_estimator_runs(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("run_cmi_experiment called an MI estimator")
