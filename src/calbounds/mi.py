@@ -37,6 +37,7 @@ __all__ = [
 
 _ROWS = 1 << 8  # points per block of the same-label search: bounds its temporaries
 _SWEEP = 1 << 5  # the all-label search builds at most _SWEEP * m distances per block
+_GROUP = 1 << 15  # training scores (masks x n) per batched descent, unless one supersample has more
 
 STATISTICS = ("ecmi_gap", "delta1", "delta2")  # a CMI cell's statistics, in order
 
@@ -92,8 +93,8 @@ def _as_points(values) -> np.ndarray:
         raise ValueError("values must be scalars or fixed-length vectors")
     if not np.all(np.isfinite(pts)):
         raise ValueError("values must be finite")
-    with np.errstate(over="ignore"):
-        span = pts.max(axis=0) - pts.min(axis=0)
+    with np.errstate(over="ignore"):  # no points, no span: the caller reports too few pairs
+        span = pts.max(axis=0) - pts.min(axis=0) if len(pts) else 0.0
     if not np.all(np.isfinite(span)):
         raise ValueError("max-norm distances overflow: some coordinate's max - min is not finite")
     return pts
@@ -304,6 +305,44 @@ def _cell_statistics(s_tr, y_tr, s_te, y_te, B: int, uwb=None):
     return gap, float(np.abs(l_te - l_tr).sum() / n), float(np.abs(c_te - c_tr).sum() / n)
 
 
+def _group_statistics(s, y, B: int, uwb=None) -> np.ndarray:
+    """``_cell_statistics`` of R cells at once: (R, 3) from the (2, R, n) scores and labels
+    of the training halves, then the complements.
+
+    One row-wise sort gives each row's uniform-mass interior edges e_1..e_{B-1}. A row
+    with 0 < e_1 < ... < e_{B-1} < its top training score keeps all B bins, and its
+    0-based bin index sum_k (s > e_k) is `_blocks`' searchsorted. One ``np.bincount``
+    over row * B + index per sum gives all counts, label sums and score sums, these
+    added in score order: the bits of `_sums`' ``np.add.at``. The deltas are exact
+    integer sums; each ECE goes through ``_binned_error``. Any other row, tied or
+    collapsing, takes ``_cell_statistics``, warning included.
+    """
+    R, n = s.shape[1:]
+    ordered = np.sort(s[0], axis=1)
+    interior = ordered[:, (np.arange(1, B) * n) // B - 1]
+    exact = (np.diff(np.column_stack([np.zeros(R), interior, ordered[:, -1]])) > 0).all(axis=1)
+    cell = np.arange(2 * R).repeat(n).reshape(s.shape) * B  # each score's half * R + row, times B
+
+    def binned(upper):  # (counts, label sums, score sums), each (half, row, bin)
+        j = sum((s > e[:, None] for e in upper.T), cell)
+        return [np.bincount(j.ravel(), w, 2 * R * B).reshape(2, R, B)
+                for w in (None, y.ravel(), s.ravel())]
+
+    (c_tr, c_te), (l_tr, l_te), _ = umb = binned(interior)
+    c, l, t = umb if uwb is None else binned(np.broadcast_to(uwb.edges[1:-1], interior.shape))
+    predicted = t / np.maximum(c, 1)
+    stats = np.empty((R, len(STATISTICS)))
+    stats[:, 1] = np.abs(l_te - l_tr).sum(axis=1) / n
+    stats[:, 2] = np.abs(c_te - c_tr).sum(axis=1) / n
+    for r in range(R):
+        if exact[r]:
+            e_tr, e_te = (_binned_error(c[h, r], predicted[h, r], l[h, r]) for h in (0, 1))
+            stats[r, 0] = abs(e_te - e_tr)
+        else:
+            stats[r] = _cell_statistics(s[0, r], y[0, r], s[1, r], y[1, r], B, uwb)
+    return stats
+
+
 @dataclass(frozen=True)
 class CmiExperimentConfig:
     """Settings for the supersample mask-information experiment.
@@ -368,12 +407,16 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
     For each supersample draw, the configured number of masks is sampled
     (or all 2^n masks enumerated in exhaustive mode); each (supersample,
     mask) cell trains a logistic model on the selected half and records the
-    calibration-gap and per-bin difference statistics. The models of one
-    supersample train together, in one batched gradient descent over its
-    masks; each equals the model trained on its cell alone. Both halves of
-    every cell are then scored in one pass. ``mean_gap`` averages the gap
-    over every cell. Deterministic given the config: every cell seeds its
-    own substream.
+    calibration-gap and per-bin difference statistics. The models of a group
+    of consecutive supersamples train together, in one batched gradient
+    descent over their masks; each equals the model trained on its cell
+    alone. A group holds at most ``_GROUP`` training scores, or one
+    supersample that alone holds more, so a group of several fits one block
+    of the descent: a diverging group names its earliest epoch, then its
+    first such (supersample, mask). Both halves of the group's cells are
+    scored with one expit, and ``_group_statistics`` takes them in one
+    batched pass. ``mean_gap`` averages the gap over every cell.
+    Deterministic given the config: every cell seeds its own substream.
 
     Training is deterministic given the mask, so a statistic's information
     about the mask is its entropy given the supersample. Exhaustive mode
@@ -387,28 +430,30 @@ def run_cmi_experiment(cfg: CmiExperimentConfig) -> CmiExperimentResult:
     n_masks = 2**cfg.n if cfg.exhaustive else cfg.n_masks
     uwb = uwb_scheme(cfg.B) if cfg.method == UWB else None
     stats = np.empty((cfg.n_supersamples, n_masks, len(STATISTICS)))
+    group = max(1, _GROUP // (n_masks * cfg.n))  # supersamples per descent
+    rows = np.arange(cfg.n)
 
-    for s_idx in range(cfg.n_supersamples):
-        x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
-        values, labels = x.reshape(cfg.n, 2), y.reshape(cfg.n, 2)
-        if cfg.exhaustive:
-            masks = (np.arange(n_masks)[:, None] >> np.arange(cfg.n)) & 1
-        else:
-            masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(n_masks, cfg.n))
-
-        rows = np.arange(cfg.n)
-        halves = [(values[rows, cols], labels[rows, cols]) for cols in (masks, 1 - masks)]
-        inits = [_init_beta(child_seed(cfg.seed, s_idx, m, 2)) for m in range(n_masks)]
+    for lo in range(0, cfg.n_supersamples, group):
+        hi = min(lo + group, cfg.n_supersamples)
+        xs, ys, inits = [], [], []
+        for s_idx in range(lo, hi):
+            x, y = sample_synthetic(2 * cfg.n, stream(cfg.seed, s_idx, 0))
+            if cfg.exhaustive:
+                masks = (np.arange(n_masks)[:, None] >> rows) & 1
+            else:
+                masks = stream(cfg.seed, s_idx, 1).integers(0, 2, size=(n_masks, cfg.n))
+            cols = np.stack([masks, 1 - masks])  # (half, mask, row): training half first
+            xs.append(x.reshape(cfg.n, 2)[rows, cols])
+            ys.append(y.reshape(cfg.n, 2)[rows, cols])
+            inits += [_init_beta(child_seed(cfg.seed, s_idx, m, 2)) for m in range(n_masks)]
+        x, y = np.concatenate(xs, axis=1), np.concatenate(ys, axis=1)  # (half, cell, row)
         beta = _descend(
-            np.array(inits), *halves[0], cfg.trainer,
-            where=lambda m: f" (supersample {s_idx}, mask {m})",
+            np.array(inits), x[0], y[0], cfg.trainer,
+            where=lambda r: f" (supersample {lo + r // n_masks}, mask {r % n_masks})",
         )
         with np.errstate(over="ignore"):  # a steep model's product may overflow: expit takes inf
-            (s_tr, y_tr), (s_te, y_te) = (
-                (_expit(beta[:, :1] + beta[:, 1:] * x), y) for x, y in halves
-            )
-        for m in range(n_masks):
-            stats[s_idx, m] = _cell_statistics(s_tr[m], y_tr[m], s_te[m], y_te[m], cfg.B, uwb)
+            s = _expit(beta[:, :1] + beta[:, 1:] * x, out=x)
+        stats[lo:hi] = _group_statistics(s, y, cfg.B, uwb).reshape(hi - lo, n_masks, -1)
 
     stats.setflags(write=False)
     whole = cfg.n * math.log(2.0)  # H(U): the n fair bits of a mask

@@ -296,11 +296,13 @@ def _init_beta(seed: int) -> np.ndarray:
 def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray:
     """Full-batch gradient descent from each row of ``beta`` (M, 2) on the rows of x, y (M, n).
 
-    Returns the trained (M, 2) parameters. Every row runs the ufunc sequence
-    of a lone 1-d descent, so it equals training that row alone bit for bit.
-    Rows go in blocks of at most ``_BLOCK`` elements (one row at least),
-    which bounds the temporaries. A row whose parameters go non-finite
-    raises with its epoch and ``where(row)``.
+    Returns the trained (M, 2) parameters. Every row equals training that row
+    alone bit for bit: rounding is odd-symmetric, so exp((-b0) + (-b1) * x) is
+    expit's exp(-(b0 + b1 * x)) without its negation pass, and 0/1 labels, cast
+    to float64 once per block, subtract as integers would. Rows go in blocks of
+    at most ``_BLOCK`` elements (one row at least), which bounds the temporaries.
+    The first block where a row goes non-finite raises, naming the earliest such
+    epoch and ``where`` of its first such row.
     """
     out = np.array(beta, dtype=np.float64)  # each block descends in place here
     n = x.shape[1]
@@ -309,7 +311,7 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     prod = np.empty_like(resid)
     grad = np.empty((len(resid), 2))
     for lo in range(0, len(beta), step):
-        b, xb, yb = out[lo:lo + step], x[lo:lo + step], y[lo:lo + step]
+        b, xb, yb = out[lo:lo + step], x[lo:lo + step], y[lo:lo + step].astype(np.float64)
         r, p, g = resid[:len(b)], prod[:len(b)], grad[:len(b)]
         # A diverging row overflows silently: the check below names its epoch and row.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -320,10 +322,12 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
                     raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
                 if epoch == cfg.epochs:
                     break
-                # The ufuncs of expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
-                np.multiply(b[:, 1:], xb, out=r)
-                np.add(b[:, :1], r, out=r)
-                _expit(r, out=r)
+                # expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
+                np.multiply(-b[:, 1:], xb, out=r)
+                np.add(-b[:, :1], r, out=r)
+                np.exp(r, out=r)
+                np.add(r, 1.0, out=r)
+                np.divide(1.0, r, out=r)
                 np.subtract(r, yb, out=r)
                 np.multiply(r, xb, out=p)
                 np.add.reduce(r, axis=1, out=g[:, 0])

@@ -9,14 +9,18 @@ from calbounds import (
     ScoredDataset,
     SyntheticModel,
     cube_root_bins,
+    ece,
+    sample_synthetic,
     recalib_holdout_bound,
     recalib_reuse_bound,
+    uwb_scheme,
 )
 from calbounds.experiments import (
     run_recalibration,
     run_synthetic_experiment,
     scored_synthetic_dataset,
 )
+from calbounds.rng import stream
 
 
 class TestScoredSyntheticDataset:
@@ -66,6 +70,25 @@ class TestRunSyntheticExperiment:
             0.5, -1.5, [300], reps=2, b_rule="fixed:9", seed=7
         )
         assert res.bins == (9,)
+
+    @pytest.mark.parametrize(
+        "beta, b_rule",
+        [((0.5, -1.5), "cube_root"), ((0.3, 1e308), "fixed:7"), ((-2.0, -1e308), "fixed:3")],
+        ids=["moderate", "b1-x-overflows-up", "b1-x-overflows-down"],
+    )
+    def test_ece_equals_public_dataset_path(self, beta, b_rule):
+        # The in-place scoring and unchecked reduction give, bit for bit, the ECE of the
+        # scored dataset under the UWB scheme; a steep slope's b1 * x overflows to +-inf.
+        res = run_synthetic_experiment(*beta, [40, 300], reps=4, b_rule=b_rule, seed=13)
+        model = SyntheticModel(*beta)
+        with np.errstate(over="ignore"):
+            expected = [[ece(scored_synthetic_dataset(model, n, 13, 1, i, rep), uwb_scheme(B)).value
+                         for rep in range(4)] for i, (n, B) in enumerate(zip(res.n_grid, res.bins))]
+        assert res.ece.tobytes() == np.array(expected).tobytes()
+        if abs(beta[1]) > 1e100:
+            x, _ = sample_synthetic(40, stream(13, 1, 0, 0))
+            with np.errstate(over="ignore"):
+                assert np.isinf(beta[1] * x).any()
 
     def test_deterministic(self):
         kwargs = dict(n_grid=[200, 400], reps=2, b_rule="cube_root", seed=11)

@@ -31,6 +31,7 @@ from calbounds import (
     uwb_scheme,
 )
 import calbounds.mi as mi_mod
+import calbounds.models as models_mod
 from calbounds.mi import STATISTICS, _cell_statistics
 from calbounds.rng import child_seed, stream
 
@@ -417,6 +418,8 @@ class TestLabelCodes:
         assert mi_mod._label_codes([]).dtype == np.int64 and mi_mod._label_codes([]).size == 0
         with pytest.raises(ValueError, match="^insufficient pairs: need at least 8, have 0$"):
             plugin_mi([], [], bins=2)
+        with pytest.raises(ValueError, match="^insufficient pairs: need at least 5, have 0$"):
+            ksg_mixed_mi([], [])
 
     @pytest.mark.parametrize(
         "labels",
@@ -611,6 +614,80 @@ class TestCellStatisticsReference:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "tied scores collapsed UMB", UserWarning)
             assert _cell_statistics(*cell) == reference_cell(*cell)
+
+
+def edge_ties(rng, row, B):
+    """``row`` with the sorted run from one uniform-mass rank position on set to its value:
+    a tie at a rank, which joins the next edges when the run reaches their ranks."""
+    v = np.sort(row)
+    start = (int(rng.integers(1, B)) * v.size) // B - 1 if B > 1 else 0
+    v[start:start + int(rng.integers(1, v.size - start + 1))] = v[start]
+    return rng.permutation(v)
+
+
+@st.composite
+def cell_groups(draw):
+    """(2, R, n) scores and labels of R cells, training halves first (n >= 2B), and a UWB
+    scheme or None. Each training row is uniform, drawn from a few levels (edges i/B among
+    them), constant, partly set to 0.0 or 1.0, or tied at a rank position: all but the
+    first may tie or collapse UMB edges. Each complement reuses some training scores, so
+    some lie exactly on an edge."""
+    B = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=2 * B, max_value=2 * B + 20))
+    kinds = draw(st.lists(st.sampled_from(["uniform", "levels", "constant", "ends", "rank-tie"]),
+                          min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    s = rng.uniform(size=(2, len(kinds), n))
+    for r, kind in enumerate(kinds):
+        if kind == "levels":
+            levels = np.r_[rng.uniform(size=int(rng.integers(1, n))), np.arange(B + 1) / B]
+            s[:, r] = rng.choice(levels, size=(2, n))
+        elif kind == "constant":
+            s[0, r] = s[0, r, 0]
+        elif kind == "ends":
+            s[0, r, rng.uniform(size=n) < rng.uniform()] = float(rng.integers(0, 2))
+        elif kind == "rank-tie":
+            s[0, r] = edge_ties(rng, s[0, r], B)
+        reused = rng.uniform(size=n) < 0.5
+        s[1, r, reused] = rng.choice(s[0, r], size=int(reused.sum()))
+    y = rng.integers(0, 2, size=s.shape)
+    return s, y, B, uwb_scheme(B) if draw(st.booleans()) else None
+
+
+# At B = 4, a uniform training row between a constant one (UMB collapses to one bin) and
+# one whose top three scores are 1.0 (the last edge meets the top score and is dropped);
+# the complements hold 0.0, 1.0 and scores on the edges 0.2 and 0.4.
+MIXED_GROUP = (np.array([[np.full(8, 0.3), np.linspace(0.1, 0.8, 8),
+                          np.r_[np.linspace(0.1, 0.5, 5), 1.0, 1.0, 1.0]],
+                         [np.linspace(0.0, 1.0, 8), np.full(8, 0.3),
+                          np.r_[0.0, 0.2, 0.4, 1.0, 0.2, 0.4, 0.6, 1.0]]]),
+               np.stack([np.tile(np.arange(8) % 2, (3, 1)),
+                         np.tile(np.arange(8) // 2 % 2, (3, 1))]),
+               4)
+
+
+class TestGroupStatistics:
+    @given(cell_groups())
+    @example((*MIXED_GROUP, None))
+    @example((*MIXED_GROUP, uwb_scheme(4)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_cell_statistics_row_by_row(self, group):
+        # Bit for bit, and the collapsed rows warn as _cell_statistics does, in row order.
+        s, y, B, uwb = group
+        with warnings.catch_warnings(record=True) as batched:
+            warnings.simplefilter("always")
+            got = mi_mod._group_statistics(s, y, B, uwb)
+        expected, messages = [], []
+        for r in range(s.shape[1]):
+            with warnings.catch_warnings(record=True) as alone:
+                warnings.simplefilter("always")
+                expected.append(_cell_statistics(s[0, r], y[0, r], s[1, r], y[1, r], B, uwb))
+                collapsed = umb_scheme(s[0, r], B).collapsed
+            assert len(alone) == 2 * collapsed  # the cell's warning, then the check's
+            messages += [str(w.message) for w in alone[:1]]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert [str(w.message) for w in batched] == messages
+        assert all(m.startswith("tied scores collapsed UMB") for m in messages)
 
 
 class TestDeltaStatistics:
@@ -880,25 +957,52 @@ class TestRunCmiExperiment:
         assert result.mean_gap == np.mean([cell[0] for per_mask in cells for cell in per_mask])
 
     def test_divergent_cell_reports_epoch_and_cell(self, monkeypatch):
-        # The odd masks put the infinite covariate in the training half, so
-        # their rows of the batch go non-finite in the first update and the
-        # even ones train normally; the first of them is reported.
-        cfg = CmiExperimentConfig(
-            n=4, B=1, trainer=TrainerConfig(epochs=3), seed=0,
-            n_supersamples=1, n_masks=2, exhaustive=True,
-        )
-        x = np.array([[0.5, np.inf], [0.25, -0.25], [0.5, -0.5], [0.75, -0.75]])
+        """A diverging group names the earliest epoch in it, then the first row at that
+        epoch: its (supersample, mask).
+
+        The odd masks put the infinite covariate in the training half, so their rows
+        of the batch go non-finite in the first update and the even ones train
+        normally. With two supersamples in one descent, and the infinite covariate
+        in supersample 1 only, mask 1 of supersample 1 is named; in both, supersample 0's.
+        A group bound of 1 trains supersample 1 in a group of its own, which names it too.
+        """
+        finite = np.array([[0.5, -0.5], [0.25, -0.25], [0.5, -0.5], [0.75, -0.75]])
+        diverging = finite.copy()
+        diverging[0, 1] = np.inf
         y = np.ones((4, 2), dtype=np.int64)
+        cases = [((diverging,), mi_mod._GROUP, 0), ((finite, diverging), mi_mod._GROUP, 1),
+                 ((diverging, diverging), mi_mod._GROUP, 0), ((finite, diverging), 1, 1)]
+        for supersamples, group, named in cases:
+            monkeypatch.setattr(mi_mod, "_GROUP", group)
+            cfg = CmiExperimentConfig(
+                n=4, B=1, trainer=TrainerConfig(epochs=3), seed=0,
+                n_supersamples=len(supersamples), n_masks=2, exhaustive=True,
+            )
+            draws = iter(supersamples)
+            monkeypatch.setattr(mi_mod, "sample_synthetic",
+                                lambda n, rng: (next(draws).ravel(), y.ravel()))
+            with warnings.catch_warnings(), pytest.raises(
+                ValueError, match=rf"^non-finite loss at epoch 1 \(supersample {named}, mask 1\)$"
+            ):
+                warnings.simplefilter("error")  # no numpy warning ahead of the package's message
+                run_cmi_experiment(cfg)
 
-        def fake_sample(n, rng):
-            return x.ravel(), y.ravel()
-
-        monkeypatch.setattr(mi_mod, "sample_synthetic", fake_sample)
-        with warnings.catch_warnings(), pytest.raises(
-            ValueError, match=r"epoch 1 \(supersample 0, mask 1\)"
-        ):
-            warnings.simplefilter("error")  # no numpy warning ahead of the package's message
-            run_cmi_experiment(cfg)
+    @pytest.mark.parametrize("method", ["umb", "uwb"])
+    def test_grouped_descent_equals_each_supersample_alone(self, monkeypatch, method):
+        # Three supersamples of 6 masks x 10 rows train as one descent of 18 rows, which a
+        # 40-element block splits into 5 blocks; with a group bound of 1 each trains alone.
+        cfg = CmiExperimentConfig(n=10, B=2, trainer=TrainerConfig(epochs=30), seed=3,
+                                  n_supersamples=3, n_masks=6, method=method)
+        descend, betas = mi_mod._descend, []
+        monkeypatch.setattr(mi_mod, "_descend",
+                            lambda *a, **kw: betas.append(descend(*a, **kw)) or betas[-1])
+        monkeypatch.setattr(models_mod, "_BLOCK", 40)
+        grouped = run_cmi_experiment(cfg)
+        monkeypatch.setattr(mi_mod, "_GROUP", 1)
+        alone = run_cmi_experiment(cfg)
+        assert [len(b) for b in betas] == [18, 6, 6, 6]
+        assert betas[0].tobytes() == np.concatenate(betas[1:]).tobytes()
+        assert grouped.stats.tobytes() == alone.stats.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
