@@ -44,8 +44,21 @@ class ScoredDataset:
         if scores.dtype.kind not in "iuf":  # no strings, bools or None parsed as numbers
             raise ValueError("scores must be numbers")
         # Copy before freezing so callers' arrays keep their writability.
-        scores = np.array(scores, dtype=np.float64)
-        labels = np.asarray(labels)  # checked before the int8 cast truncates 0.9 to 0
+        self._freeze(np.array(scores, dtype=np.float64), np.asarray(labels), copy_labels=True)
+
+    @classmethod
+    def _adopt(cls, scores: np.ndarray, labels: np.ndarray) -> "ScoredDataset":
+        """A dataset that takes over float64 scores and integer labels no one else holds.
+
+        Checked as the constructor checks, without its copy; int8 labels are
+        not copied either. For loaders that allocated the arrays themselves.
+        """
+        d = cls.__new__(cls)
+        d._freeze(scores, labels, copy_labels=False)
+        return d
+
+    def _freeze(self, scores: np.ndarray, labels: np.ndarray, copy_labels: bool) -> None:
+        # labels are checked before the int8 cast truncates 0.9 to 0
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValueError("scores and labels must be one-dimensional")
         if scores.shape != labels.shape:
@@ -61,7 +74,7 @@ class ScoredDataset:
         if not np.all((labels == 0) | (labels == 1)):
             bad = int(np.argmax((labels != 0) & (labels != 1)))
             raise ValueError(f"label must be 0 or 1 at index {bad}: {labels[bad]}")
-        labels = labels.astype(np.int8)
+        labels = labels.astype(np.int8, copy=copy_labels)
         scores.setflags(write=False)
         labels.setflags(write=False)
         self.scores = scores
@@ -81,7 +94,8 @@ class ScoredDataset:
 
 _CSV_ROW = np.dtype([("score", np.float64), ("label", np.int64)])
 _SNIFF = 4096  # characters read from a file's start to decide its format
-_PIECE = 1 << 16  # characters of JSON read and decoded at a time
+# Bytes of a plain file, or characters of JSON in another layout, read at a time.
+_PIECE = 1 << 18
 # Suffixes that numpy's path opener decompresses: such files are read as text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _JSON_SPACE = " \t\n\r"
@@ -130,12 +144,14 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
 def _load_csv_fast(p: Path, head: str) -> ScoredDataset | None:
     """The CSV parsed by numpy straight from the file, or None when `_parse_csv` must decide.
 
-    Taken when the name has no `_COMPRESSED` suffix and the first line ends
-    within ``head``. numpy ends rows where `_parse_csv` does, takes a subset
-    of what it takes (no ``0_5``, non-ASCII digits or whitespace-only lines)
-    and parses it to the same bits. A file it rejects or warns on, or whose
-    rows `ScoredDataset` refuses, goes to the line-by-line parser for the
-    exact message and line number.
+    Taken for a CSV file that `_load_plain` passed on (one that is not ASCII
+    ``score,label`` rows ending in ``\\n`` or ``\\r\\n``, or one whose rows
+    `ScoredDataset` refuses), when the name has no `_COMPRESSED` suffix and
+    the first line ends within ``head``. numpy ends rows where `_parse_csv`
+    does, takes a subset of what it takes (no ``0_5``, non-ASCII digits or
+    whitespace-only lines) and parses it to the same bits. A file it rejects
+    or warns on, or whose rows `ScoredDataset` refuses, goes to the
+    line-by-line parser for the exact message and line number.
     """
     first, newline, _ = head.partition("\n")  # text mode has made every \r a \n
     if p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF):
@@ -183,7 +199,7 @@ def _piece_columns(piece: str) -> tuple[np.ndarray, np.ndarray] | None:
         if not (set(map(type, scores)) <= {int, float} and set(map(type, labels)) <= {int, float}
                 and set(labels) <= {0, 1}):
             return None
-        return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int64)
+        return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int8)
     except (json.JSONDecodeError, RecursionError, TypeError, KeyError, OverflowError):
         return None
 
@@ -191,9 +207,12 @@ def _piece_columns(piece: str) -> tuple[np.ndarray, np.ndarray] | None:
 def _stream_json(p: Path) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of a JSON score file read `_PIECE` characters at a time, or None.
 
-    The outer array's body is cut after a ``}`` that a comma joins to the
-    next ``{``, at the first such break at least `_PIECE` characters past
-    the previous cut, and each piece is decoded as an array of its own.
+    Taken for a JSON file that `_load_plain` passed on: one that is not
+    ASCII, not in json.dumps's own layout or not labelled ``0`` or ``1``, or
+    one with a record `ScoredDataset` refuses. The outer array's body is cut
+    after a ``}`` that a comma joins to the next ``{``, at the first such
+    break at least `_PIECE` characters past the previous cut, and each piece
+    is decoded as an array of its own.
     JSON's grammar is deterministic, so when every piece decodes, the whole
     text decodes to their concatenation. Only a piece and the next read are
     held at a time, and each read is searched for breaks once. None, for the
@@ -233,6 +252,206 @@ def _stream_json(p: Path) -> tuple[np.ndarray, np.ndarray] | None:
     return tuple(map(np.concatenate, zip(*pieces)))
 
 
+# Plain files (`_load_plain`): ASCII ``score,label`` rows, or json.dumps's records.
+_LONG_DOUBLE = np.finfo(np.longdouble)
+_PAD = 32  # bytes kept before a read's rows, so that a token's 8-byte loads stay in the buffer
+# Bytes after a read's data. The loads that start in the data stay in the buffer, and a
+# CSV file's missing last line end fits; no check passes on what lies there.
+_TAIL = 16
+# Constants of the eight-digit SWAR parse (Lemire, arXiv 2101.11408).
+_ZEROS = np.uint64(0x3030303030303030)  # b"00000000" loaded little-endian
+_SIXES = np.uint64(0x4646464646464646)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_BYTE_PAIRS = np.uint64(0x000000FF000000FF)
+_MUL_LOW = np.uint64(100 + (1000000 << 32))
+_MUL_HIGH = np.uint64(1 + (10000 << 32))
+_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * v) for v in range(9)], np.uint64)  # the v high bytes
+_TEN = np.array([10**k for k in range(19)], np.uint64)
+_TEN_LD = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # 10**k exactly, k <= 27
+_CSV_OPENING = re.compile(rb"(?:\xef\xbb\xbf)?(?:score,label\r?\n)?")
+_JSON_OPENING = re.compile(rb'(?:\xef\xbb\xbf)?[ \t\n\r]*\[\{"score": ')
+_CSV_NUMBER = re.compile(rb"[0-9.eE+-]+")  # no \r, which float() strips and text mode ends a row at
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _word(text: bytes) -> np.uint64:
+    return np.frombuffer(text, "<u8")[0]
+
+
+_LABEL_KEY = _word(b', "label')  # the 12 bytes before a record's "}" are ', "label": ' and y
+_LABEL_BYTE = np.uint64(0xFF << 48)
+_LABEL_TAIL = _word(b'bel": \xff}')
+_JOIN = _word(b'}, {"sco')  # a "}" that ends a record before the last is followed by ', {"score": '
+_SCORE_KEY = _word(b'score": ')
+
+
+def _x87_division() -> bool:
+    """Whether long doubles are x87's, and divide to its 64-bit significand, as `_decimals` needs."""
+    if _LONG_DOUBLE.nmant != 63 or _LONG_DOUBLE.dtype.itemsize != 16:
+        return False
+    third = np.ones(1, np.longdouble) / 3  # its low 11 bits are 0 under a 53-bit precision control
+    return bool(third.view(np.uint64)[0] & 0x7FF)
+
+
+def _decimals(buf: np.ndarray, loads: np.ndarray, starts: np.ndarray, ends: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """float() of the tokens ``buf[starts:ends]``, and a mask of the tokens left to float().
+
+    ``loads[i]`` is ``buf[i:i+8]`` read as a little-endian uint64, and every
+    token starts at least `_PAD` bytes into ``buf``. A token is plain when it
+    is a digit, or a digit, a dot and 1 to 27 digits, and its digits read as
+    an integer W < 10**19. The fraction's 8-digit groups, counted from the
+    token's end, are read by SWAR arithmetic on one unaligned load each
+    (Lemire, arXiv 2101.11408), and no more groups than the longest fraction
+    needs. For a fraction of k digits the value is W / 10**k, one division
+    of two long doubles that are both exact (W < 2**64, and 10**k for
+    k <= 27 has a 64-bit significand). The quotient is thus rounded once to
+    64 bits, and its cast to float64 gives float()'s double unless that
+    quotient lies on a midpoint between two doubles, where the second
+    rounding can err (Clinger, PLDI 1990). The mask marks those (about 1
+    quotient in 2048 for random digits, fewer for repr's shortest ones) and
+    the tokens that are not plain; their values are left unset.
+    """
+    size = ends - starts
+    first = buf[starts] - 48  # 0 to 9 for a digit; uint8 wraps every other byte past 9
+    plain = (first <= 9) & ((size == 1) | ((size >= 3) & (size <= 29) & (buf[starts + 1] == 46)))
+    digits = np.where(plain & (size > 1), size - 2, 0)  # of the fraction
+    groups = [0, 0, 0, 0]  # the fraction's 8-digit groups, from its end
+    for j in range(-(-int(digits.max(initial=0)) // 8)):
+        keep = _KEEP[np.clip(digits - 8 * j, 0, 8)]
+        x = (loads[ends - 8 * (j + 1)] & keep) | (_ZEROS & ~keep)  # a '0' for each byte kept out
+        plain &= ((x + _SIXES) | (x - _ZEROS)) & _HIGH_BITS == 0  # eight ASCII digits
+        x -= _ZEROS
+        x = x * 10 + (x >> 8)
+        groups[j] = ((x & _BYTE_PAIRS) * _MUL_LOW + ((x >> 16) & _BYTE_PAIRS) * _MUL_HIGH) >> 32
+    high = groups[2] + groups[3] * 10**8  # the fraction's digits before its last 16
+    plain &= (high < 1000) & ((first == 0) | (digits <= 18))  # W < 10**19
+    w = first * _TEN[np.minimum(digits, 18)] + (high * 10**16 + groups[1] * 10**8 + groups[0])
+    quotient = w.astype(np.longdouble) / _TEN_LD[digits]
+    midpoint = quotient.view(np.uint64)[::2] & 0x7FF == 0x400  # the low 11 of 64 significand bits
+    return quotient.astype(np.float64), ~plain | midpoint
+
+
+def _labels(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The label bytes at ``at`` as int8: 0 and 1 for ``0`` and ``1``, for `ScoredDataset` to check."""
+    return (buf[at] - 48).view(np.int8)  # every other byte is neither
+
+
+def _csv_rows(buf: np.ndarray, loads: np.ndarray, lo: int, hi: int, final: bool):
+    """Rows ``score,label`` that end in ``buf[lo:hi]``: (score starts, score ends, labels, end).
+
+    A row ends at ``\\n``, after at most one ``\\r``, and its label is one
+    byte; at the end of the file the last row needs no line end. The score
+    tokens are left to `_decimals`, and the labels to `ScoredDataset`. None
+    for any other row.
+    """
+    if final and hi > lo and buf[hi - 1] != 10:
+        buf[hi] = 10  # in the tail
+        hi += 1
+    breaks = np.flatnonzero(buf[lo:hi] == 10) + lo
+    starts = np.r_[lo, breaks + 1][:-1]
+    at = breaks - 1 - (buf[breaks - 1] == 13)  # the label
+    ends = at - 1  # the comma
+    if not (np.all(ends > starts) and np.all(buf[ends] == 44)):
+        return None
+    return starts, ends, _labels(buf, at), breaks[-1] + 1 if breaks.size else lo
+
+
+def _json_rows(buf: np.ndarray, loads: np.ndarray, lo: int, hi: int, final: bool):
+    """Records ``{"score": x, "label": y}`` joined by ``, `` that close in ``buf[lo:hi]``.
+
+    ``buf[lo]`` starts the first record's score. The label is one byte, and
+    the last record of the file is followed by ``]`` and JSON whitespace
+    only. Returns (score starts, score ends, labels, the next record's score
+    start), or None for any other text.
+    """
+    close = np.flatnonzero(buf[lo:hi] == 125) + lo
+    if final:
+        if not close.size or buf[close[-1] + 1:hi].tobytes().rstrip(b" \t\n\r") != b"]":
+            return None
+        joined, done = close[:-1], hi
+    else:  # the last "}" read may close the array
+        close = joined = close[:-1]
+        done = close[-1] + 13 if close.size else lo
+    starts = np.r_[lo, close + 13][:-1]
+    ends = close - 12
+    if not (np.all(ends > starts) and np.all(loads[ends] == _LABEL_KEY)
+            and np.all(loads[close - 7] | _LABEL_BYTE == _LABEL_TAIL)
+            and np.all(loads[joined] == _JOIN) and np.all(loads[joined + 5] == _SCORE_KEY)):
+        return None
+    return starts, ends, _labels(buf, close - 1), done
+
+
+def _csv_number(token: bytes) -> float:
+    """float() of a token of number characters: what `_parse_csv` reads, when it reads it."""
+    if _CSV_NUMBER.fullmatch(token) is None:
+        raise ValueError(token)
+    return float(token)
+
+
+def _json_number(token: bytes) -> float:
+    """A JSON number as json.loads reads it: an integer becomes an int, so ``-0`` is 0.0."""
+    number = _JSON_NUMBER.fullmatch(token)
+    if number is None:
+        raise ValueError(token)
+    return float(token if number[1] or number[2] else int(token))
+
+
+def _load_plain(p: Path, is_json: bool) -> ScoredDataset | None:
+    """The dataset of a plain score file, read in binary `_PIECE` bytes at a time, or None.
+
+    Plain is ASCII: either CSV rows ``score,label`` after an optional
+    ``score,label`` header, each ending in ``\\n`` or ``\\r\\n``, or the
+    canonical ``json.dumps`` text of ``{"score": x, "label": y}`` records
+    (as `save_scores` writes), with ``0`` or ``1`` labels; one leading
+    byte-order mark is dropped, and JSON may have whitespace around its
+    array. Scores are `_decimals`' values and, for the tokens it leaves,
+    float()'s (as json.loads reads them, for JSON): the bits every other
+    path gives. None, for the caller's parsers to read the file as before,
+    on the first byte outside this grammar, when `ScoredDataset` refuses a
+    row, or on a host whose long double is not x87's 64-bit significand.
+    """
+    if not _x87_division():
+        return None
+    opening, rows, number = ((_JSON_OPENING, _json_rows, _json_number) if is_json
+                             else (_CSV_OPENING, _csv_rows, _csv_number))
+    scores, labels = [], []
+    with p.open("rb") as f:
+        head = f.read(64)
+        opened = opening.match(head)
+        if opened is None:
+            return None
+        carry = np.frombuffer(head, np.uint8)[opened.end():]
+        buf = np.empty(_PAD + _SNIFF + _PIECE + _TAIL, np.uint8)
+        loads = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+        while True:
+            hi = _PAD + carry.size
+            buf[_PAD:hi] = carry
+            got = f.readinto(memoryview(buf)[hi:hi + _PIECE])
+            hi += got
+            found = rows(buf, loads, _PAD, hi, not got)
+            if found is None:
+                return None
+            starts, ends, chunk_labels, done = found
+            values, rest = _decimals(buf, loads, starts, ends)
+            for i in np.flatnonzero(rest):
+                try:
+                    values[i] = number(buf[starts[i]:ends[i]].tobytes())
+                except (ValueError, OverflowError):
+                    return None
+            scores.append(values)
+            labels.append(chunk_labels)
+            if not got:
+                break
+            if hi - done > _SNIFF:  # far longer than any plain row
+                return None
+            carry = buf[done:hi].copy()
+    try:
+        return ScoredDataset._adopt(np.concatenate(scores), np.concatenate(labels))
+    except ValueError:  # an empty file or a refused row: the caller's parsers word the message
+        return None
+
+
 def load_scores(path) -> ScoredDataset:
     """Load a scored dataset from a UTF-8 CSV or JSON score file.
 
@@ -243,6 +462,16 @@ def load_scores(path) -> ScoredDataset:
     only. JSON files hold an array of ``{"score": x, "label": y}`` objects.
     Row order is preserved. Content errors name the path; malformed rows
     give their line number, and out-of-range scores or labels are rejected.
+
+    Plain files are read by `_load_plain` in binary, with no string or
+    float() call per row: ASCII ``score,label`` rows ending in ``\\n`` or
+    ``\\r\\n`` with 0/1 labels, and JSON in json.dumps's own layout (what
+    `save_scores` writes). Their scores are float()'s bits, as on every
+    other path. Every other file, a plain file whose rows `ScoredDataset`
+    refuses, and every file on a host without an x87 long double, goes
+    through the parsers below as before, and so does every error message:
+    numpy's CSV reader, then the line-by-line parser; the JSON piece
+    decoder, then the whole-text decode.
     """
     p = Path(path)
     try:
@@ -252,16 +481,21 @@ def load_scores(path) -> ScoredDataset:
         head = ""  # the whole-text read below names the byte
     text = None if head.strip() else _read_text(p)  # a blank start: the whole text decides
     is_json = (head if text is None else text).lstrip().startswith(("[", "{"))
+    plain = _load_plain(p, is_json) if text is None else None
+    if plain is not None:
+        return plain
     if text is None and not is_json:
         fast = _load_csv_fast(p, head)
         if fast is not None:
             return fast
     columns = _stream_json(p) if text is None and is_json else None
+    make = ScoredDataset._adopt  # over the piece decoder's own arrays
     if columns is None:
         text = _read_text(p) if text is None else text
         columns = _decode_whole(text, str(p)) if is_json else _parse_csv(text, str(p))
+        make = ScoredDataset
     try:
-        return ScoredDataset(*columns)  # range, label and empty-file checks
+        return make(*columns)  # range, label and empty-file checks
     except ValueError as e:
         raise ValueError(f"{p}: {e}") from None
 

@@ -3,6 +3,8 @@
 import json
 import os
 import subprocess
+from decimal import Decimal, localcontext
+from fractions import Fraction
 import sys
 import tempfile
 import tracemalloc
@@ -58,6 +60,13 @@ class TestScoredDataset:
         d = ScoredDataset([0.5], [1])
         with pytest.raises(ValueError):
             d.scores[0] = 0.2
+
+    def test_callers_arrays_stay_theirs(self):
+        # Even float64 scores and int8 labels, the stored dtypes, are copied.
+        scores, labels = np.array([0.25, 0.75]), np.array([0, 1], np.int8)
+        d = ScoredDataset(scores, labels)
+        scores[0], labels[0] = 1.0, 1  # still writable
+        assert d.scores.tolist() == [0.25, 0.75] and d.labels.tolist() == [0, 1]
 
     @pytest.mark.parametrize("labels", [[0.9, 1], [1, 0.5], np.array([0.0, 1e-9]), [1, -0.1]])
     def test_fractional_label_rejected(self, labels):
@@ -318,6 +327,60 @@ def _csv_texts():
                      header, st.lists(ended, max_size=6), st.sampled_from(["", "0.25,0"]))
 
 
+def _load_or_message(path: Path):
+    try:
+        d = load_scores(path)
+    except ValueError as e:
+        return str(e)
+    return d.scores.tobytes(), d.labels.tobytes(), d.labels.dtype
+
+
+def _plain_stage_changes_nothing(raw: bytes, name: str, piece: int) -> None:
+    """load_scores reads the file as it does with the plain stage off: same bytes or message."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / name
+        path.write_bytes(raw)
+        mp.setattr(data_mod, "_PIECE", piece)
+        got = _load_or_message(path)
+        mp.setattr(data_mod, "_load_plain", lambda p, is_json: None)
+        assert got == _load_or_message(path)
+
+
+_BELOW_1E_4 = st.floats(min_value=0.0, max_value=1e-4)  # repr uses an exponent there
+def _every_byte_flawed(text: str, name: str) -> None:
+    """`_plain_stage_changes_nothing` for each byte of a plain text replaced or dropped."""
+    for i in range(len(text)):
+        for flaw in (";", "x", " ", "1", "\r", ""):
+            _plain_stage_changes_nothing((text[:i] + flaw + text[i + 1:]).encode(), name, 1 << 18)
+
+
+# Tokens near the plain grammar: some plain, some left to float(), some no number at all.
+_NEAR_PLAIN = ["0", "1", "0.0", "1.0", "0.5", "1e-05", "5e-324", "7.5e-05", "-0.0", "-0", "0.",
+               ".5", "00.5", "01", "+0.5", "1.5", "2", "0.1" + "0" * 30, "0." + "9" * 20,
+               "0.123456789012345678901234567", "1.00000000000000000001", "0.5e0", "1E-5", "",
+               "0_5", " 0.5", "0.5 ", "nan", "0x1", "\u0660.5", "0.5\x00"]
+
+
+def _plain_csv_texts():
+    """CSV texts of plain rows; a third of them have one flaw that the plain stage must pass on."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    score = st.one_of(unit.map(repr), unit.map(lambda v: "%.3f" % v), _BELOW_1E_4.map(repr),
+                      st.sampled_from(["0", "1", "-0", "-0.0", "+0.5", ".5", "0.", "1E-5", "0.5e0"]))
+    row = st.builds(lambda s, y, end: f"{s},{y}{end}", score, st.sampled_from("01"),
+                    st.sampled_from(["\n", "\r\n"]))
+    head = st.sampled_from(["", "score,label\n", "score,label\r\n", "\ufeff", "\ufeffscore,label\r\n"])
+    clean = st.builds(lambda h, body, tail: [h, *body, tail], head, st.lists(row, max_size=8),
+                      st.sampled_from(["", "0.25,0", "0.25,1\r"]))
+    flaw = st.one_of(st.sampled_from(_NEAR_PLAIN).map(lambda s: f"{s},1\n"),
+                     st.sampled_from(["2", "1.0", " 1", "", "01", "1,0"]).map(lambda y: f"0.5,{y}\n"),
+                     st.sampled_from([";", " ", "\t", ",,"]).map(lambda sep: f"0.5{sep}1\n"),
+                     st.sampled_from(["\r", "\n", "\x85", "\r\r\n", " score,label\n", "score,label,\n",
+                                      "\ufeff", "1.5,1", "0.25,"]))
+    flawed = st.builds(lambda parts, bad, at: parts[:at] + [bad] + parts[at:], clean, flaw,
+                       st.integers(0, 10))
+    return st.integers(0, 2).flatmap(lambda k: flawed if k == 0 else clean).map("".join)
+
+
 class TestCsvFastPath:
     """load_scores parses most CSVs with numpy; the result must be the line-by-line parser's."""
 
@@ -342,6 +405,130 @@ class TestCsvFastPath:
         assert d.scores.tobytes() == expected.scores.tobytes()
         assert d.labels.tobytes() == expected.labels.tobytes()
         assert d.labels.dtype == expected.labels.dtype
+
+    @given(_plain_csv_texts(), st.one_of(st.integers(1, 64), st.just(1 << 18)))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_stage_equals_the_parsers_without_it(self, text, piece):
+        _plain_stage_changes_nothing(text.encode("utf-8"), "d.csv", piece)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("header", ["", "score,label"])
+    def test_plain_rows_never_reach_the_parsers(self, tmp_path, monkeypatch, newline, header):
+        rows = [f"{i / 100!r},{i % 2}" for i in range(100)]
+        p = tmp_path / "d.csv"
+        p.write_bytes(newline.join([header] * bool(header) + rows).encode())  # no last line end
+        chunks = []
+        real = data_mod._decimals
+        monkeypatch.setattr(data_mod, "_PIECE", 50)
+        monkeypatch.setattr(data_mod, "_decimals", lambda *a: chunks.append(a) or real(*a))
+        for slow in ("_load_csv_fast", "_parse_csv", "_read_text"):
+            monkeypatch.setattr(data_mod, slow, None)  # any call would raise
+        d = load_scores(p)
+        assert len(chunks) > 10
+        assert d.scores.tolist() == [i / 100 for i in range(100)]
+        assert d.labels.tolist() == [i % 2 for i in range(100)]
+
+    def test_plain_stage_equals_the_parsers_with_any_byte_flawed(self):
+        _every_byte_flawed("score,label\n0.25,1\r\n-0.0,0\n1,1\n", "d.csv")
+
+
+def _kernel(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`data._decimals` on tokens laid out one after another, each followed by a comma."""
+    raw = "".join(t + "," for t in tokens).encode()
+    buf = np.zeros(data_mod._PAD + len(raw) + data_mod._TAIL, np.uint8)
+    buf[data_mod._PAD:data_mod._PAD + len(raw)] = np.frombuffer(raw, np.uint8)
+    loads = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    ends = data_mod._PAD + np.cumsum([len(t) + 1 for t in tokens]) - 1
+    return data_mod._decimals(buf, loads, ends - [len(t) for t in tokens], ends)
+
+
+def _on_double_midpoint(x: Fraction) -> bool:
+    """Whether x > 0 rounded to a 64-bit significand (ties to even) lies halfway between doubles."""
+    scaled = x * Fraction(2) ** (64 - x.numerator.bit_length() + x.denominator.bit_length())
+    while scaled >= 2**64:
+        scaled /= 2
+    while scaled < 2**63:
+        scaled *= 2
+    return round(scaled) & 0x7FF == 0x400  # round() of a Fraction ties to even
+
+
+def _check_kernel(tokens: list[str]) -> np.ndarray:
+    """Assert that `_decimals` gives float()'s bits, and leaves exactly the tokens it must.
+
+    A token is left to float() when it is not a digit, or a digit, a dot and
+    at most 27 digits, whose digits read below 10**19, or when its value
+    rounded to a 64-bit significand lies on a midpoint of two doubles.
+    """
+    values, rest = _kernel(tokens)
+    for token, value, left in zip(tokens, values, rest):
+        lead, dot, fraction = token.partition(".")
+        plain = (len(lead) == 1 and lead.isdigit() and (fraction.isdigit() or not dot)
+                 and fraction.isascii() and len(fraction) <= 27 and int(lead + fraction) < 10**19)
+        exact = Fraction(token) if plain else None
+        assert left == (not plain or (exact != 0 and _on_double_midpoint(exact))), token
+        if not left:
+            assert value.tobytes() == np.float64(float(token)).tobytes(), token
+    return rest
+
+
+class TestDecimalKernel:
+    """`_decimals` equals float() bit for bit, or leaves the token to float()."""
+
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0), _BELOW_1E_4), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_repr_of_doubles_and_their_neighbours(self, values):
+        tokens = []
+        for v in [*values, 0.0, 1.0]:
+            tokens += [repr(float(w)) for w in (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0))]
+        _check_kernel(tokens)
+
+    @given(st.lists(st.tuples(st.sampled_from("0123456789/:-+A "), st.integers(1, 30).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n))), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_up_to_30_fraction_digits(self, parts):
+        rest = _check_kernel([f"{lead}.{fraction}" for lead, fraction in parts])
+        for (lead, fraction), left in zip(parts, rest):
+            if len((lead + fraction).lstrip("0")) > 19:
+                assert left
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_midpoints_between_doubles(self, values):
+        tokens, evens = [], []
+        for a in values:
+            b = float(np.nextafter(a, 2.0))
+            with localcontext() as ctx:
+                ctx.prec = 1200
+                middle = (Decimal(a) + Decimal(b)) / 2  # exact: a and b have finite expansions
+                exact = format(middle, "f")
+                assert Fraction(exact) == (Fraction(a) + Fraction(b)) / 2
+                for digits in (17, 18, 19):  # the nearest tokens that the kernel may take
+                    ctx.prec = digits
+                    tokens.append(format(+middle, "f"))
+            tokens.append(exact)
+            evens.append((exact, a if np.float64(a).view(np.uint64) % 2 == 0 else b))
+        rest = _check_kernel(tokens)
+        for exact, even in evens:
+            assert rest[tokens.index(exact)]  # past 27 fraction digits
+            assert float(exact) == even  # float() rounds the tie to the even double
+
+    def test_a_quotient_on_a_midpoint_is_left_to_float(self):
+        token = "0.1498155458754621"  # the repr of a double
+        assert _on_double_midpoint(Fraction(token))
+        assert _check_kernel([token, "0.5"]).tolist() == [True, False]
+
+    @pytest.mark.parametrize("name", ["d.csv", "d.json"])
+    def test_a_53_bit_long_double_never_reaches_the_kernel(self, tmp_path, monkeypatch, name):
+        # As on MSVC or macOS arm64 builds, where np.longdouble is a double.
+        rng = np.random.default_rng(7)
+        p = tmp_path / name
+        save_scores(ScoredDataset(rng.random(3000), rng.integers(0, 2, 3000)), p)
+        expected = load_scores(p)
+        monkeypatch.setattr(data_mod, "_LONG_DOUBLE", np.finfo(np.float64))
+        monkeypatch.setattr(data_mod, "_decimals", None)  # any call would raise
+        d = load_scores(p)
+        assert d.scores.tobytes() == expected.scores.tobytes()
+        assert d.labels.tobytes() == expected.labels.tobytes()
 
 
 def _reference_json(text: str, path: str) -> ScoredDataset:
@@ -408,6 +595,39 @@ def _json_texts():
     return st.one_of(text, text, text, text, broken, st.sampled_from(["[]", " [ ] ", "[\n]", "{}"]))
 
 
+def _plain_json_texts():
+    """json.dumps's text of score records; a third of them have one flaw."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    score = st.one_of(unit.map(repr), _BELOW_1E_4.map(repr),
+                      st.sampled_from(["0", "1", "-0", "-0.0", "0.5E-1", "1e-5", "0.5" + "0" * 25]))
+    record = st.builds(lambda s, y: f'{{"score": {s}, "label": {y}}}', score, st.sampled_from("01"))
+    records = st.lists(record, max_size=8)
+    bad = st.one_of(
+        st.builds(lambda s, y: f'{{"score": {s}, "label": {y}}}',
+                  st.sampled_from(_NEAR_PLAIN + _ODD_VALUES),
+                  st.sampled_from(["0", "1", "1.0", "2", "true", "-0", " 1", '"1"'])),
+        st.builds(lambda s, y: f'{{"label": {y}, "score": {s}}}', score, st.sampled_from("01")),
+        st.builds(lambda s, y: f'{{"score":{s},"label":{y}}}', score, st.sampled_from("01")),
+        st.builds(lambda s: f'{{"score": {s}, "label": 1, "note": "}}, {{"}}', score),
+        st.builds(lambda s, key: f'{{"score": {s}, {key}1}}', score,
+                  st.sampled_from(['"label"; ', '"label":\t', '"label" :', "'label': ", '"label"::'])))
+    opening = st.sampled_from(["[", "\ufeff[", " \n[", "\ufeff\t["])
+    closing = st.sampled_from(["]", "]\n", "] \r\n\t"])
+
+    def render(o, recs, c, join=", "):
+        return o + join.join(recs) + c
+
+    clean = st.builds(render, opening, records, closing)
+    flawed = st.one_of(
+        st.builds(lambda o, recs, b, at, c: render(o, recs[:at] + [b] + recs[at:], c),
+                  opening, records, bad, st.integers(0, 8), closing),
+        st.builds(render, st.sampled_from(["\x0c[", "[ ", "[\n", "\u3000["]), records, closing),
+        st.builds(render, opening, records, st.sampled_from(["", ",]", "]]", "] x", " ]", "]\x0c"])),
+        st.builds(render, opening, records, closing,
+                  st.sampled_from([",", ",  ", " , ", ",\n", ",\t", "; ", ",,"])))
+    return st.integers(0, 2).flatmap(lambda k: flawed if k == 0 else clean)
+
+
 class TestJsonPieces:
     """load_scores decodes JSON in record-aligned pieces; the result must be the whole text's."""
 
@@ -430,22 +650,34 @@ class TestJsonPieces:
         assert d.labels.tobytes() == expected.labels.tobytes()
         assert d.labels.dtype == expected.labels.dtype
 
+    @given(_plain_json_texts(), st.one_of(st.integers(1, 64), st.just(1 << 18)))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_stage_equals_the_pieces_without_it(self, text, piece):
+        _plain_stage_changes_nothing(text.encode("utf-8"), "d.json", piece)
+
+    def test_plain_stage_equals_the_pieces_with_any_byte_flawed(self):
+        # -0 is the integer 0 to json.loads, so 0.0, not float("-0")
+        _every_byte_flawed('[{"score": 0.25, "label": 1}, {"score": -0, "label": 0}]', "d.json")
+
     @pytest.mark.parametrize("indent", [None, 2])
     def test_plain_layouts_never_decode_whole(self, tmp_path, monkeypatch, indent):
+        # json.dumps's own layout is read by the plain stage, 50 bytes at a time; an
+        # indented one by the piece decoder. Neither reads or decodes the whole text.
         records = [{"score": i / 100, "label": i % 2} for i in range(100)]
         p = tmp_path / "d.json"
-        pieces = []
-        real = data_mod._piece_columns
+        chunks = []
+        stage = "_decimals" if indent is None else "_piece_columns"
+        real = getattr(data_mod, stage)
         monkeypatch.setattr(data_mod, "_PIECE", 50)
-        monkeypatch.setattr(data_mod, "_piece_columns", lambda t: pieces.append(t) or real(t))
+        monkeypatch.setattr(data_mod, stage, lambda *a: chunks.append(a) or real(*a))
         monkeypatch.setattr(data_mod, "_decode_whole", None)  # any call would raise
         monkeypatch.setattr(data_mod, "_read_text", None)  # nor is the whole text read
         for newline, tail in [("\n", ""), ("\r\n", ""), ("\n", " \n\t\r\n "), ("\r\n", "\r\n")]:
             text = json.dumps(records, indent=indent) + tail
             p.write_bytes(text.replace("\n", newline).encode())
-            pieces.clear()
+            chunks.clear()
             d = load_scores(p)
-            assert len(pieces) > 10
+            assert len(chunks) > 10
             assert d.scores.tolist() == [r["score"] for r in records]
             assert d.labels.tolist() == [r["label"] for r in records]
 
@@ -529,9 +761,9 @@ class TestByteOrderMark:
 class TestIngestMemory:
     @pytest.mark.parametrize("name", ["d.json", "d.csv"])
     def test_peak_memory_of_a_100k_record_file(self, tmp_path, monkeypatch, name):
-        # A JSON file is read and decoded one piece at a time; a CSV file is parsed by
-        # numpy from the file. Neither holds the whole text or a Python object per row:
-        # the peak stays under 16 pieces and 3 copies of the arrays.
+        # save_scores writes plain files, read in binary one piece at a time. Neither
+        # holds the whole text or a Python object per row: the peak stays under 16
+        # pieces and 3 copies of the arrays.
         piece = 1 << 16
         monkeypatch.setattr(data_mod, "_PIECE", piece, raising=False)
         rng = np.random.default_rng(5)
