@@ -7,10 +7,10 @@ Supersamples are the n x 2 train/test data matrices with a uniform bit mask.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-import warnings
 import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -141,28 +141,44 @@ def _parse_csv(text: str, path: str) -> tuple[list[float], list[int]]:
     return scores, labels
 
 
+@functools.cache
+def _strict_int_fields() -> bool:
+    """Whether np.loadtxt refuses an integer field written as a float, as `_parse_csv`
+    refuses a ``1.0`` label. numpy 2.4 refuses it; numpy 1.x reads it as 1, with a
+    DeprecationWarning that the default filters hide."""
+    try:
+        np.loadtxt(["1.0"], dtype=np.int64)
+    except ValueError:
+        return True
+    return False
+
+
 def _load_csv_fast(p: Path, head: str) -> ScoredDataset | None:
     """The CSV parsed by numpy straight from the file, or None when `_parse_csv` must decide.
 
     Taken for a CSV file that `_load_plain` passed on (one that is not ASCII
     ``score,label`` rows ending in ``\\n`` or ``\\r\\n``, or one whose rows
-    `ScoredDataset` refuses), when the name has no `_COMPRESSED` suffix and
-    the first line ends within ``head``. numpy ends rows where `_parse_csv`
-    does, takes a subset of what it takes (no ``0_5``, non-ASCII digits or
-    whitespace-only lines) and parses it to the same bits. A file it rejects
-    or warns on, or whose rows `ScoredDataset` refuses, goes to the
-    line-by-line parser for the exact message and line number.
+    `ScoredDataset` refuses), when the name has no `_COMPRESSED` suffix, the
+    first line ends within ``head`` and something other than whitespace follows
+    the optional header there. numpy ends rows where `_parse_csv` does, takes a
+    subset of what it takes (no ``0_5``, non-ASCII digits, whitespace-only lines
+    or, where `_strict_int_fields` holds, ``1.0`` labels) and parses it to the same
+    bits. A file it rejects, or whose rows `ScoredDataset` refuses, goes to the
+    line-by-line parser for the exact message and line number. An empty body,
+    the one input on which numpy 2.4's loadtxt warns, is left to that parser
+    too, so no warning filter is touched: changing one would reset the once-only
+    registries and show a warning already shown once a second time.
     """
-    first, newline, _ = head.partition("\n")  # text mode has made every \r a \n
-    if p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF):
+    first, newline, rest = head.partition("\n")  # text mode has made every \r a \n
+    header = _is_header(first)
+    if (p.suffix in _COMPRESSED or not (newline or len(head) < _SNIFF)
+            or not (rest if header else head).strip() or not _strict_int_fields()):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            rows = np.loadtxt(p, delimiter=",", comments=None, skiprows=int(_is_header(first)),
-                              dtype=_CSV_ROW, ndmin=1, encoding="utf-8-sig")
+        rows = np.loadtxt(p, delimiter=",", comments=None, skiprows=int(header),
+                          dtype=_CSV_ROW, ndmin=1, encoding="utf-8-sig")
         return ScoredDataset(rows["score"], rows["label"])
-    except (ValueError, Warning):
+    except ValueError:
         return None
 
 

@@ -64,6 +64,21 @@ def _binned_error(counts, predicted, label_sums) -> float:
     return min(value, 1.0)
 
 
+def _binned_errors(counts, predicted, label_sums) -> np.ndarray:
+    """``_binned_error`` of each row of (..., B) sums, bit for bit. The rows whose bins all
+    hold a score take one row-wise ``np.add.reduce``, the same pairwise sum over the same
+    terms. A row with an empty bin goes through ``_binned_error``: its masked sum starts
+    from another element than a zero-padded row's would, so the last bit may differ."""
+    full = (counts > 0).all(axis=-1)
+    c = counts[full]
+    out = np.empty(full.shape)
+    out[full] = np.minimum(np.add.reduce(
+        c / c.sum(axis=1, keepdims=True) * np.abs(predicted[full] - label_sums[full] / c), axis=1), 1.0)
+    for i in zip(*np.nonzero(~full)):
+        out[i] = _binned_error(counts[i], predicted[i], label_sums[i])
+    return out
+
+
 def ece(d, s: BinningScheme) -> EceValue:
     """Mass-weighted per-bin calibration error of a dataset under a scheme."""
     counts, score_sums, label_sums = _dataset_sums(s, d)

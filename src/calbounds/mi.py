@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import UMB, UWB, _check_count, _sums, _unique, umb_scheme, uwb_scheme
-from .metrics import _binned_error
+from .metrics import _binned_error, _binned_errors
 from .models import TrainerConfig, _descend, _expit, _init_beta, sample_synthetic
 from .rng import child_seed, stream
 
@@ -314,8 +314,9 @@ def _group_statistics(s, y, B: int, uwb=None) -> np.ndarray:
     0-based bin index sum_k (s > e_k) is `_blocks`' searchsorted. One ``np.bincount``
     over row * B + index per sum gives all counts, label sums and score sums, these
     added in score order: the bits of `_sums`' ``np.add.at``. The deltas are exact
-    integer sums; each ECE goes through ``_binned_error``. Any other row, tied or
-    collapsing, takes ``_cell_statistics``, warning included.
+    integer sums; the ECEs of both halves come from ``_binned_errors``, row-wise where
+    every bin holds a score. Any other row, tied or collapsing, takes
+    ``_cell_statistics``, warning included.
     """
     R, n = s.shape[1:]
     ordered = np.sort(s[0], axis=1)
@@ -329,17 +330,15 @@ def _group_statistics(s, y, B: int, uwb=None) -> np.ndarray:
                 for w in (None, y.ravel(), s.ravel())]
 
     (c_tr, c_te), (l_tr, l_te), _ = umb = binned(interior)
-    c, l, t = umb if uwb is None else binned(np.broadcast_to(uwb.edges[1:-1], interior.shape))
-    predicted = t / np.maximum(c, 1)
+    sums = umb if uwb is None else binned(np.broadcast_to(uwb.edges[1:-1], interior.shape))
+    c, l, t = (a[:, exact] for a in sums)
+    e_tr, e_te = _binned_errors(c, t / np.maximum(c, 1), l)
     stats = np.empty((R, len(STATISTICS)))
+    stats[exact, 0] = np.abs(e_te - e_tr)
     stats[:, 1] = np.abs(l_te - l_tr).sum(axis=1) / n
     stats[:, 2] = np.abs(c_te - c_tr).sum(axis=1) / n
-    for r in range(R):
-        if exact[r]:
-            e_tr, e_te = (_binned_error(c[h, r], predicted[h, r], l[h, r]) for h in (0, 1))
-            stats[r, 0] = abs(e_te - e_tr)
-        else:
-            stats[r] = _cell_statistics(s[0, r], y[0, r], s[1, r], y[1, r], B, uwb)
+    for r in np.flatnonzero(~exact):
+        stats[r] = _cell_statistics(s[0, r], y[0, r], s[1, r], y[1, r], B, uwb)
     return stats
 
 

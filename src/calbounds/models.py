@@ -48,6 +48,7 @@ _LIPSCHITZ_EPS = 1e-4  # the grid spans [eps, 1 - eps]
 _TCE_SPAN = 40.0  # exact_tce integrates over [-span, span]; the density is 0.0 beyond 39.6
 _TCE_TOL = 1e-13  # exact_tce's target for the summed error estimate
 _TCE_MAX_ROUNDS = 60  # bisections of a panel; 80 / 2**60 is below the float spacing at 1
+_SHIFT = np.array([1.0, -1.0])  # the class means' shift of the draws, by label
 
 
 def _expit(x, out=None):
@@ -124,7 +125,7 @@ def sample_synthetic(n: int, rng: np.random.Generator):
     (n,) = _check_count(n=n)
     y = rng.integers(0, 2, size=n)
     x = rng.standard_normal(n)  # the draws of rng.normal(loc, 1.0): loc + 1.0 * z is z + loc
-    x += np.where(y == 1, -1.0, 1.0)
+    x += _SHIFT.take(y)
     return x, y
 
 
@@ -293,49 +294,86 @@ def _init_beta(seed: int) -> np.ndarray:
     return stream(seed).normal(0.0, 0.01, size=2)
 
 
+@functools.cache
+def _unsplit_rows() -> bool:
+    """Whether numpy adds a contiguous row in one pass under a buffer shorter than the row.
+
+    numpy 2.4's iterator does, whatever the buffer size. One that cut the row at the
+    buffer would sum its pieces apart and change the descent's bits, so ``_descend``
+    keeps the caller's buffer there. The probe's terms range over 10^-8 to 10^8 at
+    random, so that cutting its rows into 16-element pieces changes their sums.
+    """
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((64, 48)) * 10.0 ** rng.integers(-8, 9, (64, 48))
+    whole = np.add.reduce(rows, axis=1)
+    caller = np.setbufsize(16)
+    try:
+        return np.array_equal(np.add.reduce(rows, axis=1), whole)
+    finally:
+        np.setbufsize(caller)
+
+
 def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray:
     """Full-batch gradient descent from each row of ``beta`` (M, 2) on the rows of x, y (M, n).
 
     Returns the trained (M, 2) parameters. Every row equals training that row
     alone bit for bit: rounding is odd-symmetric, so exp((-b0) + (-b1) * x) is
     expit's exp(-(b0 + b1 * x)) without its negation pass, and 0/1 labels, cast
-    to float64 once per block, subtract as integers would. Rows go in blocks of
-    at most ``_BLOCK`` elements (one row at least), which bounds the temporaries.
-    The first block where a row goes non-finite raises, naming the earliest such
-    epoch and ``where`` of its first such row.
+    to float64 once per block, subtract as integers would. The loop carries -b:
+    adding the gradient gives -(b - g) exactly, and 0.0 - (-b) at the end gives b
+    back, a zero as the +0.0 of b - g (a start at -0.0 excepted). Both gradient sums come from one
+    row-wise ``np.add.reduce`` over the stacked residual and its product with x.
+    Rows go in blocks of at most ``_BLOCK`` elements (one row at least), which
+    bounds the temporaries. The first block where a row goes non-finite raises,
+    naming the earliest such epoch and ``where`` of its first such row.
+
+    numpy sends a (rows, 1) column broadcast over rows shorter than its ufunc
+    buffer through that buffer, which at (10, 2000) takes 2.5 times as long as
+    a scalar operand. For 256 <= n < ``np.getbufsize()`` the descent runs with
+    the buffer set to n rounded down to a multiple of 16 (numpy 1.x takes no
+    other size), which halves that cost; the caller's size comes back on return
+    or raise. Below 256 the default buffer, which groups short rows into longer
+    inner loops, is faster. Elementwise bits never depend on the buffer, and
+    the row sums' do not where ``_unsplit_rows`` holds; elsewhere the buffer is
+    left alone.
     """
-    out = np.array(beta, dtype=np.float64)  # each block descends in place here
+    neg = -np.array(beta, dtype=np.float64)  # -b: each block descends in place here
     n = x.shape[1]
     step = max(1, _BLOCK // n)
-    resid = np.empty((min(step, len(beta)), n))
-    prod = np.empty_like(resid)
-    grad = np.empty((len(resid), 2))
-    for lo in range(0, len(beta), step):
-        b, xb, yb = out[lo:lo + step], x[lo:lo + step], y[lo:lo + step].astype(np.float64)
-        r, p, g = resid[:len(b)], prod[:len(b)], grad[:len(b)]
-        # A diverging row overflows silently: the check below names its epoch and row.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(cfg.epochs + 1):
-                # With finite x and y, the loss goes non-finite exactly when beta does.
-                if not np.isfinite(b).all():
-                    row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
-                    raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
-                if epoch == cfg.epochs:
-                    break
-                # expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
-                np.multiply(-b[:, 1:], xb, out=r)
-                np.add(-b[:, :1], r, out=r)
-                np.exp(r, out=r)
-                np.add(r, 1.0, out=r)
-                np.divide(1.0, r, out=r)
-                np.subtract(r, yb, out=r)
-                np.multiply(r, xb, out=p)
-                np.add.reduce(r, axis=1, out=g[:, 0])
-                np.add.reduce(p, axis=1, out=g[:, 1])
-                g /= n
-                g *= cfg.learning_rate
-                b -= g
-    return out
+    terms = np.empty((2, min(step, len(beta)), n))  # the residual and its product with x
+    grad = np.empty((terms.shape[1], 2))
+    caller = np.getbufsize()
+    if 256 <= n < caller and _unsplit_rows():
+        np.setbufsize(n - n % 16)  # set outside errstate: numpy 2 restores both on its exit
+    try:
+        for lo in range(0, len(beta), step):
+            b, xb, yb = neg[lo:lo + step], x[lo:lo + step], y[lo:lo + step].astype(np.float64)
+            t, g = terms[:, :len(b)], grad[:len(b)]
+            r, p = t
+            # A diverging row overflows silently: the check below names its epoch and row.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for epoch in range(cfg.epochs + 1):
+                    # With finite x and y, the loss goes non-finite exactly when beta does.
+                    if not np.isfinite(b).all():
+                        row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
+                        raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
+                    if epoch == cfg.epochs:
+                        break
+                    # expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
+                    np.multiply(b[:, 1:], xb, out=r)
+                    np.add(b[:, :1], r, out=r)
+                    np.exp(r, out=r)
+                    np.add(r, 1.0, out=r)
+                    np.divide(1.0, r, out=r)
+                    np.subtract(r, yb, out=r)
+                    np.multiply(r, xb, out=p)
+                    np.add.reduce(t, axis=2, out=g.T)
+                    g /= n
+                    g *= cfg.learning_rate
+                    b += g
+    finally:
+        np.setbufsize(caller)
+    return np.subtract(0.0, neg, out=neg)
 
 
 def train_logistic(train, cfg: TrainerConfig, seed: int = 0) -> SyntheticModel:

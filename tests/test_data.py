@@ -122,6 +122,22 @@ class TestLoadScores:
                 load_scores(p)
         assert caught == []
 
+    def test_numpy_reader_keeps_the_once_only_warnings(self, tmp_path):
+        # "0.5 ,1" is not plain, so numpy's reader takes it; a collapse warning from one
+        # source line, shown before the load, is not shown again after it.
+        p = tmp_path / "scores.csv"
+        p.write_text("0.5 ,1\n")
+        path = os.pathsep.join(x for x in (str(SRC), os.environ.get("PYTHONPATH")) if x)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        code = ("import sys; import numpy as np; from calbounds import load_scores, umb_scheme\n"
+                "for path in (None, sys.argv[1]):\n"
+                "    assert path is None or load_scores(path).scores.tolist() == [0.5]\n"
+                "    umb_scheme(np.zeros(8), 4)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(p)], env=dict(env, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("tied scores collapsed UMB from 4 to 1 bins") == 1, proc.stderr
+
     def test_fractional_label_reports_line(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("0.7,1\n0.5,1.0\n")

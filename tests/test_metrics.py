@@ -35,7 +35,7 @@ from calbounds import (
 from calbounds.binning import _BLOCK, _MAX_CELLS
 from calbounds.bounds import _total_bias
 from calbounds.experiments import scored_synthetic_dataset
-from calbounds.metrics import _floor_cbrt
+from calbounds.metrics import _binned_error, _binned_errors, _floor_cbrt
 from calbounds.rng import stream
 
 
@@ -97,6 +97,27 @@ class TestEceFromSums:
         )
         stats = bin_stats(r.scheme, d)
         assert recalibrated_tce(r, d) == bin_stats_error(stats.masses, r.mu, stats.mean_labels)
+
+
+class TestRowWiseErrors:
+    """``_binned_errors`` equals ``_binned_error`` row by row, bit for bit."""
+
+    @given(R=st.integers(1, 30), B=st.integers(1, 20), decimals=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_binned_error_per_row(self, R, B, decimals, seed):
+        # Per (half, row): every bin filled, some bins empty, or all empty. Mean scores are
+        # rounded, so that bins tie on their prediction, and labels are 0/1 sums as counted.
+        rng = np.random.default_rng(seed)
+        shape = (2, R, B)
+        empty = rng.uniform(size=shape) < rng.choice([0.0, 0.0, 0.3, 1.0], size=(2, R, 1))
+        counts = np.where(empty, 0, rng.integers(1, 60, shape))
+        label_sums = rng.binomial(counts, rng.uniform(size=shape)).astype(np.float64)
+        score_sums = np.round(rng.uniform(size=shape), decimals) * counts
+        predicted = score_sums / np.maximum(counts, 1)
+        expected = [[_binned_error(counts[h, r], predicted[h, r], label_sums[h, r])
+                     for r in range(R)] for h in range(2)]
+        assert _binned_errors(counts, predicted, label_sums).tobytes() == np.array(expected).tobytes()
 
 
 class TestEceReformulated:

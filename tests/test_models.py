@@ -589,29 +589,65 @@ class TestBatchedDescent:
             lone = reference_descent(x[m], y[m], cfg, m)
             assert tuple(batched[m]) == lone
 
+    @pytest.mark.parametrize("n", [255, 256, 500, 2000, 8191, 8192, 9000])
+    def test_rows_around_the_buffer_rule(self, n):
+        # 256 <= n < 8192 descends under a row-length buffer (500 is not a multiple of 16);
+        # the others under numpy's own.
+        x, y = masked_stack(3, n, seed=n)
+        cfg = TrainerConfig(epochs=3)
+        inits = np.array([models_mod._init_beta(s) for s in range(3)])
+        before = np.getbufsize()
+        batched = models_mod._descend(inits, x, y, cfg)
+        assert np.getbufsize() == before
+        assert batched.tobytes() == stacked_descent(inits, x, y, cfg, models_mod._BLOCK).tobytes()
+        for m in range(3):
+            lone = train_logistic((x[m], y[m]), cfg, seed=m)
+            assert tuple(batched[m]) == (lone.beta0, lone.beta1) == reference_descent(x[m], y[m], cfg, m)
+
     def test_divergent_row_reports_epoch_and_row(self):
         # Only row 2 holds the wrong-saturating pair of test_divergence_reports_epoch;
         # the moderate rows stay finite at this step size for three epochs.
-        x = np.tile([-0.5, 0.5], (4, 1))
-        x[2] = (1e200, -1e200)
-        y = np.ones_like(x)
-        inits = np.array([models_mod._init_beta(s) for s in range(4)])
-        cfg = TrainerConfig(learning_rate=1e109, epochs=3)
-        for block in (models_mod._BLOCK, 2):  # one batch, then one row per block
-            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), pytest.raises(
-                ValueError, match=r"^non-finite loss at epoch 1 in row 2$"
-            ):
-                warnings.simplefilter("error")  # no numpy warning ahead of the package's message
-                mp.setattr(models_mod, "_BLOCK", block)
-                models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
-        rest = [0, 1, 3]
-        assert np.isfinite(models_mod._descend(inits[rest], x[rest], y[rest], cfg)).all()
+        before = np.getbufsize()
+        for n in (2, 256):  # numpy's own buffer, then a row-length one
+            x = np.tile([-0.5, 0.5], (4, n // 2))
+            x[2] = np.tile([1e200, -1e200], n // 2)
+            y = np.ones_like(x)
+            inits = np.array([models_mod._init_beta(s) for s in range(4)])
+            cfg = TrainerConfig(learning_rate=1e109, epochs=3)
+            # One batch, two rows per block (row 2 opens the second), one row per block.
+            for block in (models_mod._BLOCK, 2 * n, n):
+                with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), pytest.raises(
+                    ValueError, match=r"^non-finite loss at epoch 1 in row 2$"
+                ):
+                    warnings.simplefilter("error")  # no numpy warning ahead of the package's message
+                    mp.setattr(models_mod, "_BLOCK", block)
+                    models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
+                assert np.getbufsize() == before
+            rest = [0, 1, 3]
+            assert np.isfinite(models_mod._descend(inits[rest], x[rest], y[rest], cfg)).all()
+
+    @pytest.mark.parametrize("size", [8192, 4096, 1 << 16])
+    def test_caller_buffer_size_comes_back(self, size):
+        # On return and on the non-finite raise, whether or not the rule set its own size.
+        x, y = masked_stack(2, 500, seed=5)
+        inits = np.array([models_mod._init_beta(s) for s in range(2)])
+        caller = np.setbufsize(size)
+        try:
+            models_mod._descend(inits, x, y, TrainerConfig(epochs=2))
+            assert np.getbufsize() == size
+            x[1] = 1e200
+            with pytest.raises(ValueError, match="^non-finite loss at epoch 1$"):
+                models_mod._descend(inits, x, y, TrainerConfig(learning_rate=1e109, epochs=3))
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(caller)
 
     def test_zero_slope_kept(self):
-        # With x = 0 the slope's gradient vanishes, so a zero slope stays exactly 0.
+        # With x = 0 the slope's gradient vanishes, so a zero slope stays exactly +0.0,
+        # as b - g leaves it.
         x, y = np.zeros((1, 6)), np.array([[0, 1, 1, 0, 1, 1]])
         beta = models_mod._descend(np.zeros((1, 2)), x, y, TrainerConfig(epochs=5))
-        assert beta[0, 1] == 0.0 and beta[0, 0] != 0.0
+        assert beta[0, 1] == 0.0 and not np.signbit(beta[0, 1]) and beta[0, 0] != 0.0
 
 
 @pytest.mark.parametrize(
