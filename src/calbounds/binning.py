@@ -221,8 +221,9 @@ def _sums(scheme: BinningScheme, scores: np.ndarray, labels: np.ndarray) -> tupl
     temporaries whatever n is. Each block's scores are added into zeros at
     their bin index j by `np.add.at`, which adds in score order as `np.bincount`
     does, so every score sum has the bits of one `np.bincount` over all the
-    scores; and one integer ``np.bincount(2*j + y)`` counts each bin's
-    (label 0, label 1) rows, so counts and label sums are exact.
+    scores; and one integer ``np.add.at`` of 1 at ``2*j + y`` counts each
+    bin's (label 0, label 1) rows, so counts and label sums are exact in any
+    order.
     """
     B = scheme.B
     pairs, score_sums = np.zeros(2 * B, dtype=np.int64), np.zeros(B)
@@ -230,7 +231,7 @@ def _sums(scheme: BinningScheme, scores: np.ndarray, labels: np.ndarray) -> tupl
         np.add.at(score_sums, j, s)
         j *= 2
         j += labels[lo:lo + j.size]
-        pairs += np.bincount(j, minlength=2 * B)
+        np.add.at(pairs, j, 1)
     pairs = pairs.reshape(B, 2)
     return pairs.sum(axis=1), score_sums, pairs[:, 1].astype(np.float64)
 

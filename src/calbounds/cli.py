@@ -7,6 +7,10 @@ named closed-form bound; its flags are the bound function's parameters),
 (histogram recalibration with its bound), and ``cmi`` (supersample
 mask-information experiment over an n-grid).
 
+``build_parser()`` builds every subcommand's arguments; ``main`` builds only the
+named subcommand's, and under ``bounds`` the named leaf's (``build_parser(argv)``),
+with every message and help text unchanged.
+
 A score file is JSON when its text starts with ``[`` or ``{``, else CSV.
 ``main`` checks that the output directory (``--out``, else $CALBOUNDS_OUT, else
 ./runs) can be made before the subcommand runs, and writes the run-record JSON
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -145,12 +150,12 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
-    """A ``bounds <name>`` parser whose flags are the bound's parameters."""
-    p = by_name.add_parser(
-        name, help=inspect.getdoc(fn).splitlines()[0], description=inspect.getdoc(fn),
-        formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
-    )
+def _add_common(p) -> None:
+    p.add_argument("--out", default=None, help="output directory (default $CALBOUNDS_OUT or ./runs)")
+
+
+def _add_bound_args(fn, p, words) -> None:
+    """The flags of a ``bounds <name>`` parser: the bound's parameters."""
     params = inspect.signature(fn, eval_str=True).parameters.values()
     for param in params:
         flag, extra = _BOUND_FLAGS[param.name]
@@ -158,9 +163,9 @@ def _add_bound_parser(by_name, name: str, fn) -> argparse.ArgumentParser:
         types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
         kind = types[0] if types else param.annotation
         p.add_argument(flag, dest=param.name, type=kind, required="default" not in extra, **extra)
+    _add_common(p)
     counts = tuple(_BOUND_FLAGS[q.name][0] for q in params if q.annotation is int)
     p.set_defaults(func=_cmd_bounds, bound=fn, sizes=counts)
-    return p
 
 
 def _cmd_bounds(args, record: RunRecord) -> dict:
@@ -287,80 +292,128 @@ def _cmd_cmi(args, record: RunRecord) -> dict:
     return tables
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_ece(p, words) -> None:
+    p.add_argument("input", help="CSV or JSON score file")
+    p.add_argument("--bins", type=_bins_arg, default="auto",
+                   help="bin count, or 'auto' for the optimal rule")
+    p.add_argument("--method", choices=[UWB, UMB], default=UWB)
+    p.add_argument("--lipschitz", type=float, default=None, help="L for the auto bin rule")
+    _add_common(p)
+    p.set_defaults(func=_cmd_ece, sizes=("input", "--bins"))
+
+
+def _add_gap(p, words) -> None:
+    p.add_argument("train")
+    p.add_argument("test")
+    p.add_argument("--bins", type=int, required=True)
+    p.add_argument("--method", choices=[UWB, UMB], default=UWB)
+    _add_common(p)
+    p.set_defaults(func=_cmd_gap, sizes=("train", "test", "--bins"))
+
+
+def _add_bounds(p, words) -> None:
+    leaves = {}
+    for name, fn in BOUNDS.items():
+        doc = inspect.getdoc(fn)
+        keywords = {"help": doc.splitlines()[0], "description": doc, "allow_abbrev": False,
+                    "formatter_class": argparse.RawDescriptionHelpFormatter}
+        leaves[name] = (keywords, functools.partial(_add_bound_args, fn))
+    _add_subparsers(p, "name", leaves, words, metavar="name")
+
+
+def _add_synthetic(p, words) -> None:
+    p.add_argument("--beta0", type=float, default=_POOL_DEFAULTS["beta0"])
+    p.add_argument("--beta1", type=float, default=_POOL_DEFAULTS["beta1"])
+    p.add_argument("--n-grid", type=_parse_grid, default="1000,3162,10000,31623,100000",
+                   help="comma-separated test-set sizes")
+    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--b-rule", default="optimal", help="optimal | cube_root | fixed:K")
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+    p.set_defaults(func=_cmd_synthetic, sizes=("--n-grid", "--reps", "--b-rule"))
+
+
+def _add_recalibrate(p, words) -> None:
+    p.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
+    for name, kind in (("beta0", float), ("beta1", float), ("n_total", int)):
+        p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
+                       help=f"synthetic pool (default {_POOL_DEFAULTS[name]})")
+    p.add_argument("--variant", choices=["holdout", "reuse"], required=True)
+    p.add_argument("--bins", type=int, required=True)
+    p.add_argument("--n-re", dest="n_re", type=int, default=None, help="holdout variant only")
+    p.add_argument("--eval-split", type=float, default=0.5)
+    p.add_argument("--i1", type=float, default=None, help="reuse variant only (default 0)")
+    p.add_argument("--i2", type=float, default=None, help="reuse variant only (default 0)")
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+    p.set_defaults(func=_cmd_recalibrate, sizes=("--input", "--n-total", "--bins", "--n-re"))
+
+
+def _add_cmi(p, words) -> None:
+    p.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
+    p.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
+    p.add_argument("--n-supersamples", type=int, default=CmiExperimentConfig.n_supersamples)
+    # None: the run takes CmiExperimentConfig's default
+    p.add_argument("--n-masks", type=int, default=None, help="not with --exhaustive")
+    p.add_argument("--method", choices=[UWB, UMB], default=CmiExperimentConfig.method)
+    p.add_argument("--exhaustive", action="store_true",
+                   help="enumerate all 2^n masks (n <= 12) and count each statistic's entropy")
+    p.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+    p.set_defaults(func=_cmd_cmi, sizes=("--n-grid", "--bins", "--n-supersamples", "--n-masks"))
+
+
+# Subcommand -> (add_parser keywords, the function that adds its arguments).
+_SUBCOMMANDS = {
+    "ece": ({"help": "binned calibration error of a score file"}, _add_ece),
+    "gap": ({"help": "ECE gap between a train and a test score file"}, _add_gap),
+    "bounds": ({"help": "evaluate a named closed-form bound"}, _add_bounds),
+    "synthetic": ({"help": "TCE-gap scaling experiment on the synthetic family"}, _add_synthetic),
+    "recalibrate": ({"help": "histogram recalibration with its bound"}, _add_recalibrate),
+    "cmi": ({"help": "supersample mask-information experiment"}, _add_cmi),
+}
+
+
+def _add_subparsers(parser, dest: str, table: dict, words: list[str], **kwargs) -> None:
+    """Register every parser of ``table`` under ``parser``, and add the arguments of the
+    one ``words[0]`` names, or of all when it names none.
+
+    ``words`` are the command line's tokens from here on that do not start with ``-``.
+    No parser above a leaf has an option that takes a value, so argparse picks the
+    first of them, unless it reads a token that starts with ``-`` as a positional
+    first (``-``, ``-1``, ``--`` or a token after it). Such a token names nothing in
+    ``table``, and argparse's error then lists only the registered names. The named
+    parser is passed ``words[1:]``.
+    """
+    action = parser.add_subparsers(dest=dest, required=True, **kwargs)
+    named = words[0] if words and words[0] in table else None
+    for name, (keywords, add) in table.items():
+        p = action.add_parser(name, **keywords)
+        if named in (None, name):
+            add(p, words[1:] if named else [])
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``calbounds`` parser; for an ``argv``, only as much of it as parsing ``argv`` reads.
+
+    Without ``argv``, every subcommand and every ``bounds`` leaf gets its arguments.
+    With one, only the subcommand that ``argv`` names gets them, and under ``bounds``
+    only the leaf it names. The other subcommands and leaves are registered by name
+    and help line, all that argparse's messages show of them, and ``bounds`` gets no
+    leaves unless ``argv`` names it. Where ``argv`` names no known subcommand, or no
+    known leaf after ``bounds``, that level is built in full. Either way
+    ``parse_args(argv)`` gives the namespace, or the output and exit code, of the
+    full tree.
+    """
     parser = _Parser(
         prog="calbounds",
         description="Binned calibration error, bias bounds, recalibration, and CMI experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def add_common(p):
-        p.add_argument("--out", default=None, help="output directory (default $CALBOUNDS_OUT or ./runs)")
-
-    p_ece = sub.add_parser("ece", help="binned calibration error of a score file")
-    p_ece.add_argument("input", help="CSV or JSON score file")
-    p_ece.add_argument("--bins", type=_bins_arg, default="auto",
-                       help="bin count, or 'auto' for the optimal rule")
-    p_ece.add_argument("--method", choices=[UWB, UMB], default=UWB)
-    p_ece.add_argument("--lipschitz", type=float, default=None, help="L for the auto bin rule")
-    add_common(p_ece)
-    p_ece.set_defaults(func=_cmd_ece, sizes=("input", "--bins"))
-
-    p_gap = sub.add_parser("gap", help="ECE gap between a train and a test score file")
-    p_gap.add_argument("train")
-    p_gap.add_argument("test")
-    p_gap.add_argument("--bins", type=int, required=True)
-    p_gap.add_argument("--method", choices=[UWB, UMB], default=UWB)
-    add_common(p_gap)
-    p_gap.set_defaults(func=_cmd_gap, sizes=("train", "test", "--bins"))
-
-    p_bounds = sub.add_parser("bounds", help="evaluate a named closed-form bound")
-    by_name = p_bounds.add_subparsers(dest="name", required=True, metavar="name")
-    for name, fn in BOUNDS.items():
-        add_common(_add_bound_parser(by_name, name, fn))
-
-    p_syn = sub.add_parser("synthetic", help="TCE-gap scaling experiment on the synthetic family")
-    p_syn.add_argument("--beta0", type=float, default=_POOL_DEFAULTS["beta0"])
-    p_syn.add_argument("--beta1", type=float, default=_POOL_DEFAULTS["beta1"])
-    p_syn.add_argument("--n-grid", type=_parse_grid, default="1000,3162,10000,31623,100000",
-                       help="comma-separated test-set sizes")
-    p_syn.add_argument("--reps", type=int, default=20)
-    p_syn.add_argument("--b-rule", default="optimal", help="optimal | cube_root | fixed:K")
-    p_syn.add_argument("--seed", type=int, default=0)
-    add_common(p_syn)
-    p_syn.set_defaults(func=_cmd_synthetic, sizes=("--n-grid", "--reps", "--b-rule"))
-
-    p_rec = sub.add_parser("recalibrate", help="histogram recalibration with its bound")
-    p_rec.add_argument("--input", default=None, help="score file; omit to use the synthetic family")
-    for name, kind in (("beta0", float), ("beta1", float), ("n_total", int)):
-        p_rec.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None,
-                           help=f"synthetic pool (default {_POOL_DEFAULTS[name]})")
-    p_rec.add_argument("--variant", choices=["holdout", "reuse"], required=True)
-    p_rec.add_argument("--bins", type=int, required=True)
-    p_rec.add_argument("--n-re", dest="n_re", type=int, default=None, help="holdout variant only")
-    p_rec.add_argument("--eval-split", type=float, default=0.5)
-    p_rec.add_argument("--i1", type=float, default=None, help="reuse variant only (default 0)")
-    p_rec.add_argument("--i2", type=float, default=None, help="reuse variant only (default 0)")
-    p_rec.add_argument("--seed", type=int, default=0)
-    add_common(p_rec)
-    p_rec.set_defaults(func=_cmd_recalibrate, sizes=("--input", "--n-total", "--bins", "--n-re"))
-
-    p_cmi = sub.add_parser("cmi", help="supersample mask-information experiment")
-    p_cmi.add_argument("--n-grid", type=_parse_grid, default="100,500,2000")
-    p_cmi.add_argument("--bins", type=int, default=None, help="bin count (default: cube-root rule)")
-    p_cmi.add_argument("--n-supersamples", type=int, default=CmiExperimentConfig.n_supersamples)
-    # None: the run takes CmiExperimentConfig's default
-    p_cmi.add_argument("--n-masks", type=int, default=None, help="not with --exhaustive")
-    p_cmi.add_argument("--method", choices=[UWB, UMB], default=CmiExperimentConfig.method)
-    p_cmi.add_argument("--exhaustive", action="store_true",
-                       help="enumerate all 2^n masks (n <= 12) and count each statistic's entropy")
-    p_cmi.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
-    p_cmi.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
-    p_cmi.add_argument("--seed", type=int, default=0)
-    add_common(p_cmi)
-    p_cmi.set_defaults(func=_cmd_cmi, sizes=("--n-grid", "--bins", "--n-supersamples", "--n-masks"))
-
+    words = [] if argv is None else [a for a in argv if not a.startswith("-")]
+    _add_subparsers(parser, "subcommand", _SUBCOMMANDS, words, parser_class=_Parser)
     return parser
 
 
@@ -370,9 +423,11 @@ _NUMPY_TOO_BIG = ("array is too big", "Maximum allowed size exceeded",
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+    It parses ``argv`` with ``build_parser(argv)``, which builds only what ``argv`` names."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 2
     out = Path(args.out or os.environ.get("CALBOUNDS_OUT", "runs"))

@@ -14,7 +14,7 @@ import numpy as np
 from .binning import UWB, _check_count, _sums, uwb_scheme
 from .bounds import BoundReport, recalib_holdout_bound, recalib_reuse_bound, total_bias_bound
 from .data import ScoredDataset
-from .metrics import _binned_error, cube_root_bins, ece, optimal_bins
+from .metrics import _binned_errors, cube_root_bins, ece, optimal_bins
 from .models import (
     QuadEstimate,
     SyntheticModel,
@@ -34,6 +34,8 @@ __all__ = [
     "run_recalibration",
     "scored_synthetic_dataset",
 ]
+
+_STACK = 1 << 14  # bins of the reps' sums stacked for one error call: bounds them at 384 KiB
 
 
 def scored_synthetic_dataset(model: SyntheticModel, n: int, seed: int, *path: int) -> ScoredDataset:
@@ -102,15 +104,21 @@ def run_synthetic_experiment(
     eces = np.empty((len(n_grid), reps))
     for i, (n, B) in enumerate(zip(n_grid, bins)):
         scheme = uwb_scheme(B)
-        for rep in range(reps):
-            # scored_synthetic_dataset, in place; own expit outputs and 0/1 draws: unchecked
-            x, y = sample_synthetic(n, stream(seed, 1, i, rep))
-            with np.errstate(over="ignore"):  # a steep model's product may overflow: expit takes inf
-                x *= model.beta1
-                x += model.beta0
-                _expit(x, out=x)
-            counts, score_sums, label_sums = _sums(scheme, x, y)
-            eces[i, rep] = _binned_error(counts, score_sums / np.maximum(counts, 1), label_sums)
+        group = max(1, _STACK // B)  # reps whose sums are stacked for one error call
+        for lo in range(0, reps, group):
+            sums = []  # each rep's (counts, score sums, label sums)
+            for rep in range(lo, min(lo + group, reps)):
+                # scored_synthetic_dataset, in place; own expit outputs and 0/1 draws: unchecked.
+                # A steep model's product may overflow: expit takes inf.
+                x, y = sample_synthetic(n, stream(seed, 1, i, rep))
+                with np.errstate(over="ignore"):
+                    x *= model.beta1
+                    x += model.beta0
+                    _expit(x, out=x)
+                sums.append(_sums(scheme, x, y))
+            counts, score_sums, label_sums = (np.stack(a) for a in zip(*sums))
+            eces[i, lo:lo + group] = _binned_errors(counts, score_sums / np.maximum(counts, 1),
+                                                    label_sums)
     eces.setflags(write=False)
 
     slope = float("nan")

@@ -324,8 +324,10 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     back, a zero as the +0.0 of b - g (a start at -0.0 excepted). Both gradient sums come from one
     row-wise ``np.add.reduce`` over the stacked residual and its product with x.
     Rows go in blocks of at most ``_BLOCK`` elements (one row at least), which
-    bounds the temporaries. The first block where a row goes non-finite raises,
-    naming the earliest such epoch and ``where`` of its first such row.
+    bounds the temporaries. Each block checks its parameters once, after its last
+    epoch; the first block where a row went non-finite is replayed from its start
+    with a check before every epoch, and raises naming the earliest such epoch and
+    ``where`` of its first such row.
 
     numpy sends a (rows, 1) column broadcast over rows shorter than its ufunc
     buffer through that buffer, which at (10, 2000) takes 2.5 times as long as
@@ -348,29 +350,39 @@ def _descend(beta, x, y, cfg: TrainerConfig, where=lambda row: "") -> np.ndarray
     try:
         for lo in range(0, len(beta), step):
             b, xb, yb = neg[lo:lo + step], x[lo:lo + step], y[lo:lo + step].astype(np.float64)
+            start = b.copy()
             t, g = terms[:, :len(b)], grad[:len(b)]
             r, p = t
-            # A diverging row overflows silently: the check below names its epoch and row.
+            b0, b1, gt = b[:, :1], b[:, 1:], g.T
+
+            def epoch():
+                # expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
+                np.multiply(b1, xb, out=r)
+                np.add(b0, r, out=r)
+                np.exp(r, out=r)
+                np.add(r, 1.0, out=r)
+                np.divide(1.0, r, out=r)
+                np.subtract(r, yb, out=r)
+                np.multiply(r, xb, out=p)
+                np.add.reduce(t, axis=2, out=gt)
+                np.divide(g, n, out=g)
+                np.multiply(g, cfg.learning_rate, out=g)
+                np.add(b, g, out=b)
+
+            # A diverging row overflows silently. With finite x and y, the loss goes non-finite
+            # exactly when beta does, and a non-finite beta stays so (inf + finite is inf, NaN
+            # propagates): one check after the last epoch finds it, and a replay of the block
+            # that checks every epoch names the first.
             with np.errstate(over="ignore", invalid="ignore"):
-                for epoch in range(cfg.epochs + 1):
-                    # With finite x and y, the loss goes non-finite exactly when beta does.
-                    if not np.isfinite(b).all():
-                        row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
-                        raise ValueError(f"non-finite loss at epoch {epoch}{where(row)}")
-                    if epoch == cfg.epochs:
-                        break
-                    # expit(b0 + b1 * x) - y, and a mean as add.reduce / n: mean's own steps.
-                    np.multiply(b[:, 1:], xb, out=r)
-                    np.add(b[:, :1], r, out=r)
-                    np.exp(r, out=r)
-                    np.add(r, 1.0, out=r)
-                    np.divide(1.0, r, out=r)
-                    np.subtract(r, yb, out=r)
-                    np.multiply(r, xb, out=p)
-                    np.add.reduce(t, axis=2, out=g.T)
-                    g /= n
-                    g *= cfg.learning_rate
-                    b += g
+                for _ in range(cfg.epochs):
+                    epoch()
+                if not np.isfinite(b).all():
+                    b[...] = start
+                    for k in range(cfg.epochs + 1):
+                        if not np.isfinite(b).all():
+                            row = lo + np.flatnonzero(~np.isfinite(b).all(axis=1))[0]
+                            raise ValueError(f"non-finite loss at epoch {k}{where(row)}")
+                        epoch()
     finally:
         np.setbufsize(caller)
     return np.subtract(0.0, neg, out=neg)

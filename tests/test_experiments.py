@@ -15,6 +15,7 @@ from calbounds import (
     recalib_reuse_bound,
     uwb_scheme,
 )
+import calbounds.experiments as experiments_mod
 from calbounds.experiments import (
     run_recalibration,
     run_synthetic_experiment,
@@ -89,6 +90,19 @@ class TestRunSyntheticExperiment:
             x, _ = sample_synthetic(40, stream(13, 1, 0, 0))
             with np.errstate(over="ignore"):
                 assert np.isinf(beta[1] * x).any()
+
+    @pytest.mark.parametrize("b_rule", ["fixed:7", "fixed:30"])
+    @pytest.mark.parametrize("stack", [1, 14, 1 << 14])
+    def test_reps_stacked_in_groups_keep_each_ece(self, b_rule, stack, monkeypatch):
+        # Each grid size stacks the sums of _STACK // B reps (one at least) for one row-wise
+        # error call: 1, 2 (with a last group of one) or all 5 reps here. At n = 40 some
+        # rows have empty bins. Every grouping gives each rep's own ECE bit for bit.
+        monkeypatch.setattr(experiments_mod, "_STACK", stack)
+        res = run_synthetic_experiment(0.5, -1.5, [40, 300], reps=5, b_rule=b_rule, seed=13)
+        model = SyntheticModel(0.5, -1.5)
+        expected = [[ece(scored_synthetic_dataset(model, n, 13, 1, i, rep), uwb_scheme(B)).value
+                     for rep in range(5)] for i, (n, B) in enumerate(zip(res.n_grid, res.bins))]
+        assert res.ece.tobytes() == np.array(expected).tobytes()
 
     def test_deterministic(self):
         kwargs = dict(n_grid=[200, 400], reps=2, b_rule="cube_root", seed=11)

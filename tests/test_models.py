@@ -626,6 +626,27 @@ class TestBatchedDescent:
             rest = [0, 1, 3]
             assert np.isfinite(models_mod._descend(inits[rest], x[rest], y[rest], cfg)).all()
 
+    @pytest.mark.parametrize("n", [2, 256])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_divergence_named_by_the_first_block_and_earliest_epoch(self, n, epochs):
+        # Row 2 diverges at epoch 1 (the last epoch when epochs = 1) and row 3 starts
+        # non-finite, so its epoch is 0. Blocks run in order, so one row per block names
+        # row 2; a block holding both rows names row 3 at the earlier epoch.
+        x = np.tile([-0.5, 0.5], (4, n // 2))
+        x[2] = np.tile([1e200, -1e200], n // 2)
+        y = np.ones_like(x)
+        inits = np.array([models_mod._init_beta(s) for s in range(4)])
+        inits[3, 1] = np.inf
+        cfg = TrainerConfig(learning_rate=1e109, epochs=epochs)
+        for block, named in ((models_mod._BLOCK, "epoch 0 in row 3"), (2 * n, "epoch 0 in row 3"),
+                             (n, "epoch 1 in row 2")):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), pytest.raises(
+                ValueError, match=rf"^non-finite loss at {named}$"
+            ):
+                warnings.simplefilter("error")
+                mp.setattr(models_mod, "_BLOCK", block)
+                models_mod._descend(inits, x, y, cfg, where=lambda row: f" in row {row}")
+
     @pytest.mark.parametrize("size", [8192, 4096, 1 << 16])
     def test_caller_buffer_size_comes_back(self, size):
         # On return and on the non-finite raise, whether or not the rule set its own size.
